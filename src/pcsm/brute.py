@@ -8,7 +8,7 @@ maintained incrementally.
 
 from dataclasses import dataclass
 
-from .core import Instance, iter_bits, subset_key
+from .core import Instance, better, iter_bits
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,20 @@ def brute_optimum(inst: Instance, max_n: int = 22) -> BruteResult:
     if inst.n > max_n:
         raise ValueError(f"n={inst.n} exceeds brute-force limit {max_n}")
     state = _IncrementalState(inst)
-    best_value = None
-    best_set = 0
+    best = None                     # (mask, value)
     feasible_count = 0
     if state.feasible():
         feasible_count = 1
-        best_value, best_set = state.value, 0
+        best = (0, state.value)
     for step in range(1, 1 << inst.n):
         state.flip((step & -step).bit_length() - 1)
         if state.feasible():
             feasible_count += 1
-            if (best_value is None or state.value > best_value
-                    or (state.value == best_value
-                        and subset_key(state.mask) < subset_key(best_set))):
-                best_value, best_set = state.value, state.mask
-    if feasible_count == 0:
+            if better(state.value, state.mask, best):
+                best = (state.mask, state.value)
+    if best is None:
         return BruteResult(best_value=0, best_set=0, feasible_count=0)
-    return BruteResult(best_value=best_value, best_set=best_set,
+    return BruteResult(best_value=best[1], best_set=best[0],
                        feasible_count=feasible_count)
 
 
@@ -96,17 +93,15 @@ def brute_pareto(inst: Instance, max_n: int = 18) -> dict:
     if inst.n > max_n:
         raise ValueError(f"n={inst.n} exceeds pareto enumeration limit {max_n}")
     state = _IncrementalState(inst)
-    table: dict = {}
+    table: dict = {}                # key -> (mask, value) while enumerating
 
     def record():
         key = (tuple(state.cover), tuple(state.pack))
-        cur = table.get(key)
-        if (cur is None or state.value > cur[0]
-                or (state.value == cur[0] and subset_key(state.mask) < subset_key(cur[1]))):
-            table[key] = (state.value, state.mask)
+        if better(state.value, state.mask, table.get(key)):
+            table[key] = (state.mask, state.value)
 
     record()
     for step in range(1, 1 << inst.n):
         state.flip((step & -step).bit_length() - 1)
         record()
-    return table
+    return {key: (value, mask) for key, (mask, value) in table.items()}

@@ -24,11 +24,11 @@ from .core import (
     Instance,
     Params,
     SubmodularOracle,
+    better,
     iter_bits,
     mask_of,
     normalize,
     popcount,
-    subset_key,
     to_fraction,
 )
 from .lp import linear_max_over_polytope
@@ -314,11 +314,6 @@ def multilinear_estimate(oracle: SubmodularOracle, x: Sequence[float],
     return MultilinearEstimate(mean=float(mean), stderr=stderr, mean_exact=mean)
 
 
-def exact_multilinear_linear(oracle, x):
-    """F(x) for a linear oracle: w . x + f(empty)."""
-    return sum(float(w) * float(p) for w, p in zip(oracle.weights, x))
-
-
 def continuous_greedy(guess: Guess, steps: int = 100,
                       samples_per_grad: int = 200, seed: int = 0) -> dict:
     """Discretized ascent over the residual polytope.
@@ -480,8 +475,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
                 val = norm.objective.eval(cand)
                 if diag.best_value is None or val > diag.best_value:
                     diag.best_value = val
-                if (best is None or val > best[1]
-                        or (val == best[1] and subset_key(cand) < subset_key(best[0]))):
+                if better(val, cand, best):
                     best = (cand, val)
             else:
                 diag.filter_fail += 1

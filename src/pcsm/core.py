@@ -55,6 +55,34 @@ def subset_key(mask: int) -> tuple:
     return mask_to_tuple(mask)
 
 
+def subset_less(a: int, b: int) -> bool:
+    """``subset_key(a) < subset_key(b)`` without building either tuple.
+
+    Below the lowest differing bit ``d`` both index tuples agree.  If ``a``
+    holds ``d`` it is smaller exactly when ``b`` continues past ``d``;
+    otherwise ``a`` is smaller exactly when it stops before ``d`` (a proper
+    prefix of ``b``).
+    """
+    diff = a ^ b
+    low = diff & -diff
+    if a & low:
+        return b >= low << 1
+    return a < low
+
+
+def better(value, mask: int, cur) -> bool:
+    """Whether ``(mask, value)`` beats the entry ``cur = (mask, value, ...)``.
+
+    Higher value wins; equal values go to the lexicographically smallest
+    subset.  ``cur`` may be None (nothing recorded yet).  Every solver breaks
+    ties through this one comparator.
+    """
+    if cur is None:
+        return True
+    cur_value = cur[1]
+    return value > cur_value or (value == cur_value and subset_less(mask, cur[0]))
+
+
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
 

@@ -19,9 +19,9 @@ from .core import (
     BudgetExceededError,
     Instance,
     Rational,
+    better,
     iter_bits,
     mask_of,
-    subset_key,
     _rat,
 )
 from .greedy_dp import scale_instance
@@ -178,12 +178,11 @@ def _run_single_dp(inst: Instance, guess_mask: int, index: ForbiddenIndex,
                     continue
                 c_new = c_cur + cover[elem]
                 new_value = value + oracle.gain(state, elem)
+                new_mask = mask | bit
                 key = (c_new, p_new)
                 cur = table.get(key)
-                if (cur is None or new_value > cur[1]
-                        or (new_value == cur[1]
-                            and subset_key(mask | bit) < subset_key(cur[0]))):
-                    table[key] = (mask | bit, new_value)
+                if better(new_value, new_mask, cur):
+                    table[key] = (new_mask, new_value)
                     if cur is None:
                         if p_new == p_cur:
                             # zero-pack extension: lands ahead of the scan
@@ -228,10 +227,10 @@ def forbidden_dp_solve(inst: Instance, epsilon: Rational,
         for (c_cur, p_cur), (mask, _value) in table.items():
             if c_cur + index.forbidden_cover(p_cur) < c_bound:
                 continue
-            candidate = mask | index.forbidden_mask(p_cur)
+            # the sweep cached the forbidden mask of every level it reached
+            candidate = mask | forb_cache[p_cur]
             val = oracle.eval(candidate)
-            if (best is None or val > best[1]
-                    or (val == best[1] and subset_key(candidate) < subset_key(best[0]))):
+            if better(val, candidate, best):
                 best = (candidate, val)
     if best is None:
         return ForbiddenOutcome(False, 0, 0, len(guesses), last_cells, all_tables)

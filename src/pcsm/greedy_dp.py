@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, ge, gt, le, sub
 
-from .core import BudgetExceededError, Instance, Rational, subset_key, _rat
+from .core import BudgetExceededError, Instance, Rational, better, subset_key, _rat
 
 CELL_BUDGET = 50_000_000
 
@@ -25,6 +26,12 @@ def _require_integer(inst: Instance) -> None:
 
 def _as_int_rows(rows):
     return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+def _columns(rows, n):
+    """Per-element columns of an integer matrix: entry ``e`` is the tuple of
+    element ``e``'s values down the rows."""
+    return tuple(tuple(int(row[e]) for row in rows) for e in range(n))
 
 
 @dataclass
@@ -57,14 +64,15 @@ def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
     """
     _require_integer(inst)
     _guard_table(inst, saturate_cover)
-    packing = _as_int_rows(inst.packing)
-    covering = _as_int_rows(inst.covering)
     p_bound = tuple(int(b) for b in inst.pack_bound)
     c_bound = tuple(int(b) for b in inst.cover_bound)
+    n = inst.n
+    pack_cols = _columns(inst.packing, n)
+    cover_cols = _columns(inst.covering, n)
     oracle = inst.objective
-    n, p, c = inst.n, inst.p, inst.c
+    begin, gain = oracle.begin, oracle.gain
 
-    zero = ((0,) * c, (0,) * p)
+    zero = ((0,) * inst.c, (0,) * inst.p)
     layer = {zero: (0, oracle.eval(0))}
     table = {(0,) + zero: layer[zero]}
     cells = 1
@@ -72,24 +80,22 @@ def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
     for q in range(n):
         nxt: dict = {}
         for (cov, pak), (mask, value) in layer.items():
-            state = oracle.begin(mask)
+            state = begin(mask)
             for elem in range(n):
                 bit = 1 << elem
                 if mask & bit:
                     continue
-                new_pak = tuple(pak[i] + packing[i][elem] for i in range(p))
-                if any(new_pak[i] > p_bound[i] for i in range(p)):
+                new_pak = tuple(map(add, pak, pack_cols[elem]))
+                if any(map(gt, new_pak, p_bound)):
                     continue
-                new_cov = tuple(cov[j] + covering[j][elem] for j in range(c))
+                new_cov = tuple(map(add, cov, cover_cols[elem]))
                 if saturate_cover:
-                    new_cov = tuple(min(v, b) for v, b in zip(new_cov, c_bound))
-                new_value = value + oracle.gain(state, elem)
+                    new_cov = tuple(map(min, new_cov, c_bound))
+                new_value = value + gain(state, elem)
+                new_mask = mask | bit
                 key = (new_cov, new_pak)
-                cur = nxt.get(key)
-                if (cur is None or new_value > cur[1]
-                        or (new_value == cur[1]
-                            and subset_key(mask | bit) < subset_key(cur[0]))):
-                    nxt[key] = (mask | bit, new_value)
+                if better(new_value, new_mask, nxt.get(key)):
+                    nxt[key] = (new_mask, new_value)
         for key, entry in nxt.items():
             table[(q + 1,) + key] = entry
         cells += len(nxt)
@@ -97,13 +103,11 @@ def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
         if not layer:
             break
 
-    half = tuple(Fraction(b, 2) for b in c_bound)
     best = None
     for (q, cov, pak), (mask, value) in table.items():
-        if all(cov[j] >= half[j] for j in range(c)) and all(pak[i] <= p_bound[i] for i in range(p)):
-            if (best is None or value > best[1]
-                    or (value == best[1] and subset_key(mask) < subset_key(best[0]))):
-                best = (mask, value)
+        if (all(2 * v >= b for v, b in zip(cov, c_bound))
+                and all(map(le, pak, p_bound)) and better(value, mask, best)):
+            best = (mask, value)
     if best is None:
         return DpOutcome(table, 0, 0, False, cells)
     return DpOutcome(table, best[0], best[1], True, cells)
@@ -130,7 +134,14 @@ class CompletionOutcome:
 def _reachable_completions(inst: Instance):
     """All (pack vector, cover vector) signatures reachable by a subset of
     the ground set, each with one witness mask.  Cover coordinates are
-    saturated at the bound, which completion targets never exceed."""
+    saturated at the bound, which completion targets never exceed.
+
+    The witness of a signature is the first subset found with it when the
+    elements are added in index order; it is not the lexicographically
+    smallest subset with that signature.  ``dp_with_completion`` picks the
+    lexicographically smallest fitting witness among these, so changing
+    which witness is kept here changes its output.
+    """
     packing = _as_int_rows(inst.packing)
     covering = _as_int_rows(inst.covering)
     p_bound = tuple(int(b) for b in inst.pack_bound)
@@ -159,34 +170,37 @@ def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> Completio
     function.
     """
     outcome = vanilla_dp(inst, saturate_cover=saturate_cover)
-    completions = _reachable_completions(inst)
+    # witnesses in tie-break order: the first that fits a cell is the
+    # lexicographically smallest fitting one
+    completions = sorted(_reachable_completions(inst).items(),
+                         key=lambda item: subset_key(item[1]))
     p_bound = tuple(int(b) for b in inst.pack_bound)
     c_bound = tuple(int(b) for b in inst.cover_bound)
     oracle = inst.objective
-    p, c = inst.p, inst.c
 
     best = None
     valid = 0
+    witness_of: dict = {}    # (cover, pack) cell signature -> witness or None
     for (q, cov, pak), (mask, value) in outcome.table.items():
-        need_cov = tuple(max(0, c_bound[j] - cov[j]) for j in range(c))
-        room_pak = tuple(p_bound[i] - pak[i] for i in range(p))
-        witness = None
-        for (cpak, ccov), cmask in completions.items():
-            if all(cpak[i] <= room_pak[i] for i in range(p)) and \
-                    all(ccov[j] >= need_cov[j] for j in range(c)):
-                if witness is None or subset_key(cmask) < subset_key(witness):
-                    witness = cmask
+        sig = (cov, pak)
+        if sig in witness_of:
+            witness = witness_of[sig]
+        else:
+            room = tuple(map(sub, p_bound, pak))
+            need = tuple(map(sub, c_bound, cov))
+            witness = witness_of[sig] = next(
+                (cmask for (cpak, ccov), cmask in completions
+                 if all(map(le, cpak, room)) and all(map(ge, ccov, need))), None)
         if witness is None:
             continue
         valid += 1
         support = mask | witness
         val = oracle.eval(support)
-        if (best is None or val > best[0]
-                or (val == best[0] and subset_key(support) < subset_key(best[3]))):
-            best = (val, mask, witness, support)
+        if better(val, support, best):
+            best = (support, val, mask, witness)
     if best is None:
         return CompletionOutcome(False, 0, 0, 0, 0, (), (), 0, outcome.cells_populated)
-    val, mask, witness, support = best
+    support, val, mask, witness = best
     cov_mult = tuple(a + b for a, b in zip(inst.cover_value(mask), inst.cover_value(witness)))
     pak_mult = tuple(a + b for a, b in zip(inst.pack_value(mask), inst.pack_value(witness)))
     return CompletionOutcome(

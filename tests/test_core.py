@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pcsm.core import (
     ConcaveOfModularOracle,
     CoverageOracle,
     LinearOracle,
     Params,
+    better,
     instance_from_json_obj,
     instance_to_json_obj,
     is_feasible,
@@ -16,6 +18,8 @@ from pcsm.core import (
     marginal,
     mask_of,
     normalize,
+    subset_key,
+    subset_less,
     violation_profile,
 )
 
@@ -190,3 +194,36 @@ def test_params_validation_and_schedule():
     with pytest.raises(ValueError):
         Params(epsilon=Fraction(1, 2), delta=Fraction(1, 2), alpha=Fraction(1, 2),
                beta=Fraction(1, 2), gamma=Fraction(1, 2))
+
+
+# masks with few elements make shared prefixes and equal masks likely
+masks = st.one_of(st.integers(0, 63), st.integers(0, (1 << 70) - 1))
+
+
+@given(masks, masks)
+@example(0, 0)
+@example(0, 0b100)
+@example(0b100, 0)
+@example(0b1011, 0b1011)
+@example(0b11, 0b1011)
+@example(0b1011, 0b11)
+def test_subset_less_is_tuple_order(a, b):
+    assert subset_less(a, b) == (subset_key(a) < subset_key(b))
+    assert not subset_less(a, a)
+
+
+@given(masks, st.integers(0, 71))
+def test_subset_less_on_prefixes(a, k):
+    # a's elements below k form a prefix of a's index tuple
+    prefix = a & ((1 << k) - 1)
+    assert subset_less(prefix, a) == (prefix != a) == (subset_key(prefix) < subset_key(a))
+    assert not subset_less(a, prefix)
+
+
+def test_better_orders_by_value_then_subset():
+    assert better(0, 0b1, None)
+    assert better(Fraction(5, 2), 0b11, (0b1, 2))
+    assert not better(2, 0b1, (0b11, Fraction(5, 2)))
+    assert better(3, 0b011, (0b101, 3))
+    assert not better(3, 0b101, (0b011, 3))
+    assert not better(3, 0b101, (0b101, 3))

@@ -202,3 +202,145 @@ def test_requires_integer_data():
     inst = make_instance([[Fraction(1, 2)]], [[1]], [1], [1], LinearOracle([1]))
     with pytest.raises(ValueError):
         vanilla_dp(inst)
+
+
+# ---------------------------------------------------------------------------
+# golden equivalence: the table DP and the completion phase against the
+# straightforward versions (tuple tie-break, quadratic completion scan)
+
+
+def _ref_key(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _ref_vanilla_table(inst, saturate_cover):
+    packing = [[int(v) for v in row] for row in inst.packing]
+    covering = [[int(v) for v in row] for row in inst.covering]
+    p_bound = [int(b) for b in inst.pack_bound]
+    c_bound = [int(b) for b in inst.cover_bound]
+    oracle, n, p, c = inst.objective, inst.n, inst.p, inst.c
+    zero = ((0,) * c, (0,) * p)
+    layer = {zero: (0, oracle.eval(0))}
+    table = {(0,) + zero: layer[zero]}
+    for q in range(n):
+        nxt = {}
+        for (cov, pak), (mask, value) in layer.items():
+            for elem in range(n):
+                bit = 1 << elem
+                if mask & bit:
+                    continue
+                new_pak = tuple(pak[i] + packing[i][elem] for i in range(p))
+                if any(new_pak[i] > p_bound[i] for i in range(p)):
+                    continue
+                new_cov = tuple(cov[j] + covering[j][elem] for j in range(c))
+                if saturate_cover:
+                    new_cov = tuple(min(v, b) for v, b in zip(new_cov, c_bound))
+                new_value = value + oracle.marginal(mask, elem)
+                key = (new_cov, new_pak)
+                cur = nxt.get(key)
+                if (cur is None or new_value > cur[1]
+                        or (new_value == cur[1]
+                            and _ref_key(mask | bit) < _ref_key(cur[0]))):
+                    nxt[key] = (mask | bit, new_value)
+        for key, entry in nxt.items():
+            table[(q + 1,) + key] = entry
+        layer = nxt
+        if not layer:
+            break
+    best = None
+    for (q, cov, pak), (mask, value) in table.items():
+        if (all(2 * v >= b for v, b in zip(cov, c_bound))
+                and all(v <= b for v, b in zip(pak, p_bound))):
+            if (best is None or value > best[1]
+                    or (value == best[1] and _ref_key(mask) < _ref_key(best[0]))):
+                best = (mask, value)
+    return table, best
+
+
+def _ref_reachable(inst):
+    p_bound = [int(b) for b in inst.pack_bound]
+    c_bound = [int(b) for b in inst.cover_bound]
+    states = {((0,) * inst.p, (0,) * inst.c): 0}
+    for elem in range(inst.n):
+        updates = {}
+        for (pak, cov), mask in states.items():
+            new_pak = tuple(v + int(row[elem]) for v, row in zip(pak, inst.packing))
+            if any(v > b for v, b in zip(new_pak, p_bound)):
+                continue
+            new_cov = tuple(min(v + int(row[elem]), b)
+                            for v, row, b in zip(cov, inst.covering, c_bound))
+            key = (new_pak, new_cov)
+            if key not in states and key not in updates:
+                updates[key] = mask | (1 << elem)
+        states.update(updates)
+    return states
+
+
+def _ref_completion(inst, saturate_cover):
+    table, _ = _ref_vanilla_table(inst, saturate_cover)
+    completions = _ref_reachable(inst)
+    p_bound = [int(b) for b in inst.pack_bound]
+    c_bound = [int(b) for b in inst.cover_bound]
+    best, valid = None, 0
+    for (q, cov, pak), (mask, value) in table.items():
+        witness = None
+        for (cpak, ccov), cmask in completions.items():
+            if (all(a + b <= bound for a, b, bound in zip(cpak, pak, p_bound))
+                    and all(a + b >= bound for a, b, bound in zip(ccov, cov, c_bound))):
+                if witness is None or _ref_key(cmask) < _ref_key(witness):
+                    witness = cmask
+        if witness is None:
+            continue
+        valid += 1
+        support = mask | witness
+        val = inst.objective.eval(support)
+        if (best is None or val > best[0]
+                or (val == best[0] and _ref_key(support) < _ref_key(best[3]))):
+            best = (val, mask, witness, support)
+    return best, valid, len(table)
+
+
+def _golden_cases():
+    rng = random.Random(20240611)
+    for trial in range(60):
+        p = 1 + trial % 2
+        c = 1 + (trial // 2) % 2
+        family = FAMILIES[(trial // 4) % 3]
+        n = 6 + (trial * 5) % 6
+        saturate = trial % 12 < 6
+        # small entries and weights make equal-value cells, so ties are common
+        yield random_instance(rng, n, p=p, c=c, family=family,
+                              max_entry=3 if p + c > 2 else 5), saturate
+
+
+def test_golden_equivalence_table_and_completion():
+    seen = set()
+    for inst, saturate in _golden_cases():
+        seen.add((inst.n, inst.p, inst.c, inst.objective.kind, saturate))
+        ref_table, ref_best = _ref_vanilla_table(inst, saturate)
+        res = vanilla_dp(inst, saturate_cover=saturate)
+        assert res.table == ref_table
+        assert res.cells_populated == len(ref_table)
+        assert res.found == (ref_best is not None)
+        if ref_best is not None:
+            assert (res.best_set, res.best_value) == ref_best
+
+        ref, valid, cells = _ref_completion(inst, saturate)
+        out = dp_with_completion(inst, saturate_cover=saturate)
+        assert out.valid_cells == valid
+        assert out.cells_populated == cells
+        assert out.found == (ref is not None)
+        if ref is None:
+            assert (out.base_set, out.completion_set, out.support, out.value) == (0, 0, 0, 0)
+            continue
+        val, mask, witness, support = ref
+        assert (out.value, out.base_set, out.completion_set, out.support) == \
+            (val, mask, witness, support)
+        assert out.cover_with_multiplicity == tuple(
+            a + b for a, b in zip(inst.cover_value(mask), inst.cover_value(witness)))
+        assert out.pack_with_multiplicity == tuple(
+            a + b for a, b in zip(inst.pack_value(mask), inst.pack_value(witness)))
+    assert {s[0] for s in seen} == set(range(6, 12))
+    assert {(s[1], s[2]) for s in seen} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert {s[3] for s in seen} == set(FAMILIES)
+    assert {s[4] for s in seen} == {True, False}
