@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     InfeasibleError,
@@ -42,6 +42,55 @@ class GuessInfeasibleError(InfeasibleError):
 # guesses
 
 
+class _ChosenPart(NamedTuple):
+    """The target-independent part of a guess: everything derived from E1."""
+
+    residual_pack: tuple         # r = 1 - E1's packing loads
+    critical_pack: frozenset     # y: rows with r_i <= delta
+    cover: tuple                 # E1's covering loads
+    large_pack: int              # non-chosen elements >= alpha r_i in a row outside y
+    critical_large: int          # non-chosen elements >= beta r_i in a row of y
+
+
+class _TargetPart(NamedTuple):
+    """The part of a guess that depends on the cover targets c'."""
+
+    residual_cover: tuple        # s = max(0, c' - E1's covering loads)
+    critical_cover: frozenset    # z: rows with s_j <= delta c'_j
+    large_cover: int             # non-chosen elements >= alpha s_j in a row outside z
+
+
+def _chosen_part(inst: Instance, chosen: int, alpha: Fraction, beta: Fraction,
+                 delta: Fraction) -> _ChosenPart:
+    r = tuple(1 - v for v in inst.pack_value(chosen))
+    y = frozenset(i for i, v in enumerate(r) if v <= delta)
+    free = ((1 << inst.n) - 1) & ~chosen
+    large_p = large_crit = 0
+    for i, row in enumerate(inst.packing):
+        if i in y:
+            large_crit |= _at_least(row, beta * r[i], free)
+        else:
+            large_p |= _at_least(row, alpha * r[i], free)
+    return _ChosenPart(r, y, inst.cover_value(chosen), large_p, large_crit)
+
+
+def _target_part(inst: Instance, part: _ChosenPart, chosen: int, targets: tuple,
+                 alpha: Fraction, delta: Fraction) -> _TargetPart:
+    s = tuple(max(Fraction(0), Fraction(t) - v) for t, v in zip(targets, part.cover))
+    z = frozenset(j for j, v in enumerate(s) if v <= delta * targets[j])
+    free = ((1 << inst.n) - 1) & ~chosen
+    large_c = 0
+    for j, row in enumerate(inst.covering):
+        if j not in z:
+            large_c |= _at_least(row, alpha * s[j], free)
+    return _TargetPart(s, z, large_c)
+
+
+def _at_least(row, threshold, mask: int) -> int:
+    """The elements of ``mask`` whose entry in ``row`` reaches ``threshold``."""
+    return mask_of(ell for ell in iter_bits(mask) if row[ell] >= threshold)
+
+
 @dataclass(frozen=True)
 class Guess:
     """A triplet (discarded, chosen, cover targets) with its derived data.
@@ -49,7 +98,8 @@ class Guess:
     All derived fields are exact rationals computed against the normalized
     instance: residuals, critical row sets, and the large-element masks for
     non-critical rows (which a consistent guess must keep empty) and for
-    critical packing rows (stripped after rounding).
+    critical packing rows (stripped after rounding).  ``parts`` passes in
+    the chosen and target parts when the caller already derived them.
     """
 
     instance: Instance = field(compare=False)
@@ -68,38 +118,25 @@ class Guess:
     large_cover: int = field(init=False, compare=False)
     critical_large: int = field(init=False, compare=False)
     undetermined: int = field(init=False, compare=False)
+    parts: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, parts):
         inst = self.instance
         if len(self.cover_targets) != inst.c:
             raise ValueError("cover target per covering row required")
-        chosen_pack = inst.pack_value(self.chosen)
-        chosen_cover = inst.cover_value(self.chosen)
-        r = tuple(1 - v for v in chosen_pack)
-        s = tuple(max(Fraction(0), Fraction(t) - v)
-                  for t, v in zip(self.cover_targets, chosen_cover))
-        y = frozenset(i for i, v in enumerate(r) if v <= self.delta)
-        z = frozenset(j for j, v in enumerate(s)
-                      if v <= self.delta * self.cover_targets[j])
+        if parts is None:
+            cpart = _chosen_part(inst, self.chosen, self.alpha, self.beta, self.delta)
+            parts = (cpart, _target_part(inst, cpart, self.chosen, self.cover_targets,
+                                         self.alpha, self.delta))
+        cpart, tpart = parts
         undet = ((1 << inst.n) - 1) & ~(self.discarded | self.chosen)
-        large_p = mask_of(
-            ell for ell in iter_bits(undet)
-            if any(inst.packing[i][ell] >= self.alpha * r[i]
-                   for i in range(inst.p) if i not in y))
-        large_c = mask_of(
-            ell for ell in iter_bits(undet)
-            if any(inst.covering[j][ell] >= self.alpha * s[j]
-                   for j in range(inst.c) if j not in z))
-        large_crit = mask_of(
-            ell for ell in iter_bits(undet)
-            if any(inst.packing[i][ell] >= self.beta * r[i] for i in y))
-        object.__setattr__(self, "residual_pack", r)
-        object.__setattr__(self, "residual_cover", s)
-        object.__setattr__(self, "critical_pack", y)
-        object.__setattr__(self, "critical_cover", z)
-        object.__setattr__(self, "large_pack", large_p)
-        object.__setattr__(self, "large_cover", large_c)
-        object.__setattr__(self, "critical_large", large_crit)
+        object.__setattr__(self, "residual_pack", cpart.residual_pack)
+        object.__setattr__(self, "residual_cover", tpart.residual_cover)
+        object.__setattr__(self, "critical_pack", cpart.critical_pack)
+        object.__setattr__(self, "critical_cover", tpart.critical_cover)
+        object.__setattr__(self, "large_pack", cpart.large_pack & undet)
+        object.__setattr__(self, "large_cover", tpart.large_cover & undet)
+        object.__setattr__(self, "critical_large", cpart.critical_large & undet)
         object.__setattr__(self, "undetermined", undet)
 
     def is_consistent(self) -> bool:
@@ -150,10 +187,8 @@ def correct_guess_for(inst: Instance, params: Params, optimum: int) -> Guess:
         if any(inst.packing[i][ell] >= threshold for i in range(inst.p))
         or any(inst.covering[j][ell] >= threshold * targets[j] for j in range(inst.c)))
     chosen = top | big
-    discarded = _build_discarded(inst, chosen, targets, params)
-    return Guess(instance=inst, discarded=discarded, chosen=chosen,
-                 cover_targets=targets, alpha=params.alpha, beta=params.beta,
-                 delta=params.delta, gamma=params.gamma)
+    return _derive_guess(inst, params, chosen, _chosen_entry(inst, params, chosen),
+                         targets)
 
 
 def is_correct(guess: Guess, optimum: int) -> bool:
@@ -186,21 +221,33 @@ def _grid_floor(value: Fraction, delta: Fraction) -> Fraction:
     return point
 
 
-def _build_discarded(inst: Instance, chosen: int, targets: tuple,
-                     params: Params) -> int:
-    """E0 for a candidate (E1, c'): high-marginal leftovers plus the large
-    elements of the intermediate guess H = (empty, E1, c')."""
+def _chosen_entry(inst: Instance, params: Params, chosen: int) -> tuple:
+    """E1's chosen part and its high-marginal leftovers: the non-chosen
+    elements whose gain on E1 exceeds f(E1) / gamma."""
     oracle = inst.objective
-    f_chosen = oracle.eval(chosen)
-    threshold = f_chosen / params.gamma
+    threshold = oracle.eval(chosen) / params.gamma
     state = oracle.begin(chosen)
     high = mask_of(
         ell for ell in range(inst.n)
         if not (chosen >> ell) & 1 and oracle.gain(state, ell) > threshold)
-    h = Guess(instance=inst, discarded=0, chosen=chosen, cover_targets=targets,
-              alpha=params.alpha, beta=params.beta, delta=params.delta,
-              gamma=params.gamma)
-    return high | h.large_pack | h.large_cover
+    return _chosen_part(inst, chosen, params.alpha, params.beta, params.delta), high
+
+
+def _derive_guess(inst: Instance, params: Params, chosen: int, entry: tuple,
+                  targets: tuple) -> Guess:
+    """The guess for (E1, c'): E0 is the high-marginal leftovers plus the
+    elements that are large for the intermediate guess H = (empty, E1, c').
+
+    H's large masks cover every non-chosen element and none of their rows
+    or thresholds depend on E0, so the guess carries H's parts; its own
+    large masks come out empty because E0 holds all of H's large elements.
+    """
+    cpart, high = entry
+    tpart = _target_part(inst, cpart, chosen, targets, params.alpha, params.delta)
+    return Guess(instance=inst, discarded=high | cpart.large_pack | tpart.large_cover,
+                 chosen=chosen, cover_targets=targets, alpha=params.alpha,
+                 beta=params.beta, delta=params.delta, gamma=params.gamma,
+                 parts=(cpart, tpart))
 
 
 @dataclass
@@ -227,6 +274,10 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
         grid.append(point)
         point *= 1 + params.delta
     size_cap = min(n, math.ceil(params.gamma + (inst.p + inst.c) / (params.alpha * params.delta)))
+    # a chosen set's part is reused under every later target, so keep it
+    # only when the budget reaches past the first target
+    per_target = sum(math.comb(n, k) for k in range(min(n, size_cap) + 1))
+    cache = {} if len(grid) ** inst.c > 1 and per_target < budget else None
 
     guesses = []
     pairs = 0
@@ -237,13 +288,19 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
                 truncated = True
                 break
             pairs += 1
-            if any(v > 1 for v in inst.pack_value(chosen)):
+            if cache is not None and chosen in cache:
+                entry = cache[chosen]
+            else:
+                # None marks an E1 that overpacks some row
+                entry = (None if any(v > 1 for v in inst.pack_value(chosen))
+                         else _chosen_entry(inst, params, chosen))
+                if cache is not None:
+                    cache[chosen] = entry
+            if entry is None:
                 continue
-            discarded = _build_discarded(inst, chosen, targets, params)
-            guess = Guess(instance=inst, discarded=discarded, chosen=chosen,
-                          cover_targets=targets, alpha=params.alpha,
-                          beta=params.beta, delta=params.delta,
-                          gamma=params.gamma)
+            guess = _derive_guess(inst, params, chosen, entry, targets)
+            # always true: E0 holds every large element, targets start at 1
+            # and E1 packs within the bounds
             if guess.is_consistent():
                 guesses.append(guess)
         if truncated:
@@ -314,6 +371,57 @@ def multilinear_estimate(oracle: SubmodularOracle, x: Sequence[float],
     return MultilinearEstimate(mean=float(mean), stderr=stderr, mean_exact=mean)
 
 
+# A covering row must miss its bound by more than this share of the largest
+# bound (at least 1) before the screen calls the polytope empty: 1000x the
+# simplex's phase-1 tolerance, so a program the screen rejects is one the
+# simplex rejects too.
+SCREEN_MARGIN = Fraction(1, 10 ** 6)
+
+
+def fractional_knapsack_max(values, weights, room) -> Fraction:
+    """Exact max of values.x over {x in [0,1]^n : weights.x <= room}.
+
+    Entries are non-negative rationals; a negative room counts as 0, which
+    only enlarges the set.  Zero-weight items come free, the rest are taken
+    by falling value/weight ratio and the last one fractionally.
+    """
+    total = Fraction(0)
+    items = []
+    for v, w in zip(values, weights):
+        if w == 0:
+            total += v
+        elif v:
+            items.append((Fraction(v) / w, v, w))
+    items.sort(key=lambda item: item[0], reverse=True)
+    room = max(Fraction(room), Fraction(0))
+    for _ratio, v, w in items:
+        if w > room:
+            return total + room * v / w
+        total += v
+        room -= w
+    return total
+
+
+def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> bool:
+    """Whether {x in [0,1]^n : pack @ x <= pack_bounds, cover @ x >= cover_bounds}
+    is empty by an exact certificate: some covering row misses its bound by
+    more than the margin even within the box and a single packing row.
+
+    Each (covering, packing) pair relaxes the polytope, so the test is sound
+    for any number of rows; with one row of each it is exact up to the
+    margin.  Programs inside the margin are left to the simplex.
+    """
+    margin = SCREEN_MARGIN * max([1] + [abs(b) for b in pack_bounds]
+                                 + [abs(b) for b in cover_bounds])
+    for row, bound in zip(cover_rows, cover_bounds):
+        reach = bound - margin
+        # the plain sum bounds every knapsack and settles most rows alone
+        if sum(row) < reach or any(fractional_knapsack_max(row, prow, room) < reach
+                                   for prow, room in zip(pack_rows, pack_bounds)):
+            return True
+    return False
+
+
 def continuous_greedy(guess: Guess, steps: int = 100,
                       samples_per_grad: int = 200, seed: int = 0) -> dict:
     """Discretized ascent over the residual polytope.
@@ -325,6 +433,9 @@ def continuous_greedy(guess: Guess, steps: int = 100,
     elements = guess.residual_elements()
     pack_rows = [[inst.packing[i][e] for e in elements] for i in range(inst.p)]
     cover_rows = [[inst.covering[j][e] for e in elements] for j in range(inst.c)]
+    if polytope_surely_empty(pack_rows, guess.residual_pack,
+                             cover_rows, guess.residual_cover):
+        raise GuessInfeasibleError("empty residual polytope")
     status, _ = linear_max_over_polytope(
         [0.0] * len(elements), pack_rows, guess.residual_pack,
         cover_rows, guess.residual_cover)

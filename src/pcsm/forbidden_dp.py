@@ -156,9 +156,9 @@ def _run_single_dp(inst: Instance, guess_mask: int, index: ForbiddenIndex,
     table = {(g_cov, g_pak): (guess_mask, oracle.eval(guess_mask))}
     by_level: dict = {g_pak: [g_cov]}
     for p_cur in range(p_bound + 1):
-        worklist = sorted(by_level.get(p_cur, ()))
-        if not worklist:
+        if p_cur not in by_level:          # most levels stay empty
             continue
+        worklist = sorted(by_level[p_cur])
         if p_cur not in forb_cache:
             forb_cache[p_cur] = index.forbidden_mask(p_cur)
         forb = forb_cache[p_cur] | excluded_mask

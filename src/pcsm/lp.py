@@ -102,20 +102,46 @@ def simplex_solve(lp: LinearProgram, tol_feas: float = 1e-9,
     enough that this does not matter.
     """
     nv = len(lp.variables)
-    rows = []
-    rhs = []
+    rows, rels, rhs = [], [], []
     for coeffs, rel, b in lp.constraints:
         b = float(b)
         dense = np.zeros(nv)
         for k, v in coeffs.items():
             dense[k] = float(v)
         if rel == "==":
-            rows.append((dense, "<=", b))
-            rows.append((-dense, "<=", -b))
+            rows += [dense, -dense]
+            rels += ["<=", "<="]
+            rhs += [b, -b]
         else:
-            rows.append((dense, rel, b))
+            rows.append(dense)
+            rels.append(rel)
+            rhs.append(b)
+    cost = np.zeros(nv)
+    for k, v in lp.objective.items():
+        cost[k] = float(v)
+    status, x = _solve_dense(rows, rels, rhs, cost, lp.sense == "max",
+                             tol_feas, tol_opt)
+    if status != "optimal":
+        return LpSolution(status, float("nan"), {}, ())
+    value = float(sum(float(v) * x[k] for k, v in lp.objective.items()))
+    assignment = {name: float(x[k]) for k, name in enumerate(lp.variables)}
+    residuals = []
+    for coeffs, rel, b in lp.constraints:
+        lhs = sum(float(v) * x[k] for k, v in coeffs.items())
+        residuals.append(lhs - float(b))
+    return LpSolution("optimal", value, assignment, tuple(residuals))
+
+
+def _solve_dense(rows, rels, rhs, cost, maximize: bool, tol_feas: float = 1e-9,
+                 tol_opt: float = 1e-9):
+    """The two phases over dense rows: ``rows[i] . x  rels[i]  rhs[i]``
+    (each rel "<=" or ">="), x >= 0, optimizing ``cost . x``.
+
+    Returns (status, x) with x the structural values, None unless optimal.
+    """
+    nv = len(cost)
     norm = []
-    for dense, rel, b in rows:
+    for dense, rel, b in zip(rows, rels, rhs):
         # flip so that every row has non-negative rhs
         if b < 0:
             dense, b = -dense, -b
@@ -144,9 +170,8 @@ def simplex_solve(lp: LinearProgram, tol_feas: float = 1e-9,
             basis[i] = nv + i
 
     obj = np.zeros(total)
-    for k, v in lp.objective.items():
-        obj[k] = float(v)
-    if lp.sense == "max":
+    obj[:nv] = cost
+    if maximize:
         obj = -obj
 
     if n_art:
@@ -154,25 +179,17 @@ def simplex_solve(lp: LinearProgram, tol_feas: float = 1e-9,
         phase1[nv + n_slack:] = 1.0
         status = _simplex_core(A, b_vec, basis, phase1, tol_opt)
         if status == "unbounded":          # phase-1 objective is bounded below by 0
-            return LpSolution("infeasible", float("nan"), {}, ())
+            return "infeasible", None
         if float(phase1[nv + n_slack:] @ _basic_values(A, b_vec, basis, total)[nv + n_slack:]) > tol_feas * max(1.0, abs(b_vec).max()):
-            return LpSolution("infeasible", float("nan"), {}, ())
+            return "infeasible", None
         _evict_artificials(A, b_vec, basis, nv + n_slack, tol_opt)
         # freeze artificial columns out of phase 2
         A[:, nv + n_slack:] = 0.0
 
     status = _simplex_core(A, b_vec, basis, obj, tol_opt, forbidden_from=nv + n_slack)
     if status == "unbounded":
-        return LpSolution("unbounded", float("nan"), {}, ())
-
-    x = _basic_values(A, b_vec, basis, total)
-    value = float(sum(float(v) * x[k] for k, v in lp.objective.items()))
-    assignment = {name: float(x[k]) for k, name in enumerate(lp.variables)}
-    residuals = []
-    for coeffs, rel, b in lp.constraints:
-        lhs = sum(float(v) * x[k] for k, v in coeffs.items())
-        residuals.append(lhs - float(b))
-    return LpSolution("optimal", value, assignment, tuple(residuals))
+        return "unbounded", None
+    return "optimal", _basic_values(A, b_vec, basis, total)[:nv]
 
 
 def _basic_values(A, b_vec, basis, total):
@@ -467,22 +484,24 @@ def linear_max_over_polytope(weights: Sequence[float],
     Returns (status, x) where x is None unless status == "optimal".  An
     infeasible polytope is a normal outcome (the caller treats the guess
     as inconsistent).
+
+    The rows go straight into the dense simplex in the order a named
+    program would list them (x_i <= 1, then packing, then covering), with
+    the same float coefficients, so the pivots are those simplex_solve
+    takes on that program.
     """
     n = len(weights)
-    bld = _Builder("max")
-    for i in range(n):
-        bld.var(f"x{i}")
-    for i in range(n):
-        bld.add({f"x{i}": 1}, "<=", 1)
-    for row, b in zip(pack_rows, pack_bounds):
-        bld.add({f"x{i}": row[i] for i in range(n)}, "<=", b)
-    for row, b in zip(cover_rows, cover_bounds):
-        bld.add({f"x{i}": row[i] for i in range(n)}, ">=", b)
-    bld.set_objective({f"x{i}": _float_rat(weights[i]) for i in range(n)})
-    sol = simplex_solve(bld.build())
-    if sol.status != "optimal":
-        return sol.status, None
-    return "optimal", [min(1.0, max(0.0, sol.assignment[f"x{i}"])) for i in range(n)]
+    rows = np.zeros((n + len(pack_rows) + len(cover_rows), n))
+    rows[:n, :n] = np.eye(n)
+    for k, row in enumerate(list(pack_rows) + list(cover_rows)):
+        rows[n + k] = [float(v if isinstance(v, Fraction) else _rat(v)) for v in row]
+    rels = ["<="] * (n + len(pack_rows)) + [">="] * len(cover_rows)
+    rhs = [1.0] * n + [float(b) for b in pack_bounds] + [float(b) for b in cover_bounds]
+    cost = np.array([float(_float_rat(w)) for w in weights])
+    status, x = _solve_dense(rows, rels, rhs, cost, maximize=True)
+    if status != "optimal":
+        return status, None
+    return "optimal", [min(1.0, max(0.0, float(v))) for v in x]
 
 
 def _float_rat(v):

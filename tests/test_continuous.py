@@ -1,19 +1,25 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pcsm import continuous as cont
 from pcsm.brute import brute_optimum
 from pcsm.continuous import (
     Guess,
     GuessInfeasibleError,
+    GuessList,
     continuous_greedy,
     correct_guess_for,
     enumerate_guesses,
+    fractional_knapsack_max,
     greedy_marginal_order,
     is_correct,
     multilinear_estimate,
+    polytope_surely_empty,
     residual_objective,
     round_and_filter,
     solve_main,
@@ -26,7 +32,7 @@ from pcsm.core import (
     mask_of,
     normalize,
 )
-from pcsm.lp import linear_max_over_polytope
+from pcsm.lp import _Builder, _float_rat, linear_max_over_polytope, simplex_solve
 
 from conftest import FAMILIES, exact_multilinear, random_instance, random_oracle
 
@@ -444,3 +450,227 @@ def test_solve_main_deterministic():
     b = solve_main(inst, Fraction(1, 10), seed=9, budget=800, params=RELAXED,
                    trials=4, steps=4, samples_per_grad=5)
     assert a.solution == b.solution and a.value == b.value
+
+
+# ---------------------------------------------------------------------------
+# golden equivalence: the enumeration and direction LP against their
+# straightforward forms (each guess built twice, the discarded set through
+# an intermediate guess H, every direction LP through the named _Builder)
+
+
+def _ref_fields(inst, discarded, chosen, targets, params):
+    """Every derived Guess field, computed element by element."""
+    chosen_pack = inst.pack_value(chosen)
+    chosen_cover = inst.cover_value(chosen)
+    r = tuple(1 - v for v in chosen_pack)
+    s = tuple(max(Fraction(0), Fraction(t) - v)
+              for t, v in zip(targets, chosen_cover))
+    y = frozenset(i for i, v in enumerate(r) if v <= params.delta)
+    z = frozenset(j for j, v in enumerate(s) if v <= params.delta * targets[j])
+    undet = ((1 << inst.n) - 1) & ~(discarded | chosen)
+    large_p = mask_of(
+        ell for ell in iter_bits(undet)
+        if any(inst.packing[i][ell] >= params.alpha * r[i]
+               for i in range(inst.p) if i not in y))
+    large_c = mask_of(
+        ell for ell in iter_bits(undet)
+        if any(inst.covering[j][ell] >= params.alpha * s[j]
+               for j in range(inst.c) if j not in z))
+    large_crit = mask_of(
+        ell for ell in iter_bits(undet)
+        if any(inst.packing[i][ell] >= params.beta * r[i] for i in y))
+    return dict(residual_pack=r, residual_cover=s, critical_pack=y,
+                critical_cover=z, large_pack=large_p, large_cover=large_c,
+                critical_large=large_crit, undetermined=undet)
+
+
+def _all_fields(g):
+    return (g.discarded, g.chosen, g.cover_targets, g.alpha, g.beta, g.delta,
+            g.gamma, g.residual_pack, g.residual_cover, g.critical_pack,
+            g.critical_cover, g.large_pack, g.large_cover, g.critical_large,
+            g.undetermined)
+
+
+def _ref_build_discarded(inst, chosen, targets, params):
+    oracle = inst.objective
+    threshold = oracle.eval(chosen) / params.gamma
+    state = oracle.begin(chosen)
+    high = mask_of(
+        ell for ell in range(inst.n)
+        if not (chosen >> ell) & 1 and oracle.gain(state, ell) > threshold)
+    h = _ref_fields(inst, 0, chosen, targets, params)
+    return high | h["large_pack"] | h["large_cover"]
+
+
+def _ref_enumerate_guesses(inst, params, budget=100_000):
+    n = inst.n
+    grid_max = (0 if n <= 1 else
+                math.ceil(math.log(n) / math.log(1 + float(params.delta))))
+    grid = []
+    point = Fraction(1)
+    for _ in range(min(grid_max, budget) + 1):
+        grid.append(point)
+        point *= 1 + params.delta
+    size_cap = min(n, math.ceil(params.gamma + (inst.p + inst.c)
+                                / (params.alpha * params.delta)))
+    chosen_sets = [mask_of(combo) for size in range(size_cap + 1)
+                   for combo in combinations(range(n), size)]
+    guesses = []
+    pairs = 0
+    for rest in product(grid, repeat=inst.c):
+        targets = tuple(reversed(rest))      # the first row's target varies fastest
+        for chosen in chosen_sets:
+            if pairs >= budget:
+                return GuessList(guesses=guesses, truncated=True, pairs_examined=pairs)
+            pairs += 1
+            if any(v > 1 for v in inst.pack_value(chosen)):
+                continue
+            discarded = _ref_build_discarded(inst, chosen, targets, params)
+            guess = _guess(inst, chosen, discarded, targets, params)
+            if guess.is_consistent():
+                guesses.append(guess)
+    return GuessList(guesses=guesses, truncated=False, pairs_examined=pairs)
+
+
+def _ref_linear_max_over_polytope(weights, pack_rows, pack_bounds,
+                                  cover_rows, cover_bounds):
+    n = len(weights)
+    bld = _Builder("max")
+    for i in range(n):
+        bld.var(f"x{i}")
+    for i in range(n):
+        bld.add({f"x{i}": 1}, "<=", 1)
+    for row, b in zip(pack_rows, pack_bounds):
+        bld.add({f"x{i}": row[i] for i in range(n)}, "<=", b)
+    for row, b in zip(cover_rows, cover_bounds):
+        bld.add({f"x{i}": row[i] for i in range(n)}, ">=", b)
+    bld.set_objective({f"x{i}": _float_rat(weights[i]) for i in range(n)})
+    sol = simplex_solve(bld.build())
+    if sol.status != "optimal":
+        return sol.status, None
+    return "optimal", [min(1.0, max(0.0, sol.assignment[f"x{i}"])) for i in range(n)]
+
+
+def _golden_cases():
+    """(seed, n, p, c, family, budget): n 5-9, p and c in {1, 2}, all three
+    families; the smallest budgets truncate the enumeration."""
+    cases = []
+    for k in range(42):
+        n = 5 + k % 5
+        p, c = (1, 1) if k % 3 else (1 + k % 2, 1 + (k // 2) % 2)
+        budget = (100, 300, 600)[k % 3] if n > 5 else 600
+        cases.append((500 + k, n, p, c, FAMILIES[k % 3], budget))
+    return cases
+
+
+def test_golden_equivalence_guesses_and_main(monkeypatch):
+    truncated = multi_row = 0
+    for seed, n, p, c, family, budget in _golden_cases():
+        rng = random.Random(seed)
+        inst = random_instance(rng, n, p=p, c=c, family=family)
+        norm = normalize(inst)
+        params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
+
+        got = enumerate_guesses(norm, params, budget=budget)
+        want = _ref_enumerate_guesses(norm, params, budget=budget)
+        assert (got.truncated, got.pairs_examined) == (want.truncated,
+                                                       want.pairs_examined)
+        assert [_all_fields(g) for g in got.guesses] == [
+            _all_fields(g) for g in want.guesses]
+        for g in got.guesses:
+            ref = _ref_fields(norm, g.discarded, g.chosen, g.cover_targets, params)
+            assert {k: getattr(g, k) for k in ref} == ref
+        truncated += got.truncated
+        multi_row += max(p, c) > 1
+
+        knobs = dict(seed=seed, budget=budget, params=params, trials=3,
+                     steps=3, samples_per_grad=4)
+        res = solve_main(inst, Fraction(1, 10), **knobs)
+        with monkeypatch.context() as m:
+            # solve_main normalizes an equal instance; reuse the reference list
+            m.setattr(cont, "enumerate_guesses", lambda *args, **kw: want)
+            m.setattr(cont, "linear_max_over_polytope",
+                      _ref_linear_max_over_polytope)
+            m.setattr(cont, "polytope_surely_empty", lambda *rows: False)
+            ref_res = solve_main(inst, Fraction(1, 10), **knobs)
+        assert res == ref_res
+        assert repr(res) == repr(ref_res)
+    assert truncated >= 1 and multi_row >= 5
+
+
+# ---------------------------------------------------------------------------
+# properties of the emptiness screen and the dense direction LP
+
+_rationals = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
+
+
+@st.composite
+def _polytopes(draw, max_rows=2):
+    """Random box/packing/covering programs, degenerate and infeasible ones
+    included: zero entries and rows, repeated rows, zero and negative
+    packing bounds, covering bounds near or past a row's total load."""
+    n = draw(st.integers(0, 6))
+    row = st.lists(st.one_of(st.just(Fraction(0)), _rationals), min_size=n, max_size=n)
+    pack = draw(st.lists(row, max_size=max_rows))
+    cover = draw(st.lists(row, max_size=max_rows))
+    if pack and draw(st.booleans()):
+        pack.append(pack[0])
+    pack_b = [draw(st.builds(Fraction, st.integers(-2, 12), st.integers(1, 4)))
+              for _ in pack]
+    # bounds near a row's total load sit near the feasibility boundary
+    cover_b = [draw(st.one_of(
+        st.builds(Fraction, st.integers(0, 16), st.integers(1, 4)),
+        st.integers(0, 10).map(lambda k, row=row: sum(row) * Fraction(k, 8))))
+        for row in cover]
+    return n, pack, pack_b, cover, cover_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polytopes())
+@example((2, [[Fraction(1), Fraction(1)]], [Fraction(1)],
+          [[Fraction(1), Fraction(1)]], [Fraction(3, 2)]))
+def test_screen_empty_implies_simplex_infeasible(program):
+    n, pack, pack_b, cover, cover_b = program
+    if polytope_surely_empty(pack, pack_b, cover, cover_b):
+        status, _ = _ref_linear_max_over_polytope([0.0] * n, pack, pack_b,
+                                                  cover, cover_b)
+        assert status == "infeasible"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(st.just(Fraction(0)), _rationals), min_size=n, max_size=n),
+    st.lists(st.one_of(st.just(Fraction(0)), _rationals), min_size=n, max_size=n),
+    st.builds(Fraction, st.integers(0, 20), st.integers(1, 4)))))
+def test_knapsack_max_matches_lp_optimum(case):
+    cover, pack, room = case
+    n = len(cover)
+    bld = _Builder("max")
+    for i in range(n):
+        bld.var(f"x{i}")
+    for i in range(n):
+        bld.add({f"x{i}": 1}, "<=", 1)
+    bld.add({f"x{i}": pack[i] for i in range(n)}, "<=", room)
+    bld.set_objective({f"x{i}": cover[i] for i in range(n)})
+    sol = simplex_solve(bld.build())
+    assert sol.status == "optimal"
+    best = fractional_knapsack_max(cover, pack, room)
+    assert abs(float(best) - sol.objective) <= 1e-9 * max(1.0, float(best))
+
+
+_weights = st.one_of(st.just(0.0), st.just(-0.0), st.just(0.1),
+                     st.floats(-5, 5, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polytopes(), st.data())
+def test_dense_direction_lp_matches_named_program(program, data):
+    n, pack, pack_b, cover, cover_b = program
+    weights = data.draw(st.lists(_weights, min_size=n, max_size=n))
+    got = linear_max_over_polytope(weights, pack, pack_b, cover, cover_b)
+    want = _ref_linear_max_over_polytope(weights, pack, pack_b, cover, cover_b)
+    assert got[0] == want[0]
+    if want[1] is not None:
+        assert [v.hex() for v in got[1]] == [v.hex() for v in want[1]]
+    else:
+        assert got[1] is None
