@@ -250,6 +250,9 @@ def _derive_guess(inst: Instance, params: Params, chosen: int, entry: tuple,
                  parts=(cpart, tpart))
 
 
+_MISSING = object()
+
+
 @dataclass
 class GuessList:
     guesses: list
@@ -274,10 +277,9 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
         grid.append(point)
         point *= 1 + params.delta
     size_cap = min(n, math.ceil(params.gamma + (inst.p + inst.c) / (params.alpha * params.delta)))
-    # a chosen set's part is reused under every later target, so keep it
-    # only when the budget reaches past the first target
-    per_target = sum(math.comb(n, k) for k in range(min(n, size_cap) + 1))
-    cache = {} if len(grid) ** inst.c > 1 and per_target < budget else None
+    # a chosen set's part is reused under every later target; one entry per
+    # examined pair at most, so it never outgrows the budget
+    cache = {}
 
     guesses = []
     pairs = 0
@@ -288,14 +290,12 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
                 truncated = True
                 break
             pairs += 1
-            if cache is not None and chosen in cache:
-                entry = cache[chosen]
-            else:
+            entry = cache.get(chosen, _MISSING)
+            if entry is _MISSING:
                 # None marks an E1 that overpacks some row
                 entry = (None if any(v > 1 for v in inst.pack_value(chosen))
                          else _chosen_entry(inst, params, chosen))
-                if cache is not None:
-                    cache[chosen] = entry
+                cache[chosen] = entry
             if entry is None:
                 continue
             guess = _derive_guess(inst, params, chosen, entry, targets)
