@@ -2,13 +2,13 @@
 
 This is the ground truth every approximation claim in the test suite is
 checked against.  Enumeration walks subsets in Gray-code order so that each
-step flips a single element and the constraint loads and oracle value are
-maintained incrementally.
+step flips a single element; the constraint loads are maintained here and
+the objective value by the oracle's ``walker``.
 """
 
 from dataclasses import dataclass
 
-from .core import Instance, better, iter_bits
+from .core import Instance, better
 
 
 @dataclass(frozen=True)
@@ -19,47 +19,25 @@ class BruteResult:
 
 
 class _IncrementalState:
-    """Oracle value plus constraint loads, updated one element at a time."""
+    """Constraint loads plus the objective's ``walker`` value, updated one
+    element at a time."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.oracle = inst.objective
         self.pack = [0] * inst.p
         self.cover = [0] * inst.c
-        self.value = self.oracle.eval(0)
-        self._kind = self.oracle.kind
-        if self._kind == "linear":
-            self._wsum = 0
-        elif self._kind == "concave_of_modular":
-            self._wsum = 0
-        elif self._kind == "coverage":
-            self._hits = [0] * self.oracle.universe
+        self.value = inst.objective.eval(0)
+        self._walk = inst.objective.walker()
         self.mask = 0
 
     def flip(self, elem: int) -> None:
-        adding = not (self.mask >> elem) & 1
-        sign = 1 if adding else -1
         self.mask ^= 1 << elem
+        sign = 1 if self.mask >> elem & 1 else -1
         for i, row in enumerate(self.inst.packing):
             self.pack[i] += sign * row[elem]
         for j, row in enumerate(self.inst.covering):
             self.cover[j] += sign * row[elem]
-        o = self.oracle
-        if self._kind == "linear":
-            self.value += sign * o.weights[elem]
-        elif self._kind == "concave_of_modular":
-            self._wsum += sign * o.weights[elem]
-            self.value = min(self._wsum, o.cap)
-        elif self._kind == "coverage":
-            for u in iter_bits(o.element_masks[elem]):
-                before = self._hits[u]
-                self._hits[u] += sign
-                if adding and before == 0:
-                    self.value += o.universe_weights[u]
-                elif not adding and before == 1:
-                    self.value -= o.universe_weights[u]
-        else:
-            self.value = o.eval(self.mask)
+        self.value = self._walk(elem)
 
     def feasible(self) -> bool:
         return (all(l <= b for l, b in zip(self.pack, self.inst.pack_bound))

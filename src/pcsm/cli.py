@@ -30,6 +30,7 @@ from .core import (
     Params,
     instance_to_json_obj,
     load_instance,
+    load_ratios,
     make_instance,
     mask_to_tuple,
     to_fraction,
@@ -141,16 +142,6 @@ CSV_FIELDS = ["instance_digest", "solver", "value", "brute", "ratio",
               "cover_ratio", "pack_ratio", "seconds", "seed"]
 
 
-def _ratios(inst: Instance, mask: int):
-    loads_p = inst.pack_value(mask)
-    loads_c = inst.cover_value(mask)
-    pack = max((Fraction(l) / b for l, b in zip(loads_p, inst.pack_bound) if b > 0),
-               default=Fraction(0))
-    cover_terms = [Fraction(l) / b for l, b in zip(loads_c, inst.cover_bound) if b > 0]
-    cover = min(cover_terms) if cover_terms else None
-    return cover, pack
-
-
 def _run_solver(inst: Instance, solver: str, seed: int):
     """Returns (value, mask) or raises."""
     if solver == "brute":
@@ -221,7 +212,7 @@ def bench(suite: list, solvers: list, seed: int = 0) -> list:
             t0 = time.perf_counter()
             try:
                 value, mask = _run_solver(inst, solver, seed)
-                cover, pack = _ratios(inst, mask)
+                cover, pack = load_ratios(inst, mask)
                 ratio = (Fraction(value) / brute_value
                          if brute_value not in (None, 0) else None)
                 reports.append(RunReport(

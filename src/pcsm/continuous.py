@@ -26,6 +26,7 @@ from .core import (
     SubmodularOracle,
     better,
     iter_bits,
+    load_ratios,
     mask_of,
     normalize,
     popcount,
@@ -343,14 +344,11 @@ def multilinear_estimate(oracle: SubmodularOracle, x: Sequence[float],
         raise ValueError("probability vector length mismatch")
     rng = random.Random(seed)
     fixed = 0
-    variable = []
     for i, p in enumerate(x):
         if not 0 <= p <= 1:
             raise ValueError("probabilities must lie in [0, 1]")
         if p == 1:
             fixed |= 1 << i
-        elif p > 0:
-            variable.append((i, p))
     total = Fraction(0)
     total_sq = Fraction(0)
     for _ in range(samples):
@@ -373,8 +371,8 @@ def multilinear_estimate(oracle: SubmodularOracle, x: Sequence[float],
 
 # A covering row must miss its bound by more than this share of the largest
 # bound (at least 1) before the screen calls the polytope empty: 1000x the
-# simplex's phase-1 tolerance, so a program the screen rejects is one the
-# simplex rejects too.
+# simplex's phase-1 tolerance ``lp.TOL_FEAS``, so a program the screen
+# rejects is one the simplex rejects too.
 SCREEN_MARGIN = Fraction(1, 10 ** 6)
 
 
@@ -597,12 +595,10 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
                           guesses_enumerated=len(enum.guesses),
                           truncated=enum.truncated, diagnostics=diagnostics)
     mask, value = best
-    loads_p = norm.pack_value(mask)
-    loads_c = norm.cover_value(mask)
+    cover_ratio, pack_ratio = load_ratios(norm, mask)
     return MainResult(
         found=True, solution=mask, value=value,
-        cover_ratio=min(loads_c) if loads_c else None,
-        pack_ratio=max(loads_p) if loads_p else Fraction(0),
+        cover_ratio=cover_ratio, pack_ratio=pack_ratio,
         trials=trials, guesses_enumerated=len(enum.guesses),
         truncated=enum.truncated, diagnostics=diagnostics)
 

@@ -96,7 +96,8 @@ class SubmodularOracle:
 
     Subclasses implement ``eval(mask)`` returning an exact rational and must
     be monotone and submodular; both properties are exercised by sampled
-    checks in the test suite rather than assumed.
+    checks in the test suite rather than assumed.  ``begin``/``gain`` and
+    ``walker`` fall back to ``eval``; override them for a faster form.
     """
 
     kind = "abstract"
@@ -113,12 +114,17 @@ class SubmodularOracle:
         mask, value = state
         return self.eval(mask | (1 << elem)) - value
 
-    def marginal(self, mask: int, elem: int) -> Rational:
-        """f(S + elem) - f(S); override when a faster form exists."""
-        bit = 1 << elem
-        if mask & bit:
-            raise ValueError(f"element {elem} already in subset")
-        return self.gain(self.begin(mask), elem)
+    def walker(self):
+        """A ``flip(elem)`` callable that toggles ``elem`` in a set starting
+        empty and returns f of the new set."""
+        mask = 0
+
+        def flip(elem: int) -> Rational:
+            nonlocal mask
+            mask ^= 1 << elem
+            return self.eval(mask)
+
+        return flip
 
     def to_json_obj(self) -> dict:
         raise NotImplementedError
@@ -142,10 +148,17 @@ class LinearOracle(SubmodularOracle):
     def gain(self, state, elem: int) -> Rational:
         return self.weights[elem]
 
-    def marginal(self, mask: int, elem: int) -> Rational:
-        if mask & (1 << elem):
-            raise ValueError(f"element {elem} already in subset")
-        return self.weights[elem]
+    def walker(self):
+        weights = self.weights
+        mask = total = 0
+
+        def flip(elem: int) -> Rational:
+            nonlocal mask, total
+            mask ^= 1 << elem
+            total += weights[elem] if mask >> elem & 1 else -weights[elem]
+            return total
+
+        return flip
 
     def to_json_obj(self) -> dict:
         return {"kind": "linear", "weights": [_rat_json(w) for w in self.weights]}
@@ -186,11 +199,28 @@ class CoverageOracle(SubmodularOracle):
         new = self.element_masks[elem] & ~state
         return sum(self.universe_weights[u] for u in iter_bits(new))
 
-    def marginal(self, mask: int, elem: int) -> Rational:
-        if mask & (1 << elem):
-            raise ValueError(f"element {elem} already in subset")
-        new = self.element_masks[elem] & ~self.covered(mask)
-        return sum(self.universe_weights[u] for u in iter_bits(new))
+    def walker(self):
+        # an item's weight counts while its hit count is positive
+        element_masks, weights = self.element_masks, self.universe_weights
+        hits = [0] * self.universe
+        mask = value = 0
+
+        def flip(elem: int) -> Rational:
+            nonlocal mask, value
+            mask ^= 1 << elem
+            if mask >> elem & 1:
+                for u in iter_bits(element_masks[elem]):
+                    if not hits[u]:
+                        value += weights[u]
+                    hits[u] += 1
+            else:
+                for u in iter_bits(element_masks[elem]):
+                    hits[u] -= 1
+                    if not hits[u]:
+                        value -= weights[u]
+            return value
+
+        return flip
 
     def to_json_obj(self) -> dict:
         return {
@@ -224,6 +254,18 @@ class ConcaveOfModularOracle(SubmodularOracle):
     def gain(self, state, elem: int) -> Rational:
         return min(state + self.weights[elem], self.cap) - min(state, self.cap)
 
+    def walker(self):
+        weights, cap = self.weights, self.cap
+        mask = total = 0
+
+        def flip(elem: int) -> Rational:
+            nonlocal mask, total
+            mask ^= 1 << elem
+            total += weights[elem] if mask >> elem & 1 else -weights[elem]
+            return min(total, cap)
+
+        return flip
+
     def to_json_obj(self) -> dict:
         return {
             "kind": "concave_of_modular",
@@ -236,7 +278,9 @@ def marginal(oracle: SubmodularOracle, mask: int, elem: int) -> Rational:
     """f(A + elem) - f(A), which is non-negative for monotone oracles."""
     if not (0 <= elem < oracle.n):
         raise ValueError(f"element {elem} out of range [0, {oracle.n})")
-    return oracle.marginal(mask, elem)
+    if mask >> elem & 1:
+        raise ValueError(f"element {elem} already in subset")
+    return oracle.gain(oracle.begin(mask), elem)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +380,23 @@ class ViolationProfile:
     cover_ratio: object      # min_j load_j / bound_j  (inf when c = 0)
 
 
+def load_ratios(inst: Instance, mask: int) -> tuple:
+    """(cover, pack) load/bound ratios of ``mask`` over rows with a positive
+    bound: cover is the minimum (None without such a row), pack the maximum
+    (0 without one)."""
+    pack = max((Fraction(l) / b for l, b in zip(inst.pack_value(mask), inst.pack_bound)
+                if b > 0), default=Fraction(0))
+    cover = min((Fraction(l) / b for l, b in zip(inst.cover_value(mask), inst.cover_bound)
+                 if b > 0), default=None)
+    return cover, pack
+
+
 def violation_profile(inst: Instance, mask: int) -> ViolationProfile:
     if any(b == 0 for b in inst.pack_bound) or any(b == 0 for b in inst.cover_bound):
         raise ValueError("violation_profile requires strictly positive bounds")
-    loads_p = inst.pack_value(mask)
-    loads_c = inst.cover_value(mask)
-    pack_ratio = max((Fraction(l) / b for l, b in zip(loads_p, inst.pack_bound)),
-                     default=Fraction(0))
-    cover_ratio = min((Fraction(l) / b for l, b in zip(loads_c, inst.cover_bound)),
-                      default=float("inf"))
-    return ViolationProfile(pack_ratio=pack_ratio, cover_ratio=cover_ratio)
+    cover, pack = load_ratios(inst, mask)
+    return ViolationProfile(pack_ratio=pack,
+                            cover_ratio=float("inf") if cover is None else cover)
 
 
 def normalize(inst: Instance) -> Instance:

@@ -21,6 +21,7 @@ from .core import (
     Rational,
     better,
     iter_bits,
+    load_ratios,
     mask_of,
     _rat,
 )
@@ -54,15 +55,8 @@ class ForbiddenIndex:
     def prefix_len(self, p_prime: int) -> int:
         """Length of the smallest prefix with pack value >= bound - p_prime
         (all of the small elements if even that falls short)."""
-        need = self.pack_bound - p_prime
-        lo, hi = 0, len(self.order)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.prefix_pack[mid] >= need:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect.bisect_left(self.prefix_pack, self.pack_bound - p_prime,
+                                  0, len(self.order))
 
     def forbidden_mask(self, p_prime: int) -> int:
         return mask_of(self.order[: self.prefix_len(p_prime)])
@@ -116,7 +110,6 @@ class ForbiddenOutcome:
     best_set: int
     best_value: object
     guesses_tried: int
-    cells: dict              # final guess's populated cells, for diagnostics
     all_tables: list         # (guess mask, table) per guess when retained
 
 
@@ -214,14 +207,12 @@ def forbidden_dp_solve(inst: Instance, epsilon: Rational,
     index = build_forbidden_index(inst, epsilon, small_mask=small_mask)
 
     best = None
-    last_cells = {}
     all_tables = []
     forb_cache: dict = {}
     for guess_mask in guesses:
         table = _run_single_dp(inst, guess_mask, index,
                                excluded_mask=big_mask & ~guess_mask,
                                forb_cache=forb_cache)
-        last_cells = table
         if keep_all_tables:
             all_tables.append((guess_mask, table))
         for (c_cur, p_cur), (mask, _value) in table.items():
@@ -233,9 +224,8 @@ def forbidden_dp_solve(inst: Instance, epsilon: Rational,
             if better(val, candidate, best):
                 best = (candidate, val)
     if best is None:
-        return ForbiddenOutcome(False, 0, 0, len(guesses), last_cells, all_tables)
-    return ForbiddenOutcome(True, best[0], best[1], len(guesses), last_cells,
-                            all_tables)
+        return ForbiddenOutcome(False, 0, 0, len(guesses), all_tables)
+    return ForbiddenOutcome(True, best[0], best[1], len(guesses), all_tables)
 
 
 def cardinality_solve(inst: Instance, k: int) -> ForbiddenOutcome:
@@ -276,12 +266,7 @@ def solve_polynomial(inst: Instance, epsilon: Rational) -> PolynomialOutcome:
     if not outcome.found:
         return PolynomialOutcome(False, 0, 0, None, None)
     mask = outcome.best_set
-    loads_p = inst.pack_value(mask)
-    loads_c = inst.cover_value(mask)
-    pack_ratio = (Fraction(loads_p[0]) / inst.pack_bound[0]
-                  if inst.pack_bound[0] > 0 else Fraction(0))
-    cover_ratio = (Fraction(loads_c[0]) / inst.cover_bound[0]
-                   if inst.cover_bound[0] > 0 else None)
+    cover_ratio, pack_ratio = load_ratios(inst, mask)
     return PolynomialOutcome(
         found=True,
         best_set=mask,

@@ -24,10 +24,6 @@ def _require_integer(inst: Instance) -> None:
         raise ValueError("dynamic program requires integer matrices and bounds")
 
 
-def _as_int_rows(rows):
-    return tuple(tuple(int(v) for v in row) for row in rows)
-
-
 def _columns(rows, n):
     """Per-element columns of an integer matrix: entry ``e`` is the tuple of
     element ``e``'s values down the rows."""
@@ -142,19 +138,18 @@ def _reachable_completions(inst: Instance):
     lexicographically smallest fitting witness among these, so changing
     which witness is kept here changes its output.
     """
-    packing = _as_int_rows(inst.packing)
-    covering = _as_int_rows(inst.covering)
+    pack_cols = _columns(inst.packing, inst.n)
+    cover_cols = _columns(inst.covering, inst.n)
     p_bound = tuple(int(b) for b in inst.pack_bound)
     c_bound = tuple(int(b) for b in inst.cover_bound)
-    p, c = inst.p, inst.c
-    states = {((0,) * p, (0,) * c): 0}
+    states = {((0,) * inst.p, (0,) * inst.c): 0}
     for elem in range(inst.n):
         updates = {}
         for (pak, cov), mask in states.items():
-            new_pak = tuple(pak[i] + packing[i][elem] for i in range(p))
-            if any(new_pak[i] > p_bound[i] for i in range(p)):
+            new_pak = tuple(map(add, pak, pack_cols[elem]))
+            if any(map(gt, new_pak, p_bound)):
                 continue
-            new_cov = tuple(min(cov[j] + covering[j][elem], c_bound[j]) for j in range(c))
+            new_cov = tuple(map(min, map(add, cov, cover_cols[elem]), c_bound))
             key = (new_pak, new_cov)
             if key not in states and key not in updates:
                 updates[key] = mask | (1 << elem)

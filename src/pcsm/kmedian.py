@@ -110,41 +110,34 @@ class _Dinic:
                 flow += pushed
 
 
-def match_value(inst: TwoDistInstance, f_mask: int) -> int:
-    """Maximum number of clients assignable at the near distance to the open
-    facilities, respecting capacities."""
-    open_facs = list(iter_bits(f_mask))
-    if not open_facs:
-        return 0
+def _near_network(inst: TwoDistInstance, open_facs: list) -> _Dinic:
+    """Source 0 -> clients -> near open facilities (``open_facs`` order) ->
+    sink 1; unit capacities except facility -> sink."""
     nc = inst.num_clients
     pos = {f: j for j, f in enumerate(open_facs)}
     net = _Dinic(2 + nc + len(open_facs))
-    src, sink = 0, 1
     for cl in range(nc):
-        net.add_edge(src, 2 + cl, 1)
+        net.add_edge(0, 2 + cl, 1)
     for f in open_facs:
-        net.add_edge(2 + nc + pos[f], sink, inst.capacities[f])
-    for (cl, f) in inst.near_pairs:
+        net.add_edge(2 + nc + pos[f], 1, inst.capacities[f])
+    for (cl, f) in sorted(inst.near_pairs):
         if f in pos:
             net.add_edge(2 + cl, 2 + nc + pos[f], 1)
-    return net.max_flow(src, sink)
+    return net
+
+
+def match_value(inst: TwoDistInstance, f_mask: int) -> int:
+    """Maximum number of clients assignable at the near distance to the open
+    facilities, respecting capacities."""
+    return _near_network(inst, list(iter_bits(f_mask))).max_flow(0, 1)
 
 
 def match_assignment(inst: TwoDistInstance, f_mask: int) -> dict:
     """One maximum near-distance assignment client -> facility."""
     open_facs = list(iter_bits(f_mask))
     nc = inst.num_clients
-    pos = {f: j for j, f in enumerate(open_facs)}
-    net = _Dinic(2 + nc + len(open_facs))
-    src, sink = 0, 1
-    for cl in range(nc):
-        net.add_edge(src, 2 + cl, 1)
-    for f in open_facs:
-        net.add_edge(2 + nc + pos[f], sink, inst.capacities[f])
-    for (cl, f) in sorted(inst.near_pairs):
-        if f in pos:
-            net.add_edge(2 + cl, 2 + nc + pos[f], 1)
-    net.max_flow(src, sink)
+    net = _near_network(inst, open_facs)
+    net.max_flow(0, 1)
     assign = {}
     for cl in range(nc):
         for e in net.graph[2 + cl]:

@@ -18,6 +18,8 @@ import numpy as np
 from .core import Rational, _rat
 
 MAX_PHASES = 2000   # builders refuse beyond this; the dense tableau is the limit
+TOL_FEAS = 1e-9     # infeasible if phase-1 artificials sum above this x max(1, max|rhs|)
+TOL_OPT = 1e-9      # pivot, reduced-cost and eviction threshold
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,7 @@ class _Builder:
 # simplex
 
 
-def simplex_solve(lp: LinearProgram, tol_feas: float = 1e-9,
-                  tol_opt: float = 1e-9) -> LpSolution:
+def simplex_solve(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex with Bland's pivoting rule.
 
     Bland's rule guarantees termination on degenerate programs at the cost
@@ -119,8 +120,7 @@ def simplex_solve(lp: LinearProgram, tol_feas: float = 1e-9,
     cost = np.zeros(nv)
     for k, v in lp.objective.items():
         cost[k] = float(v)
-    status, x = _solve_dense(rows, rels, rhs, cost, lp.sense == "max",
-                             tol_feas, tol_opt)
+    status, x = _solve_dense(rows, rels, rhs, cost, lp.sense == "max")
     if status != "optimal":
         return LpSolution(status, float("nan"), {}, ())
     value = float(sum(float(v) * x[k] for k, v in lp.objective.items()))
@@ -132,8 +132,7 @@ def simplex_solve(lp: LinearProgram, tol_feas: float = 1e-9,
     return LpSolution("optimal", value, assignment, tuple(residuals))
 
 
-def _solve_dense(rows, rels, rhs, cost, maximize: bool, tol_feas: float = 1e-9,
-                 tol_opt: float = 1e-9):
+def _solve_dense(rows, rels, rhs, cost, maximize: bool):
     """The two phases over dense rows: ``rows[i] . x  rels[i]  rhs[i]``
     (each rel "<=" or ">="), x >= 0, optimizing ``cost . x``.
 
@@ -177,16 +176,16 @@ def _solve_dense(rows, rels, rhs, cost, maximize: bool, tol_feas: float = 1e-9,
     if n_art:
         phase1 = np.zeros(total)
         phase1[nv + n_slack:] = 1.0
-        status = _simplex_core(A, b_vec, basis, phase1, tol_opt)
+        status = _simplex_core(A, b_vec, basis, phase1)
         if status == "unbounded":          # phase-1 objective is bounded below by 0
             return "infeasible", None
-        if float(phase1[nv + n_slack:] @ _basic_values(A, b_vec, basis, total)[nv + n_slack:]) > tol_feas * max(1.0, abs(b_vec).max()):
+        if float(phase1[nv + n_slack:] @ _basic_values(A, b_vec, basis, total)[nv + n_slack:]) > TOL_FEAS * max(1.0, abs(b_vec).max()):
             return "infeasible", None
-        _evict_artificials(A, b_vec, basis, nv + n_slack, tol_opt)
+        _evict_artificials(A, b_vec, basis, nv + n_slack)
         # freeze artificial columns out of phase 2
         A[:, nv + n_slack:] = 0.0
 
-    status = _simplex_core(A, b_vec, basis, obj, tol_opt, forbidden_from=nv + n_slack)
+    status = _simplex_core(A, b_vec, basis, obj, forbidden_from=nv + n_slack)
     if status == "unbounded":
         return "unbounded", None
     return "optimal", _basic_values(A, b_vec, basis, total)[:nv]
@@ -198,12 +197,12 @@ def _basic_values(A, b_vec, basis, total):
     return x
 
 
-def _evict_artificials(A, b_vec, basis, n_real, tol):
+def _evict_artificials(A, b_vec, basis, n_real):
     """Pivot zero-level artificials out of the basis where possible."""
     for i in range(len(basis)):
         if basis[i] >= n_real:
             row = A[i, :n_real]
-            cand = np.flatnonzero(np.abs(row) > tol)
+            cand = np.flatnonzero(np.abs(row) > TOL_OPT)
             if cand.size:
                 _pivot(A, b_vec, basis, i, int(cand[0]))
             # else: redundant row; harmless to leave the artificial at level 0
@@ -220,7 +219,7 @@ def _pivot(A, b_vec, basis, r, c):
     basis[r] = c
 
 
-def _simplex_core(A, b_vec, basis, obj, tol, forbidden_from=None):
+def _simplex_core(A, b_vec, basis, obj, forbidden_from=None):
     """Minimize obj over the current tableau in place; Bland's rule."""
     m, total = A.shape
     limit = total if forbidden_from is None else forbidden_from
@@ -231,12 +230,12 @@ def _simplex_core(A, b_vec, basis, obj, tol, forbidden_from=None):
         reduced = obj[:limit] - cb @ A[:, :limit]
         reduced[basis[basis < limit]] = 0.0
         entering = -1
-        neg = np.flatnonzero(reduced < -tol)
+        neg = np.flatnonzero(reduced < -TOL_OPT)
         if neg.size == 0:
             return "optimal"
         entering = int(neg[0])            # Bland: lowest index
         col = A[:, entering]
-        pos = np.flatnonzero(col > tol)
+        pos = np.flatnonzero(col > TOL_OPT)
         if pos.size == 0:
             return "unbounded"
         ratios = b_vec[pos] / col[pos]

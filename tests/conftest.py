@@ -10,6 +10,7 @@ from pcsm.core import (
     ConcaveOfModularOracle,
     CoverageOracle,
     LinearOracle,
+    SubmodularOracle,
     make_instance,
 )
 
@@ -49,6 +50,18 @@ def random_instance(rng, n, p=1, c=1, family="linear", density=0.7,
 
 
 FAMILIES = ("linear", "coverage", "concave_of_modular")
+
+
+class EvalOnlyOracle(SubmodularOracle):
+    """Implements ``eval`` alone (by asking ``inner``), so ``begin``,
+    ``gain`` and ``walker`` all fall back to the base class."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+
+    def eval(self, mask):
+        return self.inner.eval(mask)
 
 
 # ---------------------------------------------------------------------------

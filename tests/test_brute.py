@@ -3,9 +3,15 @@ import random
 import pytest
 
 from pcsm.brute import brute_optimum, brute_pareto
-from pcsm.core import LinearOracle, make_instance, mask_to_tuple
+from pcsm.core import LinearOracle, make_instance, mask_to_tuple, subset_key
 
-from conftest import FAMILIES, naive_best, naive_signatures, random_instance
+from conftest import (
+    FAMILIES,
+    EvalOnlyOracle,
+    naive_best,
+    naive_signatures,
+    random_instance,
+)
 
 
 def test_empty_ground_set():
@@ -88,3 +94,32 @@ def test_brute_dominates_any_feasible_set():
               and all(l >= b for l, b in zip(loads_c, inst.cover_bound)))
         if ok:
             assert inst.objective.eval(mask) <= res.best_value
+
+
+def test_eval_only_oracle_matches_enumeration():
+    # an oracle with nothing but eval still gets exact optima and pareto maps
+    rng = random.Random(41)
+    for trial in range(15):
+        base = random_instance(rng, rng.randint(0, 9), p=rng.randint(0, 2),
+                               c=rng.randint(0, 2), family=FAMILIES[trial % 3])
+        inst = make_instance(base.packing, base.covering, base.pack_bound,
+                             base.cover_bound, EvalOnlyOracle(base.objective))
+        best, count, table = None, 0, {}
+        for mask in range(1 << inst.n):
+            value = inst.objective.eval(mask)
+            cov, pak = inst.cover_value(mask), inst.pack_value(mask)
+            rank = (-value, subset_key(mask))
+            if (all(l <= b for l, b in zip(pak, inst.pack_bound))
+                    and all(l >= b for l, b in zip(cov, inst.cover_bound))):
+                count += 1
+                if best is None or rank < best[0]:
+                    best = (rank, mask, value)
+            cur = table.get((cov, pak))
+            if cur is None or rank < cur[0]:
+                table[(cov, pak)] = (rank, value, mask)
+        res = brute_optimum(inst)
+        assert res.feasible_count == count
+        if count:
+            assert (res.best_set, res.best_value) == best[1:]
+        assert brute_pareto(inst) == {key: entry[1:] for key, entry in table.items()}
+        assert brute_optimum(base) == res

@@ -29,6 +29,7 @@ from pcsm.core import (
     Params,
     iter_bits,
     make_instance,
+    marginal,
     mask_of,
     normalize,
 )
@@ -303,7 +304,7 @@ def test_greedy_marginal_order_is_non_increasing():
         gains = []
         prefix = 0
         for e in order:
-            gains.append(orc.marginal(prefix, e))
+            gains.append(marginal(orc, prefix, e))
             prefix |= 1 << e
         assert all(gains[i] >= gains[i + 1] for i in range(len(gains) - 1))
 

@@ -14,6 +14,7 @@ from pcsm.core import (
     instance_from_json_obj,
     instance_to_json_obj,
     is_feasible,
+    load_ratios,
     make_instance,
     marginal,
     mask_of,
@@ -23,7 +24,13 @@ from pcsm.core import (
     violation_profile,
 )
 
-from conftest import FAMILIES, naive_value, random_instance, random_oracle
+from conftest import (
+    FAMILIES,
+    EvalOnlyOracle,
+    naive_value,
+    random_instance,
+    random_oracle,
+)
 
 
 def test_marginal_linear():
@@ -46,6 +53,70 @@ def test_marginal_rejects_member_and_out_of_range():
         marginal(orc, mask_of([1]), 1)
     with pytest.raises(ValueError):
         marginal(orc, 0, 5)
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("eval_only",))
+def test_walker_flip_matches_eval(family):
+    # long toggle sequences over few elements remove as often as they add
+    rng = random.Random(17)
+    for _ in range(25):
+        n = rng.randint(1, 8)
+        if family == "eval_only":
+            orc = EvalOnlyOracle(random_oracle(rng, n, FAMILIES[rng.randrange(3)]))
+        else:
+            orc = random_oracle(rng, n, family)
+        flip = orc.walker()
+        mask = 0
+        for _ in range(60):
+            elem = rng.randrange(n)
+            mask ^= 1 << elem
+            assert flip(elem) == orc.eval(mask), (family, mask)
+
+
+def test_walkers_are_independent():
+    orc = CoverageOracle(3, [[0, 1], [1, 2]], [1, 2, 4])
+    first, second = orc.walker(), orc.walker()
+    assert first(0) == 3
+    assert second(1) == 6
+    assert first(1) == 7
+    assert first(0) == 6
+    assert second(1) == 0
+
+
+def _old_ratios(inst, mask):
+    # the rule as the CLI wrote it before load_ratios existed
+    loads_p = inst.pack_value(mask)
+    loads_c = inst.cover_value(mask)
+    pack = max((Fraction(l) / b for l, b in zip(loads_p, inst.pack_bound) if b > 0),
+               default=Fraction(0))
+    cover_terms = [Fraction(l) / b for l, b in zip(loads_c, inst.cover_bound) if b > 0]
+    cover = min(cover_terms) if cover_terms else None
+    return cover, pack
+
+
+def test_load_ratios_matches_old_rule():
+    rng = random.Random(23)
+    shapes = [(0, 0), (0, 2), (2, 0), (1, 1), (2, 2)]
+    for trial in range(60):
+        p, c = shapes[trial % len(shapes)]
+        inst = random_instance(rng, rng.randint(0, 6), p=p, c=c)
+        # zero out some bounds so rows without a positive bound are common
+        inst = make_instance(inst.packing, inst.covering,
+                             [b if rng.random() < 0.6 else 0 for b in inst.pack_bound],
+                             [b if rng.random() < 0.6 else 0 for b in inst.cover_bound],
+                             inst.objective)
+        for mask in range(1 << inst.n):
+            assert load_ratios(inst, mask) == _old_ratios(inst, mask), (trial, mask)
+
+
+def test_load_ratios_without_positive_bounds():
+    inst = make_instance([[1, 2]], [[3, 1]], [0], [0], LinearOracle([1, 1]))
+    assert load_ratios(inst, 0b11) == (None, 0)
+    inst = make_instance([], [], [], [], LinearOracle([1, 1]))
+    assert load_ratios(inst, 0b11) == (None, 0)
+    inst = make_instance([[1, 2], [2, 2]], [[3, 1], [1, 1]], [4, 0], [2, 4],
+                         LinearOracle([1, 1]))
+    assert load_ratios(inst, 0b11) == (Fraction(1, 2), Fraction(3, 4))
 
 
 def _tiny(packing, covering, pack_bound, cover_bound, n=None, weights=None):

@@ -9,6 +9,7 @@ from pcsm.core import (
     LinearOracle,
     iter_bits,
     make_instance,
+    marginal,
     mask_of,
     subset_key,
 )
@@ -69,12 +70,14 @@ def test_disjointness_of_cells_from_forbidden_sets():
         inst = random_instance(rng, rng.randint(3, 9), p=1, c=1,
                                family=FAMILIES[trial % 3])
         eps = Fraction(1, 4)
-        res = forbidden_dp_solve(inst, eps)
+        res = forbidden_dp_solve(inst, eps, keep_all_tables=True)
         big = big_elements(inst, eps)
         small = ((1 << inst.n) - 1) & ~big
         idx = build_forbidden_index(inst, eps, small_mask=small)
-        for (c_cur, p_cur), (mask, _value) in res.cells.items():
-            assert mask & idx.forbidden_mask(p_cur) == 0
+        assert len(res.all_tables) == res.guesses_tried
+        for _guess, table in res.all_tables:
+            for (c_cur, p_cur), (mask, _value) in table.items():
+                assert mask & idx.forbidden_mask(p_cur) == 0
 
 
 def test_floor_and_violation_bounds():
@@ -161,7 +164,7 @@ def _backward_solve(inst, eps):
                     if pred is None or (pred[0] >> elem) & 1:
                         continue
                     cand = pred[0] | (1 << elem)
-                    val = pred[1] + oracle.marginal(pred[0], elem)
+                    val = pred[1] + marginal(oracle, pred[0], elem)
                     cur = table.get((c_cur, p_cur))
                     if (cur is None or val > cur[1]
                             or (val == cur[1] and subset_key(cand) < subset_key(cur[0]))):

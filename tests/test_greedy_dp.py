@@ -8,6 +8,7 @@ from pcsm.core import (
     BudgetExceededError,
     LinearOracle,
     make_instance,
+    marginal,
     mask_of,
     mask_to_tuple,
     violation_profile,
@@ -235,7 +236,7 @@ def _ref_vanilla_table(inst, saturate_cover):
                 new_cov = tuple(cov[j] + covering[j][elem] for j in range(c))
                 if saturate_cover:
                     new_cov = tuple(min(v, b) for v, b in zip(new_cov, c_bound))
-                new_value = value + oracle.marginal(mask, elem)
+                new_value = value + marginal(oracle, mask, elem)
                 key = (new_cov, new_pak)
                 cur = nxt.get(key)
                 if (cur is None or new_value > cur[1]
