@@ -38,6 +38,7 @@ from .lp import (
     build_lp,
     build_lp_f,
     linear_max_over_polytope,
+    prepare_polytope,
     simplex_solve,
     verify_upper_bound_construction,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "match_value",
     "multilinear_estimate",
     "normalize",
+    "prepare_polytope",
     "residual_objective",
     "round_and_filter",
     "scale_instance",

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -32,7 +33,9 @@ from .core import (
     popcount,
     to_fraction,
 )
-from .lp import linear_max_over_polytope
+# linear_max_over_polytope is unused here but stays a module attribute:
+# perfbench's tracer wraps it by that name
+from .lp import linear_max_over_polytope, prepare_polytope  # noqa: F401
 
 
 class GuessInfeasibleError(InfeasibleError):
@@ -61,6 +64,9 @@ class _TargetPart(NamedTuple):
     large_cover: int             # non-chosen elements >= alpha s_j in a row outside z
 
 
+_ZERO = Fraction(0)
+
+
 def _chosen_part(inst: Instance, chosen: int, alpha: Fraction, beta: Fraction,
                  delta: Fraction) -> _ChosenPart:
     r = tuple(1 - v for v in inst.pack_value(chosen))
@@ -75,16 +81,40 @@ def _chosen_part(inst: Instance, chosen: int, alpha: Fraction, beta: Fraction,
     return _ChosenPart(r, y, inst.cover_value(chosen), large_p, large_crit)
 
 
-def _target_part(inst: Instance, part: _ChosenPart, chosen: int, targets: tuple,
-                 alpha: Fraction, delta: Fraction) -> _TargetPart:
-    s = tuple(max(Fraction(0), Fraction(t) - v) for t, v in zip(targets, part.cover))
-    z = frozenset(j for j, v in enumerate(s) if v <= delta * targets[j])
-    free = ((1 << inst.n) - 1) & ~chosen
+def _cover_index(inst: Instance) -> tuple:
+    """Per covering row: its entries in ascending order, and for each
+    position k the mask of the elements at positions k and later, so the
+    elements reaching a threshold are one bisect away."""
+    index = []
+    for row in inst.covering:
+        order = sorted(range(inst.n), key=row.__getitem__)
+        suffix = [0] * (inst.n + 1)
+        for k in range(inst.n - 1, -1, -1):
+            suffix[k] = suffix[k + 1] | (1 << order[k])
+        index.append((tuple(row[e] for e in order), tuple(suffix)))
+    return tuple(index)
+
+
+class _Targets(NamedTuple):
+    """Cover targets c' with the thresholds every chosen set meets them with."""
+
+    values: tuple                # c'_j as a Fraction
+    critical: tuple              # delta c'_j: row j is critical iff s_j is at most this
+
+
+def _targets(targets: tuple, delta: Fraction) -> _Targets:
+    return _Targets(tuple(Fraction(t) for t in targets), tuple(delta * t for t in targets))
+
+
+def _target_part(index: tuple, part: _ChosenPart, chosen: int, targets: _Targets,
+                 alpha: Fraction) -> _TargetPart:
+    s = tuple(max(_ZERO, t - v) for t, v in zip(targets.values, part.cover))
+    z = frozenset(j for j, v in enumerate(s) if v <= targets.critical[j])
     large_c = 0
-    for j, row in enumerate(inst.covering):
+    for j, (entries, suffix) in enumerate(index):
         if j not in z:
-            large_c |= _at_least(row, alpha * s[j], free)
-    return _TargetPart(s, z, large_c)
+            large_c |= suffix[bisect_left(entries, alpha * s[j])]
+    return _TargetPart(s, z, large_c & ~chosen)
 
 
 def _at_least(row, threshold, mask: int) -> int:
@@ -127,8 +157,9 @@ class Guess:
             raise ValueError("cover target per covering row required")
         if parts is None:
             cpart = _chosen_part(inst, self.chosen, self.alpha, self.beta, self.delta)
-            parts = (cpart, _target_part(inst, cpart, self.chosen, self.cover_targets,
-                                         self.alpha, self.delta))
+            parts = (cpart, _target_part(_cover_index(inst), cpart, self.chosen,
+                                         _targets(self.cover_targets, self.delta),
+                                         self.alpha))
         cpart, tpart = parts
         undet = ((1 << inst.n) - 1) & ~(self.discarded | self.chosen)
         object.__setattr__(self, "residual_pack", cpart.residual_pack)
@@ -188,8 +219,8 @@ def correct_guess_for(inst: Instance, params: Params, optimum: int) -> Guess:
         if any(inst.packing[i][ell] >= threshold for i in range(inst.p))
         or any(inst.covering[j][ell] >= threshold * targets[j] for j in range(inst.c)))
     chosen = top | big
-    return _derive_guess(inst, params, chosen, _chosen_entry(inst, params, chosen),
-                         targets)
+    return _derive_guess(inst, params, _cover_index(inst), chosen,
+                         _chosen_entry(inst, params, chosen), _targets(targets, params.delta))
 
 
 def is_correct(guess: Guess, optimum: int) -> bool:
@@ -234,8 +265,8 @@ def _chosen_entry(inst: Instance, params: Params, chosen: int) -> tuple:
     return _chosen_part(inst, chosen, params.alpha, params.beta, params.delta), high
 
 
-def _derive_guess(inst: Instance, params: Params, chosen: int, entry: tuple,
-                  targets: tuple) -> Guess:
+def _derive_guess(inst: Instance, params: Params, index: tuple, chosen: int,
+                  entry: tuple, targets: _Targets) -> Guess:
     """The guess for (E1, c'): E0 is the high-marginal leftovers plus the
     elements that are large for the intermediate guess H = (empty, E1, c').
 
@@ -244,9 +275,9 @@ def _derive_guess(inst: Instance, params: Params, chosen: int, entry: tuple,
     large masks come out empty because E0 holds all of H's large elements.
     """
     cpart, high = entry
-    tpart = _target_part(inst, cpart, chosen, targets, params.alpha, params.delta)
+    tpart = _target_part(index, cpart, chosen, targets, params.alpha)
     return Guess(instance=inst, discarded=high | cpart.large_pack | tpart.large_cover,
-                 chosen=chosen, cover_targets=targets, alpha=params.alpha,
+                 chosen=chosen, cover_targets=targets.values, alpha=params.alpha,
                  beta=params.beta, delta=params.delta, gamma=params.gamma,
                  parts=(cpart, tpart))
 
@@ -278,6 +309,10 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
         grid.append(point)
         point *= 1 + params.delta
     size_cap = min(n, math.ceil(params.gamma + (inst.p + inst.c) / (params.alpha * params.delta)))
+    # no more than budget + 1 chosen sets are ever reached (the last one
+    # only to flag truncation)
+    chosen_sets = list(islice(_subsets_by_size(n, size_cap), budget + 1))
+    index = _cover_index(inst)
     # a chosen set's part is reused under every later target; one entry per
     # examined pair at most, so it never outgrows the budget
     cache = {}
@@ -285,8 +320,9 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
     guesses = []
     pairs = 0
     truncated = False
-    for targets in _product_tuples(grid, inst.c):
-        for chosen in _subsets_by_size(n, size_cap):
+    for values in _product_tuples(grid, inst.c):
+        targets = _targets(values, params.delta)
+        for chosen in chosen_sets:
             if pairs >= budget:
                 truncated = True
                 break
@@ -299,7 +335,7 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
                 cache[chosen] = entry
             if entry is None:
                 continue
-            guess = _derive_guess(inst, params, chosen, entry, targets)
+            guess = _derive_guess(inst, params, index, chosen, entry, targets)
             # always true: E0 holds every large element, targets start at 1
             # and E1 packs within the bounds
             if guess.is_consistent():
@@ -400,6 +436,23 @@ def fractional_knapsack_max(values, weights, room) -> Fraction:
     return total
 
 
+def cover_reach(pack_rows, pack_bounds, cover_rows) -> tuple:
+    """For each covering row, the most it can reach over the box [0,1]^n
+    and a single packing row: the least of its plain sum and its exact
+    fractional-knapsack maximum under each packing row."""
+    return tuple(min([sum(row)] + [fractional_knapsack_max(row, prow, room)
+                                   for prow, room in zip(pack_rows, pack_bounds)])
+                 for row in cover_rows)
+
+
+def reach_falls_short(reach, pack_bounds, cover_bounds) -> bool:
+    """Whether some covering row's reach misses its bound by more than the
+    margin, which certifies that the polytope is empty."""
+    margin = SCREEN_MARGIN * max([1] + [abs(b) for b in pack_bounds]
+                                 + [abs(b) for b in cover_bounds])
+    return any(r < bound - margin for r, bound in zip(reach, cover_bounds))
+
+
 def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> bool:
     """Whether {x in [0,1]^n : pack @ x <= pack_bounds, cover @ x >= cover_bounds}
     is empty by an exact certificate: some covering row misses its bound by
@@ -409,35 +462,40 @@ def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> b
     for any number of rows; with one row of each it is exact up to the
     margin.  Programs inside the margin are left to the simplex.
     """
-    margin = SCREEN_MARGIN * max([1] + [abs(b) for b in pack_bounds]
-                                 + [abs(b) for b in cover_bounds])
-    for row, bound in zip(cover_rows, cover_bounds):
-        reach = bound - margin
-        # the plain sum bounds every knapsack and settles most rows alone
-        if sum(row) < reach or any(fractional_knapsack_max(row, prow, room) < reach
-                                   for prow, room in zip(pack_rows, pack_bounds)):
-            return True
-    return False
+    return reach_falls_short(cover_reach(pack_rows, pack_bounds, cover_rows),
+                             pack_bounds, cover_bounds)
+
+
+def _residual_rows(inst: Instance, elements: tuple) -> tuple:
+    """The packing and covering rows restricted to ``elements``."""
+    return ([[row[e] for e in elements] for row in inst.packing],
+            [[row[e] for e in elements] for row in inst.covering])
 
 
 def continuous_greedy(guess: Guess, steps: int = 100,
-                      samples_per_grad: int = 200, seed: int = 0) -> dict:
+                      samples_per_grad: int = 200, seed: int = 0,
+                      reach_memo: Optional[dict] = None) -> dict:
     """Discretized ascent over the residual polytope.
 
     Returns the fractional point as {element: float}.  Raises
-    GuessInfeasibleError when the polytope is empty.
+    GuessInfeasibleError when the polytope is empty.  ``reach_memo`` keeps
+    the covering rows' reaches (``cover_reach``) across the guesses of one
+    instance, keyed by (E1, undetermined elements), which fix them.
     """
     inst = guess.instance
     elements = guess.residual_elements()
-    pack_rows = [[inst.packing[i][e] for e in elements] for i in range(inst.p)]
-    cover_rows = [[inst.covering[j][e] for e in elements] for j in range(inst.c)]
-    if polytope_surely_empty(pack_rows, guess.residual_pack,
-                             cover_rows, guess.residual_cover):
+    reach_memo = {} if reach_memo is None else reach_memo
+    key = (guess.chosen, guess.undetermined)
+    if key not in reach_memo:
+        pack_rows, cover_rows = _residual_rows(inst, elements)
+        reach_memo[key] = cover_reach(pack_rows, guess.residual_pack, cover_rows)
+    if reach_falls_short(reach_memo[key], guess.residual_pack, guess.residual_cover):
         raise GuessInfeasibleError("empty residual polytope")
-    status, _ = linear_max_over_polytope(
-        [0.0] * len(elements), pack_rows, guess.residual_pack,
-        cover_rows, guess.residual_cover)
-    if status != "optimal":
+    # phase 1 once: every step below maximizes over the same polytope
+    pack_rows, cover_rows = _residual_rows(inst, elements)
+    polytope = prepare_polytope(len(elements), pack_rows, guess.residual_pack,
+                                cover_rows, guess.residual_cover)
+    if polytope is None:
         raise GuessInfeasibleError("empty residual polytope")
     if not elements:
         return {}
@@ -457,9 +515,7 @@ def continuous_greedy(guess: Guess, steps: int = 100,
                 if not (mask >> e) & 1:
                     weights[idx] += float(oracle.gain(state, e))
         weights = [w / samples_per_grad for w in weights]
-        status, v = linear_max_over_polytope(
-            weights, pack_rows, guess.residual_pack,
-            cover_rows, guess.residual_cover)
+        status, v = polytope.maximize(weights)
         if status != "optimal":
             raise GuessInfeasibleError("residual polytope became unsolvable")
         x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
@@ -546,6 +602,10 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     best = None
     diagnostics = []
     seen_residuals = set()
+    # per solve, keyed by values: covering-row reaches per (E1, undetermined)
+    # and each rounded set's verdict (its f value if it passes, else None)
+    reach_memo = {}
+    verdicts = {}
     for g_idx, guess in enumerate(enum.guesses):
         # identical residual problems (same E0/E1 and clamped cover residuals)
         # would be solved identically; skip repeats
@@ -565,7 +625,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         try:
             x_star = continuous_greedy(
                 guess, steps=steps, samples_per_grad=samples_per_grad,
-                seed=_child_seed(seed, g_idx, 0))
+                seed=_child_seed(seed, g_idx, 0), reach_memo=reach_memo)
         except GuessInfeasibleError:
             diag.infeasible_polytope = True
             continue
@@ -577,17 +637,19 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
             out = round_and_filter(guess, x_bar, seed=_child_seed(seed, g_idx, t))
             candidates.append(out.solution)
         for cand in candidates:
-            loads_p = norm.pack_value(cand)
-            loads_c = norm.cover_value(cand)
-            if all(v <= one for v in loads_p) and all(v >= need_cover for v in loads_c):
-                diag.filter_pass += 1
-                val = norm.objective.eval(cand)
-                if diag.best_value is None or val > diag.best_value:
-                    diag.best_value = val
-                if better(val, cand, best):
-                    best = (cand, val)
-            else:
+            val = verdicts.get(cand, _MISSING)
+            if val is _MISSING:
+                fits = (all(v <= one for v in norm.pack_value(cand))
+                        and all(v >= need_cover for v in norm.cover_value(cand)))
+                val = verdicts[cand] = norm.objective.eval(cand) if fits else None
+            if val is None:
                 diag.filter_fail += 1
+                continue
+            diag.filter_pass += 1
+            if diag.best_value is None or val > diag.best_value:
+                diag.best_value = val
+            if better(val, cand, best):
+                best = (cand, val)
 
     if best is None:
         return MainResult(found=False, solution=0, value=0, cover_ratio=None,

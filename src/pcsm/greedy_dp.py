@@ -176,6 +176,7 @@ def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> Completio
     best = None
     valid = 0
     witness_of: dict = {}    # (cover, pack) cell signature -> witness or None
+    value_of: dict = {}      # support -> f(support); cells share supports
     for (q, cov, pak), (mask, value) in outcome.table.items():
         sig = (cov, pak)
         if sig in witness_of:
@@ -190,7 +191,9 @@ def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> Completio
             continue
         valid += 1
         support = mask | witness
-        val = oracle.eval(support)
+        val = value_of.get(support)
+        if val is None:
+            val = value_of[support] = oracle.eval(support)
         if better(val, support, best):
             best = (support, val, mask, witness)
     if best is None:

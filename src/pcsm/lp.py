@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -120,7 +120,10 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     cost = np.zeros(nv)
     for k, v in lp.objective.items():
         cost[k] = float(v)
-    status, x = _solve_dense(rows, rels, rhs, cost, lp.sense == "max")
+    tableau = _phase1(rows, rels, rhs, nv)
+    if tableau is None:
+        return LpSolution("infeasible", float("nan"), {}, ())
+    status, x = tableau.optimize(cost, lp.sense == "max")
     if status != "optimal":
         return LpSolution(status, float("nan"), {}, ())
     value = float(sum(float(v) * x[k] for k, v in lp.objective.items()))
@@ -132,13 +135,40 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     return LpSolution("optimal", value, assignment, tuple(residuals))
 
 
-def _solve_dense(rows, rels, rhs, cost, maximize: bool):
-    """The two phases over dense rows: ``rows[i] . x  rels[i]  rhs[i]``
-    (each rel "<=" or ">="), x >= 0, optimizing ``cost . x``.
+class _Tableau(NamedTuple):
+    """A dense tableau after phase 1: its basis is feasible and the
+    artificial columns are frozen at zero, so phase 2 may start from it
+    under any cost vector."""
 
-    Returns (status, x) with x the structural values, None unless optimal.
+    A: np.ndarray
+    b_vec: np.ndarray
+    basis: np.ndarray
+    nv: int                  # structural columns
+    n_real: int              # structural plus slack columns
+
+    def optimize(self, cost, maximize: bool):
+        """Phase 2 for ``cost . x`` on a copy of the tableau.
+
+        Returns (status, x) with x the structural values, None unless optimal.
+        """
+        A, b_vec, basis = self.A.copy(), self.b_vec.copy(), self.basis.copy()
+        total = A.shape[1]
+        obj = np.zeros(total)
+        obj[:self.nv] = cost
+        if maximize:
+            obj = -obj
+        status = _simplex_core(A, b_vec, basis, obj, forbidden_from=self.n_real)
+        if status == "unbounded":
+            return "unbounded", None
+        return "optimal", _basic_values(A, b_vec, basis, total)[:self.nv]
+
+
+def _phase1(rows, rels, rhs, nv: int):
+    """Phase 1 over dense rows: ``rows[i] . x  rels[i]  rhs[i]`` (each rel
+    "<=" or ">="), x >= 0, with ``nv`` structural columns.
+
+    Returns the feasible ``_Tableau``, or None when the rows are infeasible.
     """
-    nv = len(cost)
     norm = []
     for dense, rel, b in zip(rows, rels, rhs):
         # flip so that every row has non-negative rhs
@@ -151,13 +181,14 @@ def _solve_dense(rows, rels, rhs, cost, maximize: bool):
     n_slack = m
     art_rows = [i for i, (_, rel, _) in enumerate(norm) if rel == ">="]
     n_art = len(art_rows)
-    total = nv + n_slack + n_art
+    n_real = nv + n_slack
+    total = n_real + n_art
     A = np.zeros((m, total))
     b_vec = np.zeros(m)
     basis = np.zeros(m, dtype=np.int64)
     art_pos = {}
     for j, i in enumerate(art_rows):
-        art_pos[i] = nv + n_slack + j
+        art_pos[i] = n_real + j
     for i, (dense, rel, b) in enumerate(norm):
         A[i, :nv] = dense
         b_vec[i] = b
@@ -168,27 +199,18 @@ def _solve_dense(rows, rels, rhs, cost, maximize: bool):
         else:
             basis[i] = nv + i
 
-    obj = np.zeros(total)
-    obj[:nv] = cost
-    if maximize:
-        obj = -obj
-
     if n_art:
         phase1 = np.zeros(total)
-        phase1[nv + n_slack:] = 1.0
+        phase1[n_real:] = 1.0
         status = _simplex_core(A, b_vec, basis, phase1)
         if status == "unbounded":          # phase-1 objective is bounded below by 0
-            return "infeasible", None
-        if float(phase1[nv + n_slack:] @ _basic_values(A, b_vec, basis, total)[nv + n_slack:]) > TOL_FEAS * max(1.0, abs(b_vec).max()):
-            return "infeasible", None
-        _evict_artificials(A, b_vec, basis, nv + n_slack)
+            return None
+        if float(phase1[n_real:] @ _basic_values(A, b_vec, basis, total)[n_real:]) > TOL_FEAS * max(1.0, abs(b_vec).max()):
+            return None
+        _evict_artificials(A, b_vec, basis, n_real)
         # freeze artificial columns out of phase 2
-        A[:, nv + n_slack:] = 0.0
-
-    status = _simplex_core(A, b_vec, basis, obj, forbidden_from=nv + n_slack)
-    if status == "unbounded":
-        return "unbounded", None
-    return "optimal", _basic_values(A, b_vec, basis, total)[:nv]
+        A[:, n_real:] = 0.0
+    return _Tableau(A, b_vec, basis, nv, n_real)
 
 
 def _basic_values(A, b_vec, basis, total):
@@ -473,6 +495,50 @@ def upper_bound_value_formula(m: int) -> Fraction:
 # linear maximization over a packing/covering polytope
 
 
+class Polytope:
+    """{x in [0,1]^n : pack @ x <= bounds, cover @ x >= bounds} after phase 1.
+
+    Built by ``prepare_polytope``.  Each ``maximize`` runs phase 2 alone,
+    on a copy of the same feasible tableau.
+    """
+
+    def __init__(self, tableau: _Tableau):
+        self._tableau = tableau
+
+    def maximize(self, weights: Sequence[float]):
+        """argmax w.x over the polytope: (status, x), x None unless optimal."""
+        if len(weights) != self._tableau.nv:
+            raise ValueError("one weight per variable required")
+        cost = np.array([float(_float_rat(w)) for w in weights])
+        status, x = self._tableau.optimize(cost, maximize=True)
+        if status != "optimal":
+            return status, None
+        return "optimal", [min(1.0, max(0.0, float(v))) for v in x]
+
+
+def prepare_polytope(n: int,
+                     pack_rows: Sequence[Sequence[Rational]],
+                     pack_bounds: Sequence[Rational],
+                     cover_rows: Sequence[Sequence[Rational]],
+                     cover_bounds: Sequence[Rational]) -> Optional[Polytope]:
+    """Phase 1 over {x in [0,1]^n : pack @ x <= bounds, cover @ x >= bounds}:
+    the ``Polytope`` to maximize over, or None when it is empty.
+
+    The rows go straight into the dense simplex in the order a named
+    program would list them (x_i <= 1, then packing, then covering), with
+    the same float coefficients, so the pivots are those simplex_solve
+    takes on that program.
+    """
+    rows = np.zeros((n + len(pack_rows) + len(cover_rows), n))
+    rows[:n, :n] = np.eye(n)
+    for k, row in enumerate(list(pack_rows) + list(cover_rows)):
+        rows[n + k] = [float(v if isinstance(v, Fraction) else _rat(v)) for v in row]
+    rels = ["<="] * (n + len(pack_rows)) + [">="] * len(cover_rows)
+    rhs = [1.0] * n + [float(b) for b in pack_bounds] + [float(b) for b in cover_bounds]
+    tableau = _phase1(rows, rels, rhs, n)
+    return None if tableau is None else Polytope(tableau)
+
+
 def linear_max_over_polytope(weights: Sequence[float],
                              pack_rows: Sequence[Sequence[Rational]],
                              pack_bounds: Sequence[Rational],
@@ -482,25 +548,14 @@ def linear_max_over_polytope(weights: Sequence[float],
 
     Returns (status, x) where x is None unless status == "optimal".  An
     infeasible polytope is a normal outcome (the caller treats the guess
-    as inconsistent).
-
-    The rows go straight into the dense simplex in the order a named
-    program would list them (x_i <= 1, then packing, then covering), with
-    the same float coefficients, so the pivots are those simplex_solve
-    takes on that program.
+    as inconsistent).  To maximize several weight vectors over one
+    polytope, call ``prepare_polytope`` once and ``maximize`` for each.
     """
-    n = len(weights)
-    rows = np.zeros((n + len(pack_rows) + len(cover_rows), n))
-    rows[:n, :n] = np.eye(n)
-    for k, row in enumerate(list(pack_rows) + list(cover_rows)):
-        rows[n + k] = [float(v if isinstance(v, Fraction) else _rat(v)) for v in row]
-    rels = ["<="] * (n + len(pack_rows)) + [">="] * len(cover_rows)
-    rhs = [1.0] * n + [float(b) for b in pack_bounds] + [float(b) for b in cover_bounds]
-    cost = np.array([float(_float_rat(w)) for w in weights])
-    status, x = _solve_dense(rows, rels, rhs, cost, maximize=True)
-    if status != "optimal":
-        return status, None
-    return "optimal", [min(1.0, max(0.0, float(v))) for v in x]
+    polytope = prepare_polytope(len(weights), pack_rows, pack_bounds,
+                                cover_rows, cover_bounds)
+    if polytope is None:
+        return "infeasible", None
+    return polytope.maximize(weights)
 
 
 def _float_rat(v):

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,7 +37,13 @@ from pcsm.core import (
     mask_of,
     normalize,
 )
-from pcsm.lp import _Builder, _float_rat, linear_max_over_polytope, simplex_solve
+from pcsm.lp import (
+    _Builder,
+    _float_rat,
+    linear_max_over_polytope,
+    prepare_polytope,
+    simplex_solve,
+)
 
 from conftest import FAMILIES, exact_multilinear, random_instance, random_oracle
 
@@ -564,8 +574,35 @@ def _golden_cases():
     return cases
 
 
+def _ref_prepare_polytope(solves):
+    """A stand-in for ``prepare_polytope`` with no phase 1 kept: each
+    ``maximize`` re-solves the named program from scratch (and appends to
+    ``solves``); the polytope is empty when the zero-weight program is."""
+    def prepare(n, *rows):
+        status, _ = _ref_linear_max_over_polytope([0.0] * n, *rows)
+        if status != "optimal":
+            return None
+
+        def maximize(weights):
+            solves.append(len(weights))
+            return _ref_linear_max_over_polytope(weights, *rows)
+        return SimpleNamespace(maximize=maximize)
+    return prepare
+
+
+def _ref_filter(norm, candidates, epsilon):
+    """(filter_pass, filter_fail, best_value) of one guess's candidates,
+    each checked and evaluated on its own."""
+    passed = [c for c in candidates
+              if all(v <= 1 for v in norm.pack_value(c))
+              and all(v >= 1 - epsilon for v in norm.cover_value(c))]
+    values = [norm.objective.eval(c) for c in passed]
+    return len(passed), len(candidates) - len(passed), max(values, default=None)
+
+
 def test_golden_equivalence_guesses_and_main(monkeypatch):
     truncated = multi_row = 0
+    solves = []
     for seed, n, p, c, family, budget in _golden_cases():
         rng = random.Random(seed)
         inst = random_instance(rng, n, p=p, c=c, family=family)
@@ -587,16 +624,124 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
         knobs = dict(seed=seed, budget=budget, params=params, trials=3,
                      steps=3, samples_per_grad=4)
         res = solve_main(inst, Fraction(1, 10), **knobs)
+        rounded = []
+
+        def recording_round(guess, *args, **kw):
+            out = round_and_filter(guess, *args, **kw)
+            rounded.append((guess.chosen, out.solution))
+            return out
+
         with monkeypatch.context() as m:
             # solve_main normalizes an equal instance; reuse the reference list
             m.setattr(cont, "enumerate_guesses", lambda *args, **kw: want)
-            m.setattr(cont, "linear_max_over_polytope",
-                      _ref_linear_max_over_polytope)
-            m.setattr(cont, "polytope_surely_empty", lambda *rows: False)
+            m.setattr(cont, "prepare_polytope", _ref_prepare_polytope(solves))
+            m.setattr(cont, "reach_falls_short", lambda *args: False)
+            m.setattr(cont, "round_and_filter", recording_round)
             ref_res = solve_main(inst, Fraction(1, 10), **knobs)
         assert res == ref_res
         assert repr(res) == repr(ref_res)
+        # every guess with a point rounds `trials` times in a row; recount its
+        # filter verdicts one candidate at a time
+        trials = knobs["trials"]
+        feasible = [d for d in res.diagnostics if not d.infeasible_polytope]
+        assert len(rounded) == trials * len(feasible)
+        for k, diag in enumerate(feasible):
+            group = rounded[trials * k:trials * (k + 1)]
+            candidates = [group[0][0]] + [solution for _, solution in group]
+            assert (diag.filter_pass, diag.filter_fail, diag.best_value) == _ref_filter(
+                norm, candidates, Fraction(1, 10))
     assert truncated >= 1 and multi_row >= 5
+    # the reference really re-solved the named program at every step
+    assert len(solves) > 0
+
+
+_MEMO_PARAMS = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=4)
+_MEMO_KNOBS = dict(seed=3, budget=1500, trials=4, steps=4, samples_per_grad=6)
+
+
+def _memo_instance(name):
+    """Two multi-row instances of one shape.  B keeps A's packing rows and
+    bounds but raises every non-zero covering entry by 1 and has its own
+    objective, so A's covering reaches fall short of B's (and A's filter
+    verdicts are wrong for B): on this draw either leak changes B's result."""
+    a = random_instance(random.Random(318), 7, p=2, c=2, family="linear")
+    if name == "A":
+        return a
+    covering = [[v + 1 if v else 0 for v in row] for row in a.covering]
+    return make_instance(a.packing, covering, a.pack_bound, a.cover_bound,
+                         random_oracle(random.Random(1318), 7, "coverage"))
+
+
+def _solve_alone(name):
+    """repr of solve_main on ``_memo_instance(name)``, run in a fresh
+    interpreter that has solved nothing before."""
+    src = os.path.dirname(os.path.dirname(cont.__file__))
+    script = ("from fractions import Fraction\n"
+              "from pcsm.continuous import solve_main\n"
+              "from test_continuous import _MEMO_KNOBS, _MEMO_PARAMS, _memo_instance\n"
+              f"print(repr(solve_main(_memo_instance({name!r}), Fraction(1, 10),"
+              " params=_MEMO_PARAMS, **_MEMO_KNOBS)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+def test_solve_main_memos_stay_within_one_solve(monkeypatch):
+    # A and B share a shape and are rebuilt before every call, so their ids
+    # may be reused: state kept across solves would hand one the other's data
+    alone = {name: _solve_alone(name) for name in "AB"}
+    assert alone["A"] != alone["B"]
+
+    def solve(name):
+        return repr(solve_main(_memo_instance(name), Fraction(1, 10),
+                               params=_MEMO_PARAMS, **_MEMO_KNOBS))
+
+    assert [solve(name) for name in "ABA"] == [alone[name] for name in "ABA"]
+    # the same again with the reuse forced: every solve's normalized
+    # instance is one object, refilled with that solve's data
+    shell = normalize(_memo_instance("A"))
+
+    def refill(inst):
+        vars(shell).update(vars(normalize(inst)))
+        return shell
+
+    monkeypatch.setattr(cont, "normalize", refill)
+    assert [solve(name) for name in "ABA"] == [alone[name] for name in "ABA"]
+
+
+def test_shared_reach_memo_screens_like_a_fresh_screen(monkeypatch):
+    # with one memo across an instance's guesses, in either order, a guess
+    # reaches the LP exactly when polytope_surely_empty clears it on its own
+    reached = []
+
+    def spy(n, *rows):
+        reached.append(n)
+        return prepare_polytope(n, *rows)
+
+    monkeypatch.setattr(cont, "prepare_polytope", spy)
+    screened = 0
+    for seed in range(6):
+        p, c = (1, 1) if seed % 2 else (2, 2)
+        inst = normalize(random_instance(random.Random(700 + seed), 7, p=p, c=c,
+                                         family=FAMILIES[seed % 3]))
+        params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
+        guesses = enumerate_guesses(inst, params, budget=1500).guesses
+        for order in (guesses, guesses[::-1]):
+            memo = {}
+            for g in order:
+                elements = g.residual_elements()
+                empty = polytope_surely_empty(
+                    [[row[e] for e in elements] for row in inst.packing], g.residual_pack,
+                    [[row[e] for e in elements] for row in inst.covering], g.residual_cover)
+                reached.clear()
+                try:
+                    continuous_greedy(g, steps=1, samples_per_grad=1, reach_memo=memo)
+                except GuessInfeasibleError:
+                    pass
+                assert bool(reached) != empty
+                screened += empty
+    assert screened > 100
 
 
 # ---------------------------------------------------------------------------
@@ -675,3 +820,38 @@ def test_dense_direction_lp_matches_named_program(program, data):
         assert [v.hex() for v in got[1]] == [v.hex() for v in want[1]]
     else:
         assert got[1] is None
+
+
+_weight_batches = _polytopes().flatmap(lambda program: st.tuples(
+    st.just(program),
+    st.lists(st.lists(_weights, min_size=program[0], max_size=program[0]),
+             min_size=1, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_batches)
+@example(((0, [], [], [], []), [[]]))
+@example(((3, [], [], [], []), [[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]]))
+@example(((2, [[Fraction(1), Fraction(2)]], [Fraction(-1)], [], []), [[1.0, 1.0]]))
+@example(((2, [[Fraction(1), Fraction(1)]], [Fraction(1)],
+           [[Fraction(1), Fraction(1)]], [Fraction(3)]), [[1.0, 0.0]]))
+@example(((2, [[Fraction(1), Fraction(1)]], [Fraction(3, 2)],
+           [[Fraction(1), Fraction(0)]], [Fraction(1)]), [[0.1, 2.0], [2.0, 0.1]]))
+def test_prepared_polytope_matches_fresh_solves(case):
+    (n, pack, pack_b, cover, cover_b), batch = case
+    polytope = prepare_polytope(n, pack, pack_b, cover, cover_b)
+    zero, _ = linear_max_over_polytope([0.0] * n, pack, pack_b, cover, cover_b)
+    named, _ = _ref_linear_max_over_polytope([0.0] * n, pack, pack_b, cover, cover_b)
+    assert (polytope is None) == (zero == "infeasible") == (named == "infeasible")
+    if polytope is None:
+        return
+    # the batch twice, the second time reversed: maximize leaves the
+    # prepared tableau as it found it
+    for weights in batch + batch[::-1]:
+        got = polytope.maximize(weights)
+        want = linear_max_over_polytope(weights, pack, pack_b, cover, cover_b)
+        assert got[0] == want[0]
+        if want[1] is not None:
+            assert [v.hex() for v in got[1]] == [v.hex() for v in want[1]]
+        else:
+            assert got[1] is None
