@@ -1,9 +1,13 @@
 import csv
+import hashlib
 import io
 import json
+import re
 
+from pcsm import cli
 from pcsm.brute import brute_optimum
 from pcsm.cli import (
+    CSV_FIELDS,
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
     EXIT_INFEASIBLE,
@@ -14,7 +18,14 @@ from pcsm.cli import (
     main,
     write_reports_csv,
 )
-from pcsm.core import instance_to_json_obj
+from pcsm.core import instance_to_json_obj, load_instance
+
+# covering bound no subset reaches
+INFEASIBLE = {
+    "n": 2, "packing": [[1, 1]], "covering": [[1, 1]],
+    "pack_bound": [2], "cover_bound": [99],
+    "objective": {"kind": "linear", "weights": [1, 1]},
+}
 
 
 def test_gen_deterministic():
@@ -68,11 +79,7 @@ def test_cli_gen_outputs_identical_bytes(tmp_path, capsys):
 
 def test_cli_infeasible_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "n": 2, "packing": [[1, 1]], "covering": [[1, 1]],
-        "pack_bound": [2], "cover_bound": [99],
-        "objective": {"kind": "linear", "weights": [1, 1]},
-    }))
+    path.write_text(json.dumps(INFEASIBLE))
     assert main(["brute", "--instance", str(path), "--quiet"]) == EXIT_INFEASIBLE
     assert main(["dp", "--instance", str(path), "--quiet"]) == EXIT_INFEASIBLE
     capsys.readouterr()
@@ -198,3 +205,141 @@ def test_csv_float_formatting():
     write_reports_csv(bench(suite, []), stream)
     rows = list(csv.reader(io.StringIO(stream.getvalue())))
     assert rows[1][2] == "0.25"
+
+
+# ---------------------------------------------------------------------------
+# golden CLI output: argv, exit code, stdout, stderr and written files of a
+# fixed matrix of runs, pinned by SHA-256 per group, timing fields blanked
+
+GOLDEN_GEN = {
+    "lin.json": ["--n", "6", "--p", "1", "--c", "1", "--seed", "3"],
+    "cov.json": ["--n", "7", "--family", "coverage", "--seed", "5"],
+    "com.json": ["--n", "6", "--p", "2", "--family", "concave_of_modular",
+                 "--seed", "2"],
+    "empty.json": ["--n", "0"],
+    "rat.json": ["--n", "5", "--seed", "3", "--rational"],
+}
+
+GOLDEN_SOLVES = {
+    "brute": [["brute"], ["brute", "--max-n", "6"]],
+    "dp": [["dp"], ["dp", "--completion"], ["dp", "--exact-keys"],
+           ["dp", "--completion", "--exact-keys"]],
+    "forbidden": [["forbidden"], ["forbidden", "--poly"],
+                  ["forbidden", "--epsilon", "1/2"],
+                  ["forbidden", "--cardinality", "1"]],
+    "continuous": [
+        ["continuous", "--relaxed", "--trials", "3", "--steps", "4",
+         "--budget", "600", "--samples", "5", "--seed", "7"],
+        ["continuous", "--relaxed", "--delta", "1/3", "--trials", "2",
+         "--steps", "2", "--budget", "3", "--samples", "3"],
+        ["continuous", "--epsilon", "1/2", "--trials", "2", "--steps", "2",
+         "--budget", "40", "--samples", "3"],
+    ],
+}
+
+GOLDEN_SUITE = [
+    {"gen": {"n": 6, "p": 1, "c": 1, "seed": 2}},
+    {"gen": {"n": 0}},
+    {"gen": {"n": 5, "seed": 3, "integer": False}},
+    {"gen": {"n": 6, "p": 2, "c": 1, "family": "coverage", "seed": 4}},
+    {"n": 5, "family": "concave_of_modular", "density": 0.4},
+    {"lp": {"variant": "lpf", "m": 3}},
+    {"lp": {"variant": "dual", "m": 2}},
+]
+
+GOLDEN_DIGESTS = {
+    "gen": "8f77ce6237f1c834",
+    "brute": "6507ee1ff65a531d",
+    "dp": "f1d99e1ec0a1a99c",
+    "forbidden": "81abd68cec2bb3a1",
+    "continuous": "7565eeee509fad60",
+    "lp": "409916addc0affb5",
+    "kmedian": "798deaea2c691fcc",
+    "bench": "dfa6da6c3ca3700e",
+    "bench_infeasible": "8fcff896113aaf6d",
+}
+
+ALL_SOLVERS = "brute,dp,dp_completion,forbidden,poly,continuous"
+
+
+def _blank_timing(text):
+    """Blanks lp's optima[].seconds and the bench CSV's seconds column."""
+    if not text.startswith(",".join(CSV_FIELDS)):
+        return re.sub(r'"seconds": "[^"]*"', '"seconds": ""', text)
+    stream = io.StringIO()
+    writer = csv.writer(stream)
+    for i, row in enumerate(csv.reader(io.StringIO(text))):
+        if i:
+            row[CSV_FIELDS.index("seconds")] = ""
+        writer.writerow(row)
+    return stream.getvalue()
+
+
+def _golden_run(capsys, argv, files=()):
+    code = main(argv)
+    captured = capsys.readouterr()
+    written = []
+    for name in files:
+        with open(name, encoding="utf-8", newline="") as fh:
+            written.append(_blank_timing(fh.read()))
+    return [argv, code, _blank_timing(captured.out), captured.err, written]
+
+
+def _golden_records(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inf.json").write_text(json.dumps(INFEASIBLE))
+    (tmp_path / "km.json").write_text(json.dumps({
+        "facilities": [{"cap": 2}, {"cap": 2}], "clients": 3,
+        "dist_a_pairs": [[0, 0], [1, 0], [2, 1]], "a": 1, "b": 3, "k": 2}))
+    (tmp_path / "km_short.json").write_text(json.dumps({
+        "facilities": [{"cap": 1}, {"cap": 1}], "clients": 3,
+        "dist_a_pairs": [[0, 0], [1, 0], [2, 1]], "a": 1, "b": 3, "k": 2}))
+    (tmp_path / "suite.json").write_text(json.dumps(GOLDEN_SUITE))
+    (tmp_path / "suite13.json").write_text(json.dumps(
+        [{"gen": {"n": 13, "seed": 1}}, {"gen": {"n": 4, "seed": 9}}]))
+    formats = (["--json"], [])
+    records = {}
+    records["gen"] = [
+        _golden_run(capsys, ["gen", *spec, *fmt,
+                             *(["--out", name] if fmt else [])],
+                    files=[name] if fmt else [])
+        for name, spec in GOLDEN_GEN.items() for fmt in formats]
+    for group, runs in GOLDEN_SOLVES.items():
+        records[group] = [
+            _golden_run(capsys, [*run, "--instance", name, *fmt])
+            for run in runs for name in [*GOLDEN_GEN, "inf.json"]
+            for fmt in formats]
+    records["lp"] = [
+        _golden_run(capsys, ["lp", "--m", "2", "4", "--verify-analytic",
+                             "--verify-upper-bound", *fmt])
+        for fmt in formats] + [
+        _golden_run(capsys, ["lp", "--variant", "lp", "--m", "3",
+                             "--verify-analytic", "--json"]),
+        _golden_run(capsys, ["lp", "--variant", "dual", "--m", "2", "5",
+                             "--csv", "lp.csv"], files=["lp.csv"]),
+    ]
+    records["kmedian"] = [
+        _golden_run(capsys, ["kmedian", "--instance", name, *fmt])
+        for name in ("km.json", "km_short.json") for fmt in formats]
+    records["bench"] = [
+        _golden_run(capsys, ["bench", "--suite", "suite.json", "--solvers",
+                             ALL_SOLVERS + ",nonsense", *seed])
+        for seed in ([], ["--seed", "5"])] + [
+        _golden_run(capsys, ["bench", "--suite", "suite13.json", "--out",
+                             "report.csv", *fmt], files=["report.csv"])
+        for fmt in formats]
+    # no generated instance is infeasible (each has a planted feasible
+    # subset), so the failure reasons come from swapping the generator
+    inf = load_instance("inf.json")
+    monkeypatch.setattr(cli, "generate_instance", lambda **_spec: inf)
+    records["bench_infeasible"] = [_golden_run(
+        capsys, ["bench", "--suite", "suite.json", "--solvers", ALL_SOLVERS])]
+    return records
+
+
+def test_cli_golden_outputs(capsys, monkeypatch, tmp_path):
+    records = _golden_records(capsys, monkeypatch, tmp_path)
+    digests = {
+        group: hashlib.sha256(json.dumps(runs).encode()).hexdigest()[:16]
+        for group, runs in records.items()}
+    assert digests == GOLDEN_DIGESTS
