@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .brute import brute_optimum
@@ -119,6 +120,114 @@ def generate_instance(n: int, p: int, c: int, family: str = "linear",
 
 
 # ---------------------------------------------------------------------------
+# solvers: one adapter per bench solver name, called with the subcommand's
+# parsed args or with the bench settings as ``opts``; ``fields`` are the
+# solver-specific JSON fields its subcommand prints
+
+
+def _brute(inst, opts):
+    res = brute_optimum(inst, max_n=opts.max_n)
+    return res.feasible_count > 0, res.best_value, res.best_set, {
+        "best_value": fmt(res.best_value),
+        "best_set": list(mask_to_tuple(res.best_set)),
+        "feasible_count": res.feasible_count,
+    }
+
+
+def _dp(inst, opts):
+    res = vanilla_dp(inst, saturate_cover=not opts.exact_keys)
+    fields = {} if not res.found else {
+        "cover_vec": [fmt(v) for v in inst.cover_value(res.best_set)],
+        "pack_vec": [fmt(v) for v in inst.pack_value(res.best_set)],
+        "cells_populated": res.cells_populated,
+    }
+    return res.found, res.best_value, res.best_set, fields
+
+
+def _dp_completion(inst, opts):
+    res = dp_with_completion(inst, saturate_cover=not opts.exact_keys)
+    fields = {} if not res.found else {
+        "base_set": list(mask_to_tuple(res.base_set)),
+        "completion_set": list(mask_to_tuple(res.completion_set)),
+        "cover_vec": [fmt(v) for v in res.cover_with_multiplicity],
+        "pack_vec": [fmt(v) for v in res.pack_with_multiplicity],
+        "cells_populated": res.cells_populated,
+    }
+    return res.found, res.value, res.support, fields
+
+
+def _forbidden(inst, opts):
+    eps = to_fraction(opts.epsilon)
+    if opts.cardinality is not None:
+        res = cardinality_solve(inst, opts.cardinality)
+    else:
+        res = forbidden_dp_solve(inst, eps)
+    fields = {"guesses_tried": res.guesses_tried} if res.found else {}
+    return res.found, res.best_value, res.best_set, fields
+
+
+def _poly(inst, opts):
+    res = solve_polynomial(inst, to_fraction(opts.epsilon))
+    fields = {} if not res.found else {
+        "cover_ratio": fmt(res.cover_ratio),
+        "pack_ratio": fmt(res.pack_ratio),
+    }
+    return res.found, res.best_value, res.best_set, fields
+
+
+def _continuous(inst, opts):
+    eps = to_fraction(opts.epsilon)
+    params = None
+    if opts.relaxed:
+        params = Params.from_delta(eps, to_fraction(opts.delta),
+                                   max(1, inst.p + inst.c))
+    res = solve_main(inst, eps, seed=opts.seed, budget=opts.budget,
+                     params=params, trials=opts.trials, steps=opts.steps,
+                     samples_per_grad=opts.samples)
+    # the diagnostics say why a run found nothing, so they print either way
+    fields = {
+        "guesses_enumerated": res.guesses_enumerated,
+        "truncated": res.truncated,
+        "trials": res.trials,
+        "guess_diagnostics": [{**vars(d), "best_value": fmt(d.best_value)}
+                              for d in res.diagnostics],
+    }
+    if res.found:
+        fields.update(cover_ratio=fmt(res.cover_ratio),
+                      pack_ratio=fmt(res.pack_ratio))
+    return res.found, res.value, res.solution, fields
+
+
+class Solver(NamedTuple):
+    run: Callable      # (inst, opts) -> (found, value, mask, fields)
+    reason: str        # what bench records when nothing is found
+    bench_opts: dict   # the fixed settings bench runs it with (plus --seed)
+
+
+SOLVERS = {
+    "brute": Solver(_brute, "no feasible subset", {"max_n": 22}),
+    "dp": Solver(_dp, "no table entry qualifies", {"exact_keys": False}),
+    "dp_completion": Solver(_dp_completion, "no cell admits a completion",
+                            {"exact_keys": False}),
+    "forbidden": Solver(_forbidden, "no qualifying cell",
+                        {"epsilon": Fraction(1, 4), "cardinality": None}),
+    "poly": Solver(_poly, "no qualifying cell", {"epsilon": Fraction(1, 4)}),
+    "continuous": Solver(_continuous, "no rounding trial qualified", {
+        "epsilon": Fraction(1, 10), "relaxed": True, "delta": Fraction(1, 5),
+        "budget": 20_000, "trials": 10, "steps": 12, "samples": 24}),
+}
+
+LP_BUILDERS = {"lp": build_lp, "dual": build_dual, "lpf": build_lp_f}
+
+
+def _lp_optimum(variant: str, m: int):
+    """Optimum of one factor-revealing LP and the seconds the solve took."""
+    t0 = time.perf_counter()
+    sol = simplex_solve(LP_BUILDERS[variant](m))
+    return sol.objective, time.perf_counter() - t0
+
+
+# ---------------------------------------------------------------------------
 # benchmark harness
 
 
@@ -142,42 +251,11 @@ CSV_FIELDS = ["instance_digest", "solver", "value", "brute", "ratio",
               "cover_ratio", "pack_ratio", "seconds", "seed"]
 
 
-def _run_solver(inst: Instance, solver: str, seed: int):
-    """Returns (value, mask) or raises."""
-    if solver == "brute":
-        res = brute_optimum(inst)
-        if res.feasible_count == 0:
-            raise InfeasibleError("no feasible subset")
-        return res.best_value, res.best_set
-    if solver == "dp":
-        res = vanilla_dp(inst)
-        if not res.found:
-            raise InfeasibleError("no table entry qualifies")
-        return res.best_value, res.best_set
-    if solver == "dp_completion":
-        res = dp_with_completion(inst)
-        if not res.found:
-            raise InfeasibleError("no cell admits a completion")
-        return res.value, res.support
-    if solver == "forbidden":
-        res = forbidden_dp_solve(inst, Fraction(1, 4))
-        if not res.found:
-            raise InfeasibleError("no qualifying cell")
-        return res.best_value, res.best_set
-    if solver == "poly":
-        res = solve_polynomial(inst, Fraction(1, 4))
-        if not res.found:
-            raise InfeasibleError("no qualifying cell")
-        return res.best_value, res.best_set
-    if solver == "continuous":
-        params = Params.from_delta(Fraction(1, 10), Fraction(1, 5),
-                                   max(1, inst.p + inst.c))
-        res = solve_main(inst, Fraction(1, 10), seed=seed, budget=20_000,
-                         params=params, trials=10, steps=12, samples_per_grad=24)
-        if not res.found:
-            raise InfeasibleError("no rounding trial qualified")
-        return res.value, res.solution
-    raise ValueError(f"unknown solver {solver!r}")
+def _bench_run(solver: str, inst: Instance, seed: int):
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
+    entry = SOLVERS[solver]
+    return entry.run(inst, argparse.Namespace(seed=seed, **entry.bench_opts))
 
 
 def bench(suite: list, solvers: list, seed: int = 0) -> list:
@@ -185,15 +263,12 @@ def bench(suite: list, solvers: list, seed: int = 0) -> list:
     reports = []
     for item in suite:
         if "lp" in item:
-            spec = item["lp"]
-            variant, m = spec["variant"], spec["m"]
-            t0 = time.perf_counter()
-            builder = {"lp": build_lp, "dual": build_dual, "lpf": build_lp_f}[variant]
-            sol = simplex_solve(builder(m))
+            variant, m = item["lp"]["variant"], item["lp"]["m"]
+            value, seconds = _lp_optimum(variant, m)
             reports.append(RunReport(
                 instance_digest=f"{variant}:m={m}", solver=f"lp:{variant}",
-                value=sol.objective, brute=None, ratio=None, cover_ratio=None,
-                pack_ratio=None, seconds=time.perf_counter() - t0, seed=seed))
+                value=value, brute=None, ratio=None, cover_ratio=None,
+                pack_ratio=None, seconds=seconds, seed=seed))
             continue
         spec = item["gen"] if "gen" in item else item
         inst = generate_instance(
@@ -205,26 +280,27 @@ def bench(suite: list, solvers: list, seed: int = 0) -> list:
         digest = instance_digest(inst)
         brute_value = None
         if inst.n <= 12:
-            res = brute_optimum(inst)
-            if res.feasible_count:
-                brute_value = res.best_value
+            found, value, _mask, _fields = _bench_run("brute", inst, seed)
+            if found:
+                brute_value = value
         for solver in solvers:
             t0 = time.perf_counter()
+            value = ratio = cover = pack = None
+            error = ""
             try:
-                value, mask = _run_solver(inst, solver, seed)
+                found, value, mask, _fields = _bench_run(solver, inst, seed)
+                if not found:
+                    raise InfeasibleError(SOLVERS[solver].reason)
                 cover, pack = load_ratios(inst, mask)
                 ratio = (Fraction(value) / brute_value
                          if brute_value not in (None, 0) else None)
-                reports.append(RunReport(
-                    instance_digest=digest, solver=solver, value=value,
-                    brute=brute_value, ratio=ratio, cover_ratio=cover,
-                    pack_ratio=pack, seconds=time.perf_counter() - t0, seed=seed))
             except (InfeasibleError, BudgetExceededError, ValueError) as exc:
-                reports.append(RunReport(
-                    instance_digest=digest, solver=solver, value=None,
-                    brute=brute_value, ratio=None, cover_ratio=None,
-                    pack_ratio=None, seconds=time.perf_counter() - t0,
-                    seed=seed, error=str(exc)))
+                value, error = None, str(exc)
+            reports.append(RunReport(
+                instance_digest=digest, solver=solver, value=value,
+                brute=brute_value, ratio=ratio, cover_ratio=cover,
+                pack_ratio=pack, seconds=time.perf_counter() - t0, seed=seed,
+                error=error))
     return reports
 
 
@@ -265,127 +341,27 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_brute(args) -> int:
-    inst = load_instance(args.instance)
-    res = brute_optimum(inst, max_n=args.max_n)
-    _emit({
-        "best_value": fmt(res.best_value),
-        "best_set": list(mask_to_tuple(res.best_set)),
-        "feasible_count": res.feasible_count,
-    }, args)
-    return EXIT_OK if res.feasible_count else EXIT_INFEASIBLE
-
-
-def cmd_dp(args) -> int:
-    inst = load_instance(args.instance)
-    if args.completion:
-        res = dp_with_completion(inst, saturate_cover=not args.exact_keys)
-        if not res.found:
-            _emit({"found": False}, args)
-            return EXIT_INFEASIBLE
-        _emit({
-            "found": True,
-            "value": fmt(res.value),
-            "set": list(mask_to_tuple(res.support)),
-            "base_set": list(mask_to_tuple(res.base_set)),
-            "completion_set": list(mask_to_tuple(res.completion_set)),
-            "cover_vec": [fmt(v) for v in res.cover_with_multiplicity],
-            "pack_vec": [fmt(v) for v in res.pack_with_multiplicity],
-            "cells_populated": res.cells_populated,
-        }, args)
-        return EXIT_OK
-    res = vanilla_dp(inst, saturate_cover=not args.exact_keys)
-    if not res.found:
-        _emit({"found": False}, args)
-        return EXIT_INFEASIBLE
-    _emit({
-        "found": True,
-        "value": fmt(res.best_value),
-        "set": list(mask_to_tuple(res.best_set)),
-        "cover_vec": [fmt(v) for v in inst.cover_value(res.best_set)],
-        "pack_vec": [fmt(v) for v in inst.pack_value(res.best_set)],
-        "cells_populated": res.cells_populated,
-    }, args)
-    return EXIT_OK
-
-
-def cmd_forbidden(args) -> int:
-    inst = load_instance(args.instance)
-    eps = to_fraction(args.epsilon)
-    if args.poly:
-        res = solve_polynomial(inst, eps)
-        if not res.found:
-            _emit({"found": False}, args)
-            return EXIT_INFEASIBLE
-        _emit({
-            "found": True,
-            "value": fmt(res.best_value),
-            "set": list(mask_to_tuple(res.best_set)),
-            "cover_ratio": fmt(res.cover_ratio),
-            "pack_ratio": fmt(res.pack_ratio),
-        }, args)
-        return EXIT_OK
-    if args.cardinality is not None:
-        res = cardinality_solve(inst, args.cardinality)
-    else:
-        res = forbidden_dp_solve(inst, eps)
-    if not res.found:
-        _emit({"found": False}, args)
-        return EXIT_INFEASIBLE
-    _emit({
-        "found": True,
-        "value": fmt(res.best_value),
-        "set": list(mask_to_tuple(res.best_set)),
-        "guesses_tried": res.guesses_tried,
-    }, args)
-    return EXIT_OK
-
-
-def cmd_continuous(args) -> int:
-    inst = load_instance(args.instance)
-    eps = to_fraction(args.epsilon)
-    params = None
-    if args.relaxed:
-        params = Params.from_delta(eps, to_fraction(args.delta),
-                                   max(1, inst.p + inst.c))
-    res = solve_main(inst, eps, seed=args.seed, budget=args.budget,
-                     params=params, trials=args.trials, steps=args.steps,
-                     samples_per_grad=args.samples)
-    out = {
-        "found": res.found,
-        "guesses_enumerated": res.guesses_enumerated,
-        "truncated": res.truncated,
-        "trials": res.trials,
-        "guess_diagnostics": [{
-            "chosen_size": d.chosen_size,
-            "discarded_size": d.discarded_size,
-            "critical_pack_rows": d.critical_pack_rows,
-            "critical_cover_rows": d.critical_cover_rows,
-            "critical_large_size": d.critical_large_size,
-            "filter_pass": d.filter_pass,
-            "filter_fail": d.filter_fail,
-            "infeasible_polytope": d.infeasible_polytope,
-            "best_value": fmt(d.best_value),
-        } for d in res.diagnostics],
-    }
-    if res.found:
-        out.update({
-            "value": fmt(res.value),
-            "set": list(mask_to_tuple(res.solution)),
-            "cover_ratio": fmt(res.cover_ratio),
-            "pack_ratio": fmt(res.pack_ratio),
-        })
+def _report(found, out, args) -> int:
     _emit(out, args)
-    return EXIT_OK if res.found else EXIT_INFEASIBLE
+    return EXIT_OK if found else EXIT_INFEASIBLE
+
+
+def cmd_brute(args) -> int:
+    found, _value, _mask, fields = _brute(load_instance(args.instance), args)
+    return _report(found, fields, args)
+
+
+def cmd_solve(args) -> int:
+    found, value, mask, fields = SOLVERS[args.solver].run(
+        load_instance(args.instance), args)
+    out = {"found": found, **fields}
+    if found:
+        out.update(value=fmt(value), set=list(mask_to_tuple(mask)))
+    return _report(found, out, args)
 
 
 def cmd_lp(args) -> int:
-    builder = {"lp": build_lp, "dual": build_dual, "lpf": build_lp_f}[args.variant]
-    rows = []
-    for m in args.m:
-        t0 = time.perf_counter()
-        sol = simplex_solve(builder(m))
-        rows.append((m, sol.objective, time.perf_counter() - t0))
+    rows = [(m, *_lp_optimum(args.variant, m)) for m in args.m]
     out = {"variant": args.variant,
            "optima": [{"m": m, "optimum": fmt(v), "seconds": fmt(s)}
                       for m, v, s in rows]}
@@ -421,19 +397,14 @@ def cmd_lp(args) -> int:
 
 
 def cmd_kmedian(args) -> int:
-    inst = load_two_dist(args.instance)
-    res = solve_two_distance(inst)
-    if not res.found:
-        _emit({"found": False}, args)
-        return EXIT_INFEASIBLE
-    _emit({
-        "found": True,
-        "open": list(mask_to_tuple(res.open_mask)),
-        "matched": res.matched,
-        "cost": fmt(res.cost),
-        "assignment": {str(c): f for c, f in sorted(res.assignment.items())},
-    }, args)
-    return EXIT_OK
+    res = solve_two_distance(load_two_dist(args.instance))
+    out = {"found": res.found}
+    if res.found:
+        out.update(
+            open=list(mask_to_tuple(res.open_mask)), matched=res.matched,
+            cost=fmt(res.cost),
+            assignment={str(c): f for c, f in sorted(res.assignment.items())})
+    return _report(res.found, out, args)
 
 
 def cmd_bench(args) -> int:
@@ -462,12 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--json", action="store_true", help="compact JSON output")
-        sp.add_argument("--quiet", action="store_true")
+    def command(name, func, help, instance=True, **defaults):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func, **defaults)
+        if instance:
+            sp.add_argument("--instance", required=True)
+        return sp
 
-    sp = sub.add_parser("gen", help="generate a random instance")
+    sp = command("gen", cmd_gen, "generate a random instance", instance=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--c", type=int, default=1)
@@ -476,32 +449,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--density", type=float, default=0.7)
     sp.add_argument("--rational", action="store_true")
     sp.add_argument("--out")
-    common(sp)
-    sp.set_defaults(func=cmd_gen)
 
-    sp = sub.add_parser("brute", help="exact optimum by enumeration")
-    sp.add_argument("--instance", required=True)
+    sp = command("brute", cmd_brute, "exact optimum by enumeration")
     sp.add_argument("--max-n", type=int, default=22)
-    common(sp)
-    sp.set_defaults(func=cmd_brute)
 
-    sp = sub.add_parser("dp", help="greedy dynamic program")
-    sp.add_argument("--instance", required=True)
-    sp.add_argument("--completion", action="store_true")
+    sp = command("dp", cmd_solve, "greedy dynamic program", solver="dp")
+    sp.add_argument("--completion", action="store_const", dest="solver",
+                    const="dp_completion")
     sp.add_argument("--exact-keys", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_dp)
 
-    sp = sub.add_parser("forbidden", help="guessing + forbidden-set DP (p=c=1)")
-    sp.add_argument("--instance", required=True)
+    sp = command("forbidden", cmd_solve, "guessing + forbidden-set DP (p=c=1)",
+                 solver="forbidden")
     sp.add_argument("--epsilon", default="1/4")
     sp.add_argument("--cardinality", type=int, default=None)
-    sp.add_argument("--poly", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_forbidden)
+    sp.add_argument("--poly", action="store_const", dest="solver", const="poly")
 
-    sp = sub.add_parser("continuous", help="guess enumeration + rounding pipeline")
-    sp.add_argument("--instance", required=True)
+    sp = command("continuous", cmd_solve,
+                 "guess enumeration + rounding pipeline", solver="continuous")
     sp.add_argument("--epsilon", default="1/10")
     sp.add_argument("--relaxed", action="store_true",
                     help="use --delta instead of the analysis schedule")
@@ -510,29 +474,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=100_000)
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--samples", type=int, default=200)
-    common(sp)
-    sp.set_defaults(func=cmd_continuous)
 
-    sp = sub.add_parser("lp", help="factor-revealing linear programs")
-    sp.add_argument("--variant", default="lpf", choices=["lp", "dual", "lpf"])
+    sp = command("lp", cmd_lp, "factor-revealing linear programs", instance=False)
+    sp.add_argument("--variant", default="lpf", choices=list(LP_BUILDERS))
     sp.add_argument("--m", type=int, nargs="+", required=True)
     sp.add_argument("--csv")
     sp.add_argument("--verify-analytic", action="store_true")
     sp.add_argument("--verify-upper-bound", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_lp)
 
-    sp = sub.add_parser("kmedian", help="two-distance capacitated k-median")
-    sp.add_argument("--instance", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_kmedian)
+    command("kmedian", cmd_kmedian, "two-distance capacitated k-median")
 
-    sp = sub.add_parser("bench", help="run solver suite, emit CSV")
+    sp = command("bench", cmd_bench, "run solver suite, emit CSV", instance=False)
     sp.add_argument("--suite", required=True)
     sp.add_argument("--solvers", default="dp,forbidden")
     sp.add_argument("--out")
-    common(sp)
-    sp.set_defaults(func=cmd_bench)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--json", action="store_true", help="compact JSON output")
+        sp.add_argument("--quiet", action="store_true")
     return parser
 
 

@@ -295,6 +295,8 @@ class GuessList:
 def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> GuessList:
     """All consistent guesses from the (cover grid) x (chosen subsets)
     product, stopping with a truncation flag once the budget is spent."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     n = inst.n
     if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
         raise ValueError("guess enumeration expects a normalized instance")
@@ -472,6 +474,13 @@ def _residual_rows(inst: Instance, elements: tuple) -> tuple:
             [[row[e] for e in elements] for row in inst.covering])
 
 
+def _check_ascent(steps: int, samples_per_grad: int) -> None:
+    if samples_per_grad < 1:
+        raise ValueError("samples_per_grad must be at least 1")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+
+
 def continuous_greedy(guess: Guess, steps: int = 100,
                       samples_per_grad: int = 200, seed: int = 0,
                       reach_memo: Optional[dict] = None) -> dict:
@@ -482,6 +491,7 @@ def continuous_greedy(guess: Guess, steps: int = 100,
     the covering rows' reaches (``cover_reach``) across the guesses of one
     instance, keyed by (E1, undetermined elements), which fix them.
     """
+    _check_ascent(steps, samples_per_grad)
     inst = guess.instance
     elements = guess.residual_elements()
     reach_memo = {} if reach_memo is None else reach_memo
@@ -590,6 +600,10 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     its constants are honest but astronomically conservative, so practical
     runs pass Params.from_delta with a workable delta.
     """
+    # refuse bad settings before the enumeration, which can take long
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    _check_ascent(steps, samples_per_grad)
     epsilon = to_fraction(epsilon)
     norm = normalize(inst)
     b = max(1, norm.p + norm.c)

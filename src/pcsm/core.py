@@ -443,7 +443,6 @@ class Params:
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
-    m: int = 1
 
     def __post_init__(self):
         if not 0 < self.epsilon:
@@ -454,8 +453,6 @@ class Params:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
 
     @classmethod
     def from_delta(cls, epsilon, delta, b: int) -> "Params":

@@ -4,6 +4,8 @@ import io
 import json
 import re
 
+import pytest
+
 from pcsm import cli
 from pcsm.brute import brute_optimum
 from pcsm.cli import (
@@ -147,6 +149,31 @@ def test_cli_continuous(tmp_path, capsys):
     assert code == EXIT_OK
     assert out["found"]
     assert float(out["pack_ratio"]) <= 1.0
+
+
+@pytest.mark.parametrize("flags, refused", [
+    (["--samples", "0"], "samples"),
+    (["--steps", "-1"], "steps"),
+    (["--trials", "-2"], "trials"),
+    (["--budget", "-3"], "budget"),
+    (["--steps", "0"], None),
+    (["--trials", "0"], None),
+    (["--budget", "0"], None),
+])
+def test_cli_continuous_option_ranges(tmp_path, capsys, flags, refused):
+    path = tmp_path / "inst.json"
+    main(["gen", "--n", "5", "--seed", "4", "--out", str(path), "--quiet"])
+    # the later copy of a repeated flag wins
+    code = main(["continuous", "--instance", str(path), "--relaxed",
+                 "--trials", "2", "--steps", "2", "--samples", "3",
+                 "--budget", "200", *flags, "--json"])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("bad input:") and refused in err
+    else:
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
+        assert err == ""
 
 
 def test_bench_empty_suite():

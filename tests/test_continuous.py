@@ -243,6 +243,18 @@ def test_continuous_greedy_infeasible_polytope():
         continuous_greedy(g, steps=3, samples_per_grad=3, seed=0)
 
 
+def test_continuous_greedy_refuses_out_of_range_settings():
+    inst = normalize(make_instance([[1, 1]], [[1, 1]], [2], [2],
+                                   LinearOracle([1, 1])))
+    g = _guess(inst, chosen=0, discarded=0b11, targets=(Fraction(1),))
+    # checked before the guess is screened, so even an empty polytope
+    # reports the setting
+    with pytest.raises(ValueError, match="samples_per_grad"):
+        continuous_greedy(g, steps=3, samples_per_grad=0, seed=0)
+    with pytest.raises(ValueError, match="steps"):
+        continuous_greedy(g, steps=-1, samples_per_grad=3, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # guesses
 
