@@ -67,9 +67,10 @@ class _TargetPart(NamedTuple):
 _ZERO = Fraction(0)
 
 
-def _chosen_part(inst: Instance, chosen: int, alpha: Fraction, beta: Fraction,
-                 delta: Fraction) -> _ChosenPart:
-    r = tuple(1 - v for v in inst.pack_value(chosen))
+def _chosen_part(inst: Instance, chosen: int, load: tuple, alpha: Fraction,
+                 beta: Fraction, delta: Fraction) -> _ChosenPart:
+    """E1's part, given its packing loads ``load`` (``inst.pack_value(chosen)``)."""
+    r = tuple(1 - v for v in load)
     y = frozenset(i for i, v in enumerate(r) if v <= delta)
     free = ((1 << inst.n) - 1) & ~chosen
     large_p = large_crit = 0
@@ -156,7 +157,8 @@ class Guess:
         if len(self.cover_targets) != inst.c:
             raise ValueError("cover target per covering row required")
         if parts is None:
-            cpart = _chosen_part(inst, self.chosen, self.alpha, self.beta, self.delta)
+            cpart = _chosen_part(inst, self.chosen, inst.pack_value(self.chosen),
+                                 self.alpha, self.beta, self.delta)
             parts = (cpart, _target_part(_cover_index(inst), cpart, self.chosen,
                                          _targets(self.cover_targets, self.delta),
                                          self.alpha))
@@ -220,7 +222,8 @@ def correct_guess_for(inst: Instance, params: Params, optimum: int) -> Guess:
         or any(inst.covering[j][ell] >= threshold * targets[j] for j in range(inst.c)))
     chosen = top | big
     return _derive_guess(inst, params, _cover_index(inst), chosen,
-                         _chosen_entry(inst, params, chosen), _targets(targets, params.delta))
+                         _chosen_entry(inst, params, chosen, inst.pack_value(chosen)),
+                         _targets(targets, params.delta))
 
 
 def is_correct(guess: Guess, optimum: int) -> bool:
@@ -253,7 +256,7 @@ def _grid_floor(value: Fraction, delta: Fraction) -> Fraction:
     return point
 
 
-def _chosen_entry(inst: Instance, params: Params, chosen: int) -> tuple:
+def _chosen_entry(inst: Instance, params: Params, chosen: int, load: tuple) -> tuple:
     """E1's chosen part and its high-marginal leftovers: the non-chosen
     elements whose gain on E1 exceeds f(E1) / gamma."""
     oracle = inst.objective
@@ -262,7 +265,8 @@ def _chosen_entry(inst: Instance, params: Params, chosen: int) -> tuple:
     high = mask_of(
         ell for ell in range(inst.n)
         if not (chosen >> ell) & 1 and oracle.gain(state, ell) > threshold)
-    return _chosen_part(inst, chosen, params.alpha, params.beta, params.delta), high
+    return (_chosen_part(inst, chosen, load, params.alpha, params.beta, params.delta),
+            high)
 
 
 def _derive_guess(inst: Instance, params: Params, index: tuple, chosen: int,
@@ -315,9 +319,11 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
     # only to flag truncation)
     chosen_sets = list(islice(_subsets_by_size(n, size_cap), budget + 1))
     index = _cover_index(inst)
-    # a chosen set's part is reused under every later target; one entry per
-    # examined pair at most, so it never outgrows the budget
+    # a chosen set's part is reused under every later target, and its packing
+    # load gives each superset's load with one more column; one entry each
+    # per examined pair at most, so they never outgrow the budget
     cache = {}
+    loads = {}
 
     guesses = []
     pairs = 0
@@ -331,9 +337,10 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
             pairs += 1
             entry = cache.get(chosen, _MISSING)
             if entry is _MISSING:
+                load = loads[chosen] = _pack_load(inst, loads, chosen)
                 # None marks an E1 that overpacks some row
-                entry = (None if any(v > 1 for v in inst.pack_value(chosen))
-                         else _chosen_entry(inst, params, chosen))
+                entry = (None if any(v > 1 for v in load)
+                         else _chosen_entry(inst, params, chosen, load))
                 cache[chosen] = entry
             if entry is None:
                 continue
@@ -345,6 +352,16 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
         if truncated:
             break
     return GuessList(guesses=guesses, truncated=truncated, pairs_examined=pairs)
+
+
+def _pack_load(inst: Instance, loads: dict, chosen: int) -> tuple:
+    """``inst.pack_value(chosen)`` from the load of ``chosen`` without its
+    highest element, which the size order of the chosen sets reaches first;
+    the sums add the same terms in the same order."""
+    if not chosen:
+        return inst.pack_value(0)
+    top = chosen.bit_length() - 1
+    return tuple(v + row[top] for v, row in zip(loads[chosen ^ (1 << top)], inst.packing))
 
 
 def _product_tuples(grid, c):
@@ -447,11 +464,16 @@ def cover_reach(pack_rows, pack_bounds, cover_rows) -> tuple:
                  for row in cover_rows)
 
 
-def reach_falls_short(reach, pack_bounds, cover_bounds) -> bool:
+def _bound_scale(bounds) -> Fraction:
+    """The largest |bound|, at least 1: the margin's scale over ``bounds``."""
+    return max([1] + [abs(b) for b in bounds])
+
+
+def reach_falls_short(reach, pack_scale, cover_bounds) -> bool:
     """Whether some covering row's reach misses its bound by more than the
-    margin, which certifies that the polytope is empty."""
-    margin = SCREEN_MARGIN * max([1] + [abs(b) for b in pack_bounds]
-                                 + [abs(b) for b in cover_bounds])
+    margin, which certifies that the polytope is empty.  ``pack_scale`` is
+    ``_bound_scale`` of the packing bounds."""
+    margin = SCREEN_MARGIN * max([pack_scale] + [abs(b) for b in cover_bounds])
     return any(r < bound - margin for r, bound in zip(reach, cover_bounds))
 
 
@@ -465,7 +487,7 @@ def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> b
     margin.  Programs inside the margin are left to the simplex.
     """
     return reach_falls_short(cover_reach(pack_rows, pack_bounds, cover_rows),
-                             pack_bounds, cover_bounds)
+                             _bound_scale(pack_bounds), cover_bounds)
 
 
 def _residual_rows(inst: Instance, elements: tuple) -> tuple:
@@ -488,18 +510,21 @@ def continuous_greedy(guess: Guess, steps: int = 100,
 
     Returns the fractional point as {element: float}.  Raises
     GuessInfeasibleError when the polytope is empty.  ``reach_memo`` keeps
-    the covering rows' reaches (``cover_reach``) across the guesses of one
-    instance, keyed by (E1, undetermined elements), which fix them.
+    the covering rows' reaches (``cover_reach``) and the packing bounds'
+    ``_bound_scale`` across the guesses of one instance, keyed by (E1,
+    undetermined elements), which fix them.
     """
     _check_ascent(steps, samples_per_grad)
     inst = guess.instance
     elements = guess.residual_elements()
     reach_memo = {} if reach_memo is None else reach_memo
     key = (guess.chosen, guess.undetermined)
-    if key not in reach_memo:
+    screen = reach_memo.get(key)
+    if screen is None:
         pack_rows, cover_rows = _residual_rows(inst, elements)
-        reach_memo[key] = cover_reach(pack_rows, guess.residual_pack, cover_rows)
-    if reach_falls_short(reach_memo[key], guess.residual_pack, guess.residual_cover):
+        screen = reach_memo[key] = (cover_reach(pack_rows, guess.residual_pack, cover_rows),
+                                    _bound_scale(guess.residual_pack))
+    if reach_falls_short(*screen, guess.residual_cover):
         raise GuessInfeasibleError("empty residual polytope")
     # phase 1 once: every step below maximizes over the same polytope
     pack_rows, cover_rows = _residual_rows(inst, elements)
@@ -513,17 +538,27 @@ def continuous_greedy(guess: Guess, steps: int = 100,
     oracle = inst.objective
     rng = random.Random(seed)
     x = [0.0] * len(elements)
+    # each sampled set's gains, one float per residual element, for this
+    # ascent only (at most steps * samples_per_grad sets, and 2^|elements|).
+    # An element of the set gets 0.0: a weight starts at +0.0, never becomes
+    # -0.0, and so keeps its bits when 0.0 is added
+    gains_of = {}
     for _step in range(steps):
         weights = [0.0] * len(elements)
+        # the same draws as one rng.random() per element with x > 0, in order
+        drawn = [(1 << e, p) for e, p in zip(elements, x) if p > 0]
         for _ in range(samples_per_grad):
             mask = guess.chosen
-            for idx, e in enumerate(elements):
-                if x[idx] > 0 and rng.random() < x[idx]:
-                    mask |= 1 << e
-            state = oracle.begin(mask)
-            for idx, e in enumerate(elements):
-                if not (mask >> e) & 1:
-                    weights[idx] += float(oracle.gain(state, e))
+            for bit, p in drawn:
+                if rng.random() < p:
+                    mask |= bit
+            gains = gains_of.get(mask)
+            if gains is None:
+                state = oracle.begin(mask)
+                gains = gains_of[mask] = [0.0 if (mask >> e) & 1
+                                          else float(oracle.gain(state, e))
+                                          for e in elements]
+            weights = [w + g for w, g in zip(weights, gains)]
         weights = [w / samples_per_grad for w in weights]
         status, v = polytope.maximize(weights)
         if status != "optimal":
@@ -620,13 +655,15 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     # and each rounded set's verdict (its f value if it passes, else None)
     reach_memo = {}
     verdicts = {}
+    scale = 1 / (1 + float(params.delta))
     for g_idx, guess in enumerate(enum.guesses):
         # identical residual problems (same E0/E1 and clamped cover residuals)
-        # would be solved identically; skip repeats
-        sig = (guess.discarded, guess.chosen, guess.residual_cover)
-        if sig in seen_residuals:
+        # would be solved identically; skip repeats (the set grows unless the
+        # signature is a repeat, which hashes it once)
+        seen = len(seen_residuals)
+        seen_residuals.add((guess.discarded, guess.chosen, guess.residual_cover))
+        if len(seen_residuals) == seen:
             continue
-        seen_residuals.add(sig)
         diag = GuessDiagnostics(
             chosen_size=popcount(guess.chosen),
             discarded_size=popcount(guess.discarded),
@@ -643,13 +680,16 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         except GuessInfeasibleError:
             diag.infeasible_polytope = True
             continue
-        scale = 1 / (1 + float(params.delta))
-        x_bar = {e: p * scale for e, p in x_star.items()}
         # trial 0 is the empty rounding outcome (always a possible draw)
         candidates = [guess.chosen]
-        for t in range(1, trials + 1):
-            out = round_and_filter(guess, x_bar, seed=_child_seed(seed, g_idx, t))
-            candidates.append(out.solution)
+        if guess.undetermined:
+            x_bar = {e: p * scale for e, p in x_star.items()}
+            for t in range(1, trials + 1):
+                out = round_and_filter(guess, x_bar, seed=_child_seed(seed, g_idx, t))
+                candidates.append(out.solution)
+        else:
+            # no residual element: every draw returns E1
+            candidates *= trials + 1
         for cand in candidates:
             val = verdicts.get(cand, _MISSING)
             if val is _MISSING:

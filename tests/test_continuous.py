@@ -38,6 +38,7 @@ from pcsm.core import (
     normalize,
 )
 from pcsm.lp import (
+    TOL_FEAS,
     _Builder,
     _float_rat,
     linear_max_over_polytope,
@@ -465,6 +466,66 @@ def test_solve_main_multi_row():
     assert found >= 2
 
 
+def _residual_free_guess(cover_load):
+    """n = 2, bounds 1: E1 = {0} with covering load ``cover_load`` against
+    a target of 1 and E0 = {1}, so no element is left undetermined."""
+    inst = make_instance([[Fraction(1, 2), Fraction(1, 2)]], [[cover_load, 1]],
+                         [1], [1], LinearOracle([2, 3]))
+    return inst, _guess(inst, chosen=0b01, discarded=0b10, targets=(Fraction(1),))
+
+
+def _solve_guesses(monkeypatch, inst, guesses, trials):
+    """solve_main over ``guesses`` alone, failing on any rounding draw."""
+    def no_draw(*args, **kw):
+        raise AssertionError("a guess without residual elements drew a rounding")
+
+    monkeypatch.setattr(cont, "enumerate_guesses",
+                        lambda *args, **kw: GuessList(guesses, False, len(guesses)))
+    monkeypatch.setattr(cont, "round_and_filter", no_draw)
+    return solve_main(inst, Fraction(1, 10), params=RELAXED, trials=trials,
+                      steps=4, samples_per_grad=4)
+
+
+@pytest.mark.parametrize("trials", [0, 3])
+def test_residual_free_guess_counts_every_trial_without_drawing(monkeypatch, trials):
+    inst, g = _residual_free_guess(Fraction(1))
+    assert g.undetermined == 0 and g.residual_cover == (0,)
+    assert continuous_greedy(g, steps=4, samples_per_grad=4) == {}
+    res = _solve_guesses(monkeypatch, inst, [g], trials)
+    assert [(d.filter_pass, d.filter_fail, d.infeasible_polytope, d.best_value)
+            for d in res.diagnostics] == [(trials + 1, 0, False, 2)]
+    assert (res.found, res.solution, res.value) == (True, 0b01, 2)
+
+
+def test_residual_free_guess_inside_the_screen_margin_is_infeasible(monkeypatch):
+    # E1 misses its target by 1e-7: inside the screen's margin, so only
+    # phase 1 (tolerance lp.TOL_FEAS) can reject the 0-variable program
+    short = Fraction(1, 10 ** 7)
+    assert TOL_FEAS < short < cont.SCREEN_MARGIN
+    inst, g = _residual_free_guess(1 - short)
+    assert g.undetermined == 0 and g.residual_cover == (short,)
+    assert not polytope_surely_empty([[]], g.residual_pack, [[]], g.residual_cover)
+    with pytest.raises(GuessInfeasibleError):
+        continuous_greedy(g, steps=4, samples_per_grad=4)
+    res = _solve_guesses(monkeypatch, inst, [g], trials=3)
+    assert [(d.filter_pass, d.filter_fail, d.infeasible_polytope)
+            for d in res.diagnostics] == [(0, 0, True)]
+    assert not res.found
+
+
+@pytest.mark.parametrize("trials", [0, 3])
+@pytest.mark.parametrize("packing", [[], [[]]])
+def test_solve_main_on_an_empty_ground_set(monkeypatch, packing, trials):
+    # n = 0: the one guess has no residual element
+    inst = make_instance(packing, [], [1] * len(packing), [], LinearOracle([]))
+    guesses = enumerate_guesses(normalize(inst), RELAXED).guesses
+    assert [g.undetermined for g in guesses] == [0]
+    res = _solve_guesses(monkeypatch, inst, guesses, trials)
+    assert [(d.filter_pass, d.filter_fail, d.infeasible_polytope)
+            for d in res.diagnostics] == [(trials + 1, 0, False)]
+    assert (res.found, res.solution, res.value) == (True, 0, 0)
+
+
 def test_solve_main_deterministic():
     rng = random.Random(211)
     inst = random_instance(rng, 5, p=1, c=1)
@@ -613,7 +674,7 @@ def _ref_filter(norm, candidates, epsilon):
 
 
 def test_golden_equivalence_guesses_and_main(monkeypatch):
-    truncated = multi_row = 0
+    truncated = multi_row = residual_free = 0
     solves = []
     for seed, n, p, c, family, budget in _golden_cases():
         rng = random.Random(seed)
@@ -637,11 +698,17 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
                      steps=3, samples_per_grad=4)
         res = solve_main(inst, Fraction(1, 10), **knobs)
         rounded = []
+        ascended = []
 
         def recording_round(guess, *args, **kw):
             out = round_and_filter(guess, *args, **kw)
             rounded.append((guess.chosen, out.solution))
             return out
+
+        def recording_greedy(guess, *args, **kw):
+            x_star = continuous_greedy(guess, *args, **kw)
+            ascended.append(guess)
+            return x_star
 
         with monkeypatch.context() as m:
             # solve_main normalizes an equal instance; reuse the reference list
@@ -649,22 +716,122 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
             m.setattr(cont, "prepare_polytope", _ref_prepare_polytope(solves))
             m.setattr(cont, "reach_falls_short", lambda *args: False)
             m.setattr(cont, "round_and_filter", recording_round)
+            m.setattr(cont, "continuous_greedy", recording_greedy)
             ref_res = solve_main(inst, Fraction(1, 10), **knobs)
         assert res == ref_res
         assert repr(res) == repr(ref_res)
-        # every guess with a point rounds `trials` times in a row; recount its
-        # filter verdicts one candidate at a time
+        # every guess with a point and a residual element rounds `trials`
+        # times in a row; one without residual elements draws nothing, as
+        # each draw would return E1.  Recount every guess's filter verdicts
+        # one candidate at a time
         trials = knobs["trials"]
         feasible = [d for d in res.diagnostics if not d.infeasible_polytope]
-        assert len(rounded) == trials * len(feasible)
-        for k, diag in enumerate(feasible):
-            group = rounded[trials * k:trials * (k + 1)]
-            candidates = [group[0][0]] + [solution for _, solution in group]
+        assert len(ascended) == len(feasible)
+        with_residual = [g for g in ascended if g.undetermined]
+        assert len(rounded) == trials * len(with_residual)
+        draws = iter(rounded)
+        for guess, diag in zip(ascended, feasible):
+            if guess.undetermined:
+                group = [next(draws) for _ in range(trials)]
+                assert all(chosen == guess.chosen for chosen, _ in group)
+                candidates = [guess.chosen] + [solution for _, solution in group]
+            else:
+                candidates = [guess.chosen] * (trials + 1)
             assert (diag.filter_pass, diag.filter_fail, diag.best_value) == _ref_filter(
                 norm, candidates, Fraction(1, 10))
-    assert truncated >= 1 and multi_row >= 5
+        residual_free += len(ascended) - len(with_residual)
+    assert truncated >= 1 and multi_row >= 5 and residual_free >= 1
     # the reference really re-solved the named program at every step
     assert len(solves) > 0
+
+
+def _ref_continuous_greedy(guess, steps, samples_per_grad, seed, directions):
+    """The ascent without its gain memo: a fresh ``begin`` and every gain at
+    each sample; each step's weights are appended to ``directions``.  No
+    screen: on these cases it rejects only what phase 1 rejects."""
+    inst = guess.instance
+    elements = guess.residual_elements()
+    polytope = prepare_polytope(len(elements),
+                                [[row[e] for e in elements] for row in inst.packing],
+                                guess.residual_pack,
+                                [[row[e] for e in elements] for row in inst.covering],
+                                guess.residual_cover)
+    if polytope is None:
+        raise GuessInfeasibleError("empty residual polytope")
+    if not elements:
+        return {}
+    oracle = inst.objective
+    rng = random.Random(seed)
+    x = [0.0] * len(elements)
+    for _step in range(steps):
+        weights = [0.0] * len(elements)
+        for _ in range(samples_per_grad):
+            mask = guess.chosen
+            for idx, e in enumerate(elements):
+                if x[idx] > 0 and rng.random() < x[idx]:
+                    mask |= 1 << e
+            state = oracle.begin(mask)
+            for idx, e in enumerate(elements):
+                if not (mask >> e) & 1:
+                    weights[idx] += float(oracle.gain(state, e))
+        weights = [w / samples_per_grad for w in weights]
+        directions.append(weights)
+        status, v = polytope.maximize(weights)
+        if status != "optimal":
+            raise GuessInfeasibleError("residual polytope became unsolvable")
+        x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
+    return {e: x[idx] for idx, e in enumerate(elements)}
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def test_ascent_matches_the_loop_without_memo(monkeypatch):
+    # the guesses of an instance in turn, so gains kept from one guess's
+    # ascent would reach the next.  The enumerated guesses discard every
+    # element with a gain above f(E1) / gamma, which leaves these residual
+    # gains near zero; guesses with nothing discarded and at most one chosen
+    # element keep them.  The weights of every step are compared too: a
+    # wrong gain often leaves the LP's vertex, and so the point, unchanged
+    directions = []
+
+    def spy(n, *rows):
+        polytope = prepare_polytope(n, *rows)
+        if polytope is None:
+            return None
+
+        def maximize(weights):
+            directions.append(weights)
+            return polytope.maximize(weights)
+        return SimpleNamespace(maximize=maximize)
+
+    monkeypatch.setattr(cont, "prepare_polytope", spy)
+    ascents = weighted = 0
+    for seed, n, p, c, family, budget in _golden_cases():
+        norm = normalize(random_instance(random.Random(seed), n, p=p, c=c, family=family))
+        params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
+        wide = [_guess(norm, chosen, 0, (Fraction(1),) * norm.c, params)
+                for chosen in [0] + [1 << e for e in range(n)]]
+        guesses = enumerate_guesses(norm, params, budget=budget).guesses + wide
+        reach_memo = {}
+        for g_idx, guess in enumerate(guesses):
+            knobs = dict(steps=4, samples_per_grad=6, seed=seed * 1000 + g_idx)
+            want_directions = []
+            directions.clear()
+            try:
+                want = _ref_continuous_greedy(guess, directions=want_directions, **knobs)
+            except GuessInfeasibleError:
+                with pytest.raises(GuessInfeasibleError):
+                    continuous_greedy(guess, reach_memo=reach_memo, **knobs)
+                continue
+            got = continuous_greedy(guess, reach_memo=reach_memo, **knobs)
+            assert list(map(_hex, directions)) == list(map(_hex, want_directions))
+            assert {e: v.hex() for e, v in got.items()} == {
+                e: v.hex() for e, v in want.items()}
+            ascents += bool(want)
+            weighted += any(map(any, want_directions))
+    assert ascents >= 100 and weighted >= 100
 
 
 _MEMO_PARAMS = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=4)
