@@ -17,7 +17,9 @@ import random
 from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, islice
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -46,91 +48,161 @@ class GuessInfeasibleError(InfeasibleError):
 # guesses
 
 
+class _Rows(NamedTuple):
+    """The normalized instance's rows scaled to integers, built once per
+    instance.  Packing row i times D_i, the lcm of its entries'
+    denominators, has int entries and the int bound D_i (the normalized
+    bound 1); covering row j times K_j likewise.  Every exact comparison of
+    the guess loop is then an int compare.
+
+    Each ``*_index`` entry holds a row's int entries in ascending order and,
+    for each position k, the mask of the elements at positions k and later,
+    so the elements reaching a threshold are one bisect away.
+    """
+
+    n: int
+    pack: tuple                  # scaled packing rows, int entries
+    pack_scale: tuple            # D_i, also row i's scaled bound
+    cover: tuple                 # scaled covering rows, int entries
+    cover_scale: tuple           # K_j
+    pack_index: tuple
+    cover_index: tuple
+    columns: tuple               # per element: its packing, then covering entries
+
+    def load(self, mask: int) -> tuple:
+        """The scaled loads of ``mask``: packing rows, then covering rows."""
+        return tuple(sum(row[e] for e in iter_bits(mask)) for row in self.pack + self.cover)
+
+    def fits(self, mask: int, cover_share: Fraction) -> bool:
+        """Whether ``mask`` packs within every bound and covers at least
+        ``cover_share`` of every covering bound."""
+        load = self.load(mask)
+        num, den = cover_share.numerator, cover_share.denominator
+        return (all(v <= d for v, d in zip(load, self.pack_scale))
+                and all(q * den >= num * k
+                        for q, k in zip(load[len(self.pack):], self.cover_scale)))
+
+
+def _scaled_rows(inst: Instance) -> _Rows:
+    def scale(rows):
+        scales = tuple(math.lcm(*(v.denominator for v in row)) for row in rows)
+        return (tuple(tuple(v.numerator * (d // v.denominator) for v in row)
+                      for row, d in zip(rows, scales)), scales)
+
+    pack, pack_scale = scale(inst.packing)
+    cover, cover_scale = scale(inst.covering)
+    rows = pack + cover
+    return _Rows(inst.n, pack, pack_scale, cover, cover_scale,
+                 tuple(_row_index(row) for row in pack),
+                 tuple(_row_index(row) for row in cover),
+                 tuple(tuple(row[e] for row in rows) for e in range(inst.n)))
+
+
+def _row_index(row: tuple) -> tuple:
+    n = len(row)
+    order = sorted(range(n), key=row.__getitem__)
+    suffix = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | (1 << order[k])
+    return tuple(row[e] for e in order), tuple(suffix)
+
+
+def _ceil(num: int, den: int) -> int:
+    return -(-num // den)
+
+
 class _ChosenPart(NamedTuple):
     """The target-independent part of a guess: everything derived from E1."""
 
-    residual_pack: tuple         # r = 1 - E1's packing loads
+    rows: _Rows
+    pack_room: tuple             # R_i = D_i - E1's scaled packing load: r_i = R_i / D_i
     critical_pack: frozenset     # y: rows with r_i <= delta
-    cover: tuple                 # E1's covering loads
+    cover_load: tuple            # Q_j, E1's scaled covering loads
     large_pack: int              # non-chosen elements >= alpha r_i in a row outside y
     critical_large: int          # non-chosen elements >= beta r_i in a row of y
+
+
+def _chosen_part(rows: _Rows, chosen: int, load: tuple, alpha: Fraction,
+                 beta: Fraction, delta: Fraction) -> _ChosenPart:
+    """E1's part, given its scaled loads ``load`` (``rows.load(chosen)``)."""
+    room = tuple(d - v for d, v in zip(rows.pack_scale, load))
+    y = frozenset(i for i, (r, d) in enumerate(zip(room, rows.pack_scale))
+                  if r * delta.denominator <= delta.numerator * d)
+    large_p = large_crit = 0
+    # an entry reaches f r_i = f R_i / D_i when its scaled entry reaches f R_i
+    for i, ((entries, suffix), r) in enumerate(zip(rows.pack_index, room)):
+        if i in y:
+            large_crit |= suffix[bisect_left(entries, _ceil(beta.numerator * r,
+                                                            beta.denominator))]
+        else:
+            large_p |= suffix[bisect_left(entries, _ceil(alpha.numerator * r,
+                                                         alpha.denominator))]
+    free = ((1 << rows.n) - 1) & ~chosen
+    return _ChosenPart(rows, room, y, load[len(rows.pack):], large_p & free,
+                       large_crit & free)
+
+
+class _Targets(NamedTuple):
+    """Cover targets c' with what every chosen set meets them with.  With
+    c'_j = a_j / b_j in lowest terms, s_j = S_j / (K_j b_j) for the int
+    S_j = max(0, a_j K_j - b_j Q_j)."""
+
+    values: tuple                # c'_j as a Fraction
+    at_least_one: bool           # every c'_j >= 1
+    top: tuple                   # a_j K_j
+    den: tuple                   # b_j
+    critical: tuple              # floor(delta a_j K_j): row j is critical iff S_j is at most this
+    large_den: tuple             # b_j times alpha's denominator
+    units: tuple                 # K_j b_j
+
+
+def _targets(rows: _Rows, targets: tuple, alpha: Fraction, delta: Fraction) -> _Targets:
+    values = tuple(Fraction(t) for t in targets)
+    top = tuple(t.numerator * k for t, k in zip(values, rows.cover_scale))
+    den = tuple(t.denominator for t in values)
+    return _Targets(values, all(t >= 1 for t in values), top, den,
+                    tuple(delta.numerator * a // delta.denominator for a in top),
+                    tuple(b * alpha.denominator for b in den),
+                    tuple(k * b for k, b in zip(rows.cover_scale, den)))
 
 
 class _TargetPart(NamedTuple):
     """The part of a guess that depends on the cover targets c'."""
 
-    residual_cover: tuple        # s = max(0, c' - E1's covering loads)
+    targets: _Targets
+    residual_cover: tuple        # S_j: s_j = max(0, c'_j - Q_j / K_j) = S_j / units_j
     critical_cover: frozenset    # z: rows with s_j <= delta c'_j
     large_cover: int             # non-chosen elements >= alpha s_j in a row outside z
 
 
-_ZERO = Fraction(0)
-
-
-def _chosen_part(inst: Instance, chosen: int, load: tuple, alpha: Fraction,
-                 beta: Fraction, delta: Fraction) -> _ChosenPart:
-    """E1's part, given its packing loads ``load`` (``inst.pack_value(chosen)``)."""
-    r = tuple(1 - v for v in load)
-    y = frozenset(i for i, v in enumerate(r) if v <= delta)
-    free = ((1 << inst.n) - 1) & ~chosen
-    large_p = large_crit = 0
-    for i, row in enumerate(inst.packing):
-        if i in y:
-            large_crit |= _at_least(row, beta * r[i], free)
-        else:
-            large_p |= _at_least(row, alpha * r[i], free)
-    return _ChosenPart(r, y, inst.cover_value(chosen), large_p, large_crit)
-
-
-def _cover_index(inst: Instance) -> tuple:
-    """Per covering row: its entries in ascending order, and for each
-    position k the mask of the elements at positions k and later, so the
-    elements reaching a threshold are one bisect away."""
-    index = []
-    for row in inst.covering:
-        order = sorted(range(inst.n), key=row.__getitem__)
-        suffix = [0] * (inst.n + 1)
-        for k in range(inst.n - 1, -1, -1):
-            suffix[k] = suffix[k + 1] | (1 << order[k])
-        index.append((tuple(row[e] for e in order), tuple(suffix)))
-    return tuple(index)
-
-
-class _Targets(NamedTuple):
-    """Cover targets c' with the thresholds every chosen set meets them with."""
-
-    values: tuple                # c'_j as a Fraction
-    critical: tuple              # delta c'_j: row j is critical iff s_j is at most this
-
-
-def _targets(targets: tuple, delta: Fraction) -> _Targets:
-    return _Targets(tuple(Fraction(t) for t in targets), tuple(delta * t for t in targets))
-
-
-def _target_part(index: tuple, part: _ChosenPart, chosen: int, targets: _Targets,
+def _target_part(part: _ChosenPart, chosen: int, targets: _Targets,
                  alpha: Fraction) -> _TargetPart:
-    s = tuple(max(_ZERO, t - v) for t, v in zip(targets.values, part.cover))
-    z = frozenset(j for j, v in enumerate(s) if v <= targets.critical[j])
+    num = alpha.numerator
+    s = []
+    z = []
     large_c = 0
-    for j, (entries, suffix) in enumerate(index):
-        if j not in z:
-            large_c |= suffix[bisect_left(entries, alpha * s[j])]
-    return _TargetPart(s, z, large_c & ~chosen)
-
-
-def _at_least(row, threshold, mask: int) -> int:
-    """The elements of ``mask`` whose entry in ``row`` reaches ``threshold``."""
-    return mask_of(ell for ell in iter_bits(mask) if row[ell] >= threshold)
+    for j, (a, b, q, crit, d, (entries, suffix)) in enumerate(zip(
+            targets.top, targets.den, part.cover_load, targets.critical,
+            targets.large_den, part.rows.cover_index)):
+        v = max(0, a - b * q)
+        s.append(v)
+        if v <= crit:
+            z.append(j)
+        else:
+            # an entry reaches alpha s_j when its scaled entry reaches alpha S_j / b_j
+            large_c |= suffix[bisect_left(entries, _ceil(num * v, d))]
+    return _TargetPart(targets, tuple(s), frozenset(z), large_c & ~chosen)
 
 
 @dataclass(frozen=True)
 class Guess:
     """A triplet (discarded, chosen, cover targets) with its derived data.
 
-    All derived fields are exact rationals computed against the normalized
-    instance: residuals, critical row sets, and the large-element masks for
-    non-critical rows (which a consistent guess must keep empty) and for
-    critical packing rows (stripped after rounding).  ``parts`` passes in
+    All derived fields are exact, computed against the normalized instance
+    through its int-scaled rows: critical row sets, and the large-element
+    masks for non-critical rows (which a consistent guess must keep empty)
+    and for critical packing rows (stripped after rounding).  The residuals
+    are Fractions made on access from the parts' ints.  ``parts`` passes in
     the chosen and target parts when the caller already derived them.
     """
 
@@ -142,8 +214,6 @@ class Guess:
     beta: Fraction
     delta: Fraction
     gamma: Fraction
-    residual_pack: tuple = field(init=False, compare=False)
-    residual_cover: tuple = field(init=False, compare=False)
     critical_pack: frozenset = field(init=False, compare=False)
     critical_cover: frozenset = field(init=False, compare=False)
     large_pack: int = field(init=False, compare=False)
@@ -151,21 +221,23 @@ class Guess:
     critical_large: int = field(init=False, compare=False)
     undetermined: int = field(init=False, compare=False)
     parts: InitVar[Optional[tuple]] = None
+    _parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, parts):
         inst = self.instance
         if len(self.cover_targets) != inst.c:
             raise ValueError("cover target per covering row required")
         if parts is None:
-            cpart = _chosen_part(inst, self.chosen, inst.pack_value(self.chosen),
+            rows = _scaled_rows(inst)
+            cpart = _chosen_part(rows, self.chosen, rows.load(self.chosen),
                                  self.alpha, self.beta, self.delta)
-            parts = (cpart, _target_part(_cover_index(inst), cpart, self.chosen,
-                                         _targets(self.cover_targets, self.delta),
+            parts = (cpart, _target_part(cpart, self.chosen,
+                                         _targets(rows, self.cover_targets,
+                                                  self.alpha, self.delta),
                                          self.alpha))
         cpart, tpart = parts
         undet = ((1 << inst.n) - 1) & ~(self.discarded | self.chosen)
-        object.__setattr__(self, "residual_pack", cpart.residual_pack)
-        object.__setattr__(self, "residual_cover", tpart.residual_cover)
+        object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "critical_pack", cpart.critical_pack)
         object.__setattr__(self, "critical_cover", tpart.critical_cover)
         object.__setattr__(self, "large_pack", cpart.large_pack & undet)
@@ -173,10 +245,23 @@ class Guess:
         object.__setattr__(self, "critical_large", cpart.critical_large & undet)
         object.__setattr__(self, "undetermined", undet)
 
+    @property
+    def residual_pack(self) -> tuple:
+        """r = 1 - E1's packing loads."""
+        cpart = self._parts[0]
+        return tuple(Fraction(r, d) for r, d in zip(cpart.pack_room, cpart.rows.pack_scale))
+
+    @property
+    def residual_cover(self) -> tuple:
+        """s = max(0, c' - E1's covering loads)."""
+        tpart = self._parts[1]
+        return tuple(Fraction(v, u) for v, u in zip(tpart.residual_cover, tpart.targets.units))
+
     def is_consistent(self) -> bool:
+        cpart, tpart = self._parts
         return (self.discarded & self.chosen == 0
-                and all(t >= 1 for t in self.cover_targets)
-                and all(v >= 0 for v in self.residual_pack)
+                and tpart.targets.at_least_one
+                and all(r >= 0 for r in cpart.pack_room)
                 and self.large_pack == 0 and self.large_cover == 0)
 
     def residual_elements(self) -> tuple:
@@ -221,9 +306,10 @@ def correct_guess_for(inst: Instance, params: Params, optimum: int) -> Guess:
         if any(inst.packing[i][ell] >= threshold for i in range(inst.p))
         or any(inst.covering[j][ell] >= threshold * targets[j] for j in range(inst.c)))
     chosen = top | big
-    return _derive_guess(inst, params, _cover_index(inst), chosen,
-                         _chosen_entry(inst, params, chosen, inst.pack_value(chosen)),
-                         _targets(targets, params.delta))
+    rows = _scaled_rows(inst)
+    return _derive_guess(inst, params, chosen,
+                         _chosen_entry(inst, params, rows, chosen, rows.load(chosen)),
+                         _targets(rows, targets, params.alpha, params.delta))
 
 
 def is_correct(guess: Guess, optimum: int) -> bool:
@@ -256,7 +342,8 @@ def _grid_floor(value: Fraction, delta: Fraction) -> Fraction:
     return point
 
 
-def _chosen_entry(inst: Instance, params: Params, chosen: int, load: tuple) -> tuple:
+def _chosen_entry(inst: Instance, params: Params, rows: _Rows, chosen: int,
+                  load: tuple) -> tuple:
     """E1's chosen part and its high-marginal leftovers: the non-chosen
     elements whose gain on E1 exceeds f(E1) / gamma."""
     oracle = inst.objective
@@ -265,12 +352,12 @@ def _chosen_entry(inst: Instance, params: Params, chosen: int, load: tuple) -> t
     high = mask_of(
         ell for ell in range(inst.n)
         if not (chosen >> ell) & 1 and oracle.gain(state, ell) > threshold)
-    return (_chosen_part(inst, chosen, load, params.alpha, params.beta, params.delta),
+    return (_chosen_part(rows, chosen, load, params.alpha, params.beta, params.delta),
             high)
 
 
-def _derive_guess(inst: Instance, params: Params, index: tuple, chosen: int,
-                  entry: tuple, targets: _Targets) -> Guess:
+def _derive_guess(inst: Instance, params: Params, chosen: int, entry: tuple,
+                  targets: _Targets) -> Guess:
     """The guess for (E1, c'): E0 is the high-marginal leftovers plus the
     elements that are large for the intermediate guess H = (empty, E1, c').
 
@@ -279,7 +366,7 @@ def _derive_guess(inst: Instance, params: Params, index: tuple, chosen: int,
     large masks come out empty because E0 holds all of H's large elements.
     """
     cpart, high = entry
-    tpart = _target_part(index, cpart, chosen, targets, params.alpha)
+    tpart = _target_part(cpart, chosen, targets, params.alpha)
     return Guess(instance=inst, discarded=high | cpart.large_pack | tpart.large_cover,
                  chosen=chosen, cover_targets=targets.values, alpha=params.alpha,
                  beta=params.beta, delta=params.delta, gamma=params.gamma,
@@ -318,10 +405,10 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
     # no more than budget + 1 chosen sets are ever reached (the last one
     # only to flag truncation)
     chosen_sets = list(islice(_subsets_by_size(n, size_cap), budget + 1))
-    index = _cover_index(inst)
-    # a chosen set's part is reused under every later target, and its packing
-    # load gives each superset's load with one more column; one entry each
-    # per examined pair at most, so they never outgrow the budget
+    rows = _scaled_rows(inst)
+    # a chosen set's part is reused under every later target, and its loads
+    # give each superset's loads with one more column; one entry each per
+    # examined pair at most, so they never outgrow the budget
     cache = {}
     loads = {}
 
@@ -329,7 +416,7 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
     pairs = 0
     truncated = False
     for values in _product_tuples(grid, inst.c):
-        targets = _targets(values, params.delta)
+        targets = _targets(rows, values, params.alpha, params.delta)
         for chosen in chosen_sets:
             if pairs >= budget:
                 truncated = True
@@ -337,14 +424,14 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
             pairs += 1
             entry = cache.get(chosen, _MISSING)
             if entry is _MISSING:
-                load = loads[chosen] = _pack_load(inst, loads, chosen)
+                load = loads[chosen] = _load(rows, loads, chosen)
                 # None marks an E1 that overpacks some row
-                entry = (None if any(v > 1 for v in load)
-                         else _chosen_entry(inst, params, chosen, load))
+                entry = (None if any(v > d for v, d in zip(load, rows.pack_scale))
+                         else _chosen_entry(inst, params, rows, chosen, load))
                 cache[chosen] = entry
             if entry is None:
                 continue
-            guess = _derive_guess(inst, params, index, chosen, entry, targets)
+            guess = _derive_guess(inst, params, chosen, entry, targets)
             # always true: E0 holds every large element, targets start at 1
             # and E1 packs within the bounds
             if guess.is_consistent():
@@ -354,14 +441,13 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
     return GuessList(guesses=guesses, truncated=truncated, pairs_examined=pairs)
 
 
-def _pack_load(inst: Instance, loads: dict, chosen: int) -> tuple:
-    """``inst.pack_value(chosen)`` from the load of ``chosen`` without its
-    highest element, which the size order of the chosen sets reaches first;
-    the sums add the same terms in the same order."""
+def _load(rows: _Rows, loads: dict, chosen: int) -> tuple:
+    """``rows.load(chosen)`` from the loads of ``chosen`` without its
+    highest element, which the size order of the chosen sets reaches first."""
     if not chosen:
-        return inst.pack_value(0)
+        return rows.load(0)
     top = chosen.bit_length() - 1
-    return tuple(v + row[top] for v, row in zip(loads[chosen ^ (1 << top)], inst.packing))
+    return tuple(map(add, loads[chosen ^ (1 << top)], rows.columns[top]))
 
 
 def _product_tuples(grid, c):
@@ -431,25 +517,27 @@ def multilinear_estimate(oracle: SubmodularOracle, x: Sequence[float],
 SCREEN_MARGIN = Fraction(1, 10 ** 6)
 
 
-def fractional_knapsack_max(values, weights, room) -> Fraction:
+def fractional_knapsack_max(values, weights, room):
     """Exact max of values.x over {x in [0,1]^n : weights.x <= room}.
 
     Entries are non-negative rationals; a negative room counts as 0, which
     only enlarges the set.  Zero-weight items come free, the rest are taken
-    by falling value/weight ratio and the last one fractionally.
+    by falling value/weight ratio and the last one fractionally.  With int
+    entries only that last item makes a Fraction.
     """
-    total = Fraction(0)
+    total = 0
     items = []
     for v, w in zip(values, weights):
         if w == 0:
             total += v
         elif v:
-            items.append((Fraction(v) / w, v, w))
-    items.sort(key=lambda item: item[0], reverse=True)
-    room = max(Fraction(room), Fraction(0))
-    for _ratio, v, w in items:
+            items.append((v, w))
+    # v1/w1 > v2/w2 iff v1 w2 > v2 w1 (weights are positive)
+    items.sort(key=cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1]))
+    room = max(room, 0)
+    for v, w in items:
         if w > room:
-            return total + room * v / w
+            return total + Fraction(room * v, w)
         total += v
         room -= w
     return total
@@ -469,12 +557,42 @@ def _bound_scale(bounds) -> Fraction:
     return max([1] + [abs(b) for b in bounds])
 
 
-def reach_falls_short(reach, pack_scale, cover_bounds) -> bool:
+def _screen(reach, pack_scale) -> tuple:
+    """Per covering row, the ints ``reach_falls_short`` compares with: its
+    reach a/b and its reach plus the margin on ``pack_scale`` (the packing
+    bounds' ``_bound_scale``) g/h, each in lowest terms."""
+    out = []
+    for r in reach:
+        r = Fraction(r)
+        g = r + SCREEN_MARGIN * pack_scale
+        out.append((r.numerator, r.denominator, g.numerator, g.denominator))
+    return tuple(out)
+
+
+def reach_falls_short(screen, residuals, units) -> bool:
     """Whether some covering row's reach misses its bound by more than the
-    margin, which certifies that the polytope is empty.  ``pack_scale`` is
-    ``_bound_scale`` of the packing bounds."""
-    margin = SCREEN_MARGIN * max([pack_scale] + [abs(b) for b in cover_bounds])
-    return any(r < bound - margin for r, bound in zip(reach, cover_bounds))
+    margin, which certifies that the polytope is empty.  ``screen`` is
+    ``_screen`` of the rows' reaches; row j's bound is ``residuals[j] /
+    units[j]``, ints with ``units[j] > 0``.
+
+    The margin is SCREEN_MARGIN times the largest of the packing scale and
+    every |bound|, so a row falls short when its gap, bound minus reach,
+    exceeds SCREEN_MARGIN times each of them.  Every test cross-multiplies
+    ints.
+    """
+    num, den = SCREEN_MARGIN.numerator, SCREEN_MARGIN.denominator
+    for j, ((a, b, g, h), s, u) in enumerate(zip(screen, residuals, units)):
+        # s/u > g/h: the gap exceeds the margin on the packing scale
+        if s * h > g * u:
+            # the gap s/u - a/b, times u b den, against num |s_k / u_k| u b
+            # den; for k = j the factor u drops out, which keeps the
+            # products small when targets have long denominators
+            gap = (s * b - a * u) * den
+            if gap > num * abs(s) * b and all(
+                    gap * uk > num * abs(sk) * u * b
+                    for k, (sk, uk) in enumerate(zip(residuals, units)) if k != j):
+                return True
+    return False
 
 
 def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> bool:
@@ -486,14 +604,16 @@ def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> b
     for any number of rows; with one row of each it is exact up to the
     margin.  Programs inside the margin are left to the simplex.
     """
-    return reach_falls_short(cover_reach(pack_rows, pack_bounds, cover_rows),
-                             _bound_scale(pack_bounds), cover_bounds)
+    bounds = [Fraction(b) for b in cover_bounds]
+    return reach_falls_short(_screen(cover_reach(pack_rows, pack_bounds, cover_rows),
+                                     _bound_scale(pack_bounds)),
+                             [b.numerator for b in bounds], [b.denominator for b in bounds])
 
 
-def _residual_rows(inst: Instance, elements: tuple) -> tuple:
+def _residual_rows(packing, covering, elements: tuple) -> tuple:
     """The packing and covering rows restricted to ``elements``."""
-    return ([[row[e] for e in elements] for row in inst.packing],
-            [[row[e] for e in elements] for row in inst.covering])
+    return ([[row[e] for e in elements] for row in packing],
+            [[row[e] for e in elements] for row in covering])
 
 
 def _check_ascent(steps: int, samples_per_grad: int) -> None:
@@ -510,24 +630,29 @@ def continuous_greedy(guess: Guess, steps: int = 100,
 
     Returns the fractional point as {element: float}.  Raises
     GuessInfeasibleError when the polytope is empty.  ``reach_memo`` keeps
-    the covering rows' reaches (``cover_reach``) and the packing bounds'
-    ``_bound_scale`` across the guesses of one instance, keyed by (E1,
-    undetermined elements), which fix them.
+    the screen (``_screen`` of the covering rows' reaches and the packing
+    bounds' ``_bound_scale``) across the guesses of one instance, keyed by
+    (E1, undetermined elements), which fix it.
     """
     _check_ascent(steps, samples_per_grad)
     inst = guess.instance
     elements = guess.residual_elements()
+    cpart, tpart = guess._parts
     reach_memo = {} if reach_memo is None else reach_memo
     key = (guess.chosen, guess.undetermined)
     screen = reach_memo.get(key)
     if screen is None:
-        pack_rows, cover_rows = _residual_rows(inst, elements)
-        screen = reach_memo[key] = (cover_reach(pack_rows, guess.residual_pack, cover_rows),
-                                    _bound_scale(guess.residual_pack))
-    if reach_falls_short(*screen, guess.residual_cover):
+        rows = cpart.rows
+        scaled_pack, scaled_cover = _residual_rows(rows.pack, rows.cover, elements)
+        # over the scaled rows, covering row j's reach comes out K_j times larger
+        reach = cover_reach(scaled_pack, cpart.pack_room, scaled_cover)
+        screen = reach_memo[key] = _screen(
+            [Fraction(v, k) for v, k in zip(reach, rows.cover_scale)],
+            _bound_scale(guess.residual_pack))
+    if reach_falls_short(screen, tpart.residual_cover, tpart.targets.units):
         raise GuessInfeasibleError("empty residual polytope")
     # phase 1 once: every step below maximizes over the same polytope
-    pack_rows, cover_rows = _residual_rows(inst, elements)
+    pack_rows, cover_rows = _residual_rows(inst.packing, inst.covering, elements)
     polytope = prepare_polytope(len(elements), pack_rows, guess.residual_pack,
                                 cover_rows, guess.residual_cover)
     if polytope is None:
@@ -646,7 +771,6 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         params = Params.from_epsilon(epsilon, b)
     enum = enumerate_guesses(norm, params, budget=budget)
 
-    one = Fraction(1)
     need_cover = 1 - epsilon
     best = None
     diagnostics = []
@@ -661,7 +785,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         # would be solved identically; skip repeats (the set grows unless the
         # signature is a repeat, which hashes it once)
         seen = len(seen_residuals)
-        seen_residuals.add((guess.discarded, guess.chosen, guess.residual_cover))
+        seen_residuals.add(_residual_key(guess))
         if len(seen_residuals) == seen:
             continue
         diag = GuessDiagnostics(
@@ -690,11 +814,11 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         else:
             # no residual element: every draw returns E1
             candidates *= trials + 1
+        rows = guess._parts[0].rows
         for cand in candidates:
             val = verdicts.get(cand, _MISSING)
             if val is _MISSING:
-                fits = (all(v <= one for v in norm.pack_value(cand))
-                        and all(v >= need_cover for v in norm.cover_value(cand)))
+                fits = rows.fits(cand, need_cover)
                 val = verdicts[cand] = norm.objective.eval(cand) if fits else None
             if val is None:
                 diag.filter_fail += 1
@@ -717,6 +841,17 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         cover_ratio=cover_ratio, pack_ratio=pack_ratio,
         trials=trials, guesses_enumerated=len(enum.guesses),
         truncated=enum.truncated, diagnostics=diagnostics)
+
+
+def _residual_key(guess: Guess) -> tuple:
+    """The dedupe signature (E0, E1, s) in ints: the S_j, and beside them
+    the target denominator b_j of each positive S_j (0 where S_j = 0),
+    which fixes its unit K_j b_j.  With E1 fixed, a positive s_j fixes c'_j
+    and so b_j, hence equal residuals give equal keys whatever grid the
+    targets come from."""
+    tpart = guess._parts[1]
+    return (guess.discarded, guess.chosen, tpart.residual_cover,
+            tuple(b if v else 0 for v, b in zip(tpart.residual_cover, tpart.targets.den)))
 
 
 def _child_seed(seed: int, guess_index: int, trial: int) -> int:

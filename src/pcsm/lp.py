@@ -509,7 +509,7 @@ class Polytope:
         """argmax w.x over the polytope: (status, x), x None unless optimal."""
         if len(weights) != self._tableau.nv:
             raise ValueError("one weight per variable required")
-        cost = np.array([float(_float_rat(w)) for w in weights])
+        cost = np.array([_float_weight(w) for w in weights])
         status, x = self._tableau.optimize(cost, maximize=True)
         if status != "optimal":
             return status, None
@@ -562,3 +562,14 @@ def _float_rat(v):
     if isinstance(v, (int, Fraction)):
         return v
     return Fraction(v).limit_denominator(10 ** 12)
+
+
+def _float_weight(w) -> float:
+    """``float(_float_rat(w))`` without the Fraction when ``w`` is a float
+    whose exact value has a denominator of at most 10**12: such a float is
+    its own nearest fraction, so it comes back unchanged, except -0.0,
+    which becomes 0.0 as it does through a Fraction.  ``as_integer_ratio``
+    raises for inf and nan just as ``Fraction`` does."""
+    if isinstance(w, float) and w.as_integer_ratio()[1] <= 10 ** 12:
+        return w + 0.0
+    return float(_float_rat(w))

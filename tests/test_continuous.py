@@ -636,15 +636,59 @@ def _ref_linear_max_over_polytope(weights, pack_rows, pack_bounds,
 
 
 def _golden_cases():
-    """(seed, n, p, c, family, budget): n 5-9, p and c in {1, 2}, all three
-    families; the smallest budgets truncate the enumeration."""
+    """(seed, n, p, c, family, budget, shape): n 5-9, p and c in {1, 2}, all
+    three families; the smallest budgets truncate the enumeration.  Beyond
+    the integer instances (shape None), ``_golden_instance`` gives rational
+    data and rows with bound 0."""
     cases = []
     for k in range(42):
         n = 5 + k % 5
         p, c = (1, 1) if k % 3 else (1 + k % 2, 1 + (k // 2) % 2)
         budget = (100, 300, 600)[k % 3] if n > 5 else 600
-        cases.append((500 + k, n, p, c, FAMILIES[k % 3], budget))
+        cases.append((500 + k, n, p, c, FAMILIES[k % 3], budget, None))
+    for k in range(12):
+        shape = ("rational", "zero_pack", "zero_cover")[k % 3]
+        p, c = (1 + k % 2, 1 + (k // 3) % 2)
+        if shape == "zero_cover" and k % 2:
+            c = 2
+        cases.append((900 + k, 5 + k % 4, p, c, FAMILIES[k % 3], (300, 600)[k % 2], shape))
     return cases
+
+
+def _golden_instance(seed, n, p, c, family, shape):
+    """``random_instance`` for shape None.  "rational": rational entries,
+    then each row and its bound scaled by its own non-integer factor (as in
+    the benchmark's rational twins), so a normalized row's denominators are
+    not its bound's.  "zero_pack": packing row 0 gets bound 0, which
+    normalize turns into entries 2.  "zero_cover": the last covering row
+    gets bound 0, which normalize drops (leaving none when c = 1)."""
+    rng = random.Random(seed)
+    if shape != "rational":
+        inst = random_instance(rng, n, p=p, c=c, family=family)
+        pack_bound, cover_bound = list(inst.pack_bound), list(inst.cover_bound)
+        if shape == "zero_pack":
+            pack_bound[0] = 0
+        elif shape == "zero_cover":
+            cover_bound[-1] = 0
+        return make_instance(inst.packing, inst.covering, pack_bound, cover_bound,
+                             inst.objective)
+
+    def entry():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+
+    def factor():
+        return Fraction(rng.randint(2, 9), rng.choice([2, 3, 5, 7]))
+
+    packing = [[entry() for _ in range(n)] for _ in range(p)]
+    covering = [[entry() for _ in range(n)] for _ in range(c)]
+    planted = [i for i in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
+    rows, bounds = [], []
+    for row in packing + covering:
+        f = factor()
+        rows.append([v * f for v in row])
+        bounds.append(sum(row[i] for i in planted) * f)
+    return make_instance(rows[:p], rows[p:], bounds[:p], bounds[p:],
+                         random_oracle(rng, n, family))
 
 
 def _ref_prepare_polytope(solves):
@@ -676,9 +720,8 @@ def _ref_filter(norm, candidates, epsilon):
 def test_golden_equivalence_guesses_and_main(monkeypatch):
     truncated = multi_row = residual_free = 0
     solves = []
-    for seed, n, p, c, family, budget in _golden_cases():
-        rng = random.Random(seed)
-        inst = random_instance(rng, n, p=p, c=c, family=family)
+    for seed, n, p, c, family, budget, shape in _golden_cases():
+        inst = _golden_instance(seed, n, p, c, family, shape)
         norm = normalize(inst)
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
 
@@ -808,8 +851,8 @@ def test_ascent_matches_the_loop_without_memo(monkeypatch):
 
     monkeypatch.setattr(cont, "prepare_polytope", spy)
     ascents = weighted = 0
-    for seed, n, p, c, family, budget in _golden_cases():
-        norm = normalize(random_instance(random.Random(seed), n, p=p, c=c, family=family))
+    for seed, n, p, c, family, budget, shape in _golden_cases():
+        norm = normalize(_golden_instance(seed, n, p, c, family, shape))
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
         wide = [_guess(norm, chosen, 0, (Fraction(1),) * norm.c, params)
                 for chosen in [0] + [1 << e for e in range(n)]]
@@ -921,6 +964,111 @@ def test_shared_reach_memo_screens_like_a_fresh_screen(monkeypatch):
                 assert bool(reached) != empty
                 screened += empty
     assert screened > 100
+
+
+# ---------------------------------------------------------------------------
+# exact ties: every threshold the guess loop and the screen compare against,
+# met exactly and missed by one scaled unit
+
+_TIE = Params(epsilon=Fraction(1, 10), delta=Fraction(1, 4), alpha=Fraction(1, 8),
+              beta=Fraction(1, 2), gamma=Fraction(2))
+
+
+def _tie_instance():
+    """Bounds 1, entries in 32nds (D = K = 32).  E1 = {0} leaves r = delta
+    with element 1 at exactly beta r, and covers 3/4, so a target of 1
+    leaves s = delta c'; E1 = {} leaves r = 1 and s = c' = 1 with element 1
+    at exactly alpha r and alpha s.  E1 = {4} (packing) and E1 = {2}
+    (covering) leave a scaled threshold of 31/8, which element 3 (3/32)
+    misses by a fraction of a unit."""
+    f = Fraction
+    return make_instance([[f(3, 4), f(1, 8), f(1, 16), f(3, 32), f(1, 32), 0]],
+                         [[f(3, 4), f(1, 8), f(1, 32), f(3, 32), 0, f(1, 4)]],
+                         [1], [1], LinearOracle([1] * 6))
+
+
+def test_guess_thresholds_at_exact_ties_match_the_fraction_reference():
+    inst = _tie_instance()
+    delta, alpha, beta = _TIE.delta, _TIE.alpha, _TIE.beta
+    g = _guess(inst, chosen=0b1, discarded=0, targets=(Fraction(1),), params=_TIE)
+    assert g.residual_pack == (delta,) and g.critical_pack == {0}
+    assert inst.packing[0][1] == beta * delta and g.critical_large & 0b10
+    assert g.residual_cover == (delta,) and g.critical_cover == {0}
+    g = _guess(inst, chosen=0, discarded=0, targets=(Fraction(1),), params=_TIE)
+    assert not g.critical_pack and not g.critical_cover
+    assert inst.packing[0][1] == alpha == inst.covering[0][1]
+    assert g.large_pack & 0b10 and g.large_cover & 0b10
+    g = _guess(inst, chosen=0b10000, discarded=0, targets=(Fraction(1),), params=_TIE)
+    assert inst.packing[0][3] < alpha * g.residual_pack[0] and not g.large_pack & 0b1000
+    g = _guess(inst, chosen=0b100, discarded=0, targets=(Fraction(1),), params=_TIE)
+    assert inst.covering[0][3] < alpha * g.residual_cover[0] and not g.large_cover & 0b1000
+    # and every (E1, c') against the element-by-element reference
+    for chosen in range(1 << inst.n):
+        for t in (1, Fraction(5, 4), Fraction(4, 3), Fraction(3, 2), 2):
+            g = _guess(inst, chosen=chosen, discarded=0, targets=(Fraction(t),), params=_TIE)
+            ref = _ref_fields(inst, 0, chosen, (Fraction(t),), _TIE)
+            assert {k: getattr(g, k) for k in ref} == ref
+
+
+def _ref_screen(inst, g):
+    """(falls short, each row's shortfall, margin) in Fractions: a row falls
+    short when its residual cover minus its reach exceeds the margin."""
+    elements = g.residual_elements()
+    reach = cont.cover_reach([[row[e] for e in elements] for row in inst.packing],
+                             g.residual_pack,
+                             [[row[e] for e in elements] for row in inst.covering])
+    margin = cont.SCREEN_MARGIN * max([1] + [abs(v) for v in g.residual_pack]
+                                      + [abs(v) for v in g.residual_cover])
+    shortfalls = [s - r for r, s in zip(reach, g.residual_cover)]
+    return any(v > margin for v in shortfalls), shortfalls, margin
+
+
+def _screen_cases():
+    """(instance, E1, E0, targets, margin scale): covering row 0 misses its
+    residual by exactly the margin 3 M (M the screen margin) when x = 1 -
+    3 M, the margin's scale 3 coming from the row's own residual, from
+    another covering row's residual and from an overpacking E1's residual
+    packing room (|1 - 4|), each above the other two."""
+    m = cont.SCREEN_MARGIN
+    for dx in (0, Fraction(-1, 10 ** 9), Fraction(1, 10 ** 9)):
+        x = 1 - 3 * m + dx
+        yield (make_instance([[0, 0, 0]], [[1, 1, x]], [1], [1], LinearOracle([1] * 3)),
+               0, 0, (3,), 3)
+        yield (make_instance([[0, 0, 0, 0]], [[x, 0, 0, 0], [0, 1, 1, 1]], [1], [1, 1],
+                             LinearOracle([1] * 4)), 0, 0, (1, 3), 3)
+        yield (make_instance([[2, 2, 0]], [[0, 0, x]], [1], [1], LinearOracle([1] * 3)),
+               0b11, 0, (1,), 3)
+
+
+def test_screen_at_an_exact_margin_tie_matches_the_fraction_screen(monkeypatch):
+    reached = []
+
+    def spy(n, *rows):
+        reached.append(n)
+        return prepare_polytope(n, *rows)
+
+    monkeypatch.setattr(cont, "prepare_polytope", spy)
+    verdicts = []
+    for inst, chosen, discarded, targets, scale in _screen_cases():
+        targets = tuple(map(Fraction, targets))
+        g = _guess(inst, chosen=chosen, discarded=discarded, targets=targets, params=_TIE)
+        ref = _ref_fields(inst, discarded, chosen, targets, _TIE)
+        assert {k: getattr(g, k) for k in ref} == ref
+        short, shortfalls, margin = _ref_screen(inst, g)
+        assert margin == scale * cont.SCREEN_MARGIN
+        elements = g.residual_elements()
+        assert polytope_surely_empty(
+            [[row[e] for e in elements] for row in inst.packing], g.residual_pack,
+            [[row[e] for e in elements] for row in inst.covering], g.residual_cover) == short
+        reached.clear()
+        try:
+            continuous_greedy(g, steps=1, samples_per_grad=1)
+        except GuessInfeasibleError:
+            pass
+        assert bool(reached) != short
+        verdicts.append((shortfalls[0] == margin, short))
+    # each case once at the tie (kept), once past it (screened), once inside
+    assert verdicts == [(True, False)] * 3 + [(False, True)] * 3 + [(False, False)] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from pcsm.lp import (
     UB_BETA,
     UB_GAMMA,
     _Builder,
+    _float_rat,
+    _float_weight,
     analytic_dual_witness,
     analytic_primal_witness,
     build_dual,
@@ -178,3 +181,23 @@ def test_polytope_direction_against_vertex_enumeration():
             assert status == "optimal"
             got = sum(float(w) * v for w, v in zip(weights, x))
             assert got == pytest.approx(float(want), abs=1e-7)
+
+
+# signed zeros, decimals and thirds, dyadics on both sides of the 10**12
+# denominator cut, subnormals, the smallest normal and huge magnitudes
+_WEIGHTS = [0.0, -0.0, 0.1, -0.1, 1 / 3, 2 / 3, 0.5, 0.375, 2.0 ** -39, -2.0 ** -40,
+            2.0 ** -41, 1e-12, 3.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+            1e300, -1e300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("w", _WEIGHTS, ids=repr)
+def test_float_weight_matches_the_fraction_rounding_bit_for_bit(w):
+    assert _float_weight(w).hex() == float(_float_rat(w)).hex()
+
+
+@pytest.mark.parametrize("w", [float("inf"), float("-inf"), float("nan")], ids=repr)
+def test_float_weight_raises_as_the_fraction_rounding_does(w):
+    with pytest.raises(Exception) as want:
+        float(_float_rat(w))
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        _float_weight(w)
