@@ -9,6 +9,7 @@ works for any n.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -84,7 +85,7 @@ def better(value, mask: int, cur) -> bool:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +373,104 @@ def is_feasible(inst: Instance, mask: int) -> FeasibilityReport:
         pack_violations=pv,
         cover_deficits=cd,
     )
+
+
+# ---------------------------------------------------------------------------
+# packed loads: every row's load in one int word
+
+
+class _KeepMasks(dict):
+    """Cover-guard pattern -> AND mask clearing the low bits of every
+    covering field whose guard is set; each pattern is built on first use."""
+
+    def __init__(self, cover_fields: tuple):
+        super().__init__()
+        self.cover_fields = cover_fields     # ``PackedLoads.fields`` of the covering rows
+
+    def __missing__(self, pattern: int) -> int:
+        clear = 0
+        for shift, fmask, _, _ in self.cover_fields:
+            low = fmask >> 1                 # the w bits below the guard
+            if pattern & (low + 1) << shift:
+                clear |= low << shift
+        keep = self[pattern] = ~clear
+        return keep
+
+
+@dataclass(frozen=True)
+class PackedLoads:
+    """Every packing and covering load of a subset in one exact int word.
+
+    Each row is scaled to ints by the lcm of its entries' and bound's
+    denominators and gets a field of ``w + 1`` bits, ``w = max(row sum,
+    bound, 1).bit_length()``.  A packing field stores ``load + 2^w - 1 - b``
+    and a covering field ``load + 2^w - b``, so bit ``w`` of a field (its
+    guard) is set exactly when the packing row overflows or the covering row
+    is met.  A subset's word is ``start`` plus its elements' ``offsets``;
+    each field stays in ``[0, 2^(w+1))``, so fields never carry into each
+    other and removing an element is one subtraction.  A set is feasible
+    exactly when ``word & guard == want``.
+    """
+
+    start: int               # the empty set's word: the biases
+    offsets: tuple           # per element: its scaled entries, shifted into place
+    guard: int               # every field's guard bit
+    want: int                # guard pattern of a feasible set: the covering guards
+    pack_guard: int          # the packing guards: set bits mean an overflow
+    fields: tuple            # (shift, field mask, bias, scale): packing rows, then covering
+    p: int
+    keep: _KeepMasks = field(compare=False, repr=False)
+
+    def clamp(self, word: int) -> int:
+        """Saturate each met covering row at its bound (``min(load, b)``).
+        Hot loops inline this as ``word &= keep[word & want]``."""
+        return word & self.keep[word & self.want]
+
+    def encode(self, cover: Sequence[Rational], pack: Sequence[Rational]) -> int:
+        """The word of exact loads, inverse of ``decode``."""
+        word = self.start
+        for (shift, _, _, scale), load in zip(self.fields, (*pack, *cover)):
+            word += int(load * scale) << shift
+        return word
+
+    def decode(self, word: int) -> tuple:
+        """``(cover loads, pack loads)`` of a word: ints, or Fractions for
+        rows scaled by more than 1."""
+        loads = []
+        for shift, fmask, bias, scale in self.fields:
+            load = (word >> shift & fmask) - bias
+            loads.append(load if scale == 1 else Fraction(load, scale))
+        return tuple(loads[self.p:]), tuple(loads[:self.p])
+
+
+def packed_loads(inst: Instance) -> PackedLoads:
+    """The packed load layout of ``inst``: packing rows in the low fields,
+    covering rows above them."""
+    offsets = [0] * inst.n
+    start = guard = pack_guard = shift = 0
+    fields = []
+    rows = [(row, b, True) for row, b in zip(inst.packing, inst.pack_bound)]
+    rows += [(row, b, False) for row, b in zip(inst.covering, inst.cover_bound)]
+    for row, b, packing in rows:
+        scale = math.lcm(Fraction(b).denominator,
+                         *(Fraction(v).denominator for v in row))
+        entries = [int(v * scale) for v in row]
+        bound = int(b * scale)
+        w = max(sum(entries), bound, 1).bit_length()
+        bias = (1 << w) - bound - (1 if packing else 0)
+        fmask = (2 << w) - 1
+        for e, v in enumerate(entries):
+            offsets[e] += v << shift
+        start += bias << shift
+        guard |= 1 << (shift + w)
+        if packing:
+            pack_guard |= 1 << (shift + w)
+        fields.append((shift, fmask, bias, scale))
+        shift += w + 1
+    return PackedLoads(start=start, offsets=tuple(offsets), guard=guard,
+                       want=guard & ~pack_guard, pack_guard=pack_guard,
+                       fields=tuple(fields), p=inst.p,
+                       keep=_KeepMasks(tuple(fields[inst.p:])))
 
 
 @dataclass(frozen=True)

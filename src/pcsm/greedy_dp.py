@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, ge, gt, le, sub
 
-from .core import BudgetExceededError, Instance, Rational, better, subset_key, _rat
+from .core import (BudgetExceededError, Instance, PackedLoads, Rational, better,
+                   packed_loads, subset_key, _rat)
 
 CELL_BUDGET = 50_000_000
 
@@ -22,12 +22,6 @@ CELL_BUDGET = 50_000_000
 def _require_integer(inst: Instance) -> None:
     if not inst.is_integer():
         raise ValueError("dynamic program requires integer matrices and bounds")
-
-
-def _columns(rows, n):
-    """Per-element columns of an integer matrix: entry ``e`` is the tuple of
-    element ``e``'s values down the rows."""
-    return tuple(tuple(int(row[e]) for row in rows) for e in range(n))
 
 
 @dataclass
@@ -60,53 +54,49 @@ def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
     """
     _require_integer(inst)
     _guard_table(inst, saturate_cover)
-    p_bound = tuple(int(b) for b in inst.pack_bound)
-    c_bound = tuple(int(b) for b in inst.cover_bound)
-    n = inst.n
-    pack_cols = _columns(inst.packing, n)
-    cover_cols = _columns(inst.covering, n)
+    loads = packed_loads(inst)
+    pack_guard, cover_guard, keep = loads.pack_guard, loads.want, loads.keep
+    elems = [(elem, 1 << elem, offset) for elem, offset in enumerate(loads.offsets)]
     oracle = inst.objective
     begin, gain = oracle.begin, oracle.gain
 
-    zero = ((0,) * inst.c, (0,) * inst.p)
-    layer = {zero: (0, oracle.eval(0))}
-    table = {(0,) + zero: layer[zero]}
-    cells = 1
-
-    for q in range(n):
+    # cells are keyed by their packed load word while the table grows
+    layer = {loads.start: (0, oracle.eval(0))}
+    layers = [layer]
+    for q in range(inst.n):
         nxt: dict = {}
-        for (cov, pak), (mask, value) in layer.items():
+        for word, (mask, value) in layer.items():
             state = begin(mask)
-            for elem in range(n):
-                bit = 1 << elem
+            for elem, bit, offset in elems:
                 if mask & bit:
                     continue
-                new_pak = tuple(map(add, pak, pack_cols[elem]))
-                if any(map(gt, new_pak, p_bound)):
+                new = word + offset
+                if new & pack_guard:
                     continue
-                new_cov = tuple(map(add, cov, cover_cols[elem]))
                 if saturate_cover:
-                    new_cov = tuple(map(min, new_cov, c_bound))
+                    new &= keep[new & cover_guard]
                 new_value = value + gain(state, elem)
                 new_mask = mask | bit
-                key = (new_cov, new_pak)
-                if better(new_value, new_mask, nxt.get(key)):
-                    nxt[key] = (new_mask, new_value)
-        for key, entry in nxt.items():
-            table[(q + 1,) + key] = entry
-        cells += len(nxt)
-        layer = nxt
-        if not layer:
+                if better(new_value, new_mask, nxt.get(new)):
+                    nxt[new] = (new_mask, new_value)
+        if not nxt:
             break
+        layers.append(nxt)
+        layer = nxt
 
+    c_bound = inst.cover_bound
+    table = {}
     best = None
-    for (q, cov, pak), (mask, value) in table.items():
-        if (all(2 * v >= b for v, b in zip(cov, c_bound))
-                and all(map(le, pak, p_bound)) and better(value, mask, best)):
-            best = (mask, value)
+    for q, layer in enumerate(layers):
+        for word, (mask, value) in layer.items():
+            cov, pak = loads.decode(word)
+            table[(q, cov, pak)] = (mask, value)
+            if (all(2 * v >= b for v, b in zip(cov, c_bound))
+                    and better(value, mask, best)):
+                best = (mask, value)
     if best is None:
-        return DpOutcome(table, 0, 0, False, cells)
-    return DpOutcome(table, best[0], best[1], True, cells)
+        return DpOutcome(table, 0, 0, False, len(table))
+    return DpOutcome(table, best[0], best[1], True, len(table))
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +117,11 @@ class CompletionOutcome:
     cells_populated: int
 
 
-def _reachable_completions(inst: Instance):
+def _reachable_completions(loads: PackedLoads) -> dict:
     """All (pack vector, cover vector) signatures reachable by a subset of
-    the ground set, each with one witness mask.  Cover coordinates are
-    saturated at the bound, which completion targets never exceed.
+    the ground set, as packed load words, each with one witness mask.  Cover
+    coordinates are saturated at the bound, which completion targets never
+    exceed.
 
     The witness of a signature is the first subset found with it when the
     elements are added in index order; it is not the lexicographically
@@ -138,21 +129,17 @@ def _reachable_completions(inst: Instance):
     lexicographically smallest fitting witness among these, so changing
     which witness is kept here changes its output.
     """
-    pack_cols = _columns(inst.packing, inst.n)
-    cover_cols = _columns(inst.covering, inst.n)
-    p_bound = tuple(int(b) for b in inst.pack_bound)
-    c_bound = tuple(int(b) for b in inst.cover_bound)
-    states = {((0,) * inst.p, (0,) * inst.c): 0}
-    for elem in range(inst.n):
+    pack_guard = loads.pack_guard
+    states = {loads.start: 0}
+    for elem, offset in enumerate(loads.offsets):
         updates = {}
-        for (pak, cov), mask in states.items():
-            new_pak = tuple(map(add, pak, pack_cols[elem]))
-            if any(map(gt, new_pak, p_bound)):
+        for word, mask in states.items():
+            new = word + offset
+            if new & pack_guard:
                 continue
-            new_cov = tuple(map(min, map(add, cov, cover_cols[elem]), c_bound))
-            key = (new_pak, new_cov)
-            if key not in states and key not in updates:
-                updates[key] = mask | (1 << elem)
+            new = loads.clamp(new)
+            if new not in states and new not in updates:
+                updates[new] = mask | (1 << elem)
         states.update(updates)
     return states
 
@@ -165,12 +152,18 @@ def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> Completio
     function.
     """
     outcome = vanilla_dp(inst, saturate_cover=saturate_cover)
-    # witnesses in tie-break order: the first that fits a cell is the
-    # lexicographically smallest fitting one
-    completions = sorted(_reachable_completions(inst).items(),
+    loads = packed_loads(inst)
+    start, guard, want = loads.start, loads.guard, loads.want
+    # witnesses as load offsets, in tie-break order: the first that fits a
+    # cell is the lexicographically smallest fitting one.  A cell plus a
+    # witness is a two-copy multiset, and its loads still fit the fields:
+    # each pack load is at most b, so the sum is at most 2b; the witness's
+    # cover is saturated at b and the cell's is at most b (or the row sum
+    # with exact keys).  Either way a field stays below 2^(w+1), so
+    # ``(cell + offset) & guard == want`` is the exact fit test.
+    completions = sorted(((word - start, mask) for word, mask
+                          in _reachable_completions(loads).items()),
                          key=lambda item: subset_key(item[1]))
-    p_bound = tuple(int(b) for b in inst.pack_bound)
-    c_bound = tuple(int(b) for b in inst.cover_bound)
     oracle = inst.objective
 
     best = None
@@ -182,11 +175,10 @@ def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> Completio
         if sig in witness_of:
             witness = witness_of[sig]
         else:
-            room = tuple(map(sub, p_bound, pak))
-            need = tuple(map(sub, c_bound, cov))
+            cell = loads.encode(cov, pak)
             witness = witness_of[sig] = next(
-                (cmask for (cpak, ccov), cmask in completions
-                 if all(map(le, cpak, room)) and all(map(ge, ccov, need))), None)
+                (cmask for offset, cmask in completions
+                 if (cell + offset) & guard == want), None)
         if witness is None:
             continue
         valid += 1

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcsm.core import (
     ConcaveOfModularOracle,
@@ -14,11 +14,13 @@ from pcsm.core import (
     instance_from_json_obj,
     instance_to_json_obj,
     is_feasible,
+    iter_bits,
     load_ratios,
     make_instance,
     marginal,
     mask_of,
     normalize,
+    packed_loads,
     subset_key,
     subset_less,
     violation_profile,
@@ -298,3 +300,47 @@ def test_better_orders_by_value_then_subset():
     assert better(3, 0b011, (0b101, 3))
     assert not better(3, 0b101, (0b011, 3))
     assert not better(3, 0b101, (0b101, 3))
+
+
+# ---------------------------------------------------------------------------
+# packed loads
+
+
+@st.composite
+def packed_instances(draw):
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        entry = st.fractions(min_value=0, max_value=6, max_denominator=6)
+    else:
+        entry = st.integers(0, 6)
+
+    def rows():
+        return [draw(st.lists(entry, min_size=n, max_size=n))
+                for _ in range(draw(st.integers(0, 2)))]
+
+    def bound(row):
+        # 0, anything up to the row sum, or above it
+        top = int(sum(row)) + 2
+        return draw(st.one_of(st.just(0), st.integers(0, top),
+                              st.fractions(min_value=0, max_value=top, max_denominator=6)))
+
+    packing, covering = rows(), rows()
+    return make_instance(packing, covering, [bound(r) for r in packing],
+                         [bound(r) for r in covering], LinearOracle([1] * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_instances())
+@example(make_instance([[3, 4]], [[2, 5]], [0], [0], LinearOracle([1, 1])))
+@example(make_instance([[Fraction(1, 2), 3]], [[Fraction(2, 3), 1], [1, 1]],
+                       [Fraction(7, 2)], [Fraction(5, 3), 3], LinearOracle([1, 1])))
+def test_packed_loads_match_exact_loads(inst):
+    loads = packed_loads(inst)
+    for mask in range(1 << inst.n):
+        word = loads.start + sum(loads.offsets[i] for i in iter_bits(mask))
+        cover, pack = inst.cover_value(mask), inst.pack_value(mask)
+        assert loads.decode(word) == (cover, pack), mask
+        assert loads.encode(cover, pack) == word, mask
+        assert (word & loads.guard == loads.want) == is_feasible(inst, mask).feasible, mask
+        saturated = tuple(min(v, b) for v, b in zip(cover, inst.cover_bound))
+        assert loads.decode(loads.clamp(word)) == (saturated, pack), mask

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add, ge, gt, le, sub
 
 import pytest
 
@@ -7,15 +8,17 @@ from pcsm.brute import brute_optimum, brute_pareto
 from pcsm.core import (
     BudgetExceededError,
     LinearOracle,
+    better,
     make_instance,
     marginal,
     mask_of,
     mask_to_tuple,
+    subset_key,
     violation_profile,
 )
 from pcsm.greedy_dp import dp_with_completion, scale_instance, vanilla_dp
 
-from conftest import FAMILIES, random_instance
+from conftest import FAMILIES, random_instance, random_oracle
 
 
 def test_single_element_instance():
@@ -345,3 +348,175 @@ def test_golden_equivalence_table_and_completion():
     assert {(s[1], s[2]) for s in seen} == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert {s[3] for s in seen} == set(FAMILIES)
     assert {s[4] for s in seen} == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# degenerate shapes: the packed-load solvers against copies of the per-row
+# tuple code they replaced (same values, same table order)
+
+
+def _tuple_walk(inst):
+    """Gray-code walk with per-row load lists: (mask, cover, pack, value)."""
+    pack, cover = [0] * inst.p, [0] * inst.c
+    walk, mask = inst.objective.walker(), 0
+    yield mask, tuple(cover), tuple(pack), inst.objective.eval(0)
+    for step in range(1, 1 << inst.n):
+        elem = (step & -step).bit_length() - 1
+        mask ^= 1 << elem
+        sign = 1 if mask >> elem & 1 else -1
+        for i, row in enumerate(inst.packing):
+            pack[i] += sign * row[elem]
+        for j, row in enumerate(inst.covering):
+            cover[j] += sign * row[elem]
+        yield mask, tuple(cover), tuple(pack), walk(elem)
+
+
+def _tuple_brute(inst):
+    best, count, table = None, 0, {}
+    for mask, cov, pak, value in _tuple_walk(inst):
+        if (all(map(le, pak, inst.pack_bound))
+                and all(map(ge, cov, inst.cover_bound))):
+            count += 1
+            if better(value, mask, best):
+                best = (mask, value)
+        if better(value, mask, table.get((cov, pak))):
+            table[(cov, pak)] = (mask, value)
+    optimum = (0, 0, 0) if best is None else (best[1], best[0], count)
+    return optimum, {key: (value, mask) for key, (mask, value) in table.items()}
+
+
+def _columns(rows, n):
+    return tuple(tuple(int(row[e]) for row in rows) for e in range(n))
+
+
+def _tuple_vanilla(inst, saturate_cover):
+    p_bound = tuple(int(b) for b in inst.pack_bound)
+    c_bound = tuple(int(b) for b in inst.cover_bound)
+    n, oracle = inst.n, inst.objective
+    pack_cols, cover_cols = _columns(inst.packing, n), _columns(inst.covering, n)
+    zero = ((0,) * inst.c, (0,) * inst.p)
+    layer = {zero: (0, oracle.eval(0))}
+    table = {(0,) + zero: layer[zero]}
+    for q in range(n):
+        nxt = {}
+        for (cov, pak), (mask, value) in layer.items():
+            state = oracle.begin(mask)
+            for elem in range(n):
+                bit = 1 << elem
+                if mask & bit:
+                    continue
+                new_pak = tuple(map(add, pak, pack_cols[elem]))
+                if any(map(gt, new_pak, p_bound)):
+                    continue
+                new_cov = tuple(map(add, cov, cover_cols[elem]))
+                if saturate_cover:
+                    new_cov = tuple(map(min, new_cov, c_bound))
+                new_value = value + oracle.gain(state, elem)
+                if better(new_value, mask | bit, nxt.get((new_cov, new_pak))):
+                    nxt[(new_cov, new_pak)] = (mask | bit, new_value)
+        for key, entry in nxt.items():
+            table[(q + 1,) + key] = entry
+        layer = nxt
+        if not layer:
+            break
+    best = None
+    for (q, cov, pak), (mask, value) in table.items():
+        if (all(2 * v >= b for v, b in zip(cov, c_bound))
+                and all(map(le, pak, p_bound)) and better(value, mask, best)):
+            best = (mask, value)
+    return table, best
+
+
+def _tuple_completion(inst, saturate_cover):
+    table, _ = _tuple_vanilla(inst, saturate_cover)
+    p_bound = tuple(int(b) for b in inst.pack_bound)
+    c_bound = tuple(int(b) for b in inst.cover_bound)
+    pack_cols = _columns(inst.packing, inst.n)
+    cover_cols = _columns(inst.covering, inst.n)
+    states = {((0,) * inst.p, (0,) * inst.c): 0}
+    for elem in range(inst.n):
+        updates = {}
+        for (pak, cov), mask in states.items():
+            new_pak = tuple(map(add, pak, pack_cols[elem]))
+            if any(map(gt, new_pak, p_bound)):
+                continue
+            new_cov = tuple(map(min, map(add, cov, cover_cols[elem]), c_bound))
+            key = (new_pak, new_cov)
+            if key not in states and key not in updates:
+                updates[key] = mask | (1 << elem)
+        states.update(updates)
+    completions = sorted(states.items(), key=lambda item: subset_key(item[1]))
+    best, valid = None, 0
+    for (q, cov, pak), (mask, value) in table.items():
+        room = tuple(map(sub, p_bound, pak))
+        need = tuple(map(sub, c_bound, cov))
+        witness = next((cmask for (cpak, ccov), cmask in completions
+                        if all(map(le, cpak, room)) and all(map(ge, ccov, need))), None)
+        if witness is None:
+            continue
+        valid += 1
+        support = mask | witness
+        val = inst.objective.eval(support)
+        if better(val, support, best):
+            best = (support, val, mask, witness)
+    return best, valid
+
+
+DEGENERATE_SHAPES = ("n0", "p0", "c0", "pack_bound_0", "cover_bound_0",
+                     "cover_above_row_sum", "rational_rows")
+
+
+def _degenerate_instance(rng, shape):
+    n = 0 if shape == "n0" else rng.randint(1, 6)
+
+    def row():
+        return [rng.randint(0, 4) for _ in range(n)]
+
+    packing, covering = [row()], [row(), row()]
+    pack_bound = [rng.randint(0, 8)]
+    cover_bound = [rng.randint(0, 6), rng.randint(0, 6)]
+    if shape == "n0":
+        cover_bound = [0, 1]
+    elif shape == "p0":
+        packing, pack_bound = [], []
+    elif shape == "c0":
+        covering, cover_bound = [], []
+    elif shape == "pack_bound_0":
+        pack_bound = [0]
+    elif shape == "cover_bound_0":
+        cover_bound[0] = 0
+    elif shape == "cover_above_row_sum":
+        cover_bound[0] = sum(covering[0]) + rng.randint(1, 3)
+    elif shape == "rational_rows":
+        packing[0] = [Fraction(rng.randint(0, 8), rng.choice([1, 2, 3, 6]))
+                      for _ in range(n)]
+        covering[0] = [Fraction(rng.randint(0, 8), rng.choice([1, 2, 5]))
+                       for _ in range(n)]
+        pack_bound = [Fraction(2 * rng.randint(0, 6) + 1, 4)]
+        cover_bound[0] = Fraction(rng.randint(0, 9), 3)
+    return make_instance(packing, covering, pack_bound, cover_bound,
+                         random_oracle(rng, n, FAMILIES[rng.randrange(3)]))
+
+
+@pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
+def test_degenerate_shapes_match_tuple_code(shape):
+    rng = random.Random(shape)
+    for _ in range(12):
+        inst = _degenerate_instance(rng, shape)
+        optimum, pareto = _tuple_brute(inst)
+        res = brute_optimum(inst)
+        assert (res.best_value, res.best_set, res.feasible_count) == optimum
+        assert list(brute_pareto(inst).items()) == list(pareto.items())
+        if shape == "rational_rows":
+            continue                # the DPs take integer data only
+        for saturate in (True, False):
+            table, best = _tuple_vanilla(inst, saturate)
+            out = vanilla_dp(inst, saturate_cover=saturate)
+            assert list(out.table.items()) == list(table.items())
+            assert (out.found, out.best_set, out.best_value) == (
+                (False, 0, 0) if best is None else (True, *best))
+            best, valid = _tuple_completion(inst, saturate)
+            out = dp_with_completion(inst, saturate_cover=saturate)
+            assert out.valid_cells == valid and out.cells_populated == len(table)
+            assert (out.support, out.value, out.base_set, out.completion_set) == (
+                (0, 0, 0, 0) if best is None else best)
