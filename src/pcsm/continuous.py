@@ -121,6 +121,11 @@ class _ChosenPart(NamedTuple):
     large_pack: int              # non-chosen elements >= alpha r_i in a row outside y
     critical_large: int          # non-chosen elements >= beta r_i in a row of y
 
+    @property
+    def residual_pack(self) -> tuple:
+        """r = 1 - E1's packing loads, as Fractions."""
+        return tuple(Fraction(r, d) for r, d in zip(self.pack_room, self.rows.pack_scale))
+
 
 def _chosen_part(rows: _Rows, chosen: int, load: tuple, alpha: Fraction,
                  beta: Fraction, delta: Fraction) -> _ChosenPart:
@@ -248,8 +253,7 @@ class Guess:
     @property
     def residual_pack(self) -> tuple:
         """r = 1 - E1's packing loads."""
-        cpart = self._parts[0]
-        return tuple(Fraction(r, d) for r, d in zip(cpart.pack_room, cpart.rows.pack_scale))
+        return self._parts[0].residual_pack
 
     @property
     def residual_cover(self) -> tuple:
@@ -258,14 +262,19 @@ class Guess:
         return tuple(Fraction(v, u) for v, u in zip(tpart.residual_cover, tpart.targets.units))
 
     def is_consistent(self) -> bool:
-        cpart, tpart = self._parts
-        return (self.discarded & self.chosen == 0
-                and tpart.targets.at_least_one
-                and all(r >= 0 for r in cpart.pack_room)
-                and self.large_pack == 0 and self.large_cover == 0)
+        return _consistent(self.discarded, self.chosen, self.undetermined, *self._parts)
 
     def residual_elements(self) -> tuple:
         return tuple(iter_bits(self.undetermined))
+
+
+def _consistent(discarded: int, chosen: int, undetermined: int, cpart: _ChosenPart,
+                tpart: _TargetPart) -> bool:
+    """The consistency test of a guess, on its parts' ints."""
+    return (discarded & chosen == 0
+            and tpart.targets.at_least_one
+            and all(r >= 0 for r in cpart.pack_room)
+            and (cpart.large_pack | tpart.large_cover) & undetermined == 0)
 
 
 def residual_objective(guess: Guess, t_mask: int):
@@ -307,9 +316,10 @@ def correct_guess_for(inst: Instance, params: Params, optimum: int) -> Guess:
         or any(inst.covering[j][ell] >= threshold * targets[j] for j in range(inst.c)))
     chosen = top | big
     rows = _scaled_rows(inst)
-    return _derive_guess(inst, params, chosen,
-                         _chosen_entry(inst, params, rows, chosen, rows.load(chosen)),
-                         _targets(rows, targets, params.alpha, params.delta))
+    entry = _chosen_entry(inst, params, rows, chosen, rows.load(chosen))
+    discarded, tpart = _derive(params, chosen, entry,
+                               _targets(rows, targets, params.alpha, params.delta))
+    return _make_guess(inst, params, discarded, chosen, entry[0], tpart)
 
 
 def is_correct(guess: Guess, optimum: int) -> bool:
@@ -356,10 +366,10 @@ def _chosen_entry(inst: Instance, params: Params, rows: _Rows, chosen: int,
             high)
 
 
-def _derive_guess(inst: Instance, params: Params, chosen: int, entry: tuple,
-                  targets: _Targets) -> Guess:
-    """The guess for (E1, c'): E0 is the high-marginal leftovers plus the
-    elements that are large for the intermediate guess H = (empty, E1, c').
+def _derive(params: Params, chosen: int, entry: tuple, targets: _Targets) -> tuple:
+    """E0 and the target part for (E1, c'): E0 is the high-marginal
+    leftovers plus the elements that are large for the intermediate guess
+    H = (empty, E1, c').
 
     H's large masks cover every non-chosen element and none of their rows
     or thresholds depend on E0, so the guess carries H's parts; its own
@@ -367,8 +377,13 @@ def _derive_guess(inst: Instance, params: Params, chosen: int, entry: tuple,
     """
     cpart, high = entry
     tpart = _target_part(cpart, chosen, targets, params.alpha)
-    return Guess(instance=inst, discarded=high | cpart.large_pack | tpart.large_cover,
-                 chosen=chosen, cover_targets=targets.values, alpha=params.alpha,
+    return high | cpart.large_pack | tpart.large_cover, tpart
+
+
+def _make_guess(inst: Instance, params: Params, discarded: int, chosen: int,
+                cpart: _ChosenPart, tpart: _TargetPart) -> Guess:
+    return Guess(instance=inst, discarded=discarded, chosen=chosen,
+                 cover_targets=tpart.targets.values, alpha=params.alpha,
                  beta=params.beta, delta=params.delta, gamma=params.gamma,
                  parts=(cpart, tpart))
 
@@ -386,6 +401,17 @@ class GuessList:
 def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> GuessList:
     """All consistent guesses from the (cover grid) x (chosen subsets)
     product, stopping with a truncation flag once the budget is spent."""
+    enum = GuessList([], False, 0)
+    enum.guesses = [_make_guess(inst, params, *record)
+                    for record in _guess_parts(inst, params, budget, enum)]
+    return enum
+
+
+def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
+    """The consistent pairs of ``enumerate_guesses``'s product in its
+    order, each as ``(discarded, chosen, chosen part, target part)``, with
+    no ``Guess`` built.  Once the stream ends, ``tally`` holds the pairs
+    examined and the truncation flag."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
     n = inst.n
@@ -406,21 +432,20 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
     # only to flag truncation)
     chosen_sets = list(islice(_subsets_by_size(n, size_cap), budget + 1))
     rows = _scaled_rows(inst)
+    full = (1 << n) - 1
     # a chosen set's part is reused under every later target, and its loads
     # give each superset's loads with one more column; one entry each per
     # examined pair at most, so they never outgrow the budget
     cache = {}
     loads = {}
 
-    guesses = []
     pairs = 0
-    truncated = False
     for values in _product_tuples(grid, inst.c):
         targets = _targets(rows, values, params.alpha, params.delta)
         for chosen in chosen_sets:
             if pairs >= budget:
-                truncated = True
-                break
+                tally.pairs_examined, tally.truncated = pairs, True
+                return
             pairs += 1
             entry = cache.get(chosen, _MISSING)
             if entry is _MISSING:
@@ -431,14 +456,12 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
                 cache[chosen] = entry
             if entry is None:
                 continue
-            guess = _derive_guess(inst, params, chosen, entry, targets)
+            discarded, tpart = _derive(params, chosen, entry, targets)
             # always true: E0 holds every large element, targets start at 1
             # and E1 packs within the bounds
-            if guess.is_consistent():
-                guesses.append(guess)
-        if truncated:
-            break
-    return GuessList(guesses=guesses, truncated=truncated, pairs_examined=pairs)
+            if _consistent(discarded, chosen, full & ~(discarded | chosen), entry[0], tpart):
+                yield discarded, chosen, entry[0], tpart
+    tally.pairs_examined = pairs
 
 
 def _load(rows: _Rows, loads: dict, chosen: int) -> tuple:
@@ -623,6 +646,26 @@ def _check_ascent(steps: int, samples_per_grad: int) -> None:
         raise ValueError("steps must be non-negative")
 
 
+def _screened_empty(chosen: int, undetermined: int, cpart: _ChosenPart,
+                    tpart: _TargetPart, reach_memo: dict) -> bool:
+    """Whether the screen certifies the residual polytope empty.
+    ``reach_memo`` keeps the screen (``_screen`` of the covering rows'
+    reaches and the packing bounds' ``_bound_scale``) keyed by (E1,
+    undetermined elements), which fix it."""
+    key = (chosen, undetermined)
+    screen = reach_memo.get(key)
+    if screen is None:
+        rows = cpart.rows
+        scaled_pack, scaled_cover = _residual_rows(rows.pack, rows.cover,
+                                                   tuple(iter_bits(undetermined)))
+        # over the scaled rows, covering row j's reach comes out K_j times larger
+        reach = cover_reach(scaled_pack, cpart.pack_room, scaled_cover)
+        screen = reach_memo[key] = _screen(
+            [Fraction(v, k) for v, k in zip(reach, rows.cover_scale)],
+            _bound_scale(cpart.residual_pack))
+    return reach_falls_short(screen, tpart.residual_cover, tpart.targets.units)
+
+
 def continuous_greedy(guess: Guess, steps: int = 100,
                       samples_per_grad: int = 200, seed: int = 0,
                       reach_memo: Optional[dict] = None) -> dict:
@@ -630,27 +673,14 @@ def continuous_greedy(guess: Guess, steps: int = 100,
 
     Returns the fractional point as {element: float}.  Raises
     GuessInfeasibleError when the polytope is empty.  ``reach_memo`` keeps
-    the screen (``_screen`` of the covering rows' reaches and the packing
-    bounds' ``_bound_scale``) across the guesses of one instance, keyed by
-    (E1, undetermined elements), which fix it.
+    the screen across the guesses of one instance (see ``_screened_empty``).
     """
     _check_ascent(steps, samples_per_grad)
+    if _screened_empty(guess.chosen, guess.undetermined, *guess._parts,
+                       {} if reach_memo is None else reach_memo):
+        raise GuessInfeasibleError("empty residual polytope")
     inst = guess.instance
     elements = guess.residual_elements()
-    cpart, tpart = guess._parts
-    reach_memo = {} if reach_memo is None else reach_memo
-    key = (guess.chosen, guess.undetermined)
-    screen = reach_memo.get(key)
-    if screen is None:
-        rows = cpart.rows
-        scaled_pack, scaled_cover = _residual_rows(rows.pack, rows.cover, elements)
-        # over the scaled rows, covering row j's reach comes out K_j times larger
-        reach = cover_reach(scaled_pack, cpart.pack_room, scaled_cover)
-        screen = reach_memo[key] = _screen(
-            [Fraction(v, k) for v, k in zip(reach, rows.cover_scale)],
-            _bound_scale(guess.residual_pack))
-    if reach_falls_short(screen, tpart.residual_cover, tpart.targets.units):
-        raise GuessInfeasibleError("empty residual polytope")
     # phase 1 once: every step below maximizes over the same polytope
     pack_rows, cover_rows = _residual_rows(inst.packing, inst.covering, elements)
     polytope = prepare_polytope(len(elements), pack_rows, guess.residual_pack,
@@ -666,8 +696,10 @@ def continuous_greedy(guess: Guess, steps: int = 100,
     # each sampled set's gains, one float per residual element, for this
     # ascent only (at most steps * samples_per_grad sets, and 2^|elements|).
     # An element of the set gets 0.0: a weight starts at +0.0, never becomes
-    # -0.0, and so keeps its bits when 0.0 is added
+    # -0.0, and so keeps its bits when 0.0 is added.  For the same reason an
+    # all-zero vector is kept as () and not added at all
     gains_of = {}
+    last_weights = None
     for _step in range(steps):
         weights = [0.0] * len(elements)
         # the same draws as one rng.random() per element with x > 0, in order
@@ -680,14 +712,19 @@ def continuous_greedy(guess: Guess, steps: int = 100,
             gains = gains_of.get(mask)
             if gains is None:
                 state = oracle.begin(mask)
-                gains = gains_of[mask] = [0.0 if (mask >> e) & 1
-                                          else float(oracle.gain(state, e))
-                                          for e in elements]
-            weights = [w + g for w, g in zip(weights, gains)]
+                gains = [0.0 if (mask >> e) & 1 else float(oracle.gain(state, e))
+                         for e in elements]
+                gains = gains_of[mask] = gains if any(gains) else ()
+            if gains:
+                weights = [w + g for w, g in zip(weights, gains)]
         weights = [w / samples_per_grad for w in weights]
-        status, v = polytope.maximize(weights)
-        if status != "optimal":
-            raise GuessInfeasibleError("residual polytope became unsolvable")
+        # phase 2 is deterministic, and equal weights (0.0 and -0.0 alike)
+        # give equal costs: a repeated direction keeps the last vertex
+        if weights != last_weights:
+            status, v = polytope.maximize(weights)
+            if status != "optimal":
+                raise GuessInfeasibleError("residual polytope became unsolvable")
+            last_weights = weights
         x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
     return {e: x[idx] for idx, e in enumerate(elements)}
 
@@ -769,7 +806,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     b = max(1, norm.p + norm.c)
     if params is None:
         params = Params.from_epsilon(epsilon, b)
-    enum = enumerate_guesses(norm, params, budget=budget)
+    tally = GuessList([], False, 0)
 
     need_cover = 1 - epsilon
     best = None
@@ -780,23 +817,33 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     reach_memo = {}
     verdicts = {}
     scale = 1 / (1 + float(params.delta))
-    for g_idx, guess in enumerate(enum.guesses):
+    full = (1 << norm.n) - 1
+    # a Guess is built only for a pair the screen lets through; g_idx counts
+    # every consistent pair, as in enumerate_guesses' list
+    g_idx = -1
+    for g_idx, (discarded, chosen, cpart, tpart) in enumerate(
+            _guess_parts(norm, params, budget, tally)):
         # identical residual problems (same E0/E1 and clamped cover residuals)
         # would be solved identically; skip repeats (the set grows unless the
         # signature is a repeat, which hashes it once)
         seen = len(seen_residuals)
-        seen_residuals.add(_residual_key(guess))
+        seen_residuals.add(_residual_key(discarded, chosen, tpart))
         if len(seen_residuals) == seen:
             continue
+        undetermined = full & ~(discarded | chosen)
         diag = GuessDiagnostics(
-            chosen_size=popcount(guess.chosen),
-            discarded_size=popcount(guess.discarded),
-            critical_pack_rows=len(guess.critical_pack),
-            critical_cover_rows=len(guess.critical_cover),
-            critical_large_size=popcount(guess.critical_large),
+            chosen_size=popcount(chosen),
+            discarded_size=popcount(discarded),
+            critical_pack_rows=len(cpart.critical_pack),
+            critical_cover_rows=len(tpart.critical_cover),
+            critical_large_size=popcount(cpart.critical_large & undetermined),
             filter_pass=0, filter_fail=0, infeasible_polytope=False,
             best_value=None)
         diagnostics.append(diag)
+        if _screened_empty(chosen, undetermined, cpart, tpart, reach_memo):
+            diag.infeasible_polytope = True
+            continue
+        guess = _make_guess(norm, params, discarded, chosen, cpart, tpart)
         try:
             x_star = continuous_greedy(
                 guess, steps=steps, samples_per_grad=samples_per_grad,
@@ -805,8 +852,8 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
             diag.infeasible_polytope = True
             continue
         # trial 0 is the empty rounding outcome (always a possible draw)
-        candidates = [guess.chosen]
-        if guess.undetermined:
+        candidates = [chosen]
+        if undetermined:
             x_bar = {e: p * scale for e, p in x_star.items()}
             for t in range(1, trials + 1):
                 out = round_and_filter(guess, x_bar, seed=_child_seed(seed, g_idx, t))
@@ -814,7 +861,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         else:
             # no residual element: every draw returns E1
             candidates *= trials + 1
-        rows = guess._parts[0].rows
+        rows = cpart.rows
         for cand in candidates:
             val = verdicts.get(cand, _MISSING)
             if val is _MISSING:
@@ -832,25 +879,24 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     if best is None:
         return MainResult(found=False, solution=0, value=0, cover_ratio=None,
                           pack_ratio=None, trials=trials,
-                          guesses_enumerated=len(enum.guesses),
-                          truncated=enum.truncated, diagnostics=diagnostics)
+                          guesses_enumerated=g_idx + 1,
+                          truncated=tally.truncated, diagnostics=diagnostics)
     mask, value = best
     cover_ratio, pack_ratio = load_ratios(norm, mask)
     return MainResult(
         found=True, solution=mask, value=value,
         cover_ratio=cover_ratio, pack_ratio=pack_ratio,
-        trials=trials, guesses_enumerated=len(enum.guesses),
-        truncated=enum.truncated, diagnostics=diagnostics)
+        trials=trials, guesses_enumerated=g_idx + 1,
+        truncated=tally.truncated, diagnostics=diagnostics)
 
 
-def _residual_key(guess: Guess) -> tuple:
+def _residual_key(discarded: int, chosen: int, tpart: _TargetPart) -> tuple:
     """The dedupe signature (E0, E1, s) in ints: the S_j, and beside them
     the target denominator b_j of each positive S_j (0 where S_j = 0),
     which fixes its unit K_j b_j.  With E1 fixed, a positive s_j fixes c'_j
     and so b_j, hence equal residuals give equal keys whatever grid the
     targets come from."""
-    tpart = guess._parts[1]
-    return (guess.discarded, guess.chosen, tpart.residual_cover,
+    return (discarded, chosen, tpart.residual_cover,
             tuple(b if v else 0 for v, b in zip(tpart.residual_cover, tpart.targets.den)))
 
 

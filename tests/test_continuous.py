@@ -474,13 +474,22 @@ def _residual_free_guess(cover_load):
     return inst, _guess(inst, chosen=0b01, discarded=0b10, targets=(Fraction(1),))
 
 
+def _stream_of(enum):
+    """A stand-in for ``_guess_parts`` that streams ``enum``'s guesses as
+    parts, whatever instance and settings it is called with."""
+    def guess_parts(inst, params, budget, tally):
+        tally.pairs_examined, tally.truncated = enum.pairs_examined, enum.truncated
+        return iter([(g.discarded, g.chosen, *g._parts) for g in enum.guesses])
+    return guess_parts
+
+
 def _solve_guesses(monkeypatch, inst, guesses, trials):
     """solve_main over ``guesses`` alone, failing on any rounding draw."""
     def no_draw(*args, **kw):
         raise AssertionError("a guess without residual elements drew a rounding")
 
-    monkeypatch.setattr(cont, "enumerate_guesses",
-                        lambda *args, **kw: GuessList(guesses, False, len(guesses)))
+    monkeypatch.setattr(cont, "_guess_parts",
+                        _stream_of(GuessList(guesses, False, len(guesses))))
     monkeypatch.setattr(cont, "round_and_filter", no_draw)
     return solve_main(inst, Fraction(1, 10), params=RELAXED, trials=trials,
                       steps=4, samples_per_grad=4)
@@ -755,7 +764,7 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
 
         with monkeypatch.context() as m:
             # solve_main normalizes an equal instance; reuse the reference list
-            m.setattr(cont, "enumerate_guesses", lambda *args, **kw: want)
+            m.setattr(cont, "_guess_parts", _stream_of(want))
             m.setattr(cont, "prepare_polytope", _ref_prepare_polytope(solves))
             m.setattr(cont, "reach_falls_short", lambda *args: False)
             m.setattr(cont, "round_and_filter", recording_round)
@@ -786,6 +795,33 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
     assert truncated >= 1 and multi_row >= 5 and residual_free >= 1
     # the reference really re-solved the named program at every step
     assert len(solves) > 0
+
+
+def test_guess_stream_builds_the_enumerated_guesses():
+    # the pair stream solve_main reads against the guess list, with each
+    # record's parts also against those a Guess derives on its own
+    cases = [(normalize(_golden_instance(seed, n, p, c, family, shape)), p, c, budget)
+             for seed, n, p, c, family, budget, shape in _golden_cases()]
+    cases += [(make_instance(packing, [], [1] * len(packing), [], LinearOracle([])),
+               len(packing), 0, 100_000) for packing in ([], [[]])]
+    truncated = multi_row = empty = 0
+    for norm, p, c, budget in cases:
+        params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=max(1, p + c))
+        tally = GuessList([], False, 0)
+        records = list(cont._guess_parts(norm, params, budget, tally))
+        enum = enumerate_guesses(norm, params, budget=budget)
+        built = [cont._make_guess(norm, params, *record) for record in records]
+        assert built == enum.guesses
+        assert [_all_fields(g) for g in built] == [_all_fields(g) for g in enum.guesses]
+        assert (tally.pairs_examined, tally.truncated) == (enum.pairs_examined,
+                                                           enum.truncated)
+        for discarded, chosen, *parts in records:
+            fresh = _guess(norm, chosen, discarded, parts[1].targets.values, params)
+            assert fresh._parts == tuple(parts) and fresh.is_consistent()
+        truncated += enum.truncated
+        multi_row += max(p, c) > 1
+        empty += norm.n == 0 and len(records) == 1
+    assert truncated >= 1 and multi_row >= 5 and empty == 2
 
 
 def _ref_continuous_greedy(guess, steps, samples_per_grad, seed, directions):
@@ -836,7 +872,8 @@ def test_ascent_matches_the_loop_without_memo(monkeypatch):
     # element with a gain above f(E1) / gamma, which leaves these residual
     # gains near zero; guesses with nothing discarded and at most one chosen
     # element keep them.  The weights of every step are compared too: a
-    # wrong gain often leaves the LP's vertex, and so the point, unchanged
+    # wrong gain often leaves the LP's vertex, and so the point, unchanged.
+    # Phase 2 runs once per run of equal consecutive directions
     directions = []
 
     def spy(n, *rows):
@@ -850,7 +887,7 @@ def test_ascent_matches_the_loop_without_memo(monkeypatch):
         return SimpleNamespace(maximize=maximize)
 
     monkeypatch.setattr(cont, "prepare_polytope", spy)
-    ascents = weighted = 0
+    ascents = weighted = steps = solved = 0
     for seed, n, p, c, family, budget, shape in _golden_cases():
         norm = normalize(_golden_instance(seed, n, p, c, family, shape))
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
@@ -869,12 +906,58 @@ def test_ascent_matches_the_loop_without_memo(monkeypatch):
                     continuous_greedy(guess, reach_memo=reach_memo, **knobs)
                 continue
             got = continuous_greedy(guess, reach_memo=reach_memo, **knobs)
-            assert list(map(_hex, directions)) == list(map(_hex, want_directions))
+            distinct = [w for k, w in enumerate(want_directions)
+                        if k == 0 or w != want_directions[k - 1]]
+            assert list(map(_hex, directions)) == list(map(_hex, distinct))
             assert {e: v.hex() for e, v in got.items()} == {
                 e: v.hex() for e, v in want.items()}
             ascents += bool(want)
             weighted += any(map(any, want_directions))
+            steps += len(want_directions)
+            solved += len(directions)
     assert ascents >= 100 and weighted >= 100
+    # the zero directions of the enumerated guesses repeat at every step
+    assert solved < steps
+
+
+def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
+    # gamma = 2 leaves elements with non-zero gains undetermined, so the
+    # ascents climb changing directions (the benchmark's gamma = 125 leaves
+    # only zero gains).  The reference solves the materialized guess list,
+    # with no screen, through the ascent without memo or repeated-direction
+    # reuse.  Each ascent's seed comes from its guess's index in the list,
+    # repeats that the dedupe skips included
+    changing = repeats = 0
+    for seed, n, p, c, family, budget, shape in _golden_cases():
+        inst = _golden_instance(seed, n, p, c, family, shape)
+        norm = normalize(inst)
+        delta = Fraction(1, 5)
+        params = Params(epsilon=Fraction(1, 10), delta=delta, alpha=delta ** 3,
+                        beta=delta ** 2 / (3 * (p + c)), gamma=Fraction(2))
+        knobs = dict(seed=seed, budget=budget, params=params, trials=3,
+                     steps=4, samples_per_grad=6)
+        res = solve_main(inst, Fraction(1, 10), **knobs)
+        enum = enumerate_guesses(norm, params, budget=budget)
+        index = {(g.chosen, g.cover_targets): k for k, g in enumerate(enum.guesses)}
+        ascents = []
+
+        def ref_greedy(guess, steps, samples_per_grad, seed, reach_memo=None):
+            k = index[guess.chosen, guess.cover_targets]
+            assert seed == cont._child_seed(knobs["seed"], k, 0)
+            ascents.append([])
+            return _ref_continuous_greedy(guess, steps, samples_per_grad, seed,
+                                          ascents[-1])
+
+        with monkeypatch.context() as m:
+            m.setattr(cont, "_guess_parts", _stream_of(enum))
+            m.setattr(cont, "reach_falls_short", lambda *args: False)
+            m.setattr(cont, "continuous_greedy", ref_greedy)
+            ref_res = solve_main(inst, Fraction(1, 10), **knobs)
+        assert repr(res) == repr(ref_res)
+        assert (res.guesses_enumerated, res.truncated) == (len(enum.guesses), enum.truncated)
+        changing += sum(len({tuple(w) for w in directions}) > 1 for directions in ascents)
+        repeats += len(enum.guesses) - len(res.diagnostics)
+    assert changing >= 50 and repeats >= 1
 
 
 _MEMO_PARAMS = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=4)
