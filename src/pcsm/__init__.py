@@ -21,7 +21,6 @@ from .core import (
     make_instance,
     marginal,
     normalize,
-    violation_profile,
 )
 from .brute import BruteResult, brute_optimum, brute_pareto
 from .greedy_dp import dp_with_completion, scale_instance, vanilla_dp
@@ -46,8 +45,6 @@ from .continuous import (
     Guess,
     continuous_greedy,
     enumerate_guesses,
-    multilinear_estimate,
-    residual_objective,
     round_and_filter,
     solve_main,
 )
@@ -87,10 +84,8 @@ __all__ = [
     "make_instance",
     "marginal",
     "match_value",
-    "multilinear_estimate",
     "normalize",
     "prepare_polytope",
-    "residual_objective",
     "round_and_filter",
     "scale_instance",
     "simplex_solve",
@@ -99,5 +94,4 @@ __all__ = [
     "solve_two_distance",
     "vanilla_dp",
     "verify_upper_bound_construction",
-    "violation_profile",
 ]

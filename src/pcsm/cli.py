@@ -29,6 +29,7 @@ from .core import (
     Instance,
     LinearOracle,
     Params,
+    dump_instance,
     instance_to_json_obj,
     load_instance,
     load_ratios,
@@ -330,14 +331,11 @@ def cmd_gen(args) -> int:
     inst = generate_instance(n=args.n, p=args.p, c=args.c, family=args.family,
                              density=args.density, seed=args.seed,
                              integer=not args.rational)
-    obj = instance_to_json_obj(inst)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_instance(inst, args.out)
         _emit({"written": args.out, "digest": instance_digest(inst)}, args)
     else:
-        _emit(obj, args)
+        _emit(instance_to_json_obj(inst), args)
     return EXIT_OK
 
 
@@ -385,7 +383,7 @@ def cmd_lp(args) -> int:
             if m > 2 and m % 2 == 0:
                 r = verify_upper_bound_construction(m)
                 out["upper_bound"].append(
-                    {"m": m, "feasible": r.feasible, "value": fmt(r.value)})
+                    {"m": m, "feasible": r.feasible, "value": fmt(r.objective)})
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -18,21 +18,19 @@ from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from operator import add
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .core import (
     InfeasibleError,
     Instance,
     Params,
-    SubmodularOracle,
     better,
     iter_bits,
     load_ratios,
     mask_of,
     normalize,
-    popcount,
     to_fraction,
 )
 # linear_max_over_polytope is unused here but stays a module attribute:
@@ -262,94 +260,14 @@ class Guess:
         return tuple(Fraction(v, u) for v, u in zip(tpart.residual_cover, tpart.targets.units))
 
     def is_consistent(self) -> bool:
-        return _consistent(self.discarded, self.chosen, self.undetermined, *self._parts)
+        cpart, tpart = self._parts
+        return (self.discarded & self.chosen == 0
+                and tpart.targets.at_least_one
+                and all(r >= 0 for r in cpart.pack_room)
+                and (cpart.large_pack | tpart.large_cover) & self.undetermined == 0)
 
     def residual_elements(self) -> tuple:
         return tuple(iter_bits(self.undetermined))
-
-
-def _consistent(discarded: int, chosen: int, undetermined: int, cpart: _ChosenPart,
-                tpart: _TargetPart) -> bool:
-    """The consistency test of a guess, on its parts' ints."""
-    return (discarded & chosen == 0
-            and tpart.targets.at_least_one
-            and all(r >= 0 for r in cpart.pack_room)
-            and (cpart.large_pack | tpart.large_cover) & undetermined == 0)
-
-
-def residual_objective(guess: Guess, t_mask: int):
-    """g(T) = f(T + E1) - f(E1): monotone, submodular, zero on the empty set."""
-    if t_mask & ~guess.undetermined:
-        raise ValueError("T must avoid both chosen and discarded elements")
-    oracle = guess.instance.objective
-    return oracle.eval(t_mask | guess.chosen) - oracle.eval(guess.chosen)
-
-
-def greedy_marginal_order(oracle: SubmodularOracle, mask: int) -> tuple:
-    """Order a set so each element has maximal marginal given its prefix."""
-    remaining = list(iter_bits(mask))
-    order = []
-    cur = 0
-    while remaining:
-        state = oracle.begin(cur)
-        best = max(remaining, key=lambda e: (oracle.gain(state, e), -e))
-        order.append(best)
-        remaining.remove(best)
-        cur |= 1 << best
-    return tuple(order)
-
-
-def correct_guess_for(inst: Instance, params: Params, optimum: int) -> Guess:
-    """The guess the existence argument constructs for a known optimum:
-    chosen = top-gamma greedy prefix plus the optimum's large elements,
-    cover targets on the geometric grid just below the optimum's coverage."""
-    oracle = inst.objective
-    order = greedy_marginal_order(oracle, optimum)
-    gamma_count = min(len(order), int(math.ceil(params.gamma)))
-    top = mask_of(order[:gamma_count])
-    threshold = params.alpha * params.delta
-    cov = inst.cover_value(optimum)
-    targets = tuple(_grid_floor(Fraction(v), params.delta) for v in cov)
-    big = mask_of(
-        ell for ell in iter_bits(optimum)
-        if any(inst.packing[i][ell] >= threshold for i in range(inst.p))
-        or any(inst.covering[j][ell] >= threshold * targets[j] for j in range(inst.c)))
-    chosen = top | big
-    rows = _scaled_rows(inst)
-    entry = _chosen_entry(inst, params, rows, chosen, rows.load(chosen))
-    discarded, tpart = _derive(params, chosen, entry,
-                               _targets(rows, targets, params.alpha, params.delta))
-    return _make_guess(inst, params, discarded, chosen, entry[0], tpart)
-
-
-def is_correct(guess: Guess, optimum: int) -> bool:
-    """The four correctness clauses against a fixed optimal solution."""
-    inst = guess.instance
-    if guess.chosen & ~optimum:
-        return False
-    if guess.discarded & optimum:
-        return False
-    order = greedy_marginal_order(inst.objective, optimum)
-    # gamma may exceed |O|; then all of O must be chosen
-    gamma_count = min(len(order), int(math.ceil(guess.gamma)))
-    if mask_of(order[:gamma_count]) & ~guess.chosen:
-        return False
-    cov = inst.cover_value(optimum)
-    for t, v in zip(guess.cover_targets, cov):
-        if not (1 <= t <= v < (1 + guess.delta) * t):
-            return False
-    return True
-
-
-def _grid_floor(value: Fraction, delta: Fraction) -> Fraction:
-    """Largest (1+delta)^j <= value with j >= 0 (value must be >= 1)."""
-    if value < 1:
-        raise ValueError("grid point requires value >= 1")
-    step = 1 + delta
-    point = Fraction(1)
-    while point * step <= value:
-        point *= step
-    return point
 
 
 def _chosen_entry(inst: Instance, params: Params, rows: _Rows, chosen: int,
@@ -408,10 +326,11 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
 
 
 def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
-    """The consistent pairs of ``enumerate_guesses``'s product in its
-    order, each as ``(discarded, chosen, chosen part, target part)``, with
-    no ``Guess`` built.  Once the stream ends, ``tally`` holds the pairs
-    examined and the truncation flag."""
+    """The pairs of ``enumerate_guesses``'s product whose E1 packs within
+    the bounds, all of them consistent, in its order, each as
+    ``(discarded, chosen, chosen part, target part)``, with no ``Guess``
+    built.  Once the stream ends, ``tally`` holds the pairs examined and
+    the truncation flag."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
     n = inst.n
@@ -432,7 +351,6 @@ def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
     # only to flag truncation)
     chosen_sets = list(islice(_subsets_by_size(n, size_cap), budget + 1))
     rows = _scaled_rows(inst)
-    full = (1 << n) - 1
     # a chosen set's part is reused under every later target, and its loads
     # give each superset's loads with one more column; one entry each per
     # examined pair at most, so they never outgrow the budget
@@ -440,7 +358,8 @@ def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
     loads = {}
 
     pairs = 0
-    for values in _product_tuples(grid, inst.c):
+    # the first row's target varies fastest
+    for values in (t[::-1] for t in product(grid, repeat=inst.c)):
         targets = _targets(rows, values, params.alpha, params.delta)
         for chosen in chosen_sets:
             if pairs >= budget:
@@ -456,11 +375,10 @@ def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
                 cache[chosen] = entry
             if entry is None:
                 continue
-            discarded, tpart = _derive(params, chosen, entry, targets)
-            # always true: E0 holds every large element, targets start at 1
+            # consistent: E0 holds every large element, targets start at 1
             # and E1 packs within the bounds
-            if _consistent(discarded, chosen, full & ~(discarded | chosen), entry[0], tpart):
-                yield discarded, chosen, entry[0], tpart
+            discarded, tpart = _derive(params, chosen, entry, targets)
+            yield discarded, chosen, entry[0], tpart
     tally.pairs_examined = pairs
 
 
@@ -473,15 +391,6 @@ def _load(rows: _Rows, loads: dict, chosen: int) -> tuple:
     return tuple(map(add, loads[chosen ^ (1 << top)], rows.columns[top]))
 
 
-def _product_tuples(grid, c):
-    if c == 0:
-        yield ()
-        return
-    for rest in _product_tuples(grid, c - 1):
-        for v in grid:
-            yield (v,) + rest
-
-
 def _subsets_by_size(n, cap):
     for size in range(min(n, cap) + 1):
         for combo in combinations(range(n), size):
@@ -489,48 +398,7 @@ def _subsets_by_size(n, cap):
 
 
 # ---------------------------------------------------------------------------
-# multilinear estimation and continuous greedy
-
-
-@dataclass(frozen=True)
-class MultilinearEstimate:
-    mean: float
-    stderr: float
-    mean_exact: object       # exact rational average of the sampled values
-
-
-def multilinear_estimate(oracle: SubmodularOracle, x: Sequence[float],
-                         samples: int, seed: int) -> MultilinearEstimate:
-    """Monte-Carlo estimate of E[f(R)] with elements drawn independently."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if len(x) != oracle.n:
-        raise ValueError("probability vector length mismatch")
-    rng = random.Random(seed)
-    fixed = 0
-    for i, p in enumerate(x):
-        if not 0 <= p <= 1:
-            raise ValueError("probabilities must lie in [0, 1]")
-        if p == 1:
-            fixed |= 1 << i
-    total = Fraction(0)
-    total_sq = Fraction(0)
-    for _ in range(samples):
-        mask = fixed
-        for i, p in enumerate(x):
-            if 0 < p < 1:
-                if rng.random() < p:
-                    mask |= 1 << i
-        v = Fraction(oracle.eval(mask))
-        total += v
-        total_sq += v * v
-    mean = total / samples
-    if samples > 1:
-        var = (total_sq - samples * mean * mean) / (samples - 1)
-        stderr = math.sqrt(max(0.0, float(var)) / samples)
-    else:
-        stderr = float("nan")
-    return MultilinearEstimate(mean=float(mean), stderr=stderr, mean_exact=mean)
+# emptiness screen and continuous greedy
 
 
 # A covering row must miss its bound by more than this share of the largest
@@ -618,21 +486,6 @@ def reach_falls_short(screen, residuals, units) -> bool:
     return False
 
 
-def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> bool:
-    """Whether {x in [0,1]^n : pack @ x <= pack_bounds, cover @ x >= cover_bounds}
-    is empty by an exact certificate: some covering row misses its bound by
-    more than the margin even within the box and a single packing row.
-
-    Each (covering, packing) pair relaxes the polytope, so the test is sound
-    for any number of rows; with one row of each it is exact up to the
-    margin.  Programs inside the margin are left to the simplex.
-    """
-    bounds = [Fraction(b) for b in cover_bounds]
-    return reach_falls_short(_screen(cover_reach(pack_rows, pack_bounds, cover_rows),
-                                     _bound_scale(pack_bounds)),
-                             [b.numerator for b in bounds], [b.denominator for b in bounds])
-
-
 def _residual_rows(packing, covering, elements: tuple) -> tuple:
     """The packing and covering rows restricted to ``elements``."""
     return ([[row[e] for e in elements] for row in packing],
@@ -667,18 +520,13 @@ def _screened_empty(chosen: int, undetermined: int, cpart: _ChosenPart,
 
 
 def continuous_greedy(guess: Guess, steps: int = 100,
-                      samples_per_grad: int = 200, seed: int = 0,
-                      reach_memo: Optional[dict] = None) -> dict:
+                      samples_per_grad: int = 200, seed: int = 0) -> dict:
     """Discretized ascent over the residual polytope.
 
     Returns the fractional point as {element: float}.  Raises
-    GuessInfeasibleError when the polytope is empty.  ``reach_memo`` keeps
-    the screen across the guesses of one instance (see ``_screened_empty``).
+    GuessInfeasibleError when the polytope is empty.
     """
     _check_ascent(steps, samples_per_grad)
-    if _screened_empty(guess.chosen, guess.undetermined, *guess._parts,
-                       {} if reach_memo is None else reach_memo):
-        raise GuessInfeasibleError("empty residual polytope")
     inst = guess.instance
     elements = guess.residual_elements()
     # phase 1 once: every step below maximizes over the same polytope
@@ -832,11 +680,11 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
             continue
         undetermined = full & ~(discarded | chosen)
         diag = GuessDiagnostics(
-            chosen_size=popcount(chosen),
-            discarded_size=popcount(discarded),
+            chosen_size=chosen.bit_count(),
+            discarded_size=discarded.bit_count(),
             critical_pack_rows=len(cpart.critical_pack),
             critical_cover_rows=len(tpart.critical_cover),
-            critical_large_size=popcount(cpart.critical_large & undetermined),
+            critical_large_size=(cpart.critical_large & undetermined).bit_count(),
             filter_pass=0, filter_fail=0, infeasible_polytope=False,
             best_value=None)
         diagnostics.append(diag)
@@ -847,7 +695,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         try:
             x_star = continuous_greedy(
                 guess, steps=steps, samples_per_grad=samples_per_grad,
-                seed=_child_seed(seed, g_idx, 0), reach_memo=reach_memo)
+                seed=_child_seed(seed, g_idx, 0))
         except GuessInfeasibleError:
             diag.infeasible_polytope = True
             continue

@@ -84,10 +84,6 @@ def better(value, mask: int, cur) -> bool:
     return value > cur_value or (value == cur_value and subset_less(mask, cur[0]))
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 # ---------------------------------------------------------------------------
 # submodular oracles
 
@@ -473,12 +469,6 @@ def packed_loads(inst: Instance) -> PackedLoads:
                        keep=_KeepMasks(tuple(fields[inst.p:])))
 
 
-@dataclass(frozen=True)
-class ViolationProfile:
-    pack_ratio: Rational     # max_i load_i / bound_i  (0 when p = 0)
-    cover_ratio: object      # min_j load_j / bound_j  (inf when c = 0)
-
-
 def load_ratios(inst: Instance, mask: int) -> tuple:
     """(cover, pack) load/bound ratios of ``mask`` over rows with a positive
     bound: cover is the minimum (None without such a row), pack the maximum
@@ -488,14 +478,6 @@ def load_ratios(inst: Instance, mask: int) -> tuple:
     cover = min((Fraction(l) / b for l, b in zip(inst.cover_value(mask), inst.cover_bound)
                  if b > 0), default=None)
     return cover, pack
-
-
-def violation_profile(inst: Instance, mask: int) -> ViolationProfile:
-    if any(b == 0 for b in inst.pack_bound) or any(b == 0 for b in inst.cover_bound):
-        raise ValueError("violation_profile requires strictly positive bounds")
-    cover, pack = load_ratios(inst, mask)
-    return ViolationProfile(pack_ratio=pack,
-                            cover_ratio=float("inf") if cover is None else cover)
 
 
 def normalize(inst: Instance) -> Instance:
@@ -597,6 +579,14 @@ def to_fraction(v) -> Fraction:
     return Fraction(v)
 
 
+def _json_rat(v) -> Rational:
+    """``_rat`` of a value read from JSON, where a list, an object or null
+    is bad input."""
+    if not isinstance(v, (int, float, str)):
+        raise ValueError(f"cannot interpret {v!r} as a rational")
+    return _rat(v)
+
+
 def _rat_json(v: Rational):
     f = Fraction(v)
     if f.denominator == 1:
@@ -607,17 +597,17 @@ def _rat_json(v: Rational):
 def oracle_from_json_obj(obj: dict) -> SubmodularOracle:
     kind = obj.get("kind")
     if kind == "linear":
-        return LinearOracle([_rat(w) for w in obj["weights"]])
+        return LinearOracle([_json_rat(w) for w in obj["weights"]])
     if kind == "coverage":
         return CoverageOracle(
             universe=obj["universe"],
             element_sets=obj["element_sets"],
-            universe_weights=[_rat(w) for w in obj["universe_weights"]],
+            universe_weights=[_json_rat(w) for w in obj["universe_weights"]],
         )
     if kind == "concave_of_modular":
         return ConcaveOfModularOracle(
-            weights=[_rat(w) for w in obj["weights"]],
-            cap=_rat(obj["cap"]),
+            weights=[_json_rat(w) for w in obj["weights"]],
+            cap=_json_rat(obj["cap"]),
         )
     raise ValueError(f"unknown objective kind {kind!r}")
 
@@ -627,10 +617,10 @@ def instance_from_json_obj(obj: dict) -> Instance:
     if obj["n"] != oracle.n:
         raise ValueError("n does not match objective arity")
     return make_instance(
-        packing=[[_rat(v) for v in row] for row in obj["packing"]],
-        covering=[[_rat(v) for v in row] for row in obj["covering"]],
-        pack_bound=[_rat(v) for v in obj["pack_bound"]],
-        cover_bound=[_rat(v) for v in obj["cover_bound"]],
+        packing=[[_json_rat(v) for v in row] for row in obj["packing"]],
+        covering=[[_json_rat(v) for v in row] for row in obj["covering"]],
+        pack_bound=[_json_rat(v) for v in obj["pack_bound"]],
+        cover_bound=[_json_rat(v) for v in obj["cover_bound"]],
         objective=oracle,
     )
 

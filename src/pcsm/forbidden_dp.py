@@ -61,9 +61,6 @@ class ForbiddenIndex:
     def forbidden_mask(self, p_prime: int) -> int:
         return mask_of(self.order[: self.prefix_len(p_prime)])
 
-    def forbidden_pack(self, p_prime: int) -> int:
-        return self.prefix_pack[self.prefix_len(p_prime)]
-
     def forbidden_cover(self, p_prime: int) -> int:
         return self.prefix_cover[self.prefix_len(p_prime)]
 
@@ -110,7 +107,6 @@ class ForbiddenOutcome:
     best_set: int
     best_value: object
     guesses_tried: int
-    all_tables: list         # (guess mask, table) per guess when retained
 
 
 def _enumerate_guesses(inst: Instance, big_mask: int, epsilon: Fraction):
@@ -186,8 +182,7 @@ def _run_single_dp(inst: Instance, guess_mask: int, index: ForbiddenIndex,
 
 
 def forbidden_dp_solve(inst: Instance, epsilon: Rational,
-                       skip_guessing: bool = False,
-                       keep_all_tables: bool = False) -> ForbiddenOutcome:
+                       skip_guessing: bool = False) -> ForbiddenOutcome:
     """Best of T[c', p'] + F_{p'} with full coverage, over all big-element
     guesses."""
     _require_single_row(inst)
@@ -207,14 +202,11 @@ def forbidden_dp_solve(inst: Instance, epsilon: Rational,
     index = build_forbidden_index(inst, epsilon, small_mask=small_mask)
 
     best = None
-    all_tables = []
     forb_cache: dict = {}
     for guess_mask in guesses:
         table = _run_single_dp(inst, guess_mask, index,
                                excluded_mask=big_mask & ~guess_mask,
                                forb_cache=forb_cache)
-        if keep_all_tables:
-            all_tables.append((guess_mask, table))
         for (c_cur, p_cur), (mask, _value) in table.items():
             if c_cur + index.forbidden_cover(p_cur) < c_bound:
                 continue
@@ -224,8 +216,8 @@ def forbidden_dp_solve(inst: Instance, epsilon: Rational,
             if better(val, candidate, best):
                 best = (candidate, val)
     if best is None:
-        return ForbiddenOutcome(False, 0, 0, len(guesses), all_tables)
-    return ForbiddenOutcome(True, best[0], best[1], len(guesses), all_tables)
+        return ForbiddenOutcome(False, 0, 0, len(guesses))
+    return ForbiddenOutcome(True, best[0], best[1], len(guesses))
 
 
 def cardinality_solve(inst: Instance, k: int) -> ForbiddenOutcome:

@@ -28,12 +28,14 @@ class TwoDistInstance:
     k: int
 
     def __post_init__(self):
-        if any(u < 1 for u in self.capacities):
+        if any(not isinstance(u, int) or u < 1 for u in self.capacities):
             raise ValueError("capacities must be positive integers")
+        if not isinstance(self.num_clients, int):
+            raise ValueError("the number of clients must be an integer")
         if not 0 <= self.a <= self.b:
             raise ValueError("distances must satisfy 0 <= a <= b")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
+        if not isinstance(self.k, int) or self.k < 0:
+            raise ValueError("k must be a non-negative integer")
         for cl, fa in self.near_pairs:
             if not (0 <= cl < self.num_clients and 0 <= fa < len(self.capacities)):
                 raise ValueError("near pair out of range")

@@ -426,14 +426,6 @@ UB_BETA = Fraction(517, 10000)
 UB_GAMMA = Fraction(647, 10000)
 
 
-@dataclass(frozen=True)
-class UpperBoundResult:
-    feasible: bool
-    value: float
-    value_exact: Fraction
-    violated: tuple
-
-
 def upper_bound_point(m: int) -> dict:
     """The perturbed feasible point showing the forbidden-set program stays
     strictly below the plain program's limit.
@@ -473,22 +465,9 @@ def upper_bound_point(m: int) -> dict:
     return point
 
 
-def verify_upper_bound_construction(m: int) -> UpperBoundResult:
+def verify_upper_bound_construction(m: int) -> ExactCheck:
     """Build the perturbed point and recheck it against build_lp_f(m) exactly."""
-    point = upper_bound_point(m)
-    check = check_exact(build_lp_f(m), point)
-    return UpperBoundResult(
-        feasible=check.feasible,
-        value=float(check.objective),
-        value_exact=check.objective,
-        violated=check.violated,
-    )
-
-
-def upper_bound_value_formula(m: int) -> Fraction:
-    """a_m - beta(alpha - 1/2)/2 + 3 beta/(4m) with a_m = (1 - 1/m)^m."""
-    return (closed_form_optimum(m)
-            - UB_BETA * (UB_ALPHA - Fraction(1, 2)) / 2 + 3 * UB_BETA / (4 * m))
+    return check_exact(build_lp_f(m), upper_bound_point(m))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,153 @@
+"""Reference code that only the tests call: the paper's existence argument
+for a correct guess, the residual objective, a Monte-Carlo multilinear
+estimator, the screen on Fraction rows and the closed form of the
+upper-bound construction's value.  The solvers never run any of it."""
+
+import math
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+from pcsm import continuous as cont
+from pcsm.core import Instance, Params, SubmodularOracle, iter_bits, mask_of
+from pcsm.lp import UB_ALPHA, UB_BETA, closed_form_optimum
+
+
+def residual_objective(guess: cont.Guess, t_mask: int):
+    """g(T) = f(T + E1) - f(E1): monotone, submodular, zero on the empty set."""
+    if t_mask & ~guess.undetermined:
+        raise ValueError("T must avoid both chosen and discarded elements")
+    oracle = guess.instance.objective
+    return oracle.eval(t_mask | guess.chosen) - oracle.eval(guess.chosen)
+
+
+def greedy_marginal_order(oracle: SubmodularOracle, mask: int) -> tuple:
+    """Order a set so each element has maximal marginal given its prefix."""
+    remaining = list(iter_bits(mask))
+    order = []
+    cur = 0
+    while remaining:
+        state = oracle.begin(cur)
+        best = max(remaining, key=lambda e: (oracle.gain(state, e), -e))
+        order.append(best)
+        remaining.remove(best)
+        cur |= 1 << best
+    return tuple(order)
+
+
+def correct_guess_for(inst: Instance, params: Params, optimum: int) -> cont.Guess:
+    """The guess the existence argument constructs for a known optimum:
+    chosen = top-gamma greedy prefix plus the optimum's large elements,
+    cover targets on the geometric grid just below the optimum's coverage."""
+    oracle = inst.objective
+    order = greedy_marginal_order(oracle, optimum)
+    gamma_count = min(len(order), int(math.ceil(params.gamma)))
+    top = mask_of(order[:gamma_count])
+    threshold = params.alpha * params.delta
+    cov = inst.cover_value(optimum)
+    targets = tuple(_grid_floor(Fraction(v), params.delta) for v in cov)
+    big = mask_of(
+        ell for ell in iter_bits(optimum)
+        if any(inst.packing[i][ell] >= threshold for i in range(inst.p))
+        or any(inst.covering[j][ell] >= threshold * targets[j] for j in range(inst.c)))
+    chosen = top | big
+    rows = cont._scaled_rows(inst)
+    entry = cont._chosen_entry(inst, params, rows, chosen, rows.load(chosen))
+    discarded, tpart = cont._derive(params, chosen, entry,
+                                    cont._targets(rows, targets, params.alpha, params.delta))
+    return cont._make_guess(inst, params, discarded, chosen, entry[0], tpart)
+
+
+def is_correct(guess: cont.Guess, optimum: int) -> bool:
+    """The four correctness clauses against a fixed optimal solution."""
+    inst = guess.instance
+    if guess.chosen & ~optimum:
+        return False
+    if guess.discarded & optimum:
+        return False
+    order = greedy_marginal_order(inst.objective, optimum)
+    # gamma may exceed |O|; then all of O must be chosen
+    gamma_count = min(len(order), int(math.ceil(guess.gamma)))
+    if mask_of(order[:gamma_count]) & ~guess.chosen:
+        return False
+    cov = inst.cover_value(optimum)
+    for t, v in zip(guess.cover_targets, cov):
+        if not (1 <= t <= v < (1 + guess.delta) * t):
+            return False
+    return True
+
+
+def _grid_floor(value: Fraction, delta: Fraction) -> Fraction:
+    """Largest (1+delta)^j <= value with j >= 0 (value must be >= 1)."""
+    if value < 1:
+        raise ValueError("grid point requires value >= 1")
+    step = 1 + delta
+    point = Fraction(1)
+    while point * step <= value:
+        point *= step
+    return point
+
+
+@dataclass(frozen=True)
+class MultilinearEstimate:
+    mean: float
+    stderr: float
+    mean_exact: object       # exact rational average of the sampled values
+
+
+def multilinear_estimate(oracle: SubmodularOracle, x: Sequence[float],
+                         samples: int, seed: int) -> MultilinearEstimate:
+    """Monte-Carlo estimate of E[f(R)] with elements drawn independently."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if len(x) != oracle.n:
+        raise ValueError("probability vector length mismatch")
+    rng = random.Random(seed)
+    fixed = 0
+    for i, p in enumerate(x):
+        if not 0 <= p <= 1:
+            raise ValueError("probabilities must lie in [0, 1]")
+        if p == 1:
+            fixed |= 1 << i
+    total = Fraction(0)
+    total_sq = Fraction(0)
+    for _ in range(samples):
+        mask = fixed
+        for i, p in enumerate(x):
+            if 0 < p < 1:
+                if rng.random() < p:
+                    mask |= 1 << i
+        v = Fraction(oracle.eval(mask))
+        total += v
+        total_sq += v * v
+    mean = total / samples
+    if samples > 1:
+        var = (total_sq - samples * mean * mean) / (samples - 1)
+        stderr = math.sqrt(max(0.0, float(var)) / samples)
+    else:
+        stderr = float("nan")
+    return MultilinearEstimate(mean=float(mean), stderr=stderr, mean_exact=mean)
+
+
+def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> bool:
+    """Whether {x in [0,1]^n : pack @ x <= pack_bounds, cover @ x >= cover_bounds}
+    is empty by an exact certificate: some covering row misses its bound by
+    more than the margin even within the box and a single packing row.
+
+    The screen ``continuous._screened_empty`` runs on a guess's int rows,
+    here on Fraction rows and bounds as given.  Each (covering, packing)
+    pair relaxes the polytope, so the test is sound for any number of rows;
+    with one row of each it is exact up to the margin.
+    """
+    bounds = [Fraction(b) for b in cover_bounds]
+    return cont.reach_falls_short(
+        cont._screen(cont.cover_reach(pack_rows, pack_bounds, cover_rows),
+                     cont._bound_scale(pack_bounds)),
+        [b.numerator for b in bounds], [b.denominator for b in bounds])
+
+
+def upper_bound_value_formula(m: int) -> Fraction:
+    """a_m - beta(alpha - 1/2)/2 + 3 beta/(4m) with a_m = (1 - 1/m)^m."""
+    return (closed_form_optimum(m)
+            - UB_BETA * (UB_ALPHA - Fraction(1, 2)) / 2 + 3 * UB_BETA / (4 * m))

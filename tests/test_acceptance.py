@@ -8,9 +8,12 @@ import statistics
 import time
 from fractions import Fraction
 
+import pytest
+
 from pcsm.brute import brute_optimum, brute_pareto
 from pcsm.cli import generate_instance
-from pcsm.continuous import Guess, residual_objective, round_and_filter, solve_main
+from pcsm import forbidden_dp
+from pcsm.continuous import Guess, round_and_filter, solve_main
 from pcsm.core import (
     Params,
     iter_bits,
@@ -30,11 +33,11 @@ from pcsm.lp import (
     check_exact,
     closed_form_optimum,
     simplex_solve,
-    upper_bound_value_formula,
     verify_upper_bound_construction,
 )
 
 from conftest import FAMILIES, random_oracle
+from reference import residual_objective, upper_bound_value_formula
 
 
 def criterion(label):
@@ -99,8 +102,8 @@ def test_criterion_3_upper_bound_construction():
     for m in (10, 50, 100):
         res = verify_upper_bound_construction(m)
         assert res.feasible, (m, res.violated)
-        assert res.value_exact == upper_bound_value_formula(m)
-        assert res.value < 0.3647, (m, res.value)
+        assert res.objective == upper_bound_value_formula(m)
+        assert res.objective < Fraction("0.3647"), (m, float(res.objective))
     return ("the perturbed point is feasible for m in [10, 50, 100] with "
             "value a_m - beta(alpha-1/2)/2 + 3beta/4m < 0.3647")
 
@@ -123,16 +126,25 @@ _WARMUP_CACHE = {}
 
 
 def _warmup_batch():
-    """The 200-instance batch shared by criteria 4 and 5: every forbidden-DP
-    run keeps its populated tables for the disjointness check."""
+    """The 200-instance batch shared by criteria 4 and 5: the populated
+    tables of every forbidden-DP run are kept for the disjointness check."""
     if not _WARMUP_CACHE:
         t0 = time.perf_counter()
         runs = []
-        for inst in _planted_suite(200):
-            br = brute_optimum(inst)
-            v = vanilla_dp(inst)
-            f = forbidden_dp_solve(inst, _WARMUP_EPS, keep_all_tables=True)
-            runs.append((inst, br, v, f))
+        run_single_dp = forbidden_dp._run_single_dp
+
+        def recording_dp(*args, **kw):
+            tables.append(run_single_dp(*args, **kw))
+            return tables[-1]
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(forbidden_dp, "_run_single_dp", recording_dp)
+            for inst in _planted_suite(200):
+                br = brute_optimum(inst)
+                v = vanilla_dp(inst)
+                tables = []
+                f = forbidden_dp_solve(inst, _WARMUP_EPS)
+                runs.append((inst, br, v, f, tables))
         _WARMUP_CACHE["runs"] = runs
         _WARMUP_CACHE["seconds"] = time.perf_counter() - t0
     return _WARMUP_CACHE["runs"], _WARMUP_CACHE["seconds"]
@@ -141,7 +153,7 @@ def _warmup_batch():
 @criterion("criterion 4")
 def test_criterion_4_warmup_floors():
     runs, elapsed = _warmup_batch()
-    for inst, br, v, f in runs:
+    for inst, br, v, f, _tables in runs:
         assert br.feasible_count >= 1      # planted construction
         assert v.found
         assert 4 * v.best_value >= br.best_value
@@ -163,11 +175,11 @@ def test_criterion_4_warmup_floors():
 def test_criterion_5_forbidden_disjointness():
     runs, _elapsed = _warmup_batch()
     checked_cells = 0
-    for inst, _br, _v, f in runs:
+    for inst, _br, _v, _f, tables in runs:
         small = ((1 << inst.n) - 1) & ~big_elements(inst, _WARMUP_EPS)
         index = build_forbidden_index(inst, _WARMUP_EPS, small_mask=small)
         forb = {}
-        for _guess, table in f.all_tables:
+        for table in tables:
             for (c_cur, p_cur), (mask, _value) in table.items():
                 if p_cur not in forb:
                     forb[p_cur] = index.forbidden_mask(p_cur)

@@ -108,6 +108,24 @@ def test_cli_bad_input_exit_code(capsys):
     capsys.readouterr()
 
 
+def _first_weight_a_list():
+    obj = instance_to_json_obj(generate_instance(n=4, p=1, c=1, seed=1))
+    obj["objective"]["weights"][0] = [1]
+    return obj
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("kmedian", {"facilities": [{"cap": 2}, {"cap": 2}], "clients": 3,
+                 "dist_a_pairs": [[0, 0], [1, 0], [2, 1]], "a": 1, "b": 3, "k": 2.5}),
+    ("brute", _first_weight_a_list()),
+], ids=["kmedian-fractional-k", "brute-list-weight"])
+def test_cli_malformed_json_is_bad_input(tmp_path, capsys, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "--instance", str(path), "--quiet"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("bad input:")
+
+
 def test_cli_lp_csv(tmp_path, capsys):
     out = tmp_path / "lp.csv"
     assert main(["lp", "--variant", "lpf", "--m", "2", "5",

@@ -17,14 +17,8 @@ from pcsm.continuous import (
     GuessInfeasibleError,
     GuessList,
     continuous_greedy,
-    correct_guess_for,
     enumerate_guesses,
     fractional_knapsack_max,
-    greedy_marginal_order,
-    is_correct,
-    multilinear_estimate,
-    polytope_surely_empty,
-    residual_objective,
     round_and_filter,
     solve_main,
 )
@@ -47,6 +41,14 @@ from pcsm.lp import (
 )
 
 from conftest import FAMILIES, exact_multilinear, random_instance, random_oracle
+from reference import (
+    correct_guess_for,
+    greedy_marginal_order,
+    is_correct,
+    multilinear_estimate,
+    polytope_surely_empty,
+    residual_objective,
+)
 
 RELAXED = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=2)
 
@@ -248,8 +250,7 @@ def test_continuous_greedy_refuses_out_of_range_settings():
     inst = normalize(make_instance([[1, 1]], [[1, 1]], [2], [2],
                                    LinearOracle([1, 1])))
     g = _guess(inst, chosen=0, discarded=0b11, targets=(Fraction(1),))
-    # checked before the guess is screened, so even an empty polytope
-    # reports the setting
+    # checked before phase 1, so even an empty polytope reports the setting
     with pytest.raises(ValueError, match="samples_per_grad"):
         continuous_greedy(g, steps=3, samples_per_grad=0, seed=0)
     with pytest.raises(ValueError, match="steps"):
@@ -826,8 +827,7 @@ def test_guess_stream_builds_the_enumerated_guesses():
 
 def _ref_continuous_greedy(guess, steps, samples_per_grad, seed, directions):
     """The ascent without its gain memo: a fresh ``begin`` and every gain at
-    each sample; each step's weights are appended to ``directions``.  No
-    screen: on these cases it rejects only what phase 1 rejects."""
+    each sample; each step's weights are appended to ``directions``."""
     inst = guess.instance
     elements = guess.residual_elements()
     polytope = prepare_polytope(len(elements),
@@ -894,7 +894,6 @@ def test_ascent_matches_the_loop_without_memo(monkeypatch):
         wide = [_guess(norm, chosen, 0, (Fraction(1),) * norm.c, params)
                 for chosen in [0] + [1 << e for e in range(n)]]
         guesses = enumerate_guesses(norm, params, budget=budget).guesses + wide
-        reach_memo = {}
         for g_idx, guess in enumerate(guesses):
             knobs = dict(steps=4, samples_per_grad=6, seed=seed * 1000 + g_idx)
             want_directions = []
@@ -903,9 +902,9 @@ def test_ascent_matches_the_loop_without_memo(monkeypatch):
                 want = _ref_continuous_greedy(guess, directions=want_directions, **knobs)
             except GuessInfeasibleError:
                 with pytest.raises(GuessInfeasibleError):
-                    continuous_greedy(guess, reach_memo=reach_memo, **knobs)
+                    continuous_greedy(guess, **knobs)
                 continue
-            got = continuous_greedy(guess, reach_memo=reach_memo, **knobs)
+            got = continuous_greedy(guess, **knobs)
             distinct = [w for k, w in enumerate(want_directions)
                         if k == 0 or w != want_directions[k - 1]]
             assert list(map(_hex, directions)) == list(map(_hex, distinct))
@@ -941,7 +940,7 @@ def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
         index = {(g.chosen, g.cover_targets): k for k, g in enumerate(enum.guesses)}
         ascents = []
 
-        def ref_greedy(guess, steps, samples_per_grad, seed, reach_memo=None):
+        def ref_greedy(guess, steps, samples_per_grad, seed):
             k = index[guess.chosen, guess.cover_targets]
             assert seed == cont._child_seed(knobs["seed"], k, 0)
             ascents.append([])
@@ -1015,36 +1014,25 @@ def test_solve_main_memos_stay_within_one_solve(monkeypatch):
     assert [solve(name) for name in "ABA"] == [alone[name] for name in "ABA"]
 
 
-def test_shared_reach_memo_screens_like_a_fresh_screen(monkeypatch):
-    # with one memo across an instance's guesses, in either order, a guess
-    # reaches the LP exactly when polytope_surely_empty clears it on its own
-    reached = []
-
-    def spy(n, *rows):
-        reached.append(n)
-        return prepare_polytope(n, *rows)
-
-    monkeypatch.setattr(cont, "prepare_polytope", spy)
+def test_shared_reach_memo_screens_like_a_fresh_screen():
+    # with one memo across an instance's guesses, in either order, the
+    # screen on a guess's parts gives the Fraction reference's verdict.
+    # Each enumerated guess also comes with E1 and E0 swapped: the same
+    # undetermined elements under another E1, so another packing room
     screened = 0
     for seed in range(6):
         p, c = (1, 1) if seed % 2 else (2, 2)
         inst = normalize(random_instance(random.Random(700 + seed), 7, p=p, c=c,
                                          family=FAMILIES[seed % 3]))
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
-        guesses = enumerate_guesses(inst, params, budget=1500).guesses
+        guesses = []
+        for g in enumerate_guesses(inst, params, budget=1500).guesses:
+            guesses += [g, _guess(inst, g.discarded, g.chosen, g.cover_targets, params)]
         for order in (guesses, guesses[::-1]):
             memo = {}
             for g in order:
-                elements = g.residual_elements()
-                empty = polytope_surely_empty(
-                    [[row[e] for e in elements] for row in inst.packing], g.residual_pack,
-                    [[row[e] for e in elements] for row in inst.covering], g.residual_cover)
-                reached.clear()
-                try:
-                    continuous_greedy(g, steps=1, samples_per_grad=1, reach_memo=memo)
-                except GuessInfeasibleError:
-                    pass
-                assert bool(reached) != empty
+                empty = _ref_screen(inst, g)[0]
+                assert cont._screened_empty(g.chosen, g.undetermined, *g._parts, memo) == empty
                 screened += empty
     assert screened > 100
 
@@ -1123,14 +1111,7 @@ def _screen_cases():
                0b11, 0, (1,), 3)
 
 
-def test_screen_at_an_exact_margin_tie_matches_the_fraction_screen(monkeypatch):
-    reached = []
-
-    def spy(n, *rows):
-        reached.append(n)
-        return prepare_polytope(n, *rows)
-
-    monkeypatch.setattr(cont, "prepare_polytope", spy)
+def test_screen_at_an_exact_margin_tie_matches_the_fraction_screen():
     verdicts = []
     for inst, chosen, discarded, targets, scale in _screen_cases():
         targets = tuple(map(Fraction, targets))
@@ -1143,12 +1124,7 @@ def test_screen_at_an_exact_margin_tie_matches_the_fraction_screen(monkeypatch):
         assert polytope_surely_empty(
             [[row[e] for e in elements] for row in inst.packing], g.residual_pack,
             [[row[e] for e in elements] for row in inst.covering], g.residual_cover) == short
-        reached.clear()
-        try:
-            continuous_greedy(g, steps=1, samples_per_grad=1)
-        except GuessInfeasibleError:
-            pass
-        assert bool(reached) != short
+        assert cont._screened_empty(g.chosen, g.undetermined, *g._parts, {}) == short
         verdicts.append((shortfalls[0] == margin, short))
     # each case once at the tie (kept), once past it (screened), once inside
     assert verdicts == [(True, False)] * 3 + [(False, True)] * 3 + [(False, False)] * 3

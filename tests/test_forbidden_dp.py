@@ -13,6 +13,7 @@ from pcsm.core import (
     mask_of,
     subset_key,
 )
+from pcsm import forbidden_dp
 from pcsm.forbidden_dp import (
     _enumerate_guesses,
     big_elements,
@@ -59,23 +60,33 @@ def test_index_invariants_full_sweep():
                 assert prev_mask & ~mask == 0
             prev_mask = mask
             if total >= bound - p_prime:
-                assert idx.forbidden_pack(p_prime) >= bound - p_prime
+                forbidden_pack = idx.prefix_pack[idx.prefix_len(p_prime)]
+                assert forbidden_pack >= bound - p_prime
                 # prefix overshoots by less than one small element
-                assert idx.forbidden_pack(p_prime) <= bound - p_prime + max_small
+                assert forbidden_pack <= bound - p_prime + max_small
 
 
-def test_disjointness_of_cells_from_forbidden_sets():
+def test_disjointness_of_cells_from_forbidden_sets(monkeypatch):
+    tables = []
+    run_single_dp = forbidden_dp._run_single_dp
+
+    def recording_dp(*args, **kw):
+        tables.append(run_single_dp(*args, **kw))
+        return tables[-1]
+
+    monkeypatch.setattr(forbidden_dp, "_run_single_dp", recording_dp)
     rng = random.Random(61)
     for trial in range(25):
         inst = random_instance(rng, rng.randint(3, 9), p=1, c=1,
                                family=FAMILIES[trial % 3])
         eps = Fraction(1, 4)
-        res = forbidden_dp_solve(inst, eps, keep_all_tables=True)
+        tables.clear()
+        res = forbidden_dp_solve(inst, eps)
         big = big_elements(inst, eps)
         small = ((1 << inst.n) - 1) & ~big
         idx = build_forbidden_index(inst, eps, small_mask=small)
-        assert len(res.all_tables) == res.guesses_tried
-        for _guess, table in res.all_tables:
+        assert len(tables) == res.guesses_tried
+        for table in tables:
             for (c_cur, p_cur), (mask, _value) in table.items():
                 assert mask & idx.forbidden_mask(p_cur) == 0
 

@@ -21,11 +21,11 @@ from pcsm.lp import (
     linear_max_over_polytope,
     simplex_solve,
     upper_bound_point,
-    upper_bound_value_formula,
     verify_upper_bound_construction,
 )
 
 from conftest import polytope_lp_by_vertices
+from reference import upper_bound_value_formula
 
 
 def _lp(sense, variables, objective, constraints):
@@ -123,10 +123,10 @@ def test_lp_restriction_embeds_into_lpf():
 def test_upper_bound_construction(m):
     res = verify_upper_bound_construction(m)
     assert res.feasible, res.violated
-    assert res.value_exact == upper_bound_value_formula(m)
-    assert res.value < 0.3647
+    assert res.objective == upper_bound_value_formula(m)
+    assert res.objective < Fraction("0.3647")
     # any feasible point upper-bounds the minimum
-    assert simplex_solve(build_lp_f(m)).objective <= res.value + 1e-9
+    assert simplex_solve(build_lp_f(m)).objective <= float(res.objective) + 1e-9
 
 
 def test_upper_bound_rejects_odd_m():
