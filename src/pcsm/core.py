@@ -422,13 +422,6 @@ class PackedLoads:
         Hot loops inline this as ``word &= keep[word & want]``."""
         return word & self.keep[word & self.want]
 
-    def encode(self, cover: Sequence[Rational], pack: Sequence[Rational]) -> int:
-        """The word of exact loads, inverse of ``decode``."""
-        word = self.start
-        for (shift, _, _, scale), load in zip(self.fields, (*pack, *cover)):
-            word += int(load * scale) << shift
-        return word
-
     def decode(self, word: int) -> tuple:
         """``(cover loads, pack loads)`` of a word: ints, or Fractions for
         rows scaled by more than 1."""
@@ -587,6 +580,17 @@ def _json_rat(v) -> Rational:
     return _rat(v)
 
 
+def _json_of(v, kind, what: str):
+    """``v`` when it is a JSON value of type ``kind``; anything else is bad input."""
+    if not isinstance(v, kind):
+        raise ValueError(f"expected {what}, not {v!r}")
+    return v
+
+
+def _json_rats(v) -> list:
+    return [_json_rat(x) for x in _json_of(v, list, "a list")]
+
+
 def _rat_json(v: Rational):
     f = Fraction(v)
     if f.denominator == 1:
@@ -595,32 +599,33 @@ def _rat_json(v: Rational):
 
 
 def oracle_from_json_obj(obj: dict) -> SubmodularOracle:
-    kind = obj.get("kind")
+    kind = _json_of(obj, dict, "an object").get("kind")
     if kind == "linear":
-        return LinearOracle([_json_rat(w) for w in obj["weights"]])
+        return LinearOracle(_json_rats(obj["weights"]))
     if kind == "coverage":
         return CoverageOracle(
-            universe=obj["universe"],
-            element_sets=obj["element_sets"],
-            universe_weights=[_json_rat(w) for w in obj["universe_weights"]],
+            universe=_json_of(obj["universe"], int, "an integer"),
+            element_sets=[[_json_of(i, int, "an integer") for i in _json_of(s, list, "a list")]
+                          for s in _json_of(obj["element_sets"], list, "a list")],
+            universe_weights=_json_rats(obj["universe_weights"]),
         )
     if kind == "concave_of_modular":
         return ConcaveOfModularOracle(
-            weights=[_json_rat(w) for w in obj["weights"]],
+            weights=_json_rats(obj["weights"]),
             cap=_json_rat(obj["cap"]),
         )
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
 def instance_from_json_obj(obj: dict) -> Instance:
-    oracle = oracle_from_json_obj(obj["objective"])
+    oracle = oracle_from_json_obj(_json_of(obj, dict, "an object")["objective"])
     if obj["n"] != oracle.n:
         raise ValueError("n does not match objective arity")
     return make_instance(
-        packing=[[_json_rat(v) for v in row] for row in obj["packing"]],
-        covering=[[_json_rat(v) for v in row] for row in obj["covering"]],
-        pack_bound=[_json_rat(v) for v in obj["pack_bound"]],
-        cover_bound=[_json_rat(v) for v in obj["cover_bound"]],
+        packing=[_json_rats(row) for row in _json_of(obj["packing"], list, "a list")],
+        covering=[_json_rats(row) for row in _json_of(obj["covering"], list, "a list")],
+        pack_bound=_json_rats(obj["pack_bound"]),
+        cover_bound=_json_rats(obj["cover_bound"]),
         objective=oracle,
     )
 

@@ -50,6 +50,7 @@ class ForbiddenIndex:
     order: tuple
     prefix_pack: tuple       # prefix_pack[i] = pack value of the first i elements
     prefix_cover: tuple
+    prefix_mask: tuple       # prefix_mask[i] = mask of the first i elements
     pack_bound: int
 
     def prefix_len(self, p_prime: int) -> int:
@@ -59,10 +60,7 @@ class ForbiddenIndex:
                                   0, len(self.order))
 
     def forbidden_mask(self, p_prime: int) -> int:
-        return mask_of(self.order[: self.prefix_len(p_prime)])
-
-    def forbidden_cover(self, p_prime: int) -> int:
-        return self.prefix_cover[self.prefix_len(p_prime)]
+        return self.prefix_mask[self.prefix_len(p_prime)]
 
 
 def big_elements(inst: Instance, epsilon: Rational) -> int:
@@ -90,13 +88,16 @@ def build_forbidden_index(inst: Instance, epsilon: Rational,
     order = tuple(sorted(iter_bits(small_mask), key=ratio_key))
     prefix_pack = [0]
     prefix_cover = [0]
+    prefix_mask = [0]
     for i in order:
         prefix_pack.append(prefix_pack[-1] + int(pack[i]))
         prefix_cover.append(prefix_cover[-1] + int(cover[i]))
+        prefix_mask.append(prefix_mask[-1] | 1 << i)
     return ForbiddenIndex(
         order=order,
         prefix_pack=tuple(prefix_pack),
         prefix_cover=tuple(prefix_cover),
+        prefix_mask=tuple(prefix_mask),
         pack_bound=int(inst.pack_bound[0]),
     )
 
@@ -124,8 +125,8 @@ def _enumerate_guesses(inst: Instance, big_mask: int, epsilon: Fraction):
                 yield mask_of(combo)
 
 
-def _run_single_dp(inst: Instance, guess_mask: int, index: ForbiddenIndex,
-                   excluded_mask: int, forb_cache: dict):
+def _run_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
+                   index: ForbiddenIndex, excluded_mask: int):
     """Populate the (cover, pack) table seeded with the guess; forward form.
 
     Cells are swept in ascending pack level, then ascending cover value, so
@@ -134,11 +135,8 @@ def _run_single_dp(inst: Instance, guess_mask: int, index: ForbiddenIndex,
     cell itself, the forbidden prefix at level p', and the non-guessed big
     elements, which the guessing step removed from the instance.
     """
-    pack = tuple(int(v) for v in inst.packing[0])
-    cover = tuple(int(v) for v in inst.covering[0])
-    p_bound = int(inst.pack_bound[0])
-    oracle = inst.objective
-    n = inst.n
+    p_bound = index.pack_bound
+    n = len(pack)
 
     g_cov = sum(cover[i] for i in iter_bits(guess_mask))
     g_pak = sum(pack[i] for i in iter_bits(guess_mask))
@@ -148,9 +146,7 @@ def _run_single_dp(inst: Instance, guess_mask: int, index: ForbiddenIndex,
         if p_cur not in by_level:          # most levels stay empty
             continue
         worklist = sorted(by_level[p_cur])
-        if p_cur not in forb_cache:
-            forb_cache[p_cur] = index.forbidden_mask(p_cur)
-        forb = forb_cache[p_cur] | excluded_mask
+        forb = index.forbidden_mask(p_cur) | excluded_mask
         wi = 0
         while wi < len(worklist):
             c_cur = worklist[wi]
@@ -189,6 +185,8 @@ def forbidden_dp_solve(inst: Instance, epsilon: Rational,
     epsilon = Fraction(_rat(epsilon))
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    pack = tuple(int(v) for v in inst.packing[0])
+    cover = tuple(int(v) for v in inst.covering[0])
     c_bound = int(inst.cover_bound[0])
     oracle = inst.objective
 
@@ -202,16 +200,14 @@ def forbidden_dp_solve(inst: Instance, epsilon: Rational,
     index = build_forbidden_index(inst, epsilon, small_mask=small_mask)
 
     best = None
-    forb_cache: dict = {}
     for guess_mask in guesses:
-        table = _run_single_dp(inst, guess_mask, index,
-                               excluded_mask=big_mask & ~guess_mask,
-                               forb_cache=forb_cache)
+        table = _run_single_dp(oracle, pack, cover, guess_mask, index,
+                               excluded_mask=big_mask & ~guess_mask)
         for (c_cur, p_cur), (mask, _value) in table.items():
-            if c_cur + index.forbidden_cover(p_cur) < c_bound:
+            k = index.prefix_len(p_cur)
+            if c_cur + index.prefix_cover[k] < c_bound:
                 continue
-            # the sweep cached the forbidden mask of every level it reached
-            candidate = mask | forb_cache[p_cur]
+            candidate = mask | index.prefix_mask[k]
             val = oracle.eval(candidate)
             if better(val, candidate, best):
                 best = (candidate, val)
@@ -253,7 +249,7 @@ def solve_polynomial(inst: Instance, epsilon: Rational) -> PolynomialOutcome:
     epsilon = Fraction(_rat(epsilon))
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    scaled = scale_instance(inst, epsilon / 2).scaled
+    scaled = scale_instance(inst, epsilon / 2)
     outcome = forbidden_dp_solve(scaled, epsilon / 2)
     if not outcome.found:
         return PolynomialOutcome(False, 0, 0, None, None)

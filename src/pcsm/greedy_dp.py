@@ -10,8 +10,9 @@ instance down to a polynomially sized integer one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (BudgetExceededError, Instance, PackedLoads, Rational, better,
                    packed_loads, subset_key, _rat)
@@ -26,11 +27,19 @@ def _require_integer(inst: Instance) -> None:
 
 @dataclass
 class DpOutcome:
-    table: dict              # (q, cover key, pack key) -> (set mask, value)
     best_set: int            # 0 when nothing qualifies
     best_value: object
     found: bool
     cells_populated: int
+    _layers: list = field(repr=False, compare=False)    # per q: load word -> (mask, value)
+    _loads: PackedLoads = field(repr=False, compare=False)
+
+    @cached_property
+    def table(self) -> dict:
+        """(q, cover key, pack key) -> (set mask, value), decoded on first read."""
+        decode = self._loads.decode
+        return {(q, *decode(word)): entry
+                for q, layer in enumerate(self._layers) for word, entry in layer.items()}
 
 
 def _guard_table(inst: Instance, saturate: bool) -> None:
@@ -85,18 +94,17 @@ def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
         layer = nxt
 
     c_bound = inst.cover_bound
-    table = {}
+    cells = sum(map(len, layers))
     best = None
-    for q, layer in enumerate(layers):
+    for layer in layers:
         for word, (mask, value) in layer.items():
-            cov, pak = loads.decode(word)
-            table[(q, cov, pak)] = (mask, value)
-            if (all(2 * v >= b for v, b in zip(cov, c_bound))
-                    and better(value, mask, best)):
+            # decode a cell only when it would win
+            if (better(value, mask, best)
+                    and all(2 * v >= b for v, b in zip(loads.decode(word)[0], c_bound))):
                 best = (mask, value)
     if best is None:
-        return DpOutcome(table, 0, 0, False, len(table))
-    return DpOutcome(table, best[0], best[1], True, len(table))
+        return DpOutcome(0, 0, False, cells, layers, loads)
+    return DpOutcome(best[0], best[1], True, cells, layers, loads)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +160,7 @@ def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> Completio
     function.
     """
     outcome = vanilla_dp(inst, saturate_cover=saturate_cover)
-    loads = packed_loads(inst)
+    loads = outcome._loads
     start, guard, want = loads.start, loads.guard, loads.want
     # witnesses as load offsets, in tie-break order: the first that fits a
     # cell is the lexicographically smallest fitting one.  A cell plus a
@@ -168,26 +176,25 @@ def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> Completio
 
     best = None
     valid = 0
-    witness_of: dict = {}    # (cover, pack) cell signature -> witness or None
+    witness_of: dict = {}    # cell load word -> witness or None
     value_of: dict = {}      # support -> f(support); cells share supports
-    for (q, cov, pak), (mask, value) in outcome.table.items():
-        sig = (cov, pak)
-        if sig in witness_of:
-            witness = witness_of[sig]
-        else:
-            cell = loads.encode(cov, pak)
-            witness = witness_of[sig] = next(
-                (cmask for offset, cmask in completions
-                 if (cell + offset) & guard == want), None)
-        if witness is None:
-            continue
-        valid += 1
-        support = mask | witness
-        val = value_of.get(support)
-        if val is None:
-            val = value_of[support] = oracle.eval(support)
-        if better(val, support, best):
-            best = (support, val, mask, witness)
+    for layer in outcome._layers:
+        for cell, (mask, value) in layer.items():
+            if cell in witness_of:
+                witness = witness_of[cell]
+            else:
+                witness = witness_of[cell] = next(
+                    (cmask for offset, cmask in completions
+                     if (cell + offset) & guard == want), None)
+            if witness is None:
+                continue
+            valid += 1
+            support = mask | witness
+            val = value_of.get(support)
+            if val is None:
+                val = value_of[support] = oracle.eval(support)
+            if better(val, support, best):
+                best = (support, val, mask, witness)
     if best is None:
         return CompletionOutcome(False, 0, 0, 0, 0, (), (), 0, outcome.cells_populated)
     support, val, mask, witness = best
@@ -204,14 +211,7 @@ def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> Completio
 # scaling a rational instance down to integers
 
 
-@dataclass(frozen=True)
-class ScaledInstance:
-    scaled: Instance
-    k_cover: tuple     # per covering row scaling factor (0 for trivial rows)
-    k_pack: tuple
-
-
-def scale_instance(inst: Instance, epsilon: Rational) -> ScaledInstance:
+def scale_instance(inst: Instance, epsilon: Rational) -> Instance:
     """Round to integer data with K_c = eps c_max / n and K_p = eps p_max / 2n.
 
     Cover entries are pre-clamped at the row bound and elements too big for
@@ -224,36 +224,31 @@ def scale_instance(inst: Instance, epsilon: Rational) -> ScaledInstance:
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     n = inst.n
-    new_cover_rows, new_cover_bounds, k_cover = [], [], []
+    new_cover_rows, new_cover_bounds = [], []
     for row, bound in zip(inst.covering, inst.cover_bound):
         row = tuple(min(v, bound) for v in row)
         c_max = max(row, default=0)
         if c_max == 0:
             new_cover_rows.append((0,) * n)
             new_cover_bounds.append(0 if bound == 0 else 1)
-            k_cover.append(Fraction(0))
             continue
         k = epsilon * Fraction(c_max) / n
         new_cover_rows.append(tuple(_ceil_div(v, k) for v in row))
         new_cover_bounds.append(_ceil_div(bound, k))
-        k_cover.append(k)
-    new_pack_rows, new_pack_bounds, k_pack = [], [], []
+    new_pack_rows, new_pack_bounds = [], []
     for row, bound in zip(inst.packing, inst.pack_bound):
         usable = [v for v in row if v <= bound]
         p_max = max(usable, default=0)
         if p_max == 0:
-            scaled_bound = 0
             new_pack_rows.append(tuple(0 if v <= bound else 1 for v in row))
-            new_pack_bounds.append(scaled_bound)
-            k_pack.append(Fraction(0))
+            new_pack_bounds.append(0)
             continue
         k = epsilon * Fraction(p_max) / (2 * n)
         scaled_bound = _floor_div(bound, k)
         new_pack_rows.append(tuple(
             _floor_div(v, k) if v <= bound else scaled_bound + 1 for v in row))
         new_pack_bounds.append(scaled_bound)
-        k_pack.append(k)
-    scaled = Instance(
+    return Instance(
         n=n,
         packing=tuple(new_pack_rows),
         covering=tuple(new_cover_rows),
@@ -261,7 +256,6 @@ def scale_instance(inst: Instance, epsilon: Rational) -> ScaledInstance:
         cover_bound=tuple(new_cover_bounds),
         objective=inst.objective,
     )
-    return ScaledInstance(scaled=scaled, k_cover=tuple(k_cover), k_pack=tuple(k_pack))
 
 
 def _ceil_div(v: Rational, k: Fraction) -> int:

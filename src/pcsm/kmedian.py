@@ -15,7 +15,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .core import SubmodularOracle, iter_bits, make_instance
+from .core import SubmodularOracle, _json_of, iter_bits, make_instance
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class TwoDistInstance:
         if not isinstance(self.k, int) or self.k < 0:
             raise ValueError("k must be a non-negative integer")
         for cl, fa in self.near_pairs:
-            if not (0 <= cl < self.num_clients and 0 <= fa < len(self.capacities)):
+            if not (isinstance(cl, int) and isinstance(fa, int)
+                    and 0 <= cl < self.num_clients and 0 <= fa < len(self.capacities)):
                 raise ValueError("near pair out of range")
 
     @property
@@ -46,12 +47,14 @@ class TwoDistInstance:
 
 
 def two_dist_from_json_obj(obj: dict) -> TwoDistInstance:
+    facilities = _json_of(_json_of(obj, dict, "an object")["facilities"], list, "a list")
     return TwoDistInstance(
-        capacities=tuple(f["cap"] for f in obj["facilities"]),
+        capacities=tuple(_json_of(f, dict, "an object")["cap"] for f in facilities),
         num_clients=obj["clients"],
-        near_pairs=frozenset((c, f) for c, f in obj["dist_a_pairs"]),
-        a=obj["a"],
-        b=obj["b"],
+        near_pairs=frozenset(tuple(_json_of(pair, list, "a list"))
+                             for pair in _json_of(obj["dist_a_pairs"], list, "a list")),
+        a=_json_of(obj["a"], (int, float), "a number"),
+        b=_json_of(obj["b"], (int, float), "a number"),
         k=obj["k"],
     )
 

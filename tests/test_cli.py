@@ -114,11 +114,30 @@ def _first_weight_a_list():
     return obj
 
 
+def _instance_with(family="linear", objective=(), **fields):
+    obj = instance_to_json_obj(generate_instance(n=4, p=1, c=1, family=family, seed=1))
+    obj.update(fields)
+    obj["objective"].update(objective)
+    return obj
+
+
+def _kmedian_with(**fields):
+    return {"facilities": [{"cap": 2}, {"cap": 2}], "clients": 3,
+            "dist_a_pairs": [[0, 0], [1, 0], [2, 1]], "a": 1, "b": 3, "k": 2, **fields}
+
+
 @pytest.mark.parametrize("command, payload", [
-    ("kmedian", {"facilities": [{"cap": 2}, {"cap": 2}], "clients": 3,
-                 "dist_a_pairs": [[0, 0], [1, 0], [2, 1]], "a": 1, "b": 3, "k": 2.5}),
+    ("kmedian", _kmedian_with(k=2.5)),
     ("brute", _first_weight_a_list()),
-], ids=["kmedian-fractional-k", "brute-list-weight"])
+    ("kmedian", _kmedian_with(a="1")),
+    ("kmedian", _kmedian_with(dist_a_pairs=[5])),
+    ("brute", _instance_with(packing=5)),
+    ("brute", _instance_with("coverage", objective={"element_sets": [1, 2, 3, 4]})),
+    ("kmedian", _kmedian_with(dist_a_pairs=[[0.0, 0]])),
+    ("brute", {**_instance_with(), "objective": [1]}),
+], ids=["kmedian-fractional-k", "brute-list-weight", "kmedian-string-a",
+        "kmedian-int-pair", "brute-int-packing", "brute-int-element-sets",
+        "kmedian-float-pair", "brute-list-objective"])
 def test_cli_malformed_json_is_bad_input(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

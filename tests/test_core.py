@@ -337,7 +337,6 @@ def test_packed_loads_match_exact_loads(inst):
         word = loads.start + sum(loads.offsets[i] for i in iter_bits(mask))
         cover, pack = inst.cover_value(mask), inst.pack_value(mask)
         assert loads.decode(word) == (cover, pack), mask
-        assert loads.encode(cover, pack) == word, mask
         assert (word & loads.guard == loads.want) == is_feasible(inst, mask).feasible, mask
         saturated = tuple(min(v, b) for v, b in zip(cover, inst.cover_bound))
         assert loads.decode(loads.clamp(word)) == (saturated, pack), mask

@@ -1,3 +1,5 @@
+import bisect
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from pcsm.core import (
     BudgetExceededError,
     LinearOracle,
     iter_bits,
+    load_ratios,
     make_instance,
     marginal,
     mask_of,
@@ -23,7 +26,7 @@ from pcsm.forbidden_dp import (
     solve_polynomial,
 )
 
-from conftest import FAMILIES, random_instance
+from conftest import FAMILIES, random_instance, random_oracle
 
 
 def test_index_ratio_order_example():
@@ -181,7 +184,7 @@ def _backward_solve(inst, eps):
                             or (val == cur[1] and subset_key(cand) < subset_key(cur[0]))):
                         table[(c_cur, p_cur)] = (cand, val)
         for (c_cur, p_cur), (mask, _v) in table.items():
-            if c_cur + idx.forbidden_cover(p_cur) < c_bound:
+            if c_cur + idx.prefix_cover[idx.prefix_len(p_cur)] < c_bound:
                 continue
             val = oracle.eval(mask | idx.forbidden_mask(p_cur))
             if best is None or val > best:
@@ -288,3 +291,196 @@ def test_rejects_multi_row_instances():
                          LinearOracle([1, 1]))
     with pytest.raises(ValueError):
         forbidden_dp_solve(inst, Fraction(1, 4))
+
+
+# ---------------------------------------------------------------------------
+# golden equivalence: the forbidden-set family against a copy of the code it
+# replaced, which built each level's forbidden mask from the prefix order and
+# kept it in a cache shared by every guess
+
+
+def _ref_index(inst, small_mask):
+    pack, cover = inst.packing[0], inst.covering[0]
+
+    def ratio_key(i):
+        if pack[i] == 0:
+            return (0, 0, i)
+        return (1, -Fraction(cover[i], pack[i]), i)
+
+    order = sorted(iter_bits(small_mask), key=ratio_key)
+    prefix_pack, prefix_cover = [0], [0]
+    for i in order:
+        prefix_pack.append(prefix_pack[-1] + int(pack[i]))
+        prefix_cover.append(prefix_cover[-1] + int(cover[i]))
+    bound = int(inst.pack_bound[0])
+
+    def prefix_len(p_prime):
+        return bisect.bisect_left(prefix_pack, bound - p_prime, 0, len(order))
+
+    return order, prefix_cover, prefix_len
+
+
+def _ref_single_dp(inst, guess_mask, order, prefix_len, excluded_mask, forb_cache):
+    pack = tuple(int(v) for v in inst.packing[0])
+    cover = tuple(int(v) for v in inst.covering[0])
+    p_bound = int(inst.pack_bound[0])
+    oracle, n = inst.objective, inst.n
+    g_cov = sum(cover[i] for i in iter_bits(guess_mask))
+    g_pak = sum(pack[i] for i in iter_bits(guess_mask))
+    table = {(g_cov, g_pak): (guess_mask, oracle.eval(guess_mask))}
+    by_level = {g_pak: [g_cov]}
+    for p_cur in range(p_bound + 1):
+        if p_cur not in by_level:
+            continue
+        worklist = sorted(by_level[p_cur])
+        if p_cur not in forb_cache:
+            forb_cache[p_cur] = mask_of(order[:prefix_len(p_cur)])
+        forb = forb_cache[p_cur] | excluded_mask
+        wi = 0
+        while wi < len(worklist):
+            c_cur = worklist[wi]
+            wi += 1
+            mask, value = table[(c_cur, p_cur)]
+            for elem in range(n):
+                bit = 1 << elem
+                if (mask | forb) & bit:
+                    continue
+                p_new = p_cur + pack[elem]
+                if p_new > p_bound:
+                    continue
+                c_new = c_cur + cover[elem]
+                new_value = value + marginal(oracle, mask, elem)
+                key = (c_new, p_new)
+                cur = table.get(key)
+                if (cur is None or new_value > cur[1]
+                        or (new_value == cur[1]
+                            and subset_key(mask | bit) < subset_key(cur[0]))):
+                    table[key] = (mask | bit, new_value)
+                    if cur is None:
+                        if p_new == p_cur:
+                            bisect.insort(worklist, c_new)
+                        else:
+                            by_level.setdefault(p_new, []).append(c_new)
+    return table
+
+
+def _ref_forbidden_solve(inst, epsilon, skip_guessing=False):
+    epsilon = Fraction(epsilon)
+    c_bound = int(inst.cover_bound[0])
+    oracle = inst.objective
+    if skip_guessing:
+        big, guesses = 0, [0]
+    else:
+        big = big_elements(inst, epsilon)
+        guesses = list(_enumerate_guesses(inst, big, epsilon))
+    order, prefix_cover, prefix_len = _ref_index(inst, ((1 << inst.n) - 1) & ~big)
+    best = None
+    forb_cache = {}
+    for guess in guesses:
+        table = _ref_single_dp(inst, guess, order, prefix_len, big & ~guess, forb_cache)
+        for (c_cur, p_cur), (mask, _value) in table.items():
+            if c_cur + prefix_cover[prefix_len(p_cur)] < c_bound:
+                continue
+            candidate = mask | forb_cache[p_cur]
+            val = oracle.eval(candidate)
+            if (best is None or val > best[1]
+                    or (val == best[1] and subset_key(candidate) < subset_key(best[0]))):
+                best = (candidate, val)
+    if best is None:
+        return (False, 0, 0, len(guesses))
+    return (True, best[0], best[1], len(guesses))
+
+
+def _ref_scale(inst, epsilon):
+    n = inst.n
+    cover_row, cover_bound = inst.covering[0], inst.cover_bound[0]
+    cover_row = [min(v, cover_bound) for v in cover_row]
+    c_max = max(cover_row, default=0)
+    if c_max == 0:
+        cover_row, cover_bound = [0] * n, 0 if cover_bound == 0 else 1
+    else:
+        k = epsilon * c_max / n
+        cover_row = [math.ceil(v / k) for v in cover_row]
+        cover_bound = math.ceil(cover_bound / k)
+    pack_row, pack_bound = inst.packing[0], inst.pack_bound[0]
+    p_max = max((v for v in pack_row if v <= pack_bound), default=0)
+    if p_max == 0:
+        pack_row, scaled_bound = [0 if v <= pack_bound else 1 for v in pack_row], 0
+    else:
+        k = epsilon * p_max / (2 * n)
+        scaled_bound = math.floor(pack_bound / k)
+        pack_row = [math.floor(v / k) if v <= pack_bound else scaled_bound + 1
+                    for v in pack_row]
+    return make_instance([pack_row], [cover_row], [scaled_bound], [cover_bound],
+                         inst.objective)
+
+
+def _ref_polynomial(inst, epsilon):
+    found, mask, _value, _guesses = _ref_forbidden_solve(
+        _ref_scale(inst, epsilon / 2), epsilon / 2)
+    if not found:
+        return (False, 0, 0, None, None)
+    return (True, mask, inst.objective.eval(mask), *load_ratios(inst, mask))
+
+
+GOLDEN_SHAPES = ("plain", "zero_pack", "no_big", "pack_bound_0", "cover_bound_0",
+                 "cover_above_row_sum", "n0", "rational")
+
+
+def _golden_forbidden_instance(rng, shape):
+    n = 0 if shape == "n0" else rng.randint(2, 8)
+    # small entries and weights make equal-value cells, so ties are common
+    low, high = (1, 2) if shape == "no_big" else (0, 4)
+    pack = [rng.randint(low, high) for _ in range(n)]
+    cover = [rng.randint(0, 4) for _ in range(n)]
+    planted = [i for i in range(n) if rng.random() < 0.5]
+    pack_bound = sum(pack[i] for i in planted)
+    cover_bound = sum(cover[i] for i in planted)
+    if shape == "zero_pack":
+        # a zero-pack small element with cover: its extensions stay on the
+        # level being swept and go through the insort
+        pack[0], cover[0], pack_bound = 0, rng.randint(1, 4), max(pack_bound, 1)
+    elif shape == "no_big":
+        pack_bound = 4 * n          # every entry stays below bound / 4
+    elif shape == "pack_bound_0":
+        pack_bound = 0
+    elif shape == "cover_bound_0":
+        cover_bound = 0
+    elif shape == "cover_above_row_sum":
+        cover_bound = sum(cover) + rng.randint(1, 3)
+    elif shape == "rational":
+        pack = [Fraction(v, rng.choice([1, 2, 3])) for v in pack]
+        cover = [Fraction(v, rng.choice([1, 2, 5])) for v in cover]
+        pack_bound = Fraction(2 * pack_bound + 1, 2)
+    return make_instance([pack], [cover], [pack_bound], [cover_bound],
+                         random_oracle(rng, n, FAMILIES[rng.randrange(3)]))
+
+
+def test_golden_equivalence_forbidden_family():
+    rng = random.Random(20261018)
+    seen = set()
+    for trial in range(64):
+        shape = GOLDEN_SHAPES[trial % len(GOLDEN_SHAPES)]
+        inst = _golden_forbidden_instance(rng, shape)
+        eps = Fraction(1, rng.choice([2, 3, 4]))
+        if shape != "rational":
+            res = forbidden_dp_solve(inst, eps)
+            got = (res.found, res.best_set, res.best_value, res.guesses_tried)
+            assert got == _ref_forbidden_solve(inst, eps), (shape, trial)
+            seen.add((shape, res.found))
+            # the same rows with an all-ones packing row and bound k
+            k = rng.randint(0, inst.n)
+            card = make_instance([[1] * inst.n], inst.covering, [k], inst.cover_bound,
+                                 inst.objective)
+            res = cardinality_solve(card, k)
+            got = (res.found, res.best_set, res.best_value, res.guesses_tried)
+            assert got == _ref_forbidden_solve(card, Fraction(1, max(2 * k, 2)),
+                                               skip_guessing=True), (shape, trial, k)
+            seen.add(("cardinality", k == 0))
+        res = solve_polynomial(inst, 2 * eps)
+        got = (res.found, res.best_set, res.best_value, res.cover_ratio, res.pack_ratio)
+        assert got == _ref_polynomial(inst, 2 * eps), (shape, trial)
+        seen.add(("poly", res.found))
+    assert {s for s, _ in seen} >= set(GOLDEN_SHAPES) - {"rational"}
+    assert {("cardinality", True), ("cardinality", False),
+            ("poly", True), ("poly", False), ("plain", True)} <= seen

@@ -146,9 +146,8 @@ def test_completion_reports_infeasible():
 def test_scale_formula_single_element():
     inst = make_instance([[1]], [[4]], [1], [4], LinearOracle([1]))
     sc = scale_instance(inst, 1)
-    assert sc.k_cover == (4,)
-    assert sc.scaled.covering == ((1,),)
-    assert sc.scaled.cover_bound == (1,)
+    assert sc.covering == ((1,),)
+    assert sc.cover_bound == (1,)
 
 
 def test_scale_preserves_optimum_feasibility():
@@ -161,9 +160,9 @@ def test_scale_preserves_optimum_feasibility():
         sc = scale_instance(inst, Fraction(1, 2))
         mask = br.best_set
         assert all(v <= b for v, b in
-                   zip(sc.scaled.pack_value(mask), sc.scaled.pack_bound))
+                   zip(sc.pack_value(mask), sc.pack_bound))
         assert all(v >= b for v, b in
-                   zip(sc.scaled.cover_value(mask), sc.scaled.cover_bound))
+                   zip(sc.cover_value(mask), sc.cover_bound))
 
 
 def test_scale_round_trip_violation_bounds():
@@ -176,9 +175,9 @@ def test_scale_round_trip_violation_bounds():
         sc = scale_instance(inst, eps)
         for mask in range(1 << inst.n):
             ok_p = all(v <= b for v, b in
-                       zip(sc.scaled.pack_value(mask), sc.scaled.pack_bound))
+                       zip(sc.pack_value(mask), sc.pack_bound))
             ok_c = all(v >= b for v, b in
-                       zip(sc.scaled.cover_value(mask), sc.scaled.cover_bound))
+                       zip(sc.cover_value(mask), sc.cover_bound))
             if ok_p and ok_c:
                 cover_ratio, pack_ratio = load_ratios(inst, mask)
                 assert pack_ratio <= 1 + eps
