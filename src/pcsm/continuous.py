@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, islice, product
-from operator import add
+from operator import add, ge
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -35,7 +35,8 @@ from .core import (
 )
 # linear_max_over_polytope is unused here but stays a module attribute:
 # perfbench's tracer wraps it by that name
-from .lp import linear_max_over_polytope, prepare_polytope  # noqa: F401
+from .lp import linear_max_over_polytope  # noqa: F401
+from .lp import empty_without_variables, prepare_polytope
 
 
 class GuessInfeasibleError(InfeasibleError):
@@ -170,23 +171,25 @@ def _targets(rows: _Rows, targets: tuple, alpha: Fraction, delta: Fraction) -> _
 
 
 class _TargetPart(NamedTuple):
-    """The part of a guess that depends on the cover targets c'."""
+    """The part of a guess that depends on the cover targets c' and on E1
+    only through its covering loads Q, so one part serves every E1 with
+    those loads."""
 
     targets: _Targets
     residual_cover: tuple        # S_j: s_j = max(0, c'_j - Q_j / K_j) = S_j / units_j
     critical_cover: frozenset    # z: rows with s_j <= delta c'_j
-    large_cover: int             # non-chosen elements >= alpha s_j in a row outside z
+    large_cover: int             # elements >= alpha s_j in a row outside z, E1's included
 
 
-def _target_part(part: _ChosenPart, chosen: int, targets: _Targets,
+def _target_part(rows: _Rows, cover_load: tuple, targets: _Targets,
                  alpha: Fraction) -> _TargetPart:
     num = alpha.numerator
     s = []
     z = []
     large_c = 0
     for j, (a, b, q, crit, d, (entries, suffix)) in enumerate(zip(
-            targets.top, targets.den, part.cover_load, targets.critical,
-            targets.large_den, part.rows.cover_index)):
+            targets.top, targets.den, cover_load, targets.critical,
+            targets.large_den, rows.cover_index)):
         v = max(0, a - b * q)
         s.append(v)
         if v <= crit:
@@ -194,7 +197,7 @@ def _target_part(part: _ChosenPart, chosen: int, targets: _Targets,
         else:
             # an entry reaches alpha s_j when its scaled entry reaches alpha S_j / b_j
             large_c |= suffix[bisect_left(entries, _ceil(num * v, d))]
-    return _TargetPart(targets, tuple(s), frozenset(z), large_c & ~chosen)
+    return _TargetPart(targets, tuple(s), frozenset(z), large_c)
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,7 @@ class Guess:
             rows = _scaled_rows(inst)
             cpart = _chosen_part(rows, self.chosen, rows.load(self.chosen),
                                  self.alpha, self.beta, self.delta)
-            parts = (cpart, _target_part(cpart, self.chosen,
+            parts = (cpart, _target_part(rows, cpart.cover_load,
                                          _targets(rows, self.cover_targets,
                                                   self.alpha, self.delta),
                                          self.alpha))
@@ -270,40 +273,41 @@ class Guess:
         return tuple(iter_bits(self.undetermined))
 
 
+class _ChosenEntry(NamedTuple):
+    """A chosen set E1 as the guess stream meets it, once per E1."""
+
+    part: _ChosenPart
+    discarded: int               # E0 under every target: high-marginal leftovers, large_pack
+    ceiling: tuple               # t*_j per covering row: a pair with some t_j >= t*_j is empty
+
+
 def _chosen_entry(inst: Instance, params: Params, rows: _Rows, chosen: int,
-                  load: tuple) -> tuple:
-    """E1's chosen part and its high-marginal leftovers: the non-chosen
-    elements whose gain on E1 exceeds f(E1) / gamma."""
+                  load: tuple, grid: list) -> _ChosenEntry:
+    """E1's entry, given its scaled loads ``load`` (``rows.load(chosen)``).
+    The high-marginal leftovers are the non-chosen elements whose gain on
+    E1 exceeds f(E1) / gamma."""
     oracle = inst.objective
     threshold = oracle.eval(chosen) / params.gamma
     state = oracle.begin(chosen)
-    high = mask_of(
+    part = _chosen_part(rows, chosen, load, params.alpha, params.beta, params.delta)
+    discarded = part.large_pack | mask_of(
         ell for ell in range(inst.n)
         if not (chosen >> ell) & 1 and oracle.gain(state, ell) > threshold)
-    return (_chosen_part(rows, chosen, load, params.alpha, params.beta, params.delta),
-            high)
+    undetermined = ((1 << inst.n) - 1) & ~(chosen | discarded)
+    return _ChosenEntry(part, discarded, _reach_ceiling(part, undetermined, grid))
 
 
-def _derive(params: Params, chosen: int, entry: tuple, targets: _Targets) -> tuple:
-    """E0 and the target part for (E1, c'): E0 is the high-marginal
-    leftovers plus the elements that are large for the intermediate guess
-    H = (empty, E1, c').
-
-    H's large masks cover every non-chosen element and none of their rows
-    or thresholds depend on E0, so the guess carries H's parts; its own
-    large masks come out empty because E0 holds all of H's large elements.
-    """
-    cpart, high = entry
-    tpart = _target_part(cpart, chosen, targets, params.alpha)
-    return high | cpart.large_pack | tpart.large_cover, tpart
-
-
-def _make_guess(inst: Instance, params: Params, discarded: int, chosen: int,
-                cpart: _ChosenPart, tpart: _TargetPart) -> Guess:
-    return Guess(instance=inst, discarded=discarded, chosen=chosen,
-                 cover_targets=tpart.targets.values, alpha=params.alpha,
+def _make_guess(inst: Instance, params: Params, chosen: int, entry: _ChosenEntry,
+                tpart: _TargetPart) -> Guess:
+    """The guess of (c', E1): E0 is E1's entry's discarded elements plus
+    those large for c'.  These are the large elements of the intermediate
+    guess H = (empty, E1, c'), whose rows and thresholds do not depend on
+    E0, so the guess carries H's parts; its own large masks come out empty
+    because E0 holds all of H's large elements."""
+    return Guess(instance=inst, discarded=entry.discarded | (tpart.large_cover & ~chosen),
+                 chosen=chosen, cover_targets=tpart.targets.values, alpha=params.alpha,
                  beta=params.beta, delta=params.delta, gamma=params.gamma,
-                 parts=(cpart, tpart))
+                 parts=(entry.part, tpart))
 
 
 _MISSING = object()
@@ -320,38 +324,44 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
     """All consistent guesses from the (cover grid) x (chosen subsets)
     product, stopping with a truncation flag once the budget is spent."""
     enum = GuessList([], False, 0)
-    enum.guesses = [_make_guess(inst, params, *record)
-                    for record in _guess_parts(inst, params, budget, enum)]
+    enum.guesses = [_make_guess(inst, params, chosen, entry, tpart)
+                    for _, chosen, entry, tpart in _guess_parts(inst, params, budget, enum)]
     return enum
 
 
-def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
-    """The pairs of ``enumerate_guesses``'s product whose E1 packs within
-    the bounds, all of them consistent, in its order, each as
-    ``(discarded, chosen, chosen part, target part)``, with no ``Guess``
-    built.  Once the stream ends, ``tally`` holds the pairs examined and
-    the truncation flag."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    n = inst.n
-    if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
-        raise ValueError("guess enumeration expects a normalized instance")
+def _target_grid(n: int, params: Params, budget: int) -> list:
+    """The cover grid (1 + delta)^t, t = 0 .. ceil(log n / log(1 + delta)).
+    Every target tuple costs at least one unit of budget, so a longer grid
+    could never be reached anyway (matters under the strict schedule, whose
+    tiny delta would otherwise materialize thousands of exact powers)."""
     grid_max = (0 if n <= 1 else
                 math.ceil(math.log(n) / math.log(1 + float(params.delta))))
-    # every target tuple costs at least one unit of budget, so a longer grid
-    # could never be reached anyway (matters under the strict schedule, whose
-    # tiny delta would otherwise materialize thousands of exact powers)
     grid = []
     point = Fraction(1)
     for _ in range(min(grid_max, budget) + 1):
         grid.append(point)
         point *= 1 + params.delta
+    return grid
+
+
+def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
+    """The pairs of ``enumerate_guesses``'s product whose E1 packs within
+    the bounds, all of them consistent, in its order, each as
+    ``(index, chosen, entry, target part)`` with ``index`` the targets'
+    grid indices, and no ``Guess`` built.  Once the stream ends, ``tally``
+    holds the pairs examined and the truncation flag."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    n = inst.n
+    if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
+        raise ValueError("guess enumeration expects a normalized instance")
+    grid = _target_grid(n, params, budget)
     size_cap = min(n, math.ceil(params.gamma + (inst.p + inst.c) / (params.alpha * params.delta)))
     # no more than budget + 1 chosen sets are ever reached (the last one
     # only to flag truncation)
     chosen_sets = list(islice(_subsets_by_size(n, size_cap), budget + 1))
     rows = _scaled_rows(inst)
-    # a chosen set's part is reused under every later target, and its loads
+    # a chosen set's entry is reused under every later target, and its loads
     # give each superset's loads with one more column; one entry each per
     # examined pair at most, so they never outgrow the budget
     cache = {}
@@ -359,8 +369,10 @@ def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
 
     pairs = 0
     # the first row's target varies fastest
-    for values in (t[::-1] for t in product(grid, repeat=inst.c)):
-        targets = _targets(rows, values, params.alpha, params.delta)
+    for index in (t[::-1] for t in product(range(len(grid)), repeat=inst.c)):
+        targets = _targets(rows, tuple(grid[t] for t in index), params.alpha, params.delta)
+        # one target part per E1 covering load under these targets
+        tparts = {}
         for chosen in chosen_sets:
             if pairs >= budget:
                 tally.pairs_examined, tally.truncated = pairs, True
@@ -371,14 +383,17 @@ def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
                 load = loads[chosen] = _load(rows, loads, chosen)
                 # None marks an E1 that overpacks some row
                 entry = (None if any(v > d for v, d in zip(load, rows.pack_scale))
-                         else _chosen_entry(inst, params, rows, chosen, load))
+                         else _chosen_entry(inst, params, rows, chosen, load, grid))
                 cache[chosen] = entry
             if entry is None:
                 continue
             # consistent: E0 holds every large element, targets start at 1
             # and E1 packs within the bounds
-            discarded, tpart = _derive(params, chosen, entry, targets)
-            yield discarded, chosen, entry[0], tpart
+            q = entry.part.cover_load
+            tpart = tparts.get(q)
+            if tpart is None:
+                tpart = tparts[q] = _target_part(rows, q, targets, params.alpha)
+            yield index, chosen, entry, tpart
     tally.pairs_examined = pairs
 
 
@@ -508,15 +523,42 @@ def _screened_empty(chosen: int, undetermined: int, cpart: _ChosenPart,
     key = (chosen, undetermined)
     screen = reach_memo.get(key)
     if screen is None:
-        rows = cpart.rows
-        scaled_pack, scaled_cover = _residual_rows(rows.pack, rows.cover,
-                                                   tuple(iter_bits(undetermined)))
-        # over the scaled rows, covering row j's reach comes out K_j times larger
-        reach = cover_reach(scaled_pack, cpart.pack_room, scaled_cover)
-        screen = reach_memo[key] = _screen(
-            [Fraction(v, k) for v, k in zip(reach, rows.cover_scale)],
-            _bound_scale(cpart.residual_pack))
+        screen = reach_memo[key] = _screen(_reaches(cpart, undetermined),
+                                           _bound_scale(cpart.residual_pack))
     return reach_falls_short(screen, tpart.residual_cover, tpart.targets.units)
+
+
+def _reaches(part: _ChosenPart, elements: int) -> list:
+    """Each covering row's ``cover_reach`` over ``elements`` under E1's
+    packing room, as a Fraction."""
+    rows = part.rows
+    scaled_pack, scaled_cover = _residual_rows(rows.pack, rows.cover,
+                                               tuple(iter_bits(elements)))
+    # over the scaled rows, covering row j's reach comes out K_j times larger
+    reach = cover_reach(scaled_pack, part.pack_room, scaled_cover)
+    return [Fraction(v, k) for v, k in zip(reach, rows.cover_scale)]
+
+
+def _reach_ceiling(part: _ChosenPart, elements: int, grid: list) -> tuple:
+    """Per covering row j, the first grid index t*_j at which the screen
+    finds the residual s_j short of the row's reach over ``elements`` by
+    more than M = SCREEN_MARGIN * max(1, grid[-1]), or len(grid).
+
+    With ``elements`` every element that some target could leave
+    undetermined, this reach is a ceiling on the reach of each pair of E1
+    (reaches grow with the element set, and E1 fixes the packing room).
+    Every r_i lies in [0, 1] and every s_k is at most c'_k <= grid[-1], so
+    M is at least each pair's margin: a pair whose t_j reaches t*_j is one
+    the screen calls empty.  ``reach_falls_short`` on row j alone, with
+    the packing scale max(1, grid[-1]) >= s_j, makes the test, and s_j
+    grows with t_j, so the first such index is a bisect."""
+    # the packing scale max(1, grid[-1]) is grid[-1], as grid[0] = 1
+    screen = _screen(_reaches(part, elements), grid[-1])
+    ceiling = []
+    for row, k, q in zip(screen, part.rows.cover_scale, part.cover_load):
+        ceiling.append(bisect_left(grid, True, key=lambda c: reach_falls_short(
+            (row,), (max(0, c.numerator * k - c.denominator * q),), (k * c.denominator,))))
+    return tuple(ceiling)
 
 
 def continuous_greedy(guess: Guess, steps: int = 100,
@@ -529,14 +571,17 @@ def continuous_greedy(guess: Guess, steps: int = 100,
     _check_ascent(steps, samples_per_grad)
     inst = guess.instance
     elements = guess.residual_elements()
+    if not elements:
+        # phase 1's verdict on the program without variables, no tableau
+        if empty_without_variables(guess.residual_pack, guess.residual_cover):
+            raise GuessInfeasibleError("empty residual polytope")
+        return {}
     # phase 1 once: every step below maximizes over the same polytope
     pack_rows, cover_rows = _residual_rows(inst.packing, inst.covering, elements)
     polytope = prepare_polytope(len(elements), pack_rows, guess.residual_pack,
                                 cover_rows, guess.residual_cover)
     if polytope is None:
         raise GuessInfeasibleError("empty residual polytope")
-    if not elements:
-        return {}
 
     oracle = inst.objective
     rng = random.Random(seed)
@@ -659,7 +704,6 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     need_cover = 1 - epsilon
     best = None
     diagnostics = []
-    seen_residuals = set()
     # per solve, keyed by values: covering-row reaches per (E1, undetermined)
     # and each rounded set's verdict (its f value if it passes, else None)
     reach_memo = {}
@@ -669,15 +713,13 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     # a Guess is built only for a pair the screen lets through; g_idx counts
     # every consistent pair, as in enumerate_guesses' list
     g_idx = -1
-    for g_idx, (discarded, chosen, cpart, tpart) in enumerate(
+    for g_idx, (index, chosen, entry, tpart) in enumerate(
             _guess_parts(norm, params, budget, tally)):
-        # identical residual problems (same E0/E1 and clamped cover residuals)
-        # would be solved identically; skip repeats (the set grows unless the
-        # signature is a repeat, which hashes it once)
-        seen = len(seen_residuals)
-        seen_residuals.add(_residual_key(discarded, chosen, tpart))
-        if len(seen_residuals) == seen:
+        # a repeat would be solved as its earlier pair was
+        if _repeats(index, tpart.residual_cover):
             continue
+        cpart = entry.part
+        discarded = entry.discarded | (tpart.large_cover & ~chosen)
         undetermined = full & ~(discarded | chosen)
         diag = GuessDiagnostics(
             chosen_size=chosen.bit_count(),
@@ -688,10 +730,12 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
             filter_pass=0, filter_fail=0, infeasible_polytope=False,
             best_value=None)
         diagnostics.append(diag)
-        if _screened_empty(chosen, undetermined, cpart, tpart, reach_memo):
+        # E1's ceiling settles most empty pairs; the exact screen the rest
+        if (any(map(ge, index, entry.ceiling))
+                or _screened_empty(chosen, undetermined, cpart, tpart, reach_memo)):
             diag.infeasible_polytope = True
             continue
-        guess = _make_guess(norm, params, discarded, chosen, cpart, tpart)
+        guess = _make_guess(norm, params, chosen, entry, tpart)
         try:
             x_star = continuous_greedy(
                 guess, steps=steps, samples_per_grad=samples_per_grad,
@@ -738,14 +782,18 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         truncated=tally.truncated, diagnostics=diagnostics)
 
 
-def _residual_key(discarded: int, chosen: int, tpart: _TargetPart) -> tuple:
-    """The dedupe signature (E0, E1, s) in ints: the S_j, and beside them
-    the target denominator b_j of each positive S_j (0 where S_j = 0),
-    which fixes its unit K_j b_j.  With E1 fixed, a positive s_j fixes c'_j
-    and so b_j, hence equal residuals give equal keys whatever grid the
-    targets come from."""
-    return (discarded, chosen, tpart.residual_cover,
-            tuple(b if v else 0 for v, b in zip(tpart.residual_cover, tpart.targets.den)))
+def _repeats(index: tuple, residual_cover: tuple) -> bool:
+    """Whether the pair with target grid indices ``index`` and residual
+    covers ``residual_cover`` (the S_j) repeats an earlier pair of its E1:
+    whether some row with S_j = 0 has t_j > 0.
+
+    If it does, lowering that t_j by one keeps S_j = 0 and row j critical,
+    so the earlier pair has the same residuals, critical rows and large
+    masks, hence the same E0 and residual problem.  If it does not, an
+    earlier pair of E1 with the same residuals would share every t_j with
+    S_j > 0 (a positive s_j fixes c'_j given Q_j) and could differ only by
+    raising some t_j = 0, which comes later in the order."""
+    return 0 in residual_cover and any(t and not s for t, s in zip(index, residual_cover))
 
 
 def _child_seed(seed: int, guess_index: int, trial: int) -> int:

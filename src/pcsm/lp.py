@@ -518,6 +518,38 @@ def prepare_polytope(n: int,
     return None if tableau is None else Polytope(tableau)
 
 
+def empty_without_variables(pack_bounds: Sequence[Rational],
+                            cover_bounds: Sequence[Rational]) -> bool:
+    """Whether ``prepare_polytope(0, ...)`` finds the program with these
+    bounds and no variable empty, decided without its tableau.
+
+    With no structural column, phase 1 is optimal at its first basis:
+    every row whose relation is ">=" after the flip to a non-negative rhs
+    keeps its artificial at that rhs, and the program is empty when their
+    float sum exceeds TOL_FEAS * max(1, max |rhs|).  One artificial is its
+    own sum.  numpy may add k of them in any order, and every order lands
+    within a factor (k - 1) u / (1 - (k - 1) u), u = 2^-53, of the exact
+    sum of these non-negative terms; only a sum that close to the
+    threshold builds the tableau.
+    """
+    pack = [float(b) for b in pack_bounds]
+    cover = [float(b) for b in cover_bounds]
+    art = [-b for b in pack if b < 0] + [b for b in cover if b >= 0]
+    if not art:
+        return False
+    limit = TOL_FEAS * max(1.0, max(map(abs, pack + cover)))
+    if len(art) == 1:
+        return art[0] > limit
+    total = sum(map(Fraction, art))
+    err = total * Fraction(len(art) - 1, 2 ** 53 - (len(art) - 1))
+    if total - err > limit:
+        return True
+    if total + err <= limit:
+        return False
+    return prepare_polytope(0, [[]] * len(pack), pack_bounds,
+                            [[]] * len(cover), cover_bounds) is None
+
+
 def linear_max_over_polytope(weights: Sequence[float],
                              pack_rows: Sequence[Sequence[Rational]],
                              pack_bounds: Sequence[Rational],

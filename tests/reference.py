@@ -52,11 +52,21 @@ def correct_guess_for(inst: Instance, params: Params, optimum: int) -> cont.Gues
         if any(inst.packing[i][ell] >= threshold for i in range(inst.p))
         or any(inst.covering[j][ell] >= threshold * targets[j] for j in range(inst.c)))
     chosen = top | big
-    rows = cont._scaled_rows(inst)
-    entry = cont._chosen_entry(inst, params, rows, chosen, rows.load(chosen))
-    discarded, tpart = cont._derive(params, chosen, entry,
-                                    cont._targets(rows, targets, params.alpha, params.delta))
-    return cont._make_guess(inst, params, discarded, chosen, entry[0], tpart)
+    # E0: the high-marginal leftovers and the large elements of the
+    # intermediate guess H = (empty, E1, c')
+    state = oracle.begin(chosen)
+    high = mask_of(
+        ell for ell in range(inst.n)
+        if not (chosen >> ell) & 1
+        and oracle.gain(state, ell) > oracle.eval(chosen) / params.gamma)
+    h = _guess_of(inst, params, 0, chosen, targets)
+    return _guess_of(inst, params, high | h.large_pack | h.large_cover, chosen, targets)
+
+
+def _guess_of(inst, params, discarded, chosen, targets):
+    return cont.Guess(instance=inst, discarded=discarded, chosen=chosen,
+                      cover_targets=targets, alpha=params.alpha, beta=params.beta,
+                      delta=params.delta, gamma=params.gamma)
 
 
 def is_correct(guess: cont.Guess, optimum: int) -> bool:

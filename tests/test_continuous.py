@@ -477,10 +477,19 @@ def _residual_free_guess(cover_load):
 
 def _stream_of(enum):
     """A stand-in for ``_guess_parts`` that streams ``enum``'s guesses as
-    parts, whatever instance and settings it is called with."""
+    records, whatever instance and settings it is called with: each with
+    its targets' grid index, and an entry that discards the guess's E0 and
+    takes its ceiling over the guess's undetermined elements."""
     def guess_parts(inst, params, budget, tally):
         tally.pairs_examined, tally.truncated = enum.pairs_examined, enum.truncated
-        return iter([(g.discarded, g.chosen, *g._parts) for g in enum.guesses])
+        grid = cont._target_grid(inst.n, params, budget)
+        records = []
+        for g in enum.guesses:
+            cpart, tpart = g._parts
+            entry = cont._ChosenEntry(cpart, g.discarded,
+                                      cont._reach_ceiling(cpart, g.undetermined, grid))
+            records.append((tuple(map(grid.index, g.cover_targets)), g.chosen, entry, tpart))
+        return iter(records)
     return guess_parts
 
 
@@ -811,14 +820,16 @@ def test_guess_stream_builds_the_enumerated_guesses():
         tally = GuessList([], False, 0)
         records = list(cont._guess_parts(norm, params, budget, tally))
         enum = enumerate_guesses(norm, params, budget=budget)
-        built = [cont._make_guess(norm, params, *record) for record in records]
+        built = [cont._make_guess(norm, params, *record[1:]) for record in records]
         assert built == enum.guesses
         assert [_all_fields(g) for g in built] == [_all_fields(g) for g in enum.guesses]
         assert (tally.pairs_examined, tally.truncated) == (enum.pairs_examined,
                                                            enum.truncated)
-        for discarded, chosen, *parts in records:
-            fresh = _guess(norm, chosen, discarded, parts[1].targets.values, params)
-            assert fresh._parts == tuple(parts) and fresh.is_consistent()
+        grid = cont._target_grid(norm.n, params, budget)
+        for (index, chosen, entry, tpart), g in zip(records, built):
+            assert tuple(grid[t] for t in index) == g.cover_targets
+            fresh = _guess(norm, chosen, g.discarded, g.cover_targets, params)
+            assert fresh._parts == (entry.part, tpart) and fresh.is_consistent()
         truncated += enum.truncated
         multi_row += max(p, c) > 1
         empty += norm.n == 0 and len(records) == 1
@@ -1128,6 +1139,124 @@ def test_screen_at_an_exact_margin_tie_matches_the_fraction_screen():
         verdicts.append((shortfalls[0] == margin, short))
     # each case once at the tie (kept), once past it (screened), once inside
     assert verdicts == [(True, False)] * 3 + [(False, True)] * 3 + [(False, False)] * 3
+
+
+# ---------------------------------------------------------------------------
+# the reach ceiling and the repeat rule against their definitions
+
+
+def _ref_ceiling(inst, params, chosen, grid):
+    """E1's ceiling from its definition, in Fractions: per covering row,
+    the first grid index whose residual beats the row's reach over the
+    non-chosen elements that are neither high-marginal nor large in a
+    packing row by more than SCREEN_MARGIN * max(1, grid[-1]), else
+    len(grid)."""
+    h = _ref_fields(inst, 0, chosen, (Fraction(1),) * inst.c, params)
+    oracle = inst.objective
+    state = oracle.begin(chosen)
+    threshold = oracle.eval(chosen) / params.gamma
+    elements = [e for e in iter_bits(h["undetermined"] & ~h["large_pack"])
+                if not oracle.gain(state, e) > threshold]
+    reach = cont.cover_reach([[row[e] for e in elements] for row in inst.packing],
+                             h["residual_pack"],
+                             [[row[e] for e in elements] for row in inst.covering])
+    margin = cont.SCREEN_MARGIN * max(1, grid[-1])
+    return tuple(next((t for t, target in enumerate(grid) if target - q - r > margin),
+                      len(grid))
+                 for q, r in zip(inst.cover_value(chosen), reach))
+
+
+def _check_stream(norm, params, budget):
+    """Walk the guess stream and check each E1's ceiling against
+    ``_ref_ceiling``, each pair the ceiling settles against the exact
+    screen, and the repeat rule against the dedupe it replaced: a set of
+    (E0, E1, S, b_j beside each S_j > 0).  Returns (settled, repeats)."""
+    grid = cont._target_grid(norm.n, params, budget)
+    seen = set()
+    checked = set()
+    settled = repeats = 0
+    for index, chosen, entry, tpart in cont._guess_parts(norm, params, budget,
+                                                         GuessList([], False, 0)):
+        if chosen not in checked:
+            checked.add(chosen)
+            assert entry.ceiling == _ref_ceiling(norm, params, chosen, grid)
+        discarded = entry.discarded | (tpart.large_cover & ~chosen)
+        s = tpart.residual_cover
+        key = (discarded, chosen, s, tuple(b if v else 0 for v, b in zip(s, tpart.targets.den)))
+        assert cont._repeats(index, s) == (key in seen)
+        repeats += key in seen
+        seen.add(key)
+        if any(t >= top for t, top in zip(index, entry.ceiling)):
+            undetermined = ((1 << norm.n) - 1) & ~(discarded | chosen)
+            assert cont._screened_empty(chosen, undetermined, entry.part, tpart, {})
+            settled += 1
+    return settled, repeats
+
+
+# alpha 3/4 keeps the quarter entries below every large threshold here
+_CEIL = Params(epsilon=Fraction(1, 10), delta=Fraction(1, 4), alpha=Fraction(3, 4),
+               beta=Fraction(1, 2), gamma=Fraction(2))
+
+
+def test_reach_ceiling_at_the_margin_matches_its_definition():
+    # E1 = {0} covers half of a target of 1; elements 1 and 2 (gain 0)
+    # reach 1/2 - gap.  M = SCREEN_MARGIN * grid[-1] exceeds the exact
+    # screen's margin (SCREEN_MARGIN: r = 1, s = 1/2), so a gap of 3/4 of
+    # the screen margin is kept by both, and a gap of M is left by the
+    # ceiling to the screen.  Under E1 = {}, element 0 is high-marginal;
+    # counted in the ceiling's elements, it would lift that ceiling past
+    # t = 0 wherever the gap is at most M
+    grid = cont._target_grid(3, _CEIL, 100)
+    margin = cont.SCREEN_MARGIN * grid[-1]
+    assert margin > cont.SCREEN_MARGIN
+    for gap, top, empty in ((3 * cont.SCREEN_MARGIN / 4, 1, False), (margin, 1, True),
+                            (margin + Fraction(1, 10 ** 12), 0, True), (0, 1, False)):
+        inst = make_instance([[0, 0, 0]], [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4) - gap]],
+                             [1], [1], LinearOracle([1, 0, 0]))
+        norm = normalize(inst)
+        records = {(index, chosen): (entry, tpart) for index, chosen, entry, tpart
+                   in cont._guess_parts(norm, _CEIL, 100, GuessList([], False, 0))}
+        entry, tpart = records[(0,), 0b1]
+        assert entry.ceiling == (top,) and records[(0,), 0][0].ceiling == (0,)
+        assert cont._screened_empty(0b1, 0b110, entry.part, tpart, {}) == empty
+        assert _check_stream(norm, _CEIL, 100)[0] > 0
+
+
+def test_reach_ceiling_and_repeat_rule_on_the_golden_cases():
+    settled = repeats = 0
+    for seed, n, p, c, family, budget, shape in _golden_cases():
+        norm = normalize(_golden_instance(seed, n, p, c, family, shape))
+        params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
+        got = _check_stream(norm, params, budget)
+        settled += got[0]
+        repeats += got[1]
+    assert settled > 1000 and repeats > 100
+
+
+@st.composite
+def _normalized_instances(draw):
+    """Bounds 1, p and c up to 2, entries in halves to eighths, some of them
+    lowered by a few screen margins; objective weights 0 (never
+    high-marginal) or positive; the relaxed schedule or the analysis one."""
+    n = draw(st.integers(1, 6))
+    p, c = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    entry = st.builds(lambda k, d, w: max(Fraction(0), Fraction(k, d) - w * cont.SCREEN_MARGIN),
+                      st.integers(0, 6), st.sampled_from([2, 3, 4, 6, 8]),
+                      st.sampled_from([0, 0, Fraction(1, 2), 1, 3]))
+    row = st.lists(entry, min_size=n, max_size=n)
+    packing = [draw(row) for _ in range(p)]
+    covering = [draw(row) for _ in range(c)]
+    weights = draw(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=n, max_size=n))
+    inst = normalize(make_instance(packing, covering, [1] * p, [1] * c, LinearOracle(weights)))
+    if draw(st.booleans()):
+        return inst, Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c), 400
+    return inst, Params.from_epsilon(Fraction(1, 2), p + c), 150
+
+
+@settings(max_examples=80, deadline=None)
+@given(_normalized_instances())
+def test_reach_ceiling_is_sound_and_repeats_match_the_residual_keys(case):
+    _check_stream(*case)
 
 
 # ---------------------------------------------------------------------------
