@@ -278,11 +278,10 @@ class _ChosenEntry(NamedTuple):
 
     part: _ChosenPart
     discarded: int               # E0 under every target: high-marginal leftovers, large_pack
-    ceiling: tuple               # t*_j per covering row: a pair with some t_j >= t*_j is empty
 
 
 def _chosen_entry(inst: Instance, params: Params, rows: _Rows, chosen: int,
-                  load: tuple, grid: list) -> _ChosenEntry:
+                  load: tuple) -> _ChosenEntry:
     """E1's entry, given its scaled loads ``load`` (``rows.load(chosen)``).
     The high-marginal leftovers are the non-chosen elements whose gain on
     E1 exceeds f(E1) / gamma."""
@@ -293,8 +292,7 @@ def _chosen_entry(inst: Instance, params: Params, rows: _Rows, chosen: int,
     discarded = part.large_pack | mask_of(
         ell for ell in range(inst.n)
         if not (chosen >> ell) & 1 and oracle.gain(state, ell) > threshold)
-    undetermined = ((1 << inst.n) - 1) & ~(chosen | discarded)
-    return _ChosenEntry(part, discarded, _reach_ceiling(part, undetermined, grid))
+    return _ChosenEntry(part, discarded)
 
 
 def _make_guess(inst: Instance, params: Params, chosen: int, entry: _ChosenEntry,
@@ -324,8 +322,9 @@ def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> 
     """All consistent guesses from the (cover grid) x (chosen subsets)
     product, stopping with a truncation flag once the budget is spent."""
     enum = GuessList([], False, 0)
+    grid = _target_grid(inst.n, params, budget)
     enum.guesses = [_make_guess(inst, params, chosen, entry, tpart)
-                    for _, chosen, entry, tpart in _guess_parts(inst, params, budget, enum)]
+                    for _, chosen, entry, tpart in _guess_parts(inst, params, grid, budget, enum)]
     return enum
 
 
@@ -334,6 +333,8 @@ def _target_grid(n: int, params: Params, budget: int) -> list:
     Every target tuple costs at least one unit of budget, so a longer grid
     could never be reached anyway (matters under the strict schedule, whose
     tiny delta would otherwise materialize thousands of exact powers)."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     grid_max = (0 if n <= 1 else
                 math.ceil(math.log(n) / math.log(1 + float(params.delta))))
     grid = []
@@ -344,18 +345,17 @@ def _target_grid(n: int, params: Params, budget: int) -> list:
     return grid
 
 
-def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
+def _guess_parts(inst: Instance, params: Params, grid: list, budget: int,
+                 tally: GuessList):
     """The pairs of ``enumerate_guesses``'s product whose E1 packs within
     the bounds, all of them consistent, in its order, each as
     ``(index, chosen, entry, target part)`` with ``index`` the targets'
-    grid indices, and no ``Guess`` built.  Once the stream ends, ``tally``
-    holds the pairs examined and the truncation flag."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    indices in ``grid`` (``_target_grid(n, params, budget)``), and no
+    ``Guess`` built.  Once the stream ends, ``tally`` holds the pairs
+    examined and the truncation flag."""
     n = inst.n
     if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
         raise ValueError("guess enumeration expects a normalized instance")
-    grid = _target_grid(n, params, budget)
     size_cap = min(n, math.ceil(params.gamma + (inst.p + inst.c) / (params.alpha * params.delta)))
     # no more than budget + 1 chosen sets are ever reached (the last one
     # only to flag truncation)
@@ -383,7 +383,7 @@ def _guess_parts(inst: Instance, params: Params, budget: int, tally: GuessList):
                 load = loads[chosen] = _load(rows, loads, chosen)
                 # None marks an E1 that overpacks some row
                 entry = (None if any(v > d for v, d in zip(load, rows.pack_scale))
-                         else _chosen_entry(inst, params, rows, chosen, load, grid))
+                         else _chosen_entry(inst, params, rows, chosen, load))
                 cache[chosen] = entry
             if entry is None:
                 continue
@@ -416,10 +416,12 @@ def _subsets_by_size(n, cap):
 # emptiness screen and continuous greedy
 
 
-# A covering row must miss its bound by more than this share of the largest
-# bound (at least 1) before the screen calls the polytope empty: 1000x the
-# simplex's phase-1 tolerance ``lp.TOL_FEAS``, so a program the screen
-# rejects is one the simplex rejects too.
+# A covering row must miss its bound by more than this share of the cover
+# grid's top target before the screen calls the polytope empty.  That top
+# is at least every bound of a guess's program, so the margin is at least
+# 1000x the simplex's phase-1 tolerance ``lp.TOL_FEAS`` (a share of the
+# largest bound, at least 1), and a program the screen rejects is one the
+# simplex rejects too.
 SCREEN_MARGIN = Fraction(1, 10 ** 6)
 
 
@@ -458,49 +460,6 @@ def cover_reach(pack_rows, pack_bounds, cover_rows) -> tuple:
                  for row in cover_rows)
 
 
-def _bound_scale(bounds) -> Fraction:
-    """The largest |bound|, at least 1: the margin's scale over ``bounds``."""
-    return max([1] + [abs(b) for b in bounds])
-
-
-def _screen(reach, pack_scale) -> tuple:
-    """Per covering row, the ints ``reach_falls_short`` compares with: its
-    reach a/b and its reach plus the margin on ``pack_scale`` (the packing
-    bounds' ``_bound_scale``) g/h, each in lowest terms."""
-    out = []
-    for r in reach:
-        r = Fraction(r)
-        g = r + SCREEN_MARGIN * pack_scale
-        out.append((r.numerator, r.denominator, g.numerator, g.denominator))
-    return tuple(out)
-
-
-def reach_falls_short(screen, residuals, units) -> bool:
-    """Whether some covering row's reach misses its bound by more than the
-    margin, which certifies that the polytope is empty.  ``screen`` is
-    ``_screen`` of the rows' reaches; row j's bound is ``residuals[j] /
-    units[j]``, ints with ``units[j] > 0``.
-
-    The margin is SCREEN_MARGIN times the largest of the packing scale and
-    every |bound|, so a row falls short when its gap, bound minus reach,
-    exceeds SCREEN_MARGIN times each of them.  Every test cross-multiplies
-    ints.
-    """
-    num, den = SCREEN_MARGIN.numerator, SCREEN_MARGIN.denominator
-    for j, ((a, b, g, h), s, u) in enumerate(zip(screen, residuals, units)):
-        # s/u > g/h: the gap exceeds the margin on the packing scale
-        if s * h > g * u:
-            # the gap s/u - a/b, times u b den, against num |s_k / u_k| u b
-            # den; for k = j the factor u drops out, which keeps the
-            # products small when targets have long denominators
-            gap = (s * b - a * u) * den
-            if gap > num * abs(s) * b and all(
-                    gap * uk > num * abs(sk) * u * b
-                    for k, (sk, uk) in enumerate(zip(residuals, units)) if k != j):
-                return True
-    return False
-
-
 def _residual_rows(packing, covering, elements: tuple) -> tuple:
     """The packing and covering rows restricted to ``elements``."""
     return ([[row[e] for e in elements] for row in packing],
@@ -514,51 +473,37 @@ def _check_ascent(steps: int, samples_per_grad: int) -> None:
         raise ValueError("steps must be non-negative")
 
 
-def _screened_empty(chosen: int, undetermined: int, cpart: _ChosenPart,
-                    tpart: _TargetPart, reach_memo: dict) -> bool:
-    """Whether the screen certifies the residual polytope empty.
-    ``reach_memo`` keeps the screen (``_screen`` of the covering rows'
-    reaches and the packing bounds' ``_bound_scale``) keyed by (E1,
-    undetermined elements), which fix it."""
+def _empty_limits(memo: dict, chosen: int, undetermined: int, part: _ChosenPart,
+                  grid: list) -> tuple:
+    """The emptiness screen of the pairs of E1 ``chosen`` (``part``) that
+    leave ``undetermined`` undetermined: per covering row j, the first
+    index t into ``grid`` at which s_j beats the row's ``cover_reach``
+    over those elements by more than M = SCREEN_MARGIN * grid[-1], else
+    len(grid).  A pair with some t_j at its limit has an empty residual
+    polytope.
+
+    Every r_i lies in [0, 1], every s_k is at most c'_k <= grid[-1] and
+    grid[0] = 1, so M is at least SCREEN_MARGIN times each of a pair's
+    bounds, and the screen rejects no program the simplex accepts.  s_j
+    grows with t_j, so each limit is a bisect.  ``memo`` keeps the limits
+    per solve under (E1, undetermined elements), which fix them."""
     key = (chosen, undetermined)
-    screen = reach_memo.get(key)
-    if screen is None:
-        screen = reach_memo[key] = _screen(_reaches(cpart, undetermined),
-                                           _bound_scale(cpart.residual_pack))
-    return reach_falls_short(screen, tpart.residual_cover, tpart.targets.units)
-
-
-def _reaches(part: _ChosenPart, elements: int) -> list:
-    """Each covering row's ``cover_reach`` over ``elements`` under E1's
-    packing room, as a Fraction."""
-    rows = part.rows
-    scaled_pack, scaled_cover = _residual_rows(rows.pack, rows.cover,
-                                               tuple(iter_bits(elements)))
-    # over the scaled rows, covering row j's reach comes out K_j times larger
-    reach = cover_reach(scaled_pack, part.pack_room, scaled_cover)
-    return [Fraction(v, k) for v, k in zip(reach, rows.cover_scale)]
-
-
-def _reach_ceiling(part: _ChosenPart, elements: int, grid: list) -> tuple:
-    """Per covering row j, the first grid index t*_j at which the screen
-    finds the residual s_j short of the row's reach over ``elements`` by
-    more than M = SCREEN_MARGIN * max(1, grid[-1]), or len(grid).
-
-    With ``elements`` every element that some target could leave
-    undetermined, this reach is a ceiling on the reach of each pair of E1
-    (reaches grow with the element set, and E1 fixes the packing room).
-    Every r_i lies in [0, 1] and every s_k is at most c'_k <= grid[-1], so
-    M is at least each pair's margin: a pair whose t_j reaches t*_j is one
-    the screen calls empty.  ``reach_falls_short`` on row j alone, with
-    the packing scale max(1, grid[-1]) >= s_j, makes the test, and s_j
-    grows with t_j, so the first such index is a bisect."""
-    # the packing scale max(1, grid[-1]) is grid[-1], as grid[0] = 1
-    screen = _screen(_reaches(part, elements), grid[-1])
-    ceiling = []
-    for row, k, q in zip(screen, part.rows.cover_scale, part.cover_load):
-        ceiling.append(bisect_left(grid, True, key=lambda c: reach_falls_short(
-            (row,), (max(0, c.numerator * k - c.denominator * q),), (k * c.denominator,))))
-    return tuple(ceiling)
+    limits = memo.get(key)
+    if limits is None:
+        rows = part.rows
+        pack, cover = _residual_rows(rows.pack, rows.cover, tuple(iter_bits(undetermined)))
+        margin = SCREEN_MARGIN * grid[-1]
+        limits = []
+        # over the scaled rows, covering row j's reach comes out K_j times larger
+        for reach, k, q in zip(cover_reach(pack, part.pack_room, cover), rows.cover_scale,
+                               part.cover_load):
+            g = Fraction(reach, k) + margin
+            # s_j = max(0, a K_j - b Q_j) / (K_j b) > g for the target c'_j = a / b
+            limits.append(bisect_left(grid, True, key=lambda c: (
+                max(0, c.numerator * k - c.denominator * q) * g.denominator
+                > g.numerator * k * c.denominator)))
+        limits = memo[key] = tuple(limits)
+    return limits
 
 
 def continuous_greedy(guess: Guess, steps: int = 100,
@@ -699,14 +644,15 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     b = max(1, norm.p + norm.c)
     if params is None:
         params = Params.from_epsilon(epsilon, b)
+    grid = _target_grid(norm.n, params, budget)
     tally = GuessList([], False, 0)
 
     need_cover = 1 - epsilon
     best = None
     diagnostics = []
-    # per solve, keyed by values: covering-row reaches per (E1, undetermined)
+    # per solve, keyed by values: the screen's limits per (E1, undetermined)
     # and each rounded set's verdict (its f value if it passes, else None)
-    reach_memo = {}
+    limits = {}
     verdicts = {}
     scale = 1 / (1 + float(params.delta))
     full = (1 << norm.n) - 1
@@ -714,7 +660,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     # every consistent pair, as in enumerate_guesses' list
     g_idx = -1
     for g_idx, (index, chosen, entry, tpart) in enumerate(
-            _guess_parts(norm, params, budget, tally)):
+            _guess_parts(norm, params, grid, budget, tally)):
         # a repeat would be solved as its earlier pair was
         if _repeats(index, tpart.residual_cover):
             continue
@@ -730,9 +676,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
             filter_pass=0, filter_fail=0, infeasible_polytope=False,
             best_value=None)
         diagnostics.append(diag)
-        # E1's ceiling settles most empty pairs; the exact screen the rest
-        if (any(map(ge, index, entry.ceiling))
-                or _screened_empty(chosen, undetermined, cpart, tpart, reach_memo)):
+        if any(map(ge, index, _empty_limits(limits, chosen, undetermined, cpart, grid))):
             diag.infeasible_polytope = True
             continue
         guess = _make_guess(norm, params, chosen, entry, tpart)

@@ -573,18 +573,23 @@ def to_fraction(v) -> Fraction:
 
 
 def _json_rat(v) -> Rational:
-    """``_rat`` of a value read from JSON, where a list, an object or null
-    is bad input."""
-    if not isinstance(v, (int, float, str)):
+    """``_rat`` of a value read from JSON, where a list, an object, a
+    boolean or null is bad input."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ValueError(f"cannot interpret {v!r} as a rational")
     return _rat(v)
 
 
 def _json_of(v, kind, what: str):
-    """``v`` when it is a JSON value of type ``kind``; anything else is bad input."""
-    if not isinstance(v, kind):
+    """``v`` when it is a JSON value of type ``kind``; anything else,
+    a boolean where a number belongs included, is bad input."""
+    if isinstance(v, bool) or not isinstance(v, kind):
         raise ValueError(f"expected {what}, not {v!r}")
     return v
+
+
+def _json_int(v) -> int:
+    return _json_of(v, int, "an integer")
 
 
 def _json_rats(v) -> list:
@@ -604,8 +609,8 @@ def oracle_from_json_obj(obj: dict) -> SubmodularOracle:
         return LinearOracle(_json_rats(obj["weights"]))
     if kind == "coverage":
         return CoverageOracle(
-            universe=_json_of(obj["universe"], int, "an integer"),
-            element_sets=[[_json_of(i, int, "an integer") for i in _json_of(s, list, "a list")]
+            universe=_json_int(obj["universe"]),
+            element_sets=[list(map(_json_int, _json_of(s, list, "a list")))
                           for s in _json_of(obj["element_sets"], list, "a list")],
             universe_weights=_json_rats(obj["universe_weights"]),
         )
@@ -619,7 +624,7 @@ def oracle_from_json_obj(obj: dict) -> SubmodularOracle:
 
 def instance_from_json_obj(obj: dict) -> Instance:
     oracle = oracle_from_json_obj(_json_of(obj, dict, "an object")["objective"])
-    if obj["n"] != oracle.n:
+    if _json_int(obj["n"]) != oracle.n:
         raise ValueError("n does not match objective arity")
     return make_instance(
         packing=[_json_rats(row) for row in _json_of(obj["packing"], list, "a list")],

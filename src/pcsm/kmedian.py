@@ -15,7 +15,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .core import SubmodularOracle, _json_of, iter_bits, make_instance
+from .core import SubmodularOracle, _json_int, _json_of, iter_bits, make_instance
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class TwoDistInstance:
     def __post_init__(self):
         if any(not isinstance(u, int) or u < 1 for u in self.capacities):
             raise ValueError("capacities must be positive integers")
-        if not isinstance(self.num_clients, int):
-            raise ValueError("the number of clients must be an integer")
+        if not isinstance(self.num_clients, int) or self.num_clients < 0:
+            raise ValueError("the number of clients must be a non-negative integer")
         if not 0 <= self.a <= self.b:
             raise ValueError("distances must satisfy 0 <= a <= b")
         if not isinstance(self.k, int) or self.k < 0:
@@ -49,13 +49,13 @@ class TwoDistInstance:
 def two_dist_from_json_obj(obj: dict) -> TwoDistInstance:
     facilities = _json_of(_json_of(obj, dict, "an object")["facilities"], list, "a list")
     return TwoDistInstance(
-        capacities=tuple(_json_of(f, dict, "an object")["cap"] for f in facilities),
-        num_clients=obj["clients"],
-        near_pairs=frozenset(tuple(_json_of(pair, list, "a list"))
+        capacities=tuple(_json_int(_json_of(f, dict, "an object")["cap"]) for f in facilities),
+        num_clients=_json_int(obj["clients"]),
+        near_pairs=frozenset(tuple(map(_json_int, _json_of(pair, list, "a list")))
                              for pair in _json_of(obj["dist_a_pairs"], list, "a list")),
         a=_json_of(obj["a"], (int, float), "a number"),
         b=_json_of(obj["b"], (int, float), "a number"),
-        k=obj["k"],
+        k=_json_int(obj["k"]),
     )
 
 

@@ -1,7 +1,8 @@
 """Reference code that only the tests call: the paper's existence argument
 for a correct guess, the residual objective, a Monte-Carlo multilinear
-estimator, the screen on Fraction rows and the closed form of the
-upper-bound construction's value.  The solvers never run any of it."""
+estimator, a per-program emptiness screen on Fraction rows and the closed
+form of the upper-bound construction's value.  The solvers never run any
+of it."""
 
 import math
 import random
@@ -140,21 +141,47 @@ def multilinear_estimate(oracle: SubmodularOracle, x: Sequence[float],
     return MultilinearEstimate(mean=float(mean), stderr=stderr, mean_exact=mean)
 
 
+# the screen's margin: a share of the largest bound, at least 1
+MARGIN = Fraction(1, 10 ** 6)
+
+
+def knapsack_max(values, weights, room) -> Fraction:
+    """max values.x over {x in [0,1]^n : weights.x <= room}, in Fractions:
+    zero-weight items whole, the rest by falling value/weight ratio, each
+    as far as the room (a negative room counts as 0) allows."""
+    room = max(Fraction(room), Fraction(0))
+    total = sum((Fraction(v) for v, w in zip(values, weights) if w == 0), Fraction(0))
+    items = sorted(((Fraction(v), Fraction(w)) for v, w in zip(values, weights) if w),
+                   key=lambda item: item[0] / item[1], reverse=True)
+    for v, w in items:
+        share = min(Fraction(1), room / w)
+        total += share * v
+        room -= share * w
+    return total
+
+
+def row_reaches(pack_rows, pack_bounds, cover_rows) -> list:
+    """Per covering row, the most it can reach over the box [0,1]^n: the
+    least of its plain sum and its maximum under each single packing row."""
+    return [min([sum(map(Fraction, row), Fraction(0))]
+                + [knapsack_max(row, prow, b) for prow, b in zip(pack_rows, pack_bounds)])
+            for row in cover_rows]
+
+
 def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> bool:
     """Whether {x in [0,1]^n : pack @ x <= pack_bounds, cover @ x >= cover_bounds}
     is empty by an exact certificate: some covering row misses its bound by
-    more than the margin even within the box and a single packing row.
+    more than MARGIN times the largest of 1 and every |bound|, even within
+    the box and a single packing row.
 
-    The screen ``continuous._screened_empty`` runs on a guess's int rows,
-    here on Fraction rows and bounds as given.  Each (covering, packing)
-    pair relaxes the polytope, so the test is sound for any number of rows;
-    with one row of each it is exact up to the margin.
+    Each (covering, packing) pair relaxes the polytope, so the test is
+    sound for any number of rows; with one row of each it is exact up to
+    the margin.
     """
-    bounds = [Fraction(b) for b in cover_bounds]
-    return cont.reach_falls_short(
-        cont._screen(cont.cover_reach(pack_rows, pack_bounds, cover_rows),
-                     cont._bound_scale(pack_bounds)),
-        [b.numerator for b in bounds], [b.denominator for b in bounds])
+    bounds = [Fraction(b) for b in list(pack_bounds) + list(cover_bounds)]
+    margin = MARGIN * max([Fraction(1)] + [abs(b) for b in bounds])
+    return any(Fraction(b) - r > margin
+               for r, b in zip(row_reaches(pack_rows, pack_bounds, cover_rows), cover_bounds))
 
 
 def upper_bound_value_formula(m: int) -> Fraction:

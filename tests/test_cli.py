@@ -135,9 +135,20 @@ def _kmedian_with(**fields):
     ("brute", _instance_with("coverage", objective={"element_sets": [1, 2, 3, 4]})),
     ("kmedian", _kmedian_with(dist_a_pairs=[[0.0, 0]])),
     ("brute", {**_instance_with(), "objective": [1]}),
+    ("kmedian", _kmedian_with(clients=-1, dist_a_pairs=[], a=0)),
+    ("kmedian", _kmedian_with(clients=-1, dist_a_pairs=[], b=4)),
+    ("kmedian", _kmedian_with(clients=-1, dist_a_pairs=[])),
+    ("kmedian", _kmedian_with(k=True)),
+    ("kmedian", _kmedian_with(facilities=[{"cap": True}, {"cap": 2}])),
+    ("kmedian", _kmedian_with(dist_a_pairs=[[0, 0], [True, 0], [2, 1]])),
+    ("brute", _instance_with(pack_bound=[True])),
+    ("brute", _instance_with("concave_of_modular", objective={"cap": True})),
 ], ids=["kmedian-fractional-k", "brute-list-weight", "kmedian-string-a",
         "kmedian-int-pair", "brute-int-packing", "brute-int-element-sets",
-        "kmedian-float-pair", "brute-list-objective"])
+        "kmedian-float-pair", "brute-list-objective", "kmedian-negative-clients-a0",
+        "kmedian-negative-clients-far-b", "kmedian-negative-clients",
+        "kmedian-boolean-k", "kmedian-boolean-cap", "kmedian-boolean-pair",
+        "brute-boolean-pack-bound", "brute-boolean-cap"])
 def test_cli_malformed_json_is_bad_input(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

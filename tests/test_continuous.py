@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from operator import ge
 from types import SimpleNamespace
 
 import pytest
@@ -35,6 +36,7 @@ from pcsm.lp import (
     TOL_FEAS,
     _Builder,
     _float_rat,
+    empty_without_variables,
     linear_max_over_polytope,
     prepare_polytope,
     simplex_solve,
@@ -42,12 +44,14 @@ from pcsm.lp import (
 
 from conftest import FAMILIES, exact_multilinear, random_instance, random_oracle
 from reference import (
+    MARGIN,
     correct_guess_for,
     greedy_marginal_order,
     is_correct,
     multilinear_estimate,
     polytope_surely_empty,
     residual_objective,
+    row_reaches,
 )
 
 RELAXED = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=2)
@@ -478,18 +482,12 @@ def _residual_free_guess(cover_load):
 def _stream_of(enum):
     """A stand-in for ``_guess_parts`` that streams ``enum``'s guesses as
     records, whatever instance and settings it is called with: each with
-    its targets' grid index, and an entry that discards the guess's E0 and
-    takes its ceiling over the guess's undetermined elements."""
-    def guess_parts(inst, params, budget, tally):
+    its targets' grid index, and an entry that discards the guess's E0."""
+    def guess_parts(inst, params, grid, budget, tally):
         tally.pairs_examined, tally.truncated = enum.pairs_examined, enum.truncated
-        grid = cont._target_grid(inst.n, params, budget)
-        records = []
-        for g in enum.guesses:
-            cpart, tpart = g._parts
-            entry = cont._ChosenEntry(cpart, g.discarded,
-                                      cont._reach_ceiling(cpart, g.undetermined, grid))
-            records.append((tuple(map(grid.index, g.cover_targets)), g.chosen, entry, tpart))
-        return iter(records)
+        return iter([(tuple(map(grid.index, g.cover_targets)), g.chosen,
+                      cont._ChosenEntry(g._parts[0], g.discarded), g._parts[1])
+                     for g in enum.guesses])
     return guess_parts
 
 
@@ -776,7 +774,7 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
             # solve_main normalizes an equal instance; reuse the reference list
             m.setattr(cont, "_guess_parts", _stream_of(want))
             m.setattr(cont, "prepare_polytope", _ref_prepare_polytope(solves))
-            m.setattr(cont, "reach_falls_short", lambda *args: False)
+            m.setattr(cont, "_empty_limits", lambda *args: ())
             m.setattr(cont, "round_and_filter", recording_round)
             m.setattr(cont, "continuous_greedy", recording_greedy)
             ref_res = solve_main(inst, Fraction(1, 10), **knobs)
@@ -818,14 +816,14 @@ def test_guess_stream_builds_the_enumerated_guesses():
     for norm, p, c, budget in cases:
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=max(1, p + c))
         tally = GuessList([], False, 0)
-        records = list(cont._guess_parts(norm, params, budget, tally))
+        grid = cont._target_grid(norm.n, params, budget)
+        records = list(cont._guess_parts(norm, params, grid, budget, tally))
         enum = enumerate_guesses(norm, params, budget=budget)
         built = [cont._make_guess(norm, params, *record[1:]) for record in records]
         assert built == enum.guesses
         assert [_all_fields(g) for g in built] == [_all_fields(g) for g in enum.guesses]
         assert (tally.pairs_examined, tally.truncated) == (enum.pairs_examined,
                                                            enum.truncated)
-        grid = cont._target_grid(norm.n, params, budget)
         for (index, chosen, entry, tpart), g in zip(records, built):
             assert tuple(grid[t] for t in index) == g.cover_targets
             fresh = _guess(norm, chosen, g.discarded, g.cover_targets, params)
@@ -960,7 +958,7 @@ def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(cont, "_guess_parts", _stream_of(enum))
-            m.setattr(cont, "reach_falls_short", lambda *args: False)
+            m.setattr(cont, "_empty_limits", lambda *args: ())
             m.setattr(cont, "continuous_greedy", ref_greedy)
             ref_res = solve_main(inst, Fraction(1, 10), **knobs)
         assert repr(res) == repr(ref_res)
@@ -1027,25 +1025,28 @@ def test_solve_main_memos_stay_within_one_solve(monkeypatch):
 
 def test_shared_reach_memo_screens_like_a_fresh_screen():
     # with one memo across an instance's guesses, in either order, the
-    # screen on a guess's parts gives the Fraction reference's verdict.
-    # Each enumerated guess also comes with E1 and E0 swapped: the same
-    # undetermined elements under another E1, so another packing room
-    screened = 0
+    # screen's limits for a guess's E1 and undetermined elements are those
+    # of their Fraction definition.  Each enumerated guess also comes with
+    # E1 and E0 swapped: the same undetermined elements under another E1,
+    # so another packing room and other covering loads
+    settled = 0
     for seed in range(6):
         p, c = (1, 1) if seed % 2 else (2, 2)
         inst = normalize(random_instance(random.Random(700 + seed), 7, p=p, c=c,
                                          family=FAMILIES[seed % 3]))
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
+        grid = cont._target_grid(inst.n, params, 1500)
         guesses = []
         for g in enumerate_guesses(inst, params, budget=1500).guesses:
-            guesses += [g, _guess(inst, g.discarded, g.chosen, g.cover_targets, params)]
+            for h in (g, _guess(inst, g.discarded, g.chosen, g.cover_targets, params)):
+                guesses.append((h, _ref_limits(inst, h, grid)))
         for order in (guesses, guesses[::-1]):
             memo = {}
-            for g in order:
-                empty = _ref_screen(inst, g)[0]
-                assert cont._screened_empty(g.chosen, g.undetermined, *g._parts, memo) == empty
-                screened += empty
-    assert screened > 100
+            for g, limits in order:
+                assert cont._empty_limits(memo, g.chosen, g.undetermined, g._parts[0],
+                                          grid) == limits
+                settled += any(map(ge, map(grid.index, g.cover_targets), limits))
+    assert settled > 100
 
 
 # ---------------------------------------------------------------------------
@@ -1096,11 +1097,10 @@ def _ref_screen(inst, g):
     """(falls short, each row's shortfall, margin) in Fractions: a row falls
     short when its residual cover minus its reach exceeds the margin."""
     elements = g.residual_elements()
-    reach = cont.cover_reach([[row[e] for e in elements] for row in inst.packing],
-                             g.residual_pack,
-                             [[row[e] for e in elements] for row in inst.covering])
-    margin = cont.SCREEN_MARGIN * max([1] + [abs(v) for v in g.residual_pack]
-                                      + [abs(v) for v in g.residual_cover])
+    reach = row_reaches([[row[e] for e in elements] for row in inst.packing],
+                        g.residual_pack, [[row[e] for e in elements] for row in inst.covering])
+    margin = MARGIN * max([1] + [abs(v) for v in g.residual_pack]
+                          + [abs(v) for v in g.residual_cover])
     shortfalls = [s - r for r, s in zip(reach, g.residual_cover)]
     return any(v > margin for v in shortfalls), shortfalls, margin
 
@@ -1111,7 +1111,7 @@ def _screen_cases():
     3 M, the margin's scale 3 coming from the row's own residual, from
     another covering row's residual and from an overpacking E1's residual
     packing room (|1 - 4|), each above the other two."""
-    m = cont.SCREEN_MARGIN
+    m = MARGIN
     for dx in (0, Fraction(-1, 10 ** 9), Fraction(1, 10 ** 9)):
         x = 1 - 3 * m + dx
         yield (make_instance([[0, 0, 0]], [[1, 1, x]], [1], [1], LinearOracle([1] * 3)),
@@ -1123,6 +1123,10 @@ def _screen_cases():
 
 
 def test_screen_at_an_exact_margin_tie_matches_the_fraction_screen():
+    # the per-program reference at its own margin's ties; phase 1, whose
+    # tolerance is far below that margin, rejects every one of these
+    # programs, so a pair that only the reference calls empty gives the
+    # same outcome whichever of the two rejects it
     verdicts = []
     for inst, chosen, discarded, targets, scale in _screen_cases():
         targets = tuple(map(Fraction, targets))
@@ -1130,106 +1134,128 @@ def test_screen_at_an_exact_margin_tie_matches_the_fraction_screen():
         ref = _ref_fields(inst, discarded, chosen, targets, _TIE)
         assert {k: getattr(g, k) for k in ref} == ref
         short, shortfalls, margin = _ref_screen(inst, g)
-        assert margin == scale * cont.SCREEN_MARGIN
+        assert margin == scale * MARGIN
         elements = g.residual_elements()
-        assert polytope_surely_empty(
-            [[row[e] for e in elements] for row in inst.packing], g.residual_pack,
-            [[row[e] for e in elements] for row in inst.covering], g.residual_cover) == short
-        assert cont._screened_empty(g.chosen, g.undetermined, *g._parts, {}) == short
+        pack = [[row[e] for e in elements] for row in inst.packing]
+        cover = [[row[e] for e in elements] for row in inst.covering]
+        assert polytope_surely_empty(pack, g.residual_pack, cover, g.residual_cover) == short
+        assert prepare_polytope(len(elements), pack, g.residual_pack, cover,
+                                g.residual_cover) is None
         verdicts.append((shortfalls[0] == margin, short))
-    # each case once at the tie (kept), once past it (screened), once inside
+    # each case once at the tie (kept), once past it (empty), once inside
     assert verdicts == [(True, False)] * 3 + [(False, True)] * 3 + [(False, False)] * 3
 
 
 # ---------------------------------------------------------------------------
-# the reach ceiling and the repeat rule against their definitions
+# the screen's limits and the repeat rule against their definitions
 
 
-def _ref_ceiling(inst, params, chosen, grid):
-    """E1's ceiling from its definition, in Fractions: per covering row,
-    the first grid index whose residual beats the row's reach over the
-    non-chosen elements that are neither high-marginal nor large in a
-    packing row by more than SCREEN_MARGIN * max(1, grid[-1]), else
-    len(grid)."""
-    h = _ref_fields(inst, 0, chosen, (Fraction(1),) * inst.c, params)
-    oracle = inst.objective
-    state = oracle.begin(chosen)
-    threshold = oracle.eval(chosen) / params.gamma
-    elements = [e for e in iter_bits(h["undetermined"] & ~h["large_pack"])
-                if not oracle.gain(state, e) > threshold]
-    reach = cont.cover_reach([[row[e] for e in elements] for row in inst.packing],
-                             h["residual_pack"],
-                             [[row[e] for e in elements] for row in inst.covering])
-    margin = cont.SCREEN_MARGIN * max(1, grid[-1])
+def _ref_limits(inst, g, grid):
+    """The screen's limits for ``g``'s E1 and undetermined elements from
+    their definition, in Fractions: per covering row, the first grid index
+    whose residual cover beats the row's reach over those elements by more
+    than MARGIN * grid[-1], else len(grid)."""
+    elements = g.residual_elements()
+    reach = row_reaches([[row[e] for e in elements] for row in inst.packing],
+                        g.residual_pack, [[row[e] for e in elements] for row in inst.covering])
+    margin = MARGIN * grid[-1]
     return tuple(next((t for t, target in enumerate(grid) if target - q - r > margin),
                       len(grid))
-                 for q, r in zip(inst.cover_value(chosen), reach))
+                 for q, r in zip(inst.cover_value(g.chosen), reach))
 
 
 def _check_stream(norm, params, budget):
-    """Walk the guess stream and check each E1's ceiling against
-    ``_ref_ceiling``, each pair the ceiling settles against the exact
-    screen, and the repeat rule against the dedupe it replaced: a set of
-    (E0, E1, S, b_j beside each S_j > 0).  Returns (settled, repeats)."""
+    """Walk the guess stream with one screen memo, as ``solve_main`` does,
+    and check every pair: its limits against ``_ref_limits``; a pair they
+    settle against the per-program reference ``polytope_surely_empty``; a
+    pair the reference calls empty but the limits keep against phase 1,
+    which must reject it, so that no outcome depends on which of the two
+    rejects it; and the repeat rule against the dedupe it replaced: a set
+    of (E0, E1, S, b_j beside each S_j > 0).  Returns (settled, left to
+    phase 1, repeats)."""
     grid = cont._target_grid(norm.n, params, budget)
+    memo = {}
+    refs = {}
     seen = set()
-    checked = set()
-    settled = repeats = 0
-    for index, chosen, entry, tpart in cont._guess_parts(norm, params, budget,
+    settled = phase1 = repeats = 0
+    for index, chosen, entry, tpart in cont._guess_parts(norm, params, grid, budget,
                                                          GuessList([], False, 0)):
-        if chosen not in checked:
-            checked.add(chosen)
-            assert entry.ceiling == _ref_ceiling(norm, params, chosen, grid)
-        discarded = entry.discarded | (tpart.large_cover & ~chosen)
+        g = cont._make_guess(norm, params, chosen, entry, tpart)
         s = tpart.residual_cover
-        key = (discarded, chosen, s, tuple(b if v else 0 for v, b in zip(s, tpart.targets.den)))
+        key = (g.discarded, chosen, s, tuple(b if v else 0 for v, b in zip(s, tpart.targets.den)))
         assert cont._repeats(index, s) == (key in seen)
         repeats += key in seen
         seen.add(key)
-        if any(t >= top for t, top in zip(index, entry.ceiling)):
-            undetermined = ((1 << norm.n) - 1) & ~(discarded | chosen)
-            assert cont._screened_empty(chosen, undetermined, entry.part, tpart, {})
+        limits = cont._empty_limits(memo, chosen, g.undetermined, entry.part, grid)
+        ref = refs.get((chosen, g.undetermined))
+        if ref is None:
+            ref = refs[chosen, g.undetermined] = _ref_limits(norm, g, grid)
+        assert limits == ref
+        elements = g.residual_elements()
+        pack = [[row[e] for e in elements] for row in norm.packing]
+        cover = [[row[e] for e in elements] for row in norm.covering]
+        empty = polytope_surely_empty(pack, g.residual_pack, cover, g.residual_cover)
+        if any(map(ge, index, limits)):
+            assert empty
             settled += 1
-    return settled, repeats
+        elif empty:
+            if elements:
+                assert prepare_polytope(len(elements), pack, g.residual_pack, cover,
+                                        g.residual_cover) is None
+            else:
+                assert empty_without_variables(g.residual_pack, g.residual_cover)
+            phase1 += 1
+    return settled, phase1, repeats
 
 
 # alpha 3/4 keeps the quarter entries below every large threshold here
-_CEIL = Params(epsilon=Fraction(1, 10), delta=Fraction(1, 4), alpha=Fraction(3, 4),
-               beta=Fraction(1, 2), gamma=Fraction(2))
+_QUARTERS = Params(epsilon=Fraction(1, 10), delta=Fraction(1, 4), alpha=Fraction(3, 4),
+                   beta=Fraction(1, 2), gamma=Fraction(2))
+_QUARTERS_GRID = cont._target_grid(3, _QUARTERS, 100)
 
 
-def test_reach_ceiling_at_the_margin_matches_its_definition():
-    # E1 = {0} covers half of a target of 1; elements 1 and 2 (gain 0)
-    # reach 1/2 - gap.  M = SCREEN_MARGIN * grid[-1] exceeds the exact
-    # screen's margin (SCREEN_MARGIN: r = 1, s = 1/2), so a gap of 3/4 of
-    # the screen margin is kept by both, and a gap of M is left by the
-    # ceiling to the screen.  Under E1 = {}, element 0 is high-marginal;
-    # counted in the ceiling's elements, it would lift that ceiling past
-    # t = 0 wherever the gap is at most M
-    grid = cont._target_grid(3, _CEIL, 100)
-    margin = cont.SCREEN_MARGIN * grid[-1]
-    assert margin > cont.SCREEN_MARGIN
-    for gap, top, empty in ((3 * cont.SCREEN_MARGIN / 4, 1, False), (margin, 1, True),
+def _margin_instance(gap):
+    """E1 = {0} covers half of a target of 1; elements 1 and 2 (gain 0)
+    reach 1/2 - gap.  E1 = {} discards the high-marginal element 0 and
+    leaves the same undetermined elements, against s = 1."""
+    return normalize(make_instance(
+        [[0, 0, 0]], [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4) - gap]],
+        [1], [1], LinearOracle([1, 0, 0])))
+
+
+def test_screen_limits_at_the_margin_match_their_definition():
+    # M = MARGIN * grid[-1] exceeds the per-program margin of E1 = {0}
+    # under a target of 1 (MARGIN: r = 1, s = 1/2), so a gap of 3/4 of that
+    # margin is kept by both, and a gap of M is left by the limits to
+    # phase 1.  E1 = {} has limit 0 whatever the gap: a memo keyed by the
+    # undetermined elements alone would hand it to E1 = {0}
+    grid = _QUARTERS_GRID
+    margin = MARGIN * grid[-1]
+    assert margin > MARGIN
+    for gap, top, empty in ((3 * MARGIN / 4, 1, False), (margin, 1, True),
                             (margin + Fraction(1, 10 ** 12), 0, True), (0, 1, False)):
-        inst = make_instance([[0, 0, 0]], [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4) - gap]],
-                             [1], [1], LinearOracle([1, 0, 0]))
-        norm = normalize(inst)
-        records = {(index, chosen): (entry, tpart) for index, chosen, entry, tpart
-                   in cont._guess_parts(norm, _CEIL, 100, GuessList([], False, 0))}
-        entry, tpart = records[(0,), 0b1]
-        assert entry.ceiling == (top,) and records[(0,), 0][0].ceiling == (0,)
-        assert cont._screened_empty(0b1, 0b110, entry.part, tpart, {}) == empty
-        assert _check_stream(norm, _CEIL, 100)[0] > 0
+        norm = _margin_instance(gap)
+        entries = {chosen: entry for index, chosen, entry, _ in cont._guess_parts(
+            norm, _QUARTERS, grid, 100, GuessList([], False, 0)) if index == (0,)}
+        memo = {}
+        for chosen, limit in ((0, 0), (0b1, top)):
+            assert entries[chosen].discarded | chosen == 0b1
+            assert cont._empty_limits(memo, chosen, 0b110, entries[chosen].part,
+                                      grid) == (limit,)
+        assert polytope_surely_empty([[0, 0]], [1], [[Fraction(1, 4), Fraction(1, 4) - gap]],
+                                     [Fraction(1, 2)]) == empty
+        settled, phase1, _ = _check_stream(norm, _QUARTERS, 100)
+        assert settled > 0 and (phase1 > 0) == (gap == margin)
 
 
-def test_reach_ceiling_and_repeat_rule_on_the_golden_cases():
+def test_screen_and_repeat_rule_on_the_golden_cases():
     settled = repeats = 0
     for seed, n, p, c, family, budget, shape in _golden_cases():
         norm = normalize(_golden_instance(seed, n, p, c, family, shape))
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c)
         got = _check_stream(norm, params, budget)
         settled += got[0]
-        repeats += got[1]
+        repeats += got[2]
     assert settled > 1000 and repeats > 100
 
 
@@ -1240,7 +1266,7 @@ def _normalized_instances(draw):
     high-marginal) or positive; the relaxed schedule or the analysis one."""
     n = draw(st.integers(1, 6))
     p, c = draw(st.integers(0, 2)), draw(st.integers(1, 2))
-    entry = st.builds(lambda k, d, w: max(Fraction(0), Fraction(k, d) - w * cont.SCREEN_MARGIN),
+    entry = st.builds(lambda k, d, w: max(Fraction(0), Fraction(k, d) - w * MARGIN),
                       st.integers(0, 6), st.sampled_from([2, 3, 4, 6, 8]),
                       st.sampled_from([0, 0, Fraction(1, 2), 1, 3]))
     row = st.lists(entry, min_size=n, max_size=n)
@@ -1255,7 +1281,8 @@ def _normalized_instances(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_normalized_instances())
-def test_reach_ceiling_is_sound_and_repeats_match_the_residual_keys(case):
+@example((_margin_instance(MARGIN * _QUARTERS_GRID[-1]), _QUARTERS, 100))
+def test_screen_is_sound_and_repeats_match_the_residual_keys(case):
     _check_stream(*case)
 
 
