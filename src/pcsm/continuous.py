@@ -273,42 +273,15 @@ class Guess:
         return tuple(iter_bits(self.undetermined))
 
 
-class _ChosenEntry(NamedTuple):
-    """A chosen set E1 as the guess stream meets it, once per E1."""
-
-    part: _ChosenPart
-    discarded: int               # E0 under every target: high-marginal leftovers, large_pack
-
-
-def _chosen_entry(inst: Instance, params: Params, rows: _Rows, chosen: int,
-                  load: tuple) -> _ChosenEntry:
-    """E1's entry, given its scaled loads ``load`` (``rows.load(chosen)``).
-    The high-marginal leftovers are the non-chosen elements whose gain on
-    E1 exceeds f(E1) / gamma."""
-    oracle = inst.objective
-    threshold = oracle.eval(chosen) / params.gamma
-    state = oracle.begin(chosen)
-    part = _chosen_part(rows, chosen, load, params.alpha, params.beta, params.delta)
-    discarded = part.large_pack | mask_of(
-        ell for ell in range(inst.n)
-        if not (chosen >> ell) & 1 and oracle.gain(state, ell) > threshold)
-    return _ChosenEntry(part, discarded)
-
-
-def _make_guess(inst: Instance, params: Params, chosen: int, entry: _ChosenEntry,
-                tpart: _TargetPart) -> Guess:
-    """The guess of (c', E1): E0 is E1's entry's discarded elements plus
-    those large for c'.  These are the large elements of the intermediate
-    guess H = (empty, E1, c'), whose rows and thresholds do not depend on
-    E0, so the guess carries H's parts; its own large masks come out empty
-    because E0 holds all of H's large elements."""
-    return Guess(instance=inst, discarded=entry.discarded | (tpart.large_cover & ~chosen),
-                 chosen=chosen, cover_targets=tpart.targets.values, alpha=params.alpha,
-                 beta=params.beta, delta=params.delta, gamma=params.gamma,
-                 parts=(entry.part, tpart))
-
-
-_MISSING = object()
+def _make_guess(inst: Instance, params: Params, chosen: int, discarded: int,
+                cpart: _ChosenPart, tpart: _TargetPart) -> Guess:
+    """The guess of a record of ``_guess_parts``.  Its E0 holds every large
+    element of the intermediate guess H = (empty, E1, c'), whose rows and
+    thresholds do not depend on E0, so the guess carries H's parts; its own
+    large masks come out empty."""
+    return Guess(instance=inst, discarded=discarded, chosen=chosen,
+                 cover_targets=tpart.targets.values, alpha=params.alpha, beta=params.beta,
+                 delta=params.delta, gamma=params.gamma, parts=(cpart, tpart))
 
 
 @dataclass
@@ -321,11 +294,10 @@ class GuessList:
 def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> GuessList:
     """All consistent guesses from the (cover grid) x (chosen subsets)
     product, stopping with a truncation flag once the budget is spent."""
-    enum = GuessList([], False, 0)
     grid = _target_grid(inst.n, params, budget)
-    enum.guesses = [_make_guess(inst, params, chosen, entry, tpart)
-                    for _, chosen, entry, tpart in _guess_parts(inst, params, grid, budget, enum)]
-    return enum
+    pairs, truncated, records = _guess_parts(inst, params, grid, budget)
+    return GuessList([_make_guess(inst, params, *record[1:]) for record in records],
+                     truncated, pairs)
 
 
 def _target_grid(n: int, params: Params, budget: int) -> list:
@@ -345,14 +317,15 @@ def _target_grid(n: int, params: Params, budget: int) -> list:
     return grid
 
 
-def _guess_parts(inst: Instance, params: Params, grid: list, budget: int,
-                 tally: GuessList):
-    """The pairs of ``enumerate_guesses``'s product whose E1 packs within
-    the bounds, all of them consistent, in its order, each as
-    ``(index, chosen, entry, target part)`` with ``index`` the targets'
-    indices in ``grid`` (``_target_grid(n, params, budget)``), and no
-    ``Guess`` built.  Once the stream ends, ``tally`` holds the pairs
-    examined and the truncation flag."""
+def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tuple:
+    """``enumerate_guesses``'s product of the targets over ``grid``
+    (``_target_grid(n, params, budget)``) and the chosen sets, as
+    ``(pairs examined, truncated, records)``.  The budget counts every
+    pair of the product; ``records`` streams, in the product's order, the
+    pairs within it whose E1 packs within the bounds, all of them
+    consistent, each as ``(index, chosen, E0, chosen part, target part)``
+    with ``index`` the targets' indices in ``grid``, and no ``Guess``
+    built."""
     n = inst.n
     if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
         raise ValueError("guess enumeration expects a normalized instance")
@@ -360,50 +333,58 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int,
     # no more than budget + 1 chosen sets are ever reached (the last one
     # only to flag truncation)
     chosen_sets = list(islice(_subsets_by_size(n, size_cap), budget + 1))
+    width = len(chosen_sets)
+    total = len(grid) ** inst.c * width
     rows = _scaled_rows(inst)
-    # a chosen set's entry is reused under every later target, and its loads
-    # give each superset's loads with one more column; one entry each per
-    # examined pair at most, so they never outgrow the budget
-    cache = {}
-    loads = {}
+    oracle = inst.objective
 
-    pairs = 0
-    # the first row's target varies fastest
-    for index in (t[::-1] for t in product(range(len(grid)), repeat=inst.c)):
-        targets = _targets(rows, tuple(grid[t] for t in index), params.alpha, params.delta)
-        # one target part per E1 covering load under these targets
-        tparts = {}
-        for chosen in chosen_sets:
-            if pairs >= budget:
-                tally.pairs_examined, tally.truncated = pairs, True
-                return
-            pairs += 1
-            entry = cache.get(chosen, _MISSING)
-            if entry is _MISSING:
-                load = loads[chosen] = _load(rows, loads, chosen)
-                # None marks an E1 that overpacks some row
-                entry = (None if any(v > d for v, d in zip(load, rows.pack_scale))
-                         else _chosen_entry(inst, params, rows, chosen, load))
-                cache[chosen] = entry
-            if entry is None:
+    # each chosen set below the budget that packs, with its position in a
+    # target pass, its part and its E0 under every target: the high-marginal
+    # leftovers (gain on E1 above f(E1) / gamma) and large_pack.  Entries
+    # are >= 0, so a set packs only if it does without its highest element,
+    # which the size order reaches first; a set's loads are that subset's
+    # plus one column.  The empty set's loads are 0, within every bound
+    loads = {0: rows.load(0)}
+    packing = []
+    for pos, chosen in enumerate(chosen_sets[:budget]):
+        if chosen:
+            top = chosen.bit_length() - 1
+            base = loads.get(chosen ^ (1 << top))
+            if base is None:
                 continue
-            # consistent: E0 holds every large element, targets start at 1
-            # and E1 packs within the bounds
-            q = entry.part.cover_load
-            tpart = tparts.get(q)
-            if tpart is None:
-                tpart = tparts[q] = _target_part(rows, q, targets, params.alpha)
-            yield index, chosen, entry, tpart
-    tally.pairs_examined = pairs
+            load = tuple(map(add, base, rows.columns[top]))
+            if any(v > d for v, d in zip(load, rows.pack_scale)):
+                continue
+            loads[chosen] = load
+        part = _chosen_part(rows, chosen, loads[chosen], params.alpha, params.beta,
+                            params.delta)
+        threshold = oracle.eval(chosen) / params.gamma
+        state = oracle.begin(chosen)
+        discarded = part.large_pack | mask_of(
+            ell for ell in range(n)
+            if not (chosen >> ell) & 1 and oracle.gain(state, ell) > threshold)
+        packing.append((pos, chosen, part, discarded))
 
+    def records():
+        # the first row's target varies fastest
+        indices = (t[::-1] for t in product(range(len(grid)), repeat=inst.c))
+        for k, index in enumerate(indices):
+            first = k * width
+            targets = _targets(rows, tuple(grid[t] for t in index), params.alpha, params.delta)
+            # one target part per E1 covering load under these targets
+            tparts = {}
+            for pos, chosen, part, discarded in packing:
+                if first + pos >= budget:
+                    return
+                # consistent: E0 holds every large element, targets start
+                # at 1 and E1 packs within the bounds
+                q = part.cover_load
+                tpart = tparts.get(q)
+                if tpart is None:
+                    tpart = tparts[q] = _target_part(rows, q, targets, params.alpha)
+                yield index, chosen, discarded | (tpart.large_cover & ~chosen), part, tpart
 
-def _load(rows: _Rows, loads: dict, chosen: int) -> tuple:
-    """``rows.load(chosen)`` from the loads of ``chosen`` without its
-    highest element, which the size order of the chosen sets reaches first."""
-    if not chosen:
-        return rows.load(0)
-    top = chosen.bit_length() - 1
-    return tuple(map(add, loads[chosen ^ (1 << top)], rows.columns[top]))
+    return min(total, budget), total > budget, records()
 
 
 def _subsets_by_size(n, cap):
@@ -645,7 +626,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     if params is None:
         params = Params.from_epsilon(epsilon, b)
     grid = _target_grid(norm.n, params, budget)
-    tally = GuessList([], False, 0)
+    _, truncated, records = _guess_parts(norm, params, grid, budget)
 
     need_cover = 1 - epsilon
     best = None
@@ -659,13 +640,10 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     # a Guess is built only for a pair the screen lets through; g_idx counts
     # every consistent pair, as in enumerate_guesses' list
     g_idx = -1
-    for g_idx, (index, chosen, entry, tpart) in enumerate(
-            _guess_parts(norm, params, grid, budget, tally)):
+    for g_idx, (index, chosen, discarded, cpart, tpart) in enumerate(records):
         # a repeat would be solved as its earlier pair was
         if _repeats(index, tpart.residual_cover):
             continue
-        cpart = entry.part
-        discarded = entry.discarded | (tpart.large_cover & ~chosen)
         undetermined = full & ~(discarded | chosen)
         diag = GuessDiagnostics(
             chosen_size=chosen.bit_count(),
@@ -679,7 +657,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         if any(map(ge, index, _empty_limits(limits, chosen, undetermined, cpart, grid))):
             diag.infeasible_polytope = True
             continue
-        guess = _make_guess(norm, params, chosen, entry, tpart)
+        guess = _make_guess(norm, params, chosen, discarded, cpart, tpart)
         try:
             x_star = continuous_greedy(
                 guess, steps=steps, samples_per_grad=samples_per_grad,
@@ -699,10 +677,10 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
             candidates *= trials + 1
         rows = cpart.rows
         for cand in candidates:
-            val = verdicts.get(cand, _MISSING)
-            if val is _MISSING:
+            if cand not in verdicts:
                 fits = rows.fits(cand, need_cover)
-                val = verdicts[cand] = norm.objective.eval(cand) if fits else None
+                verdicts[cand] = norm.objective.eval(cand) if fits else None
+            val = verdicts[cand]
             if val is None:
                 diag.filter_fail += 1
                 continue
@@ -716,14 +694,14 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
         return MainResult(found=False, solution=0, value=0, cover_ratio=None,
                           pack_ratio=None, trials=trials,
                           guesses_enumerated=g_idx + 1,
-                          truncated=tally.truncated, diagnostics=diagnostics)
+                          truncated=truncated, diagnostics=diagnostics)
     mask, value = best
     cover_ratio, pack_ratio = load_ratios(norm, mask)
     return MainResult(
         found=True, solution=mask, value=value,
         cover_ratio=cover_ratio, pack_ratio=pack_ratio,
         trials=trials, guesses_enumerated=g_idx + 1,
-        truncated=tally.truncated, diagnostics=diagnostics)
+        truncated=truncated, diagnostics=diagnostics)
 
 
 def _repeats(index: tuple, residual_cover: tuple) -> bool:

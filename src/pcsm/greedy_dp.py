@@ -43,12 +43,13 @@ class DpOutcome:
 
 
 def _guard_table(inst: Instance, saturate: bool) -> None:
+    # a coordinate runs up to its row's sum, and a packing one (or a
+    # saturated covering one) up to the bound at most
     cells = inst.n + 1
-    c_max = max((max(row, default=0) for row in inst.covering), default=0)
-    for b in inst.cover_bound:
-        cells *= (int(b) if saturate else inst.n * int(c_max)) + 1
-    for b in inst.pack_bound:
-        cells *= int(b) + 1
+    for row, b in zip(inst.covering, inst.cover_bound):
+        cells *= int(min(b, sum(row)) if saturate else sum(row)) + 1
+    for row, b in zip(inst.packing, inst.pack_bound):
+        cells *= int(min(b, sum(row))) + 1
     if cells > CELL_BUDGET:
         raise BudgetExceededError(
             f"dense table bound {cells} exceeds cell budget {CELL_BUDGET}")

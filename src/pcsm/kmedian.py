@@ -12,6 +12,7 @@ by a small knapsack-style DP.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,8 +33,8 @@ class TwoDistInstance:
             raise ValueError("capacities must be positive integers")
         if not isinstance(self.num_clients, int) or self.num_clients < 0:
             raise ValueError("the number of clients must be a non-negative integer")
-        if not 0 <= self.a <= self.b:
-            raise ValueError("distances must satisfy 0 <= a <= b")
+        if not 0 <= self.a <= self.b < math.inf:
+            raise ValueError("distances must be finite and satisfy 0 <= a <= b")
         if not isinstance(self.k, int) or self.k < 0:
             raise ValueError("k must be a non-negative integer")
         for cl, fa in self.near_pairs:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 
 import pytest
@@ -143,12 +144,15 @@ def _kmedian_with(**fields):
     ("kmedian", _kmedian_with(dist_a_pairs=[[0, 0], [True, 0], [2, 1]])),
     ("brute", _instance_with(pack_bound=[True])),
     ("brute", _instance_with("concave_of_modular", objective={"cap": True})),
+    ("kmedian", _kmedian_with(b=math.inf)),
+    ("kmedian", _kmedian_with(a=math.inf, b=math.inf)),
 ], ids=["kmedian-fractional-k", "brute-list-weight", "kmedian-string-a",
         "kmedian-int-pair", "brute-int-packing", "brute-int-element-sets",
         "kmedian-float-pair", "brute-list-objective", "kmedian-negative-clients-a0",
         "kmedian-negative-clients-far-b", "kmedian-negative-clients",
         "kmedian-boolean-k", "kmedian-boolean-cap", "kmedian-boolean-pair",
-        "brute-boolean-pack-bound", "brute-boolean-cap"])
+        "brute-boolean-pack-bound", "brute-boolean-cap", "kmedian-infinite-b",
+        "kmedian-infinite-a-and-b"])
 def test_cli_malformed_json_is_bad_input(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

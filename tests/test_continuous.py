@@ -482,12 +482,11 @@ def _residual_free_guess(cover_load):
 def _stream_of(enum):
     """A stand-in for ``_guess_parts`` that streams ``enum``'s guesses as
     records, whatever instance and settings it is called with: each with
-    its targets' grid index, and an entry that discards the guess's E0."""
-    def guess_parts(inst, params, grid, budget, tally):
-        tally.pairs_examined, tally.truncated = enum.pairs_examined, enum.truncated
-        return iter([(tuple(map(grid.index, g.cover_targets)), g.chosen,
-                      cont._ChosenEntry(g._parts[0], g.discarded), g._parts[1])
-                     for g in enum.guesses])
+    its targets' grid index, E1, E0 and parts."""
+    def guess_parts(inst, params, grid, budget):
+        return enum.pairs_examined, enum.truncated, iter([
+            (tuple(map(grid.index, g.cover_targets)), g.chosen, g.discarded, *g._parts)
+            for g in enum.guesses])
     return guess_parts
 
 
@@ -815,23 +814,64 @@ def test_guess_stream_builds_the_enumerated_guesses():
     truncated = multi_row = empty = 0
     for norm, p, c, budget in cases:
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=max(1, p + c))
-        tally = GuessList([], False, 0)
         grid = cont._target_grid(norm.n, params, budget)
-        records = list(cont._guess_parts(norm, params, grid, budget, tally))
+        pairs, cut, records = cont._guess_parts(norm, params, grid, budget)
+        records = list(records)
         enum = enumerate_guesses(norm, params, budget=budget)
         built = [cont._make_guess(norm, params, *record[1:]) for record in records]
         assert built == enum.guesses
         assert [_all_fields(g) for g in built] == [_all_fields(g) for g in enum.guesses]
-        assert (tally.pairs_examined, tally.truncated) == (enum.pairs_examined,
-                                                           enum.truncated)
-        for (index, chosen, entry, tpart), g in zip(records, built):
+        assert (pairs, cut) == (enum.pairs_examined, enum.truncated)
+        for (index, chosen, _, cpart, tpart), g in zip(records, built):
             assert tuple(grid[t] for t in index) == g.cover_targets
             fresh = _guess(norm, chosen, g.discarded, g.cover_targets, params)
-            assert fresh._parts == (entry.part, tpart) and fresh.is_consistent()
+            assert fresh._parts == (cpart, tpart) and fresh.is_consistent()
         truncated += enum.truncated
         multi_row += max(p, c) > 1
         empty += norm.n == 0 and len(records) == 1
     assert truncated >= 1 and multi_row >= 5 and empty == 2
+
+
+def _accounting_cases():
+    """(instance, p + c): n = 0, c = 0, c = 2, and a packing row with bound
+    0 that leaves only the sets of the elements with entry 0 packing."""
+    rng = random.Random(71)
+    zero_pack = random_instance(rng, 6, p=2, c=1, family="coverage")
+    return [
+        (make_instance([[]], [[]], [1], [1], LinearOracle([])), 2),
+        (random_instance(rng, 6, p=1, c=0, family="linear"), 1),
+        (random_instance(rng, 4, p=1, c=2, family="concave_of_modular"), 3),
+        (make_instance(zero_pack.packing, zero_pack.covering, [0, zero_pack.pack_bound[1]],
+                       zero_pack.cover_bound, zero_pack.objective), 3),
+    ]
+
+
+def test_stream_accounting_matches_the_reference_at_every_budget_edge():
+    # the stream's pair count and truncation flag come from the product's
+    # size alone; check them, and the guesses its records build, against
+    # the pair-by-pair reference at the budgets around each pass boundary
+    overpacking = 0
+    for inst, b in _accounting_cases():
+        norm = normalize(inst)
+        assert norm.c == inst.c
+        params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=b)
+        full = _ref_enumerate_guesses(norm, params)
+        assert not full.truncated
+        passes = len(cont._target_grid(norm.n, params, full.pairs_examined)) ** norm.c
+        width = full.pairs_examined // passes
+        total = passes * width
+        budgets = {0, 1, width - 1, width, width + 1, total - 1, total, total + 1}
+        budgets |= {k * width + d for k in (1, 2, passes - 1) for d in (-1, 1)}
+        for budget in sorted(v for v in budgets if v >= 0):
+            want = _ref_enumerate_guesses(norm, params, budget=budget)
+            grid = cont._target_grid(norm.n, params, budget)
+            pairs, cut, records = cont._guess_parts(norm, params, grid, budget)
+            assert (pairs, cut) == (want.pairs_examined, want.truncated)
+            assert (pairs, cut) == (min(budget, total), budget < total)
+            built = [cont._make_guess(norm, params, *record[1:]) for record in records]
+            assert [_all_fields(g) for g in built] == [_all_fields(g) for g in want.guesses]
+        overpacking += 2 * len({g.chosen for g in full.guesses}) < width
+    assert overpacking == 1
 
 
 def _ref_continuous_greedy(guess, steps, samples_per_grad, seed, directions):
@@ -1178,15 +1218,15 @@ def _check_stream(norm, params, budget):
     refs = {}
     seen = set()
     settled = phase1 = repeats = 0
-    for index, chosen, entry, tpart in cont._guess_parts(norm, params, grid, budget,
-                                                         GuessList([], False, 0)):
-        g = cont._make_guess(norm, params, chosen, entry, tpart)
+    for index, chosen, discarded, cpart, tpart in cont._guess_parts(norm, params, grid,
+                                                                    budget)[2]:
+        g = cont._make_guess(norm, params, chosen, discarded, cpart, tpart)
         s = tpart.residual_cover
         key = (g.discarded, chosen, s, tuple(b if v else 0 for v, b in zip(s, tpart.targets.den)))
         assert cont._repeats(index, s) == (key in seen)
         repeats += key in seen
         seen.add(key)
-        limits = cont._empty_limits(memo, chosen, g.undetermined, entry.part, grid)
+        limits = cont._empty_limits(memo, chosen, g.undetermined, cpart, grid)
         ref = refs.get((chosen, g.undetermined))
         if ref is None:
             ref = refs[chosen, g.undetermined] = _ref_limits(norm, g, grid)
@@ -1235,13 +1275,13 @@ def test_screen_limits_at_the_margin_match_their_definition():
     for gap, top, empty in ((3 * MARGIN / 4, 1, False), (margin, 1, True),
                             (margin + Fraction(1, 10 ** 12), 0, True), (0, 1, False)):
         norm = _margin_instance(gap)
-        entries = {chosen: entry for index, chosen, entry, _ in cont._guess_parts(
-            norm, _QUARTERS, grid, 100, GuessList([], False, 0)) if index == (0,)}
+        records = {chosen: (discarded, cpart) for index, chosen, discarded, cpart, _
+                   in cont._guess_parts(norm, _QUARTERS, grid, 100)[2] if index == (0,)}
         memo = {}
         for chosen, limit in ((0, 0), (0b1, top)):
-            assert entries[chosen].discarded | chosen == 0b1
-            assert cont._empty_limits(memo, chosen, 0b110, entries[chosen].part,
-                                      grid) == (limit,)
+            discarded, cpart = records[chosen]
+            assert discarded | chosen == 0b1
+            assert cont._empty_limits(memo, chosen, 0b110, cpart, grid) == (limit,)
         assert polytope_surely_empty([[0, 0]], [1], [[Fraction(1, 4), Fraction(1, 4) - gap]],
                                      [Fraction(1, 2)]) == empty
         settled, phase1, _ = _check_stream(norm, _QUARTERS, 100)

@@ -201,6 +201,24 @@ def test_cell_budget_guard():
         vanilla_dp(inst, saturate_cover=False)
 
 
+def test_cell_budget_bounds_each_row_by_its_own_sum():
+    # a row of large entries must not inflate the bound of a row of ones,
+    # nor a loose packing bound the table: 11 * 10001 * 11 * 6 cells fit,
+    # where n * c_max per covering row made 6.6e9, and 11 * 3 * 11 cells
+    # fit where a packing bound of 10^7 made 3.3e8
+    n = 10
+    weights = LinearOracle(list(range(n)))
+    for inst, want in (
+            (make_instance([[1] * n], [[1000] * n, [1] * n], [5], [2000, 2], weights),
+             mask_of(range(5, 10))),
+            (make_instance([[1] * n], [[1] * n], [10 ** 7], [2], weights),
+             mask_of(range(n)))):
+        for saturate in (False, True):
+            res = vanilla_dp(inst, saturate_cover=saturate)
+            assert (res.best_set, res.best_value) == (want, inst.objective.eval(want))
+            assert dp_with_completion(inst, saturate_cover=saturate).found
+
+
 def test_requires_integer_data():
     inst = make_instance([[Fraction(1, 2)]], [[1]], [1], [1], LinearOracle([1]))
     with pytest.raises(ValueError):
