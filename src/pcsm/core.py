@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, or_
 from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -85,6 +86,37 @@ def better(value, mask: int, cur) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# per-byte subset tables
+
+
+def _byte_tables(values: Sequence, combine) -> tuple:
+    """One table per block of 8 consecutive indices: entry ``m`` folds the
+    block's values over the bits of ``m``, lowest first, starting from int 0.
+    A short last block gets a table of ``2^(its length)`` entries."""
+    tables = []
+    for start in range(0, len(values), 8):
+        table = [0]
+        for v in values[start:start + 8]:
+            table += [combine(t, v) for t in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _fold(tables: tuple, mask: int, combine):
+    """The fold of ``mask``'s values with ``combine``: one lookup per block.
+    A bit past the last index raises IndexError, as indexing the values
+    would: past a short last block its table is too short, and past the
+    last block the fold checks for leftover bits."""
+    acc = 0
+    for table in tables:
+        acc = combine(acc, table[mask & 255])
+        mask >>= 8
+    if mask:
+        raise IndexError("mask has a bit past the last index")
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # submodular oracles
 
 
@@ -135,9 +167,10 @@ class LinearOracle(SubmodularOracle):
         if any(w < 0 for w in self.weights):
             raise ValueError("linear weights must be non-negative")
         self.n = len(self.weights)
+        self._sums = _byte_tables(self.weights, add)
 
     def eval(self, mask: int) -> Rational:
-        return sum(self.weights[i] for i in iter_bits(mask))
+        return _fold(self._sums, mask, add)
 
     def begin(self, mask: int):
         return None
@@ -162,7 +195,10 @@ class LinearOracle(SubmodularOracle):
 
 
 class CoverageOracle(SubmodularOracle):
-    """Weighted coverage: f(S) = total weight of universe items hit by S."""
+    """Weighted coverage: f(S) = total weight of universe items hit by S.
+
+    One set of tables folds element sets into the items they hit, another
+    folds item weights; ``walker`` is the base one, folding both per step."""
 
     kind = "coverage"
 
@@ -179,45 +215,20 @@ class CoverageOracle(SubmodularOracle):
             if em >> universe:
                 raise ValueError("element set references item outside universe")
         self.n = len(self.element_masks)
+        self._unions = _byte_tables(self.element_masks, or_)
+        self._sums = _byte_tables(self.universe_weights, add)
 
     def covered(self, mask: int) -> int:
-        cov = 0
-        for i in iter_bits(mask):
-            cov |= self.element_masks[i]
-        return cov
+        return _fold(self._unions, mask, or_)
 
     def eval(self, mask: int) -> Rational:
-        return sum(self.universe_weights[u] for u in iter_bits(self.covered(mask)))
+        return _fold(self._sums, self.covered(mask), add)
 
     def begin(self, mask: int):
         return self.covered(mask)
 
     def gain(self, state, elem: int) -> Rational:
-        new = self.element_masks[elem] & ~state
-        return sum(self.universe_weights[u] for u in iter_bits(new))
-
-    def walker(self):
-        # an item's weight counts while its hit count is positive
-        element_masks, weights = self.element_masks, self.universe_weights
-        hits = [0] * self.universe
-        mask = value = 0
-
-        def flip(elem: int) -> Rational:
-            nonlocal mask, value
-            mask ^= 1 << elem
-            if mask >> elem & 1:
-                for u in iter_bits(element_masks[elem]):
-                    if not hits[u]:
-                        value += weights[u]
-                    hits[u] += 1
-            else:
-                for u in iter_bits(element_masks[elem]):
-                    hits[u] -= 1
-                    if not hits[u]:
-                        value -= weights[u]
-            return value
-
-        return flip
+        return _fold(self._sums, self.element_masks[elem] & ~state, add)
 
     def to_json_obj(self) -> dict:
         return {
@@ -241,12 +252,13 @@ class ConcaveOfModularOracle(SubmodularOracle):
         if self.cap < 0:
             raise ValueError("cap must be non-negative")
         self.n = len(self.weights)
+        self._sums = _byte_tables(self.weights, add)
 
     def eval(self, mask: int) -> Rational:
-        return min(sum(self.weights[i] for i in iter_bits(mask)), self.cap)
+        return min(_fold(self._sums, mask, add), self.cap)
 
     def begin(self, mask: int):
-        return sum(self.weights[i] for i in iter_bits(mask))
+        return _fold(self._sums, mask, add)
 
     def gain(self, state, elem: int) -> Rational:
         return min(state + self.weights[elem], self.cap) - min(state, self.cap)

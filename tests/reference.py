@@ -1,8 +1,9 @@
 """Reference code that only the tests call: the paper's existence argument
 for a correct guess, the residual objective, a Monte-Carlo multilinear
-estimator, a per-program emptiness screen on Fraction rows and the closed
-form of the upper-bound construction's value.  The solvers never run any
-of it."""
+estimator, a per-program emptiness screen on Fraction rows, the closed
+form of the upper-bound construction's value and the oracles' bit-by-bit
+methods from before the per-byte tables.  The solvers never run any of
+it."""
 
 import math
 import random
@@ -11,7 +12,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from pcsm import continuous as cont
-from pcsm.core import Instance, Params, SubmodularOracle, iter_bits, mask_of
+from pcsm.core import (
+    ConcaveOfModularOracle,
+    CoverageOracle,
+    Instance,
+    LinearOracle,
+    Params,
+    SubmodularOracle,
+    iter_bits,
+    mask_of,
+)
 from pcsm.lp import UB_ALPHA, UB_BETA, closed_form_optimum
 
 
@@ -188,3 +198,72 @@ def upper_bound_value_formula(m: int) -> Fraction:
     """a_m - beta(alpha - 1/2)/2 + 3 beta/(4m) with a_m = (1 - 1/m)^m."""
     return (closed_form_optimum(m)
             - UB_BETA * (UB_ALPHA - Fraction(1, 2)) / 2 + 3 * UB_BETA / (4 * m))
+
+
+# ---------------------------------------------------------------------------
+# the oracle methods the per-byte tables replaced: one step per set bit, and
+# the coverage walker's per-item hit counts
+
+
+class IterBitsLinear(LinearOracle):
+    def eval(self, mask):
+        return sum(self.weights[i] for i in iter_bits(mask))
+
+
+class IterBitsCoverage(CoverageOracle):
+    def covered(self, mask):
+        cov = 0
+        for i in iter_bits(mask):
+            cov |= self.element_masks[i]
+        return cov
+
+    def eval(self, mask):
+        return sum(self.universe_weights[u] for u in iter_bits(self.covered(mask)))
+
+    def begin(self, mask):
+        return self.covered(mask)
+
+    def gain(self, state, elem):
+        new = self.element_masks[elem] & ~state
+        return sum(self.universe_weights[u] for u in iter_bits(new))
+
+    def walker(self):
+        # an item's weight counts while its hit count is positive
+        element_masks, weights = self.element_masks, self.universe_weights
+        hits = [0] * self.universe
+        mask = value = 0
+
+        def flip(elem):
+            nonlocal mask, value
+            mask ^= 1 << elem
+            if mask >> elem & 1:
+                for u in iter_bits(element_masks[elem]):
+                    if not hits[u]:
+                        value += weights[u]
+                    hits[u] += 1
+            else:
+                for u in iter_bits(element_masks[elem]):
+                    hits[u] -= 1
+                    if not hits[u]:
+                        value -= weights[u]
+            return value
+
+        return flip
+
+
+class IterBitsConcave(ConcaveOfModularOracle):
+    def eval(self, mask):
+        return min(sum(self.weights[i] for i in iter_bits(mask)), self.cap)
+
+    def begin(self, mask):
+        return sum(self.weights[i] for i in iter_bits(mask))
+
+
+def iter_bits_twin(oracle: SubmodularOracle) -> SubmodularOracle:
+    """The bit-by-bit oracle with ``oracle``'s data."""
+    if isinstance(oracle, CoverageOracle):
+        return IterBitsCoverage(oracle.universe, map(iter_bits, oracle.element_masks),
+                                oracle.universe_weights)
+    if isinstance(oracle, ConcaveOfModularOracle):
+        return IterBitsConcave(oracle.weights, oracle.cap)
+    return IterBitsLinear(oracle.weights)

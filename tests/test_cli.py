@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -422,3 +425,53 @@ def test_cli_golden_outputs(capsys, monkeypatch, tmp_path):
         group: hashlib.sha256(json.dumps(runs).encode()).hexdigest()[:16]
         for group, runs in records.items()}
     assert digests == GOLDEN_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# CI's hash-seed runs without the continuous ones: each hash seed gets one
+# interpreter that runs every command in turn
+
+HASH_SEED_GEN = {
+    "hash.json": ["--n", "7", "--seed", "2"],
+    # a 12-item universe: two blocks of the coverage oracle's tables
+    "hash_cov.json": ["--n", "12", "--family", "coverage", "--seed", "4"],
+}
+HASH_SEED_RUNS = [
+    ["dp", "--completion", "--instance", "hash.json"],
+    ["forbidden", "--instance", "hash.json"],
+    ["forbidden", "--poly", "--instance", "hash.json"],
+    ["forbidden", "--cardinality", "2", "--instance", "card.json"],
+    ["kmedian", "--instance", "km.json"],
+    ["brute", "--instance", "hash.json"],
+    ["dp", "--exact-keys", "--instance", "hash.json"],
+    ["dp", "--completion", "--exact-keys", "--instance", "hash.json"],
+    ["brute", "--instance", "hash_cov.json"],
+    ["dp", "--completion", "--instance", "hash_cov.json"],
+    ["forbidden", "--poly", "--instance", "hash_cov.json"],
+]
+_RUN_ALL = ("import json, sys\n"
+            "from pcsm.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print(argv, main(argv), flush=True)\n")
+
+
+def test_same_output_under_both_hash_seeds(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for name, spec in HASH_SEED_GEN.items():
+        assert main(["gen", *spec, "--out", name]) == EXIT_OK
+    capsys.readouterr()
+    (tmp_path / "card.json").write_text(json.dumps({
+        "n": 5, "packing": [[1, 1, 1, 1, 1]], "covering": [[2, 0, 3, 1, 2]],
+        "pack_bound": [2], "cover_bound": [3],
+        "objective": {"kind": "linear", "weights": [3, 1, 4, 1, 5]}}))
+    (tmp_path / "km.json").write_text(json.dumps({
+        "facilities": [{"cap": 2}, {"cap": 2}], "clients": 3,
+        "dist_a_pairs": [[0, 0], [1, 0], [2, 1]], "a": 1, "b": 3, "k": 2}))
+    runs = json.dumps([[*run, "--json"] for run in HASH_SEED_RUNS])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = [subprocess.run(
+        [sys.executable, "-c", _RUN_ALL, runs], check=True, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"] 0\n") == len(HASH_SEED_RUNS)
