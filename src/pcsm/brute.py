@@ -3,8 +3,9 @@
 This is the ground truth every approximation claim in the test suite is
 checked against.  Enumeration walks subsets in Gray-code order so that each
 step flips a single element; the constraint loads are one packed int word
-(``core.packed_loads``) updated by one add or subtract, and the objective
-value comes from the oracle's ``walker``.
+(``core.packed_loads``) updated by one add or subtract.  ``brute_optimum``
+asks the oracle's ``eval`` only for the subsets that fit, ``brute_pareto``
+for every subset.
 """
 
 from dataclasses import dataclass
@@ -19,14 +20,13 @@ class BruteResult:
     feasible_count: int
 
 
-def _gray_walk(inst: Instance, loads: PackedLoads):
-    """Every subset as ``(mask, packed load word, f(mask))``, one element
-    flipped per step."""
+def _gray_walk(n: int, loads: PackedLoads):
+    """Every subset of ``range(n)`` as ``(mask, packed load word)``, one
+    element flipped per step."""
     offsets = loads.offsets
-    walk = inst.objective.walker()
-    mask, word, value = 0, loads.start, inst.objective.eval(0)
-    yield mask, word, value
-    for step in range(1, 1 << inst.n):
+    mask, word = 0, loads.start
+    yield mask, word
+    for step in range(1, 1 << n):
         elem = (step & -step).bit_length() - 1
         bit = 1 << elem
         mask ^= bit
@@ -34,7 +34,7 @@ def _gray_walk(inst: Instance, loads: PackedLoads):
             word += offsets[elem]
         else:
             word -= offsets[elem]
-        yield mask, word, walk(elem)
+        yield mask, word
 
 
 def brute_optimum(inst: Instance, max_n: int = 22) -> BruteResult:
@@ -45,15 +45,14 @@ def brute_optimum(inst: Instance, max_n: int = 22) -> BruteResult:
     guard, want = loads.guard, loads.want
     best = None                     # (mask, value)
     feasible_count = 0
-    for mask, word, value in _gray_walk(inst, loads):
+    for mask, word in _gray_walk(inst.n, loads):
         if word & guard == want:
             feasible_count += 1
+            value = inst.objective.eval(mask)
             if better(value, mask, best):
                 best = (mask, value)
-    if best is None:
-        return BruteResult(best_value=0, best_set=0, feasible_count=0)
-    return BruteResult(best_value=best[1], best_set=best[0],
-                       feasible_count=feasible_count)
+    best_set, best_value = best or (0, 0)
+    return BruteResult(best_value, best_set, feasible_count)
 
 
 def brute_pareto(inst: Instance, max_n: int = 18) -> dict:
@@ -62,7 +61,8 @@ def brute_pareto(inst: Instance, max_n: int = 18) -> dict:
         raise ValueError(f"n={inst.n} exceeds pareto enumeration limit {max_n}")
     loads = packed_loads(inst)
     table: dict = {}                # load word -> (mask, value) while enumerating
-    for mask, word, value in _gray_walk(inst, loads):
+    for mask, word in _gray_walk(inst.n, loads):
+        value = inst.objective.eval(mask)
         if better(value, mask, table.get(word)):
             table[word] = (mask, value)
     return {loads.decode(word): (value, mask) for word, (mask, value) in table.items()}

@@ -29,6 +29,8 @@ from .core import (
     Instance,
     LinearOracle,
     Params,
+    _json_int,
+    _json_of,
     dump_instance,
     instance_to_json_obj,
     load_instance,
@@ -259,6 +261,24 @@ def _bench_run(solver: str, inst: Instance, seed: int):
     return entry.run(inst, argparse.Namespace(seed=seed, **entry.bench_opts))
 
 
+def _suite_of(obj) -> list:
+    """``obj`` when it is a bench suite read from JSON: a list of objects,
+    each an ``lp`` entry or a generator spec (alone or under ``gen``) with
+    integer counts and seed; any other shape is bad input."""
+    for item in _json_of(obj, list, "a list of suite items"):
+        if "lp" in _json_of(item, dict, "a suite item object"):
+            lp = _json_of(item["lp"], dict, "an lp object")
+            _json_of(lp["variant"], str, "an lp variant name")
+            _json_int(lp["m"])
+            continue
+        spec = _json_of(item.get("gen", item), dict, "a gen object")
+        _json_int(spec["n"])
+        for key in ("p", "c", "seed"):
+            _json_int(spec.get(key, 0))
+        _json_of(spec.get("density", 0), (int, float), "a number")
+    return obj
+
+
 def bench(suite: list, solvers: list, seed: int = 0) -> list:
     """One report per (suite item, solver); failures are recorded, not fatal."""
     reports = []
@@ -407,7 +427,7 @@ def cmd_kmedian(args) -> int:
 
 def cmd_bench(args) -> int:
     with open(args.suite, "r", encoding="utf-8") as fh:
-        suite = json.load(fh)
+        suite = _suite_of(json.load(fh))
     solvers = args.solvers.split(",") if args.solvers else []
     reports = bench(suite, solvers, seed=args.seed)
     for r in reports:

@@ -125,8 +125,8 @@ class SubmodularOracle:
 
     Subclasses implement ``eval(mask)`` returning an exact rational and must
     be monotone and submodular; both properties are exercised by sampled
-    checks in the test suite rather than assumed.  ``begin``/``gain`` and
-    ``walker`` fall back to ``eval``; override them for a faster form.
+    checks in the test suite rather than assumed.  ``begin``/``gain`` fall
+    back to ``eval``; override them for a faster form.
     """
 
     kind = "abstract"
@@ -142,18 +142,6 @@ class SubmodularOracle:
     def gain(self, state, elem: int) -> Rational:
         mask, value = state
         return self.eval(mask | (1 << elem)) - value
-
-    def walker(self):
-        """A ``flip(elem)`` callable that toggles ``elem`` in a set starting
-        empty and returns f of the new set."""
-        mask = 0
-
-        def flip(elem: int) -> Rational:
-            nonlocal mask
-            mask ^= 1 << elem
-            return self.eval(mask)
-
-        return flip
 
     def to_json_obj(self) -> dict:
         raise NotImplementedError
@@ -178,18 +166,6 @@ class LinearOracle(SubmodularOracle):
     def gain(self, state, elem: int) -> Rational:
         return self.weights[elem]
 
-    def walker(self):
-        weights = self.weights
-        mask = total = 0
-
-        def flip(elem: int) -> Rational:
-            nonlocal mask, total
-            mask ^= 1 << elem
-            total += weights[elem] if mask >> elem & 1 else -weights[elem]
-            return total
-
-        return flip
-
     def to_json_obj(self) -> dict:
         return {"kind": "linear", "weights": [_rat_json(w) for w in self.weights]}
 
@@ -198,7 +174,7 @@ class CoverageOracle(SubmodularOracle):
     """Weighted coverage: f(S) = total weight of universe items hit by S.
 
     One set of tables folds element sets into the items they hit, another
-    folds item weights; ``walker`` is the base one, folding both per step."""
+    folds item weights."""
 
     kind = "coverage"
 
@@ -262,18 +238,6 @@ class ConcaveOfModularOracle(SubmodularOracle):
 
     def gain(self, state, elem: int) -> Rational:
         return min(state + self.weights[elem], self.cap) - min(state, self.cap)
-
-    def walker(self):
-        weights, cap = self.weights, self.cap
-        mask = total = 0
-
-        def flip(elem: int) -> Rational:
-            nonlocal mask, total
-            mask ^= 1 << elem
-            total += weights[elem] if mask >> elem & 1 else -weights[elem]
-            return min(total, cap)
-
-        return flip
 
     def to_json_obj(self) -> dict:
         return {
@@ -542,9 +506,14 @@ class Params:
 
     @classmethod
     def from_delta(cls, epsilon, delta, b: int) -> "Params":
-        delta = to_fraction(delta)
+        epsilon, delta = to_fraction(epsilon), to_fraction(delta)
+        # checked before the schedule divides by delta
+        if not 0 < epsilon:
+            raise ValueError("epsilon must be positive")
+        if not 0 < delta < 1:
+            raise ValueError("delta must lie in (0, 1)")
         return cls(
-            epsilon=to_fraction(epsilon),
+            epsilon=epsilon,
             delta=delta,
             alpha=delta ** 3,
             beta=delta ** 2 / (3 * b),
@@ -572,16 +541,20 @@ def _rat(v) -> Rational:
                 f"refusing inexact float {v!r}; use an int or 'a/b' string")
         return int(v)
     if isinstance(v, str):
-        return Fraction(v)
+        return to_fraction(v)
     raise TypeError(f"cannot interpret {v!r} as a rational")
 
 
 def to_fraction(v) -> Fraction:
     """Exact conversion for parameters; floats go through their decimal
-    literal so 0.2 becomes 1/5, not the binary expansion."""
+    literal so 0.2 becomes 1/5, not the binary expansion.  A zero
+    denominator is bad input (ValueError)."""
     if isinstance(v, float):
         return Fraction(str(v))
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None
 
 
 def _json_rat(v) -> Rational:

@@ -53,8 +53,8 @@ FAMILIES = ("linear", "coverage", "concave_of_modular")
 
 
 class EvalOnlyOracle(SubmodularOracle):
-    """Implements ``eval`` alone (by asking ``inner``), so ``begin``,
-    ``gain`` and ``walker`` all fall back to the base class."""
+    """Implements ``eval`` alone (by asking ``inner``), so ``begin`` and
+    ``gain`` fall back to the base class."""
 
     def __init__(self, inner):
         self.inner = inner

@@ -201,8 +201,7 @@ def upper_bound_value_formula(m: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the oracle methods the per-byte tables replaced: one step per set bit, and
-# the coverage walker's per-item hit counts
+# the oracle methods the per-byte tables replaced: one step per set bit
 
 
 class IterBitsLinear(LinearOracle):
@@ -226,29 +225,6 @@ class IterBitsCoverage(CoverageOracle):
     def gain(self, state, elem):
         new = self.element_masks[elem] & ~state
         return sum(self.universe_weights[u] for u in iter_bits(new))
-
-    def walker(self):
-        # an item's weight counts while its hit count is positive
-        element_masks, weights = self.element_masks, self.universe_weights
-        hits = [0] * self.universe
-        mask = value = 0
-
-        def flip(elem):
-            nonlocal mask, value
-            mask ^= 1 << elem
-            if mask >> elem & 1:
-                for u in iter_bits(element_masks[elem]):
-                    if not hits[u]:
-                        value += weights[u]
-                    hits[u] += 1
-            else:
-                for u in iter_bits(element_masks[elem]):
-                    hits[u] -= 1
-                    if not hits[u]:
-                        value -= weights[u]
-            return value
-
-        return flip
 
 
 class IterBitsConcave(ConcaveOfModularOracle):

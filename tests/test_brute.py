@@ -123,3 +123,30 @@ def test_eval_only_oracle_matches_enumeration():
             assert (res.best_set, res.best_value) == best[1:]
         assert brute_pareto(inst) == {key: entry[1:] for key, entry in table.items()}
         assert brute_optimum(base) == res
+
+
+class _CountingOracle(EvalOnlyOracle):
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = 0
+
+    def eval(self, mask):
+        self.calls += 1
+        return super().eval(mask)
+
+
+def test_eval_asked_once_per_fitting_set_and_once_per_subset_for_pareto():
+    # brute_optimum asks f only of the sets that fit; brute_pareto keeps a
+    # value for every load vector, so it asks f of every subset
+    rng = random.Random(53)
+    for trial in range(12):
+        base = random_instance(rng, rng.randint(0, 9), p=rng.randint(0, 2),
+                               c=rng.randint(0, 2), family=FAMILIES[trial % 3])
+        oracle = _CountingOracle(base.objective)
+        inst = make_instance(base.packing, base.covering, base.pack_bound,
+                             base.cover_bound, oracle)
+        res = brute_optimum(inst)
+        assert oracle.calls == res.feasible_count
+        oracle.calls = 0
+        brute_pareto(inst)
+        assert oracle.calls == 1 << inst.n

@@ -149,13 +149,16 @@ def _kmedian_with(**fields):
     ("brute", _instance_with("concave_of_modular", objective={"cap": True})),
     ("kmedian", _kmedian_with(b=math.inf)),
     ("kmedian", _kmedian_with(a=math.inf, b=math.inf)),
+    ("brute", _instance_with(objective={"weights": ["1/0", 1, 2, 3]})),
+    ("dp", _instance_with(pack_bound=["3/0"])),
 ], ids=["kmedian-fractional-k", "brute-list-weight", "kmedian-string-a",
         "kmedian-int-pair", "brute-int-packing", "brute-int-element-sets",
         "kmedian-float-pair", "brute-list-objective", "kmedian-negative-clients-a0",
         "kmedian-negative-clients-far-b", "kmedian-negative-clients",
         "kmedian-boolean-k", "kmedian-boolean-cap", "kmedian-boolean-pair",
         "brute-boolean-pack-bound", "brute-boolean-cap", "kmedian-infinite-b",
-        "kmedian-infinite-a-and-b"])
+        "kmedian-infinite-a-and-b", "brute-zero-denominator-weight",
+        "dp-zero-denominator-bound"])
 def test_cli_malformed_json_is_bad_input(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -214,6 +217,9 @@ def test_cli_continuous(tmp_path, capsys):
     (["--steps", "0"], None),
     (["--trials", "0"], None),
     (["--budget", "0"], None),
+    (["--delta", "0"], "delta"),
+    (["--delta", "1/0"], "zero denominator"),
+    (["--epsilon", "0"], "epsilon"),
 ])
 def test_cli_continuous_option_ranges(tmp_path, capsys, flags, refused):
     path = tmp_path / "inst.json"
@@ -229,6 +235,21 @@ def test_cli_continuous_option_ranges(tmp_path, capsys, flags, refused):
     else:
         assert code in (EXIT_OK, EXIT_INFEASIBLE)
         assert err == ""
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["forbidden", "--epsilon", "1/0"], "zero denominator"),
+    (["forbidden", "--poly", "--epsilon", "1/0"], "zero denominator"),
+    # the analysis schedule: epsilon 0 would give delta 0
+    (["continuous", "--epsilon", "0"], "epsilon"),
+    (["continuous", "--epsilon", "1/0"], "zero denominator"),
+])
+def test_cli_zero_parameters_are_bad_input(tmp_path, capsys, argv, refused):
+    path = tmp_path / "inst.json"
+    main(["gen", "--n", "5", "--seed", "4", "--out", str(path), "--quiet"])
+    assert main([*argv, "--instance", str(path), "--quiet"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("bad input:") and refused in err
 
 
 def test_bench_empty_suite():
@@ -279,6 +300,22 @@ def test_cli_bench_end_to_end(tmp_path, capsys):
     assert rows[0][0] == "instance_digest"
     assert len(rows) == 4          # 2 solvers on the instance + 1 lp row
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", [
+    {"a": 1},
+    [5],
+    [{"n": "x"}],
+    [{"lp": {"variant": "lp", "m": "3"}}],
+    [{"gen": {"n": 4, "seed": True}}],
+    [{"gen": [4]}],
+], ids=["object", "int-item", "string-n", "string-m", "boolean-seed", "list-gen"])
+def test_cli_malformed_bench_suite_is_bad_input(tmp_path, capsys, suite):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["bench", "--suite", str(path), "--quiet"]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad input:") and captured.out == ""
 
 
 def test_csv_float_formatting():

@@ -31,7 +31,6 @@ from pcsm.core import (
 
 from conftest import (
     FAMILIES,
-    EvalOnlyOracle,
     naive_value,
     random_instance,
     random_oracle,
@@ -58,34 +57,6 @@ def test_marginal_rejects_member_and_out_of_range():
         marginal(orc, mask_of([1]), 1)
     with pytest.raises(ValueError):
         marginal(orc, 0, 5)
-
-
-@pytest.mark.parametrize("family", FAMILIES + ("eval_only",))
-def test_walker_flip_matches_eval(family):
-    # long toggle sequences over few elements remove as often as they add
-    rng = random.Random(17)
-    for _ in range(25):
-        n = rng.randint(1, 8)
-        if family == "eval_only":
-            orc = EvalOnlyOracle(random_oracle(rng, n, FAMILIES[rng.randrange(3)]))
-        else:
-            orc = random_oracle(rng, n, family)
-        flip = orc.walker()
-        mask = 0
-        for _ in range(60):
-            elem = rng.randrange(n)
-            mask ^= 1 << elem
-            assert flip(elem) == orc.eval(mask), (family, mask)
-
-
-def test_walkers_are_independent():
-    orc = CoverageOracle(3, [[0, 1], [1, 2]], [1, 2, 4])
-    first, second = orc.walker(), orc.walker()
-    assert first(0) == 3
-    assert second(1) == 6
-    assert first(1) == 7
-    assert first(0) == 6
-    assert second(1) == 0
 
 
 def _old_ratios(inst, mask):

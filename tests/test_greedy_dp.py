@@ -375,7 +375,7 @@ def test_golden_equivalence_table_and_completion():
 def _tuple_walk(inst):
     """Gray-code walk with per-row load lists: (mask, cover, pack, value)."""
     pack, cover = [0] * inst.p, [0] * inst.c
-    walk, mask = inst.objective.walker(), 0
+    mask = 0
     yield mask, tuple(cover), tuple(pack), inst.objective.eval(0)
     for step in range(1, 1 << inst.n):
         elem = (step & -step).bit_length() - 1
@@ -385,7 +385,7 @@ def _tuple_walk(inst):
             pack[i] += sign * row[elem]
         for j, row in enumerate(inst.covering):
             cover[j] += sign * row[elem]
-        yield mask, tuple(cover), tuple(pack), walk(elem)
+        yield mask, tuple(cover), tuple(pack), inst.objective.eval(mask)
 
 
 def _tuple_brute(inst):

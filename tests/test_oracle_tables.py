@@ -65,30 +65,6 @@ def test_tables_match_iter_bits_methods(oracle, data):
         for elem in range(n):
             _same(oracle.gain(state, elem), ref.gain(ref_state, elem))
 
-    flips = data.draw(st.lists(st.integers(0, n - 1), max_size=40)) if n else []
-    flip, ref_flip = oracle.walker(), ref.walker()
-    mask = 0
-    for elem in flips:
-        mask ^= 1 << elem
-        got, want = flip(elem), ref_flip(elem)
-        assert got == want
-        # the coverage walker folds the tables, so its value has eval's
-        # type; the hit-count walker's type followed its history
-        _same(got, ref.eval(mask) if isinstance(oracle, CoverageOracle) else want)
-
-
-def test_coverage_walker_value_has_eval_type():
-    # add and drop the Fraction-weighted item: the hit-count walker kept a
-    # Fraction, the table walker gives what eval gives
-    oracle = CoverageOracle(2, [[0], [1]], [Fraction(1, 2), 1])
-    ref = iter_bits_twin(oracle)
-    flip, ref_flip = oracle.walker(), ref.walker()
-    for elem in (0, 1, 0):
-        got, want = flip(elem), ref_flip(elem)
-    _same(got, 1)
-    _same(want, Fraction(1))
-    _same(ref.eval(0b10), 1)
-
 
 OUT_OF_RANGE = [
     (LinearOracle([1, 2, 3]), 1 << 9),          # past the only block
@@ -152,19 +128,5 @@ def test_solvers_match_with_iter_bits_oracle(inst):
                   lambda i: solve_polynomial(i, Fraction(1, 2))):
         assert repr(solve(inst)) == repr(solve(ref_inst))
 
-    got, want = brute_optimum(inst), brute_optimum(ref_inst)
-    got_map, want_map = brute_pareto(inst), brute_pareto(ref_inst)
-    if not isinstance(inst.objective, CoverageOracle):
-        assert repr(got) == repr(want)
-        assert repr(got_map) == repr(want_map)
-        return
-    # brute force reads the walker: the same sets and values, each value
-    # typed as eval types it
-    ref = ref_inst.objective
-    assert (got.best_set, got.feasible_count) == (want.best_set, want.feasible_count)
-    assert got.best_value == want.best_value
-    _same(got.best_value, ref.eval(got.best_set) if got.feasible_count else 0)
-    assert got_map == want_map
-    for value, mask in got_map.values():
-        _same(value, ref.eval(mask))
-
+    assert repr(brute_optimum(inst)) == repr(brute_optimum(ref_inst))
+    assert repr(brute_pareto(inst)) == repr(brute_pareto(ref_inst))
