@@ -186,15 +186,17 @@ def _continuous(inst, opts):
                                    max(1, inst.p + inst.c))
     res = solve_main(inst, eps, seed=opts.seed, budget=opts.budget,
                      params=params, trials=opts.trials, steps=opts.steps,
-                     samples_per_grad=opts.samples)
-    # the diagnostics say why a run found nothing, so they print either way
+                     samples_per_grad=opts.samples, diagnostics=opts.diagnostics)
+    # the counts say why a run found nothing, so they print either way
     fields = {
         "guesses_enumerated": res.guesses_enumerated,
         "truncated": res.truncated,
         "trials": res.trials,
-        "guess_diagnostics": [{**vars(d), "best_value": fmt(d.best_value)}
-                              for d in res.diagnostics],
+        "guess_counts": vars(res.counts),
     }
+    if opts.diagnostics:
+        fields["guess_diagnostics"] = [{**vars(d), "best_value": fmt(d.best_value)}
+                                       for d in res.diagnostics]
     if res.found:
         fields.update(cover_ratio=fmt(res.cover_ratio),
                       pack_ratio=fmt(res.pack_ratio))
@@ -217,7 +219,8 @@ SOLVERS = {
     "poly": Solver(_poly, "no qualifying cell", {"epsilon": Fraction(1, 4)}),
     "continuous": Solver(_continuous, "no rounding trial qualified", {
         "epsilon": Fraction(1, 10), "relaxed": True, "delta": Fraction(1, 5),
-        "budget": 20_000, "trials": 10, "steps": 12, "samples": 24}),
+        "budget": 20_000, "trials": 10, "steps": 12, "samples": 24,
+        "diagnostics": False}),
 }
 
 LP_BUILDERS = {"lp": build_lp, "dual": build_dual, "lpf": build_lp_f}
@@ -492,6 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=100_000)
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--diagnostics", action="store_true",
+                    help="also print one record per guess that is not a repeat")
 
     sp = command("lp", cmd_lp, "factor-revealing linear programs", instance=False)
     sp.add_argument("--variant", default="lpf", choices=list(LP_BUILDERS))

@@ -23,6 +23,7 @@ from operator import add, ge
 from typing import NamedTuple, Optional
 
 from .core import (
+    BudgetExceededError,
     InfeasibleError,
     Instance,
     Params,
@@ -305,16 +306,36 @@ def _target_grid(n: int, params: Params, budget: int) -> list:
     Every target tuple costs at least one unit of budget, so a longer grid
     could never be reached anyway (matters under the strict schedule, whose
     tiny delta would otherwise materialize thousands of exact powers)."""
+    grid = []
+    point = Fraction(1)
+    for _ in range(_grid_length(n, params, budget)):
+        grid.append(point)
+        point *= 1 + params.delta
+    return grid
+
+
+def _grid_length(n: int, params: Params, budget: int) -> int:
+    """``len(_target_grid(n, params, budget))``, with no power built."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
     grid_max = (0 if n <= 1 else
                 math.ceil(math.log(n) / math.log(1 + float(params.delta))))
-    grid = []
-    point = Fraction(1)
-    for _ in range(min(grid_max, budget) + 1):
-        grid.append(point)
-        point *= 1 + params.delta
-    return grid
+    return min(grid_max, budget) + 1
+
+
+def _size_cap(inst: Instance, params: Params) -> int:
+    """The largest chosen set E1 a guess may hold."""
+    return min(inst.n, math.ceil(params.gamma + (inst.p + inst.c)
+                                 / (params.alpha * params.delta)))
+
+
+def _pair_total(inst: Instance, params: Params, budget: int) -> int:
+    """The size of ``_guess_parts``'s product, by arithmetic alone: more
+    than ``budget`` exactly when the stream is truncated.  As there, the
+    grid and the chosen sets are cut just past the budget."""
+    width = min(sum(math.comb(inst.n, k) for k in range(_size_cap(inst, params) + 1)),
+                budget + 1)
+    return _grid_length(inst.n, params, budget) ** inst.c * width
 
 
 def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tuple:
@@ -329,12 +350,11 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
     n = inst.n
     if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
         raise ValueError("guess enumeration expects a normalized instance")
-    size_cap = min(n, math.ceil(params.gamma + (inst.p + inst.c) / (params.alpha * params.delta)))
     # no more than budget + 1 chosen sets are ever reached (the last one
     # only to flag truncation)
-    chosen_sets = list(islice(_subsets_by_size(n, size_cap), budget + 1))
+    chosen_sets = list(islice(_subsets_by_size(n, _size_cap(inst, params)), budget + 1))
     width = len(chosen_sets)
-    total = len(grid) ** inst.c * width
+    total = _pair_total(inst, params, budget)
     rows = _scaled_rows(inst)
     oracle = inst.objective
 
@@ -510,17 +530,29 @@ def continuous_greedy(guess: Guess, steps: int = 100,
         raise GuessInfeasibleError("empty residual polytope")
 
     oracle = inst.objective
-    rng = random.Random(seed)
+    # the oracle is monotone and submodular, so an element with no gain on
+    # E1 has none on any sampled set (a superset of E1): its weight stays
+    # +0.0 and only the live elements' gains are sampled
+    state = oracle.begin(guess.chosen)
+    live = [(idx, e) for idx, e in enumerate(elements) if oracle.gain(state, e)]
     x = [0.0] * len(elements)
-    # each sampled set's gains, one float per residual element, for this
-    # ascent only (at most steps * samples_per_grad sets, and 2^|elements|).
-    # An element of the set gets 0.0: a weight starts at +0.0, never becomes
+    if not live:
+        # every direction is the zero vector: phase 2 once, then the same steps
+        v = _direction(polytope, [0.0] * len(elements)) if steps else None
+        for _step in range(steps):
+            x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
+        return {e: x[idx] for idx, e in enumerate(elements)}
+
+    rng = random.Random(seed)
+    # each sampled set's gains, one float per live element, for this ascent
+    # only (at most steps * samples_per_grad sets, and 2^|elements|).  An
+    # element of the set gets 0.0: a weight starts at +0.0, never becomes
     # -0.0, and so keeps its bits when 0.0 is added.  For the same reason an
     # all-zero vector is kept as () and not added at all
     gains_of = {}
     last_weights = None
     for _step in range(steps):
-        weights = [0.0] * len(elements)
+        sums = [0.0] * len(live)
         # the same draws as one rng.random() per element with x > 0, in order
         drawn = [(1 << e, p) for e, p in zip(elements, x) if p > 0]
         for _ in range(samples_per_grad):
@@ -532,20 +564,28 @@ def continuous_greedy(guess: Guess, steps: int = 100,
             if gains is None:
                 state = oracle.begin(mask)
                 gains = [0.0 if (mask >> e) & 1 else float(oracle.gain(state, e))
-                         for e in elements]
+                         for _, e in live]
                 gains = gains_of[mask] = gains if any(gains) else ()
             if gains:
-                weights = [w + g for w, g in zip(weights, gains)]
-        weights = [w / samples_per_grad for w in weights]
+                sums = [w + g for w, g in zip(sums, gains)]
+        weights = [0.0] * len(elements)
+        for (idx, _), w in zip(live, sums):
+            weights[idx] = w / samples_per_grad
         # phase 2 is deterministic, and equal weights (0.0 and -0.0 alike)
         # give equal costs: a repeated direction keeps the last vertex
         if weights != last_weights:
-            status, v = polytope.maximize(weights)
-            if status != "optimal":
-                raise GuessInfeasibleError("residual polytope became unsolvable")
+            v = _direction(polytope, weights)
             last_weights = weights
         x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
     return {e: x[idx] for idx, e in enumerate(elements)}
+
+
+def _direction(polytope, weights: list) -> list:
+    """Phase 2's vertex for ``weights``."""
+    status, v = polytope.maximize(weights)
+    if status != "optimal":
+        raise GuessInfeasibleError("residual polytope became unsolvable")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +599,9 @@ class RoundOutcome:
     solution: int            # S_D = E1 + R'_D
 
 
-def round_and_filter(guess: Guess, x_bar: dict, seed: int) -> RoundOutcome:
-    """Independent inclusion with probabilities x_bar, then strip the
-    elements that are large in some critical packing row."""
-    rng = random.Random(seed)
+def round_and_filter(guess: Guess, x_bar: dict, rng: random.Random) -> RoundOutcome:
+    """Independent inclusion with probabilities x_bar, drawn from ``rng``,
+    then strip the elements that are large in some critical packing row."""
     sampled = 0
     for e in sorted(x_bar):
         p = x_bar[e]
@@ -594,6 +633,24 @@ class GuessDiagnostics:
 
 
 @dataclass
+class GuessCounts:
+    """What ``solve_main`` did with the consistent pairs of the guess
+    stream.  Each pair it ``examined`` is a ``repeat``, ``screened_empty``,
+    ``phase1_empty`` (the ascent found its polytope empty) or
+    ``ascended``, so those four add up to ``examined``; each ascended pair
+    filters ``trials + 1`` candidates, each a ``filter_pass`` or a
+    ``filter_fail``."""
+
+    examined: int = 0
+    repeat: int = 0
+    screened_empty: int = 0
+    phase1_empty: int = 0
+    ascended: int = 0
+    filter_pass: int = 0
+    filter_fail: int = 0
+
+
+@dataclass
 class MainResult:
     found: bool
     solution: int
@@ -601,20 +658,33 @@ class MainResult:
     cover_ratio: object
     pack_ratio: object
     trials: int
-    guesses_enumerated: int
     truncated: bool
-    diagnostics: list
+    counts: GuessCounts
+    # one record per pair that is not a repeat, kept only when solve_main
+    # is asked for them
+    diagnostics: list = field(default_factory=list)
+
+    @property
+    def guesses_enumerated(self) -> int:
+        """The consistent pairs the guess stream yielded within the budget."""
+        return self.counts.examined
 
 
 def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
                params: Optional[Params] = None, trials: int = 20,
-               steps: int = 100, samples_per_grad: int = 200) -> MainResult:
+               steps: int = 100, samples_per_grad: int = 200,
+               diagnostics: bool = False) -> MainResult:
     """Enumerate guesses, ascend, round repeatedly, and keep the best set
     that packs within the bounds and covers at least (1 - eps).
 
     Without an explicit ``params`` override the analysis schedule is used;
     its constants are honest but astronomically conservative, so practical
-    runs pass Params.from_delta with a workable delta.
+    runs pass Params.from_delta with a workable delta.  Under the analysis
+    schedule a guess stream longer than ``budget`` is refused with
+    BudgetExceededError before any pair is solved; with explicit ``params``
+    it is cut at the budget and the result says ``truncated``.
+    ``diagnostics`` keeps a GuessDiagnostics record per pair that is not a
+    repeat; the counts are kept either way.
     """
     # refuse bad settings before the enumeration, which can take long
     if trials < 0:
@@ -625,83 +695,104 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     b = max(1, norm.p + norm.c)
     if params is None:
         params = Params.from_epsilon(epsilon, b)
+        # decided before the grid's exact powers are built: at eps 1/100
+        # building them alone takes seconds
+        if _pair_total(norm, params, budget) > budget:
+            raise BudgetExceededError(
+                f"the analysis schedule's guess stream has more than {budget} pairs "
+                f"(delta {float(params.delta):.3g}); raise the budget or pass "
+                "explicit params (--relaxed)")
     grid = _target_grid(norm.n, params, budget)
     _, truncated, records = _guess_parts(norm, params, grid, budget)
 
     need_cover = 1 - epsilon
     best = None
-    diagnostics = []
+    diag_records = []
+    examined = repeat = screened = phase1 = ascended = passed = failed = 0
     # per solve, keyed by values: the screen's limits per (E1, undetermined)
     # and each rounded set's verdict (its f value if it passes, else None)
     limits = {}
     verdicts = {}
     scale = 1 / (1 + float(params.delta))
     full = (1 << norm.n) - 1
-    # a Guess is built only for a pair the screen lets through; g_idx counts
-    # every consistent pair, as in enumerate_guesses' list
-    g_idx = -1
-    for g_idx, (index, chosen, discarded, cpart, tpart) in enumerate(records):
+    # a pair the screen settles is only counted; a Guess is built only for a
+    # pair it lets through, and its draws depend on its content alone
+    for index, chosen, discarded, cpart, tpart in records:
+        examined += 1
         # a repeat would be solved as its earlier pair was
         if _repeats(index, tpart.residual_cover):
+            repeat += 1
             continue
         undetermined = full & ~(discarded | chosen)
-        diag = GuessDiagnostics(
-            chosen_size=chosen.bit_count(),
-            discarded_size=discarded.bit_count(),
-            critical_pack_rows=len(cpart.critical_pack),
-            critical_cover_rows=len(tpart.critical_cover),
-            critical_large_size=(cpart.critical_large & undetermined).bit_count(),
-            filter_pass=0, filter_fail=0, infeasible_polytope=False,
-            best_value=None)
-        diagnostics.append(diag)
+        diag = None
+        if diagnostics:
+            diag = GuessDiagnostics(
+                chosen_size=chosen.bit_count(),
+                discarded_size=discarded.bit_count(),
+                critical_pack_rows=len(cpart.critical_pack),
+                critical_cover_rows=len(tpart.critical_cover),
+                critical_large_size=(cpart.critical_large & undetermined).bit_count(),
+                filter_pass=0, filter_fail=0, infeasible_polytope=False,
+                best_value=None)
+            diag_records.append(diag)
         if any(map(ge, index, _empty_limits(limits, chosen, undetermined, cpart, grid))):
-            diag.infeasible_polytope = True
+            screened += 1
+            if diag:
+                diag.infeasible_polytope = True
             continue
         guess = _make_guess(norm, params, chosen, discarded, cpart, tpart)
+        ascent_seed, round_seed = _pair_seeds(seed, chosen, index)
         try:
             x_star = continuous_greedy(
-                guess, steps=steps, samples_per_grad=samples_per_grad,
-                seed=_child_seed(seed, g_idx, 0))
+                guess, steps=steps, samples_per_grad=samples_per_grad, seed=ascent_seed)
         except GuessInfeasibleError:
-            diag.infeasible_polytope = True
+            phase1 += 1
+            if diag:
+                diag.infeasible_polytope = True
             continue
+        ascended += 1
         # trial 0 is the empty rounding outcome (always a possible draw)
         candidates = [chosen]
         if undetermined:
             x_bar = {e: p * scale for e, p in x_star.items()}
-            for t in range(1, trials + 1):
-                out = round_and_filter(guess, x_bar, seed=_child_seed(seed, g_idx, t))
-                candidates.append(out.solution)
+            rng = random.Random(round_seed)
+            candidates += [round_and_filter(guess, x_bar, rng).solution
+                           for _ in range(trials)]
         else:
             # no residual element: every draw returns E1
             candidates *= trials + 1
-        rows = cpart.rows
+        pair_pass = 0
+        pair_best = None
         for cand in candidates:
             if cand not in verdicts:
-                fits = rows.fits(cand, need_cover)
+                fits = cpart.rows.fits(cand, need_cover)
                 verdicts[cand] = norm.objective.eval(cand) if fits else None
             val = verdicts[cand]
             if val is None:
-                diag.filter_fail += 1
                 continue
-            diag.filter_pass += 1
-            if diag.best_value is None or val > diag.best_value:
-                diag.best_value = val
+            pair_pass += 1
+            if pair_best is None or val > pair_best:
+                pair_best = val
             if better(val, cand, best):
                 best = (cand, val)
+        passed += pair_pass
+        failed += len(candidates) - pair_pass
+        if diag:
+            diag.filter_pass = pair_pass
+            diag.filter_fail = len(candidates) - pair_pass
+            diag.best_value = pair_best
 
+    counts = GuessCounts(examined, repeat, screened, phase1, ascended, passed, failed)
     if best is None:
         return MainResult(found=False, solution=0, value=0, cover_ratio=None,
-                          pack_ratio=None, trials=trials,
-                          guesses_enumerated=g_idx + 1,
-                          truncated=truncated, diagnostics=diagnostics)
+                          pack_ratio=None, trials=trials, truncated=truncated,
+                          counts=counts, diagnostics=diag_records)
     mask, value = best
     cover_ratio, pack_ratio = load_ratios(norm, mask)
     return MainResult(
         found=True, solution=mask, value=value,
-        cover_ratio=cover_ratio, pack_ratio=pack_ratio,
-        trials=trials, guesses_enumerated=g_idx + 1,
-        truncated=truncated, diagnostics=diagnostics)
+        cover_ratio=cover_ratio, pack_ratio=pack_ratio, trials=trials,
+        truncated=truncated, counts=counts, diagnostics=diag_records)
 
 
 def _repeats(index: tuple, residual_cover: tuple) -> bool:
@@ -718,5 +809,29 @@ def _repeats(index: tuple, residual_cover: tuple) -> bool:
     return 0 in residual_cover and any(t and not s for t, s in zip(index, residual_cover))
 
 
-def _child_seed(seed: int, guess_index: int, trial: int) -> int:
-    return (seed * 1_000_003 + guess_index * 10_007 + trial) & 0x7FFFFFFF
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer of ``z + golden gamma``, on 64 bits."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _pair_seeds(seed: int, chosen: int, index: tuple) -> tuple:
+    """(ascent seed, rounding seed) of the pair of E1 ``chosen`` and the
+    targets at grid indices ``index``: a splitmix64 chain over ``seed``,
+    E1's mask in 64-bit words and the indices.  It reads the pair's
+    content alone, and no ``hash``, so cutting or skipping other pairs
+    changes no pair's draws, under every PYTHONHASHSEED."""
+    h = _mix64(seed & _MASK64)
+    while True:
+        h = _mix64(h ^ (chosen & _MASK64))
+        chosen >>= 64
+        if not chosen:
+            break
+    for t in index:
+        h = _mix64(h ^ t)
+    return h, _mix64(h)

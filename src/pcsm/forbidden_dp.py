@@ -183,8 +183,8 @@ def forbidden_dp_solve(inst: Instance, epsilon: Rational,
     guesses."""
     _require_single_row(inst)
     epsilon = Fraction(_rat(epsilon))
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon <= 1:
+        raise ValueError("epsilon must lie in (0, 1]")
     pack = tuple(int(v) for v in inst.packing[0])
     cover = tuple(int(v) for v in inst.covering[0])
     c_bound = int(inst.cover_bound[0])

@@ -1,9 +1,9 @@
 """Reference code that only the tests call: the paper's existence argument
 for a correct guess, the residual objective, a Monte-Carlo multilinear
 estimator, a per-program emptiness screen on Fraction rows, the closed
-form of the upper-bound construction's value and the oracles' bit-by-bit
-methods from before the per-byte tables.  The solvers never run any of
-it."""
+form of the upper-bound construction's value, the ascent that samples
+every residual element's gain and the oracles' bit-by-bit methods from
+before the per-byte tables.  The solvers never run any of it."""
 
 import math
 import random
@@ -192,6 +192,53 @@ def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> b
     margin = MARGIN * max([Fraction(1)] + [abs(b) for b in bounds])
     return any(Fraction(b) - r > margin
                for r, b in zip(row_reaches(pack_rows, pack_bounds, cover_rows), cover_bounds))
+
+
+def sampling_ascent(guess: cont.Guess, steps: int, samples_per_grad: int, seed: int) -> dict:
+    """``continuous_greedy`` as it was before it skipped the elements with
+    no gain on E1: every step samples every residual element's gain."""
+    cont._check_ascent(steps, samples_per_grad)
+    inst = guess.instance
+    elements = guess.residual_elements()
+    if not elements:
+        if cont.empty_without_variables(guess.residual_pack, guess.residual_cover):
+            raise cont.GuessInfeasibleError("empty residual polytope")
+        return {}
+    pack_rows, cover_rows = cont._residual_rows(inst.packing, inst.covering, elements)
+    polytope = cont.prepare_polytope(len(elements), pack_rows, guess.residual_pack,
+                                     cover_rows, guess.residual_cover)
+    if polytope is None:
+        raise cont.GuessInfeasibleError("empty residual polytope")
+
+    oracle = inst.objective
+    rng = random.Random(seed)
+    x = [0.0] * len(elements)
+    gains_of = {}
+    last_weights = None
+    for _step in range(steps):
+        weights = [0.0] * len(elements)
+        drawn = [(1 << e, p) for e, p in zip(elements, x) if p > 0]
+        for _ in range(samples_per_grad):
+            mask = guess.chosen
+            for bit, p in drawn:
+                if rng.random() < p:
+                    mask |= bit
+            gains = gains_of.get(mask)
+            if gains is None:
+                state = oracle.begin(mask)
+                gains = [0.0 if (mask >> e) & 1 else float(oracle.gain(state, e))
+                         for e in elements]
+                gains = gains_of[mask] = gains if any(gains) else ()
+            if gains:
+                weights = [w + g for w, g in zip(weights, gains)]
+        weights = [w / samples_per_grad for w in weights]
+        if weights != last_weights:
+            status, v = polytope.maximize(weights)
+            if status != "optimal":
+                raise cont.GuessInfeasibleError("residual polytope became unsolvable")
+            last_weights = weights
+        x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
+    return {e: x[idx] for idx, e in enumerate(elements)}
 
 
 def upper_bound_value_formula(m: int) -> Fraction:

@@ -214,8 +214,9 @@ def test_criterion_6_rounding_statistics():
         pack_sums = [0.0] * inst.p
         cover_sums = [0.0] * inst.c
         counts = {e: 0 for e in elements}
-        for t in range(trials):
-            out = round_and_filter(guess, x_bar, seed=seed * trials + t)
+        draws = random.Random(seed)
+        for _ in range(trials):
+            out = round_and_filter(guess, x_bar, draws)
             for i in range(inst.p):
                 pack_sums[i] += sum(float(inst.packing[i][e])
                                     for e in iter_bits(out.sampled))

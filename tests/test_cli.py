@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from pcsm import cli
+from pcsm import continuous as cont
 from pcsm.brute import brute_optimum
 from pcsm.cli import (
     CSV_FIELDS,
@@ -209,6 +210,48 @@ def test_cli_continuous(tmp_path, capsys):
     assert float(out["pack_ratio"]) <= 1.0
 
 
+def test_cli_continuous_prints_records_only_with_diagnostics(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    main(["gen", "--n", "5", "--seed", "4", "--out", str(path), "--quiet"])
+    outs = []
+    for flags in ([], ["--diagnostics"]):
+        assert main(["continuous", "--instance", str(path), "--relaxed", "--trials", "3",
+                     "--steps", "4", "--budget", "600", "--samples", "5", "--json",
+                     *flags]) == EXIT_OK
+        outs.append(json.loads(capsys.readouterr().out))
+    plain, detailed = outs
+    assert "guess_diagnostics" not in plain
+    records = detailed.pop("guess_diagnostics")
+    assert detailed == plain
+    counts = plain["guess_counts"]
+    assert counts["examined"] == plain["guesses_enumerated"]
+    assert len(records) == counts["examined"] - counts["repeat"] > 0
+
+
+def test_cli_continuous_refuses_the_analysis_schedule_before_any_pair(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the default settings on n = 6: 4,340 cover grid points times 64
+    # chosen sets, far over the budget of 100,000 pairs
+    path = tmp_path / "inst.json"
+    main(["gen", "--n", "6", "--seed", "3", "--out", str(path), "--quiet"])
+
+    def too_late(*args, **kw):
+        raise AssertionError("the cover grid was built before the refusal")
+
+    with monkeypatch.context() as m:
+        # the grid's exact powers alone take seconds at small epsilon
+        m.setattr(cont, "_target_grid", too_late)
+        assert main(["continuous", "--instance", str(path)]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget refused: the analysis schedule")
+    assert "100000 pairs" in captured.err
+    # explicit params keep the flagged truncation
+    assert main(["continuous", "--instance", str(path), "--relaxed", "--trials", "2",
+                 "--steps", "2", "--samples", "3", "--budget", "40", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["truncated"] is True
+
+
 @pytest.mark.parametrize("flags, refused", [
     (["--samples", "0"], "samples"),
     (["--steps", "-1"], "steps"),
@@ -243,6 +286,9 @@ def test_cli_continuous_option_ranges(tmp_path, capsys, flags, refused):
     # the analysis schedule: epsilon 0 would give delta 0
     (["continuous", "--epsilon", "0"], "epsilon"),
     (["continuous", "--epsilon", "1/0"], "zero denominator"),
+    # the forbidden-set DP's epsilon lies in (0, 1], as solve_polynomial's does
+    (["forbidden", "--epsilon", "2"], "epsilon must lie in (0, 1]"),
+    (["forbidden", "--poly", "--epsilon", "2"], "epsilon must lie in (0, 1]"),
 ])
 def test_cli_zero_parameters_are_bad_input(tmp_path, capsys, argv, refused):
     path = tmp_path / "inst.json"
@@ -351,8 +397,11 @@ GOLDEN_SOLVES = {
          "--budget", "600", "--samples", "5", "--seed", "7"],
         ["continuous", "--relaxed", "--delta", "1/3", "--trials", "2",
          "--steps", "2", "--budget", "3", "--samples", "3"],
+        # the analysis schedule: refused where its stream exceeds the budget
         ["continuous", "--epsilon", "1/2", "--trials", "2", "--steps", "2",
          "--budget", "40", "--samples", "3"],
+        ["continuous", "--relaxed", "--trials", "3", "--steps", "4",
+         "--budget", "600", "--samples", "5", "--seed", "7", "--diagnostics"],
     ],
 }
 
@@ -371,7 +420,7 @@ GOLDEN_DIGESTS = {
     "brute": "6507ee1ff65a531d",
     "dp": "f1d99e1ec0a1a99c",
     "forbidden": "81abd68cec2bb3a1",
-    "continuous": "7565eeee509fad60",
+    "continuous": "507d6b149d3a0569",
     "lp": "409916addc0affb5",
     "kmedian": "798deaea2c691fcc",
     "bench": "dfa6da6c3ca3700e",
@@ -465,15 +514,29 @@ def test_cli_golden_outputs(capsys, monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CI's hash-seed runs without the continuous ones: each hash seed gets one
-# interpreter that runs every command in turn
+# CI's hash-seed runs: each hash seed gets one interpreter that runs every
+# command in turn
 
 HASH_SEED_GEN = {
     "hash.json": ["--n", "7", "--seed", "2"],
+    "hash_c2.json": ["--n", "7", "--seed", "5", "--c", "2", "--rational"],
+    "hash_p3c3.json": ["--n", "7", "--p", "3", "--c", "3", "--rational"],
+    # small enough for the analysis schedule's stream to fit its budget
+    "analysis.json": ["--n", "6", "--seed", "2"],
     # a 12-item universe: two blocks of the coverage oracle's tables
     "hash_cov.json": ["--n", "12", "--family", "coverage", "--seed", "4"],
 }
+_RELAXED_RUN = ["continuous", "--relaxed", "--trials", "3", "--steps", "4", "--samples", "5"]
 HASH_SEED_RUNS = [
+    # the pairs' seeds mix E1 and the target indices: no hash() may reach them.
+    # Budget 40 ends the stream early, 256 at a target pass's end (128
+    # chosen sets); two covering rows, and three rows of each kind
+    *([*_RELAXED_RUN, "--budget", budget, "--instance", "hash.json"]
+      for budget in ("600", "40", "256")),
+    [*_RELAXED_RUN, "--budget", "2000", "--instance", "hash_c2.json"],
+    [*_RELAXED_RUN, "--budget", "2000", "--instance", "hash_p3c3.json"],
+    ["continuous", "--epsilon", "1/2", "--trials", "2", "--steps", "2",
+     "--instance", "analysis.json"],
     ["dp", "--completion", "--instance", "hash.json"],
     ["forbidden", "--instance", "hash.json"],
     ["forbidden", "--poly", "--instance", "hash.json"],
@@ -512,3 +575,5 @@ def test_same_output_under_both_hash_seeds(capsys, monkeypatch, tmp_path):
         for seed in ("0", "1")]
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"] 0\n") == len(HASH_SEED_RUNS)
+    # the analysis schedule's run is the one continuous run its budget fits
+    assert outputs[0].count(b'"truncated": false') == 1

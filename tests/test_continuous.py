@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -24,6 +25,7 @@ from pcsm.continuous import (
     solve_main,
 )
 from pcsm.core import (
+    CoverageOracle,
     LinearOracle,
     Params,
     iter_bits,
@@ -52,6 +54,7 @@ from reference import (
     polytope_surely_empty,
     residual_objective,
     row_reaches,
+    sampling_ascent,
 )
 
 RELAXED = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=2)
@@ -345,7 +348,7 @@ def test_round_zero_vector_returns_chosen():
     inst = _norm_instance(70)
     g = _guess(inst, chosen=0b11, discarded=0, targets=(Fraction(1),))
     x_bar = {e: 0.0 for e in g.residual_elements()}
-    out = round_and_filter(g, x_bar, seed=1)
+    out = round_and_filter(g, x_bar, random.Random(1))
     assert out.sampled == 0
     assert out.solution == 0b11
 
@@ -356,7 +359,7 @@ def test_round_no_critical_large_keeps_everything():
     if g.critical_large:
         pytest.skip("instance happens to have critical-large elements")
     x_bar = {e: 0.7 for e in g.residual_elements()}
-    out = round_and_filter(g, x_bar, seed=2)
+    out = round_and_filter(g, x_bar, random.Random(2))
     assert out.kept == out.sampled
 
 
@@ -370,7 +373,7 @@ def test_round_strips_critical_large():
     assert 0 in g2.critical_pack
     assert g2.critical_large & 0b10
     x_bar = {e: 1.0 for e in g2.residual_elements()}
-    out = round_and_filter(g2, x_bar, seed=3)
+    out = round_and_filter(g2, x_bar, random.Random(3))
     assert out.sampled & g2.critical_large
     assert not out.kept & g2.critical_large
 
@@ -402,8 +405,10 @@ def test_rounding_marginals_match_probabilities():
     x_bar = {e: rng.random() * 0.9 for e in g.residual_elements()}
     trials = 4000
     counts = {e: 0 for e in x_bar}
-    for t in range(trials):
-        out = round_and_filter(g, x_bar, seed=t)
+    # the trials draw in turn from one Random, as a pair's trials do
+    draws = random.Random(6)
+    for _ in range(trials):
+        out = round_and_filter(g, x_bar, draws)
         for e in counts:
             if (out.sampled >> e) & 1:
                 counts[e] += 1
@@ -442,7 +447,7 @@ def test_solve_main_reports_diagnostics():
     rng = random.Random(210)
     inst = random_instance(rng, 5, p=1, c=1)
     res = solve_main(inst, Fraction(1, 10), seed=0, budget=800, params=RELAXED,
-                     trials=3, steps=4, samples_per_grad=4)
+                     trials=3, steps=4, samples_per_grad=4, diagnostics=True)
     assert res.guesses_enumerated > 0
     assert res.diagnostics
     d = res.diagnostics[0]
@@ -499,7 +504,7 @@ def _solve_guesses(monkeypatch, inst, guesses, trials):
                         _stream_of(GuessList(guesses, False, len(guesses))))
     monkeypatch.setattr(cont, "round_and_filter", no_draw)
     return solve_main(inst, Fraction(1, 10), params=RELAXED, trials=trials,
-                      steps=4, samples_per_grad=4)
+                      steps=4, samples_per_grad=4, diagnostics=True)
 
 
 @pytest.mark.parametrize("trials", [0, 3])
@@ -510,6 +515,7 @@ def test_residual_free_guess_counts_every_trial_without_drawing(monkeypatch, tri
     res = _solve_guesses(monkeypatch, inst, [g], trials)
     assert [(d.filter_pass, d.filter_fail, d.infeasible_polytope, d.best_value)
             for d in res.diagnostics] == [(trials + 1, 0, False, 2)]
+    assert res.counts == cont.GuessCounts(examined=1, ascended=1, filter_pass=trials + 1)
     assert (res.found, res.solution, res.value) == (True, 0b01, 2)
 
 
@@ -526,6 +532,7 @@ def test_residual_free_guess_inside_the_screen_margin_is_infeasible(monkeypatch)
     res = _solve_guesses(monkeypatch, inst, [g], trials=3)
     assert [(d.filter_pass, d.filter_fail, d.infeasible_polytope)
             for d in res.diagnostics] == [(0, 0, True)]
+    assert res.counts == cont.GuessCounts(examined=1, phase1_empty=1)
     assert not res.found
 
 
@@ -733,6 +740,14 @@ def _ref_filter(norm, candidates, epsilon):
     return len(passed), len(candidates) - len(passed), max(values, default=None)
 
 
+def _empties_merged(res):
+    """``res`` with its screened-empty pairs counted as phase-1 empty, as a
+    run without the screen counts them."""
+    c = res.counts
+    return dataclasses.replace(res, counts=dataclasses.replace(
+        c, screened_empty=0, phase1_empty=c.screened_empty + c.phase1_empty))
+
+
 def test_golden_equivalence_guesses_and_main(monkeypatch):
     truncated = multi_row = residual_free = 0
     solves = []
@@ -754,7 +769,7 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
         multi_row += max(p, c) > 1
 
         knobs = dict(seed=seed, budget=budget, params=params, trials=3,
-                     steps=3, samples_per_grad=4)
+                     steps=3, samples_per_grad=4, diagnostics=True)
         res = solve_main(inst, Fraction(1, 10), **knobs)
         rounded = []
         ascended = []
@@ -777,8 +792,8 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
             m.setattr(cont, "round_and_filter", recording_round)
             m.setattr(cont, "continuous_greedy", recording_greedy)
             ref_res = solve_main(inst, Fraction(1, 10), **knobs)
-        assert res == ref_res
-        assert repr(res) == repr(ref_res)
+        assert _empties_merged(res) == ref_res
+        assert repr(_empties_merged(res)) == repr(ref_res)
         # every guess with a point and a residual element rounds `trials`
         # times in a row; one without residual elements draws nothing, as
         # each draw would return E1.  Recount every guess's filter verdicts
@@ -868,6 +883,7 @@ def test_stream_accounting_matches_the_reference_at_every_budget_edge():
             pairs, cut, records = cont._guess_parts(norm, params, grid, budget)
             assert (pairs, cut) == (want.pairs_examined, want.truncated)
             assert (pairs, cut) == (min(budget, total), budget < total)
+            assert (cont._pair_total(norm, params, budget) > budget) == cut
             built = [cont._make_guess(norm, params, *record[1:]) for record in records]
             assert [_all_fields(g) for g in built] == [_all_fields(g) for g in want.guesses]
         overpacking += 2 * len({g.chosen for g in full.guesses}) < width
@@ -968,30 +984,36 @@ def test_ascent_matches_the_loop_without_memo(monkeypatch):
     assert solved < steps
 
 
+def _gamma2(p, c):
+    """The schedule of delta 1/5 with gamma 2, which leaves undetermined
+    elements with non-zero gains."""
+    delta = Fraction(1, 5)
+    return Params(epsilon=Fraction(1, 10), delta=delta, alpha=delta ** 3,
+                  beta=delta ** 2 / (3 * (p + c)), gamma=Fraction(2))
+
+
 def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
     # gamma = 2 leaves elements with non-zero gains undetermined, so the
     # ascents climb changing directions (the benchmark's gamma = 125 leaves
     # only zero gains).  The reference solves the materialized guess list,
-    # with no screen, through the ascent without memo or repeated-direction
-    # reuse.  Each ascent's seed comes from its guess's index in the list,
-    # repeats that the dedupe skips included
+    # with no screen, through the ascent without memo, repeated-direction
+    # reuse or zero-gain skip.  Each ascent's seed comes from its pair's
+    # E1 and target indices
     changing = repeats = 0
     for seed, n, p, c, family, budget, shape in _golden_cases():
         inst = _golden_instance(seed, n, p, c, family, shape)
         norm = normalize(inst)
-        delta = Fraction(1, 5)
-        params = Params(epsilon=Fraction(1, 10), delta=delta, alpha=delta ** 3,
-                        beta=delta ** 2 / (3 * (p + c)), gamma=Fraction(2))
+        params = _gamma2(p, c)
         knobs = dict(seed=seed, budget=budget, params=params, trials=3,
                      steps=4, samples_per_grad=6)
         res = solve_main(inst, Fraction(1, 10), **knobs)
         enum = enumerate_guesses(norm, params, budget=budget)
-        index = {(g.chosen, g.cover_targets): k for k, g in enumerate(enum.guesses)}
+        grid = cont._target_grid(norm.n, params, budget)
         ascents = []
 
         def ref_greedy(guess, steps, samples_per_grad, seed):
-            k = index[guess.chosen, guess.cover_targets]
-            assert seed == cont._child_seed(knobs["seed"], k, 0)
+            index = tuple(map(grid.index, guess.cover_targets))
+            assert seed == cont._pair_seeds(knobs["seed"], guess.chosen, index)[0]
             ascents.append([])
             return _ref_continuous_greedy(guess, steps, samples_per_grad, seed,
                                           ascents[-1])
@@ -1001,11 +1023,187 @@ def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
             m.setattr(cont, "_empty_limits", lambda *args: ())
             m.setattr(cont, "continuous_greedy", ref_greedy)
             ref_res = solve_main(inst, Fraction(1, 10), **knobs)
-        assert repr(res) == repr(ref_res)
+        assert repr(_empties_merged(res)) == repr(ref_res)
         assert (res.guesses_enumerated, res.truncated) == (len(enum.guesses), enum.truncated)
         changing += sum(len({tuple(w) for w in directions}) > 1 for directions in ascents)
-        repeats += len(enum.guesses) - len(res.diagnostics)
+        repeats += res.counts.repeat
     assert changing >= 50 and repeats >= 1
+
+
+def _pair_outcomes(monkeypatch, inst, knobs, skip=None):
+    """Per pair solve_main ascends, keyed by (E1, c'): [ascent seed, the
+    point's bits, each rounded set in turn].  ``skip`` (of a pair's grid
+    indices) drops pairs from the guess stream."""
+    outcomes = {}
+
+    def greedy(guess, steps, samples_per_grad, seed):
+        x = continuous_greedy(guess, steps=steps, samples_per_grad=samples_per_grad,
+                              seed=seed)
+        outcomes[guess.chosen, guess.cover_targets] = [
+            seed, {e: v.hex() for e, v in x.items()}]
+        return x
+
+    def rounding(guess, x_bar, rng):
+        out = round_and_filter(guess, x_bar, rng)
+        outcomes[guess.chosen, guess.cover_targets].append(out.solution)
+        return out
+
+    guess_parts = cont._guess_parts
+
+    def thinned(*args):
+        pairs, cut, records = guess_parts(*args)
+        return pairs, cut, (record for record in records if not skip(record[0]))
+
+    with monkeypatch.context() as m:
+        m.setattr(cont, "continuous_greedy", greedy)
+        m.setattr(cont, "round_and_filter", rounding)
+        if skip is not None:
+            m.setattr(cont, "_guess_parts", thinned)
+        solve_main(inst, Fraction(1, 10), **knobs)
+    return outcomes
+
+
+def test_cutting_or_skipping_pairs_changes_no_other_pairs_draws(monkeypatch):
+    # a pair's draws come from its content: a smaller budget, which cuts
+    # the stream, or pairs taken out of the stream before it, leave every
+    # pair that is still ascended with the same seed, point and rounded sets
+    compared = varied = 0
+    for seed, n, p, c, family, budget, shape in _golden_cases()[::4]:
+        inst = _golden_instance(seed, n, p, c, family, shape)
+        knobs = dict(seed=seed, budget=budget, params=_gamma2(p, c), trials=3, steps=4,
+                     samples_per_grad=6)
+        full = _pair_outcomes(monkeypatch, inst, knobs)
+        cut = _pair_outcomes(monkeypatch, inst, dict(knobs, budget=budget // 3))
+        skipped = _pair_outcomes(monkeypatch, inst, knobs, skip=lambda t: sum(t) % 2)
+        for part in (cut, skipped):
+            assert all(full[pair] == outcome for pair, outcome in part.items())
+            compared += len(part)
+        assert len(cut) <= len(full) and len(skipped) <= len(full)
+        # seeds differ from pair to pair, and so do the trials of one pair
+        assert len({outcome[0] for outcome in full.values()}) == len(full)
+        varied += sum(len(set(outcome[2:])) > 1 for outcome in full.values())
+    assert compared > 200 and varied > 20
+
+
+def test_counts_add_up_to_the_pairs_examined():
+    totals = cont.GuessCounts()
+    trials = 3
+    for seed, n, p, c, family, budget, shape in _golden_cases()[::3]:
+        inst = _golden_instance(seed, n, p, c, family, shape)
+        for params in (_gamma2(p, c), Params.from_delta(Fraction(1, 10), Fraction(1, 5),
+                                                        b=p + c)):
+            knobs = dict(seed=seed, budget=budget, params=params, trials=trials, steps=3,
+                         samples_per_grad=4)
+            res = solve_main(inst, Fraction(1, 10), **knobs)
+            detailed = solve_main(inst, Fraction(1, 10), diagnostics=True, **knobs)
+            assert res.diagnostics == []
+            assert dataclasses.replace(detailed, diagnostics=[]) == res
+            k = res.counts
+            enum = enumerate_guesses(normalize(inst), params, budget=budget)
+            assert k.examined == res.guesses_enumerated == len(enum.guesses)
+            assert k.examined == k.repeat + k.screened_empty + k.phase1_empty + k.ascended
+            assert k.filter_pass + k.filter_fail == k.ascended * (trials + 1)
+            records = detailed.diagnostics
+            assert len(records) == k.examined - k.repeat
+            assert sum(d.infeasible_polytope for d in records) == (k.screened_empty
+                                                                 + k.phase1_empty)
+            assert sum(d.filter_pass for d in records) == k.filter_pass
+            assert sum(d.filter_fail for d in records) == k.filter_fail
+            for name, value in vars(k).items():
+                setattr(totals, name, getattr(totals, name) + value)
+    assert all(vars(totals).values()), totals
+
+
+@st.composite
+def _ascent_guesses(draw):
+    """A guess on up to 6 elements whose objective gives some or none of
+    its residual elements a gain on E1: linear weights that may be 0, or a
+    coverage oracle whose sets E1 may already cover."""
+    n = draw(st.integers(1, 6))
+    p, c = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    entry = st.sampled_from([0, 0, 1, 2, 3, 5])
+    packing = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(p)]
+    covering = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(c)]
+    if draw(st.booleans()):
+        oracle = LinearOracle(draw(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=n,
+                                            max_size=n)))
+    else:
+        sets = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=n,
+                             max_size=n))
+        oracle = CoverageOracle(4, sets, [1, 2, 3, 4])
+    inst = normalize(make_instance(packing, covering, [draw(st.integers(1, 6)) for _ in packing],
+                                   [draw(st.integers(1, 6)) for _ in covering], oracle))
+    chosen = draw(st.integers(0, (1 << n) - 1))
+    discarded = draw(st.integers(0, (1 << n) - 1)) & ~chosen
+    targets = tuple(draw(st.sampled_from([Fraction(1), Fraction(6, 5), Fraction(3, 2)]))
+                    for _ in range(inst.c))
+    return _guess(inst, chosen, discarded, targets)
+
+
+def _live(guess):
+    oracle = guess.instance.objective
+    state = oracle.begin(guess.chosen)
+    return any(oracle.gain(state, e) for e in guess.residual_elements())
+
+
+# E1 = {0} covers every set on the residual elements {1, 2}, or leaves one
+# element a gain
+_ALL_COVERED = make_instance([[1, 1, 1]], [[1, 1, 1]], [2], [1],
+                             CoverageOracle(3, [[0, 1], [0], [1]], [1, 1, 1]))
+_ONE_LIVE = make_instance([[1, 1, 1]], [[1, 1, 1]], [2], [1],
+                          CoverageOracle(3, [[0, 1], [0], [2]], [1, 1, 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ascent_guesses(), st.integers(0, 5), st.integers(1, 6), st.integers(0, 1000))
+@example(_guess(normalize(_ALL_COVERED), 0b1, 0, (Fraction(1),)), 4, 5, 7)
+@example(_guess(normalize(_ONE_LIVE), 0b1, 0, (Fraction(1),)), 4, 5, 7)
+@example(_guess(normalize(_ALL_COVERED), 0b1, 0, (Fraction(1),)), 0, 5, 7)
+def test_ascent_skipping_zero_gain_elements_matches_sampling_them(guess, steps, samples,
+                                                                  seed):
+    # bit for bit, whether some residual element has a gain on E1 or none
+    for inst, live in ((_ALL_COVERED, False), (_ONE_LIVE, True)):
+        if guess.instance.objective is inst.objective:
+            assert _live(guess) == live
+    try:
+        want = sampling_ascent(guess, steps, samples, seed)
+    except GuessInfeasibleError:
+        with pytest.raises(GuessInfeasibleError):
+            continuous_greedy(guess, steps=steps, samples_per_grad=samples, seed=seed)
+        return
+    got = continuous_greedy(guess, steps=steps, samples_per_grad=samples, seed=seed)
+    assert {e: v.hex() for e, v in got.items()} == {e: v.hex() for e, v in want.items()}
+
+
+# ---------------------------------------------------------------------------
+# a shape where rounding decides answers: with these params and p = c = 1
+# E1 holds at most ceil(1 + 2 / (17/20)^2) = 4 elements, so an optimum of
+# more elements is reached only through the ascent and its rounding
+
+_SMALL_CAP_DELTA = Fraction(17, 20)
+_SMALL_CAP = Params(epsilon=Fraction(1, 10), delta=_SMALL_CAP_DELTA, alpha=_SMALL_CAP_DELTA,
+                    beta=_SMALL_CAP_DELTA ** 2 / 6, gamma=Fraction(1))
+
+
+@pytest.mark.parametrize("seed, family", [(2, "concave_of_modular"), (7, "coverage")])
+def test_rounding_lifts_the_value_where_e1_is_capped(monkeypatch, seed, family):
+    inst = random_instance(random.Random(seed), 9, p=1, c=1, family=family)
+    knobs = dict(seed=seed, budget=200_000, params=_SMALL_CAP, trials=8, steps=10,
+                 samples_per_grad=16)
+    assert cont._size_cap(normalize(inst), _SMALL_CAP) == 4
+    res = solve_main(inst, Fraction(1, 10), **knobs)
+    assert res.found and not res.truncated
+    norm = normalize(inst)
+    assert all(v <= 1 for v in norm.pack_value(res.solution))
+    assert all(v >= Fraction(9, 10) for v in norm.cover_value(res.solution))
+    assert res.solution.bit_count() > 4
+
+    def e1_alone(guess, x_bar, rng):
+        return cont.RoundOutcome(sampled=0, kept=0, solution=guess.chosen)
+
+    monkeypatch.setattr(cont, "round_and_filter", e1_alone)
+    without = solve_main(inst, Fraction(1, 10), **knobs)
+    assert not without.found or without.value < res.value
 
 
 _MEMO_PARAMS = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=4)
