@@ -354,7 +354,7 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
     # only to flag truncation)
     chosen_sets = list(islice(_subsets_by_size(n, _size_cap(inst, params)), budget + 1))
     width = len(chosen_sets)
-    total = _pair_total(inst, params, budget)
+    total = len(grid) ** inst.c * width
     rows = _scaled_rows(inst)
     oracle = inst.objective
 
@@ -535,15 +535,11 @@ def continuous_greedy(guess: Guess, steps: int = 100,
     # +0.0 and only the live elements' gains are sampled
     state = oracle.begin(guess.chosen)
     live = [(idx, e) for idx, e in enumerate(elements) if oracle.gain(state, e)]
-    x = [0.0] * len(elements)
-    if not live:
-        # every direction is the zero vector: phase 2 once, then the same steps
-        v = _direction(polytope, [0.0] * len(elements)) if steps else None
-        for _step in range(steps):
-            x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
-        return {e: x[idx] for idx, e in enumerate(elements)}
-
+    # with no live element every weight stays +0.0: no set is sampled, and
+    # phase 2 runs once on the zero weights
+    samples = samples_per_grad if live else 0
     rng = random.Random(seed)
+    x = [0.0] * len(elements)
     # each sampled set's gains, one float per live element, for this ascent
     # only (at most steps * samples_per_grad sets, and 2^|elements|).  An
     # element of the set gets 0.0: a weight starts at +0.0, never becomes
@@ -555,7 +551,7 @@ def continuous_greedy(guess: Guess, steps: int = 100,
         sums = [0.0] * len(live)
         # the same draws as one rng.random() per element with x > 0, in order
         drawn = [(1 << e, p) for e, p in zip(elements, x) if p > 0]
-        for _ in range(samples_per_grad):
+        for _ in range(samples):
             mask = guess.chosen
             for bit, p in drawn:
                 if rng.random() < p:
@@ -574,18 +570,12 @@ def continuous_greedy(guess: Guess, steps: int = 100,
         # phase 2 is deterministic, and equal weights (0.0 and -0.0 alike)
         # give equal costs: a repeated direction keeps the last vertex
         if weights != last_weights:
-            v = _direction(polytope, weights)
+            status, v = polytope.maximize(weights)
+            if status != "optimal":
+                raise GuessInfeasibleError("residual polytope became unsolvable")
             last_weights = weights
         x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
     return {e: x[idx] for idx, e in enumerate(elements)}
-
-
-def _direction(polytope, weights: list) -> list:
-    """Phase 2's vertex for ``weights``."""
-    status, v = polytope.maximize(weights)
-    if status != "optimal":
-        raise GuessInfeasibleError("residual polytope became unsolvable")
-    return v
 
 
 # ---------------------------------------------------------------------------
