@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, islice, product
-from operator import add, ge
+from operator import add, ge, itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -184,21 +184,51 @@ class _TargetPart(NamedTuple):
 
 def _target_part(rows: _Rows, cover_load: tuple, targets: _Targets,
                  alpha: Fraction) -> _TargetPart:
-    num = alpha.numerator
-    s = []
-    z = []
+    cells = [_cover_cell(*row, alpha.numerator) for row in zip(
+        rows.cover_index, targets.top, targets.den, cover_load, targets.critical,
+        targets.large_den)]
     large_c = 0
-    for j, (a, b, q, crit, d, (entries, suffix)) in enumerate(zip(
-            targets.top, targets.den, cover_load, targets.critical,
-            targets.large_den, rows.cover_index)):
-        v = max(0, a - b * q)
-        s.append(v)
-        if v <= crit:
-            z.append(j)
-        else:
-            # an entry reaches alpha s_j when its scaled entry reaches alpha S_j / b_j
-            large_c |= suffix[bisect_left(entries, _ceil(num * v, d))]
-    return _TargetPart(targets, tuple(s), frozenset(z), large_c)
+    for _, _, mask in cells:
+        large_c |= mask
+    return _TargetPart(targets, tuple(v for v, _, _ in cells),
+                       frozenset(j for j, (_, crit, _) in enumerate(cells) if crit), large_c)
+
+
+def _cover_cell(index: tuple, top: int, den: int, load: int, critical: int,
+                large_den: int, alpha_num: int) -> tuple:
+    """Covering row j (``index``, its ``_Rows.cover_index`` entry) under
+    the target a_j / b_j, read from ``_Targets`` (``top``, ``den``,
+    ``critical``, ``large_den``), against E1's scaled covering load Q_j:
+    (S_j, whether row j is critical, its large mask, 0 when critical)."""
+    v = max(0, top - den * load)
+    if v <= critical:
+        return v, True, 0
+    entries, suffix = index
+    # an entry reaches alpha s_j when its scaled entry reaches alpha S_j / b_j
+    return v, False, suffix[bisect_left(entries, _ceil(alpha_num * v, large_den))]
+
+
+class _Column(NamedTuple):
+    """Covering row j against one scaled covering load Q_j of E1, over the
+    whole cover grid: the row's share of the target parts of every pair of
+    E1, indexed by the row's grid index t."""
+
+    zero_end: int                # S_j = 0 exactly for t < zero_end, as s_j grows with t
+    critical: tuple              # per t: whether row j is critical
+    large: tuple                 # per t: row j's large mask (0 where critical)
+    runs: tuple                  # (start, stop, mask) per stretch of t with one large mask
+
+
+def _column(rows: _Rows, j: int, load: int, points: list, alpha_num: int) -> _Column:
+    """Row j's column for the load ``load``; ``points`` holds, per grid
+    index, the ``_Targets`` that put that grid point on every row."""
+    cells = [_cover_cell(rows.cover_index[j], t.top[j], t.den[j], load, t.critical[j],
+                         t.large_den[j], alpha_num) for t in points]
+    large = tuple(mask for _, _, mask in cells)
+    starts = [t for t, mask in enumerate(large) if t == 0 or mask != large[t - 1]]
+    return _Column(sum(not v for v, _, _ in cells), tuple(crit for _, crit, _ in cells),
+                   large, tuple(zip(starts, starts[1:] + [len(large)],
+                                    (large[t] for t in starts))))
 
 
 @dataclass(frozen=True)
@@ -347,43 +377,8 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
     consistent, each as ``(index, chosen, E0, chosen part, target part)``
     with ``index`` the targets' indices in ``grid``, and no ``Guess``
     built."""
-    n = inst.n
-    if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
-        raise ValueError("guess enumeration expects a normalized instance")
-    # no more than budget + 1 chosen sets are ever reached (the last one
-    # only to flag truncation)
-    chosen_sets = list(islice(_subsets_by_size(n, _size_cap(inst, params)), budget + 1))
-    width = len(chosen_sets)
+    rows, width, packing = _chosen_sets(inst, params, budget)
     total = len(grid) ** inst.c * width
-    rows = _scaled_rows(inst)
-    oracle = inst.objective
-
-    # each chosen set below the budget that packs, with its position in a
-    # target pass, its part and its E0 under every target: the high-marginal
-    # leftovers (gain on E1 above f(E1) / gamma) and large_pack.  Entries
-    # are >= 0, so a set packs only if it does without its highest element,
-    # which the size order reaches first; a set's loads are that subset's
-    # plus one column.  The empty set's loads are 0, within every bound
-    loads = {0: rows.load(0)}
-    packing = []
-    for pos, chosen in enumerate(chosen_sets[:budget]):
-        if chosen:
-            top = chosen.bit_length() - 1
-            base = loads.get(chosen ^ (1 << top))
-            if base is None:
-                continue
-            load = tuple(map(add, base, rows.columns[top]))
-            if any(v > d for v, d in zip(load, rows.pack_scale)):
-                continue
-            loads[chosen] = load
-        part = _chosen_part(rows, chosen, loads[chosen], params.alpha, params.beta,
-                            params.delta)
-        threshold = oracle.eval(chosen) / params.gamma
-        state = oracle.begin(chosen)
-        discarded = part.large_pack | mask_of(
-            ell for ell in range(n)
-            if not (chosen >> ell) & 1 and oracle.gain(state, ell) > threshold)
-        packing.append((pos, chosen, part, discarded))
 
     def records():
         # the first row's target varies fastest
@@ -405,6 +400,50 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
                 yield index, chosen, discarded | (tpart.large_cover & ~chosen), part, tpart
 
     return min(total, budget), total > budget, records()
+
+
+def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
+    """The chosen sets of the (cover grid) x (chosen sets) product, as
+    ``(rows, width, packing)``: the instance's ``_Rows``; the number of
+    chosen sets in a target pass, at most ``budget + 1`` (the last one only
+    flags truncation); and, in size order, each set below the budget that
+    packs as ``(pos, chosen, chosen part, base E0)``.  ``pos`` is its
+    position in a target pass, and its base E0, its E0 under every target,
+    holds the high-marginal leftovers (gain on E1 above f(E1) / gamma) and
+    large_pack."""
+    n = inst.n
+    if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
+        raise ValueError("guess enumeration expects a normalized instance")
+    chosen_sets = list(islice(_subsets_by_size(n, _size_cap(inst, params)), budget + 1))
+    rows = _scaled_rows(inst)
+    oracle = inst.objective
+    # gain > f(E1) / gamma, compared in the objective's exact values (gamma > 0)
+    g_num, g_den = params.gamma.numerator, params.gamma.denominator
+    # entries are >= 0, so a set packs only if it does without its highest
+    # element, which the size order reaches first; a set's loads are that
+    # subset's plus one column.  The empty set's loads are 0, within every
+    # bound
+    loads = {0: rows.load(0)}
+    packing = []
+    for pos, chosen in enumerate(chosen_sets[:budget]):
+        if chosen:
+            top = chosen.bit_length() - 1
+            base = loads.get(chosen ^ (1 << top))
+            if base is None:
+                continue
+            load = tuple(map(add, base, rows.columns[top]))
+            if any(v > d for v, d in zip(load, rows.pack_scale)):
+                continue
+            loads[chosen] = load
+        part = _chosen_part(rows, chosen, loads[chosen], params.alpha, params.beta,
+                            params.delta)
+        value = g_den * oracle.eval(chosen)
+        state = oracle.begin(chosen)
+        discarded = part.large_pack | mask_of(
+            ell for ell in range(n)
+            if not (chosen >> ell) & 1 and g_num * oracle.gain(state, ell) > value)
+        packing.append((pos, chosen, part, discarded))
+    return rows, len(chosen_sets), packing
 
 
 def _subsets_by_size(n, cap):
@@ -474,10 +513,11 @@ def _check_ascent(steps: int, samples_per_grad: int) -> None:
         raise ValueError("steps must be non-negative")
 
 
-def _empty_limits(memo: dict, chosen: int, undetermined: int, part: _ChosenPart,
-                  grid: list) -> tuple:
-    """The emptiness screen of the pairs of E1 ``chosen`` (``part``) that
-    leave ``undetermined`` undetermined: per covering row j, the first
+class _Screen:
+    """The emptiness screen of one solve over the cover grid ``grid``.
+
+    ``limits(undetermined, part)`` gives, for the pairs of E1 (``part``)
+    that leave ``undetermined`` undetermined, per covering row j the first
     index t into ``grid`` at which s_j beats the row's ``cover_reach``
     over those elements by more than M = SCREEN_MARGIN * grid[-1], else
     len(grid).  A pair with some t_j at its limit has an empty residual
@@ -486,25 +526,44 @@ def _empty_limits(memo: dict, chosen: int, undetermined: int, part: _ChosenPart,
     Every r_i lies in [0, 1], every s_k is at most c'_k <= grid[-1] and
     grid[0] = 1, so M is at least SCREEN_MARGIN times each of a pair's
     bounds, and the screen rejects no program the simplex accepts.  s_j
-    grows with t_j, so each limit is a bisect.  ``memo`` keeps the limits
-    per solve under (E1, undetermined elements), which fix them."""
-    key = (chosen, undetermined)
-    limits = memo.get(key)
-    if limits is None:
-        rows = part.rows
-        pack, cover = _residual_rows(rows.pack, rows.cover, tuple(iter_bits(undetermined)))
+    grows with t_j, so each limit is a bisect, over the grid's points as
+    int (numerator, denominator) pairs.  ``cover_reach`` reads only the
+    undetermined elements and E1's packing room, so the reaches are kept
+    per (undetermined, room) and the limits per (undetermined, room,
+    covering loads)."""
+
+    def __init__(self, grid: list):
+        self.grid = [(point.numerator, point.denominator) for point in grid]
         margin = SCREEN_MARGIN * grid[-1]
-        limits = []
-        # over the scaled rows, covering row j's reach comes out K_j times larger
-        for reach, k, q in zip(cover_reach(pack, part.pack_room, cover), rows.cover_scale,
-                               part.cover_load):
-            g = Fraction(reach, k) + margin
-            # s_j = max(0, a K_j - b Q_j) / (K_j b) > g for the target c'_j = a / b
-            limits.append(bisect_left(grid, True, key=lambda c: (
-                max(0, c.numerator * k - c.denominator * q) * g.denominator
-                > g.numerator * k * c.denominator)))
-        limits = memo[key] = tuple(limits)
-    return limits
+        self.margin = margin.numerator, margin.denominator
+        self.reaches = {}
+        self.found = {}
+
+    def limits(self, undetermined: int, part: _ChosenPart) -> tuple:
+        key = (undetermined, part.pack_room, part.cover_load)
+        limits = self.found.get(key)
+        if limits is None:
+            rows = part.rows
+            reach = self.reaches.get(key[:2])
+            if reach is None:
+                pack, cover = _residual_rows(rows.pack, rows.cover,
+                                             tuple(iter_bits(undetermined)))
+                reach = self.reaches[key[:2]] = cover_reach(pack, part.pack_room, cover)
+            mn, md = self.margin
+            limits = []
+            # over the scaled rows, covering row j's reach comes out K_j
+            # times larger: with reach rn / rd, s_j = max(0, a K_j - b Q_j)
+            # / (K_j b) beats g = rn / (rd K_j) + mn / md for the target
+            # c'_j = a / b exactly when a u > b w (g > 0, so the max
+            # never decides)
+            for r, k, q in zip(reach, rows.cover_scale, part.cover_load):
+                rn, rd = r.numerator, r.denominator
+                u = k * md * rd
+                w = q * md * rd + rn * md + mn * k * rd
+                limits.append(bisect_left(self.grid, True,
+                                          key=lambda point: point[0] * u > point[1] * w))
+            limits = self.found[key] = tuple(limits)
+        return limits
 
 
 def continuous_greedy(guess: Guess, steps: int = 100,
@@ -538,7 +597,7 @@ def continuous_greedy(guess: Guess, steps: int = 100,
     # with no live element every weight stays +0.0: no set is sampled, and
     # phase 2 runs once on the zero weights
     samples = samples_per_grad if live else 0
-    rng = random.Random(seed)
+    rng = random.Random(seed) if live else None
     x = [0.0] * len(elements)
     # each sampled set's gains, one float per live element, for this ascent
     # only (at most steps * samples_per_grad sets, and 2^|elements|).  An
@@ -693,110 +752,230 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
                 f"(delta {float(params.delta):.3g}); raise the budget or pass "
                 "explicit params (--relaxed)")
     grid = _target_grid(norm.n, params, budget)
-    _, truncated, records = _guess_parts(norm, params, grid, budget)
+    rows, width, packing = _chosen_sets(norm, params, budget)
+    solve = _Solve(norm, params, epsilon, seed, trials, steps, samples_per_grad, diagnostics)
+    solve.walk(rows, grid, budget, width, packing)
+    return solve.result(len(grid) ** norm.c * width > budget)
 
-    need_cover = 1 - epsilon
-    best = None
-    diag_records = []
-    examined = repeat = screened = phase1 = ascended = passed = failed = 0
-    # per solve, keyed by values: the screen's limits per (E1, undetermined)
-    # and each rounded set's verdict (its f value if it passes, else None)
-    limits = {}
-    verdicts = {}
-    scale = 1 / (1 + float(params.delta))
-    full = (1 << norm.n) - 1
-    # a pair the screen settles is only counted; a Guess is built only for a
-    # pair it lets through, and its draws depend on its content alone
-    for index, chosen, discarded, cpart, tpart in records:
-        examined += 1
-        # a repeat would be solved as its earlier pair was
-        if _repeats(index, tpart.residual_cover):
-            repeat += 1
-            continue
-        undetermined = full & ~(discarded | chosen)
+
+class _Solve:
+    """One ``solve_main`` call: its settings, its counts, the best set so
+    far, each candidate's verdict (its f value if it passes the filter,
+    else None) and, when asked, the records with their stream positions.
+    Processing the pairs in any order gives the same result: a pair's
+    draws depend on its content alone, ``better`` is a total order, and
+    the records are put in stream order at the end."""
+
+    def __init__(self, inst: Instance, params: Params, epsilon: Fraction, seed: int,
+                 trials: int, steps: int, samples_per_grad: int, diagnostics: bool):
+        self.inst = inst
+        self.params = params
+        self.seed = seed
+        self.trials = trials
+        self.steps = steps
+        self.samples_per_grad = samples_per_grad
+        self.need_cover = 1 - epsilon
+        self.scale = 1 / (1 + float(params.delta))
+        self.full = (1 << inst.n) - 1
+        self.counts = GuessCounts()
+        self.records = [] if diagnostics else None
+        self.verdicts = {}
+        self.best = None
+
+    def walk(self, rows: _Rows, grid: list, budget: int, width: int, packing: list) -> None:
+        """Settle every pair of the guess stream over ``grid`` and the
+        chosen sets of ``_chosen_sets`` (``rows``, ``width``, ``packing``),
+        one E1 at a time.  The pair of E1 at position ``pos`` and grid
+        indices (t_0, .., t_{c-1}) sits at stream position k * width + pos
+        with k = t_0 + t_1 len(grid) + ..., and is in the budget when that
+        is below ``budget``.
+
+        A pair repeats an earlier one exactly when some row j with S_j = 0
+        has t_j > 0 (see ``_Column``): lowering that t_j keeps its
+        residuals, critical rows, large masks and E0, and with E1 fixed a
+        positive s_j fixes c'_j.  S_j = 0 exactly for t_j below the
+        column's ``zero_end``, so for each tuple of the outer rows' indices
+        (rows 1..c-1) the repeats are all of row 0's indices if some outer
+        row repeats, else t_0 in [1, zero_end).  Row 0's indices are then
+        walked in runs of one large-cover mask, which leave one
+        undetermined set and so one tuple of screen limits: a run's pairs
+        from row 0's limit on, or all of them if an outer row is past its
+        own, are empty.  Only the other pairs reach ``pair``."""
+        params = self.params
+        alpha_num = params.alpha.numerator
+        size = len(grid)
+        c = len(rows.cover)
+        counts = self.counts
+        records = self.records
+        screen = _Screen(grid)
+        # per grid point, the targets putting it on every row; a column
+        # reads its own row's share
+        points = [_targets(rows, (point,) * c, params.alpha, params.delta) for point in grid]
+        columns = {}
+        targets = {}
+        tparts = {}
+
+        def target_part(load, index):
+            tpart = tparts.get((load, index))
+            if tpart is None:
+                tg = targets.get(index)
+                if tg is None:
+                    tg = targets[index] = _targets(rows, tuple(grid[t] for t in index),
+                                                   params.alpha, params.delta)
+                tpart = tparts[load, index] = _target_part(rows, load, tg, params.alpha)
+            return tpart
+
+        for pos, chosen, cpart, base in packing:
+            free = self.full & ~chosen
+            keep = free & ~base
+            if not c:
+                # the one target tuple (); nothing to screen
+                counts.examined += 1
+                self.pair(pos, (), chosen, base, cpart, target_part((), ()))
+                continue
+            cols = []
+            for j, load in enumerate(cpart.cover_load):
+                col = columns.get((j, load))
+                if col is None:
+                    col = columns[j, load] = _column(rows, j, load, points, alpha_num)
+                cols.append(col)
+            first, outer_cols = cols[0], cols[1:]
+            zero_end = first.zero_end
+            # the targets' indices k within the budget: k < passes
+            passes = _ceil(budget - pos, width)
+            # the outer tuples in stream order, row 1's index fastest: the
+            # m-th one starts at k = m * size
+            outers = (t[::-1] for t in product(range(size), repeat=c - 1))
+            for m, outer in enumerate(outers):
+                first_k = m * size
+                span = min(size, passes - first_k)
+                if span <= 0:
+                    break
+                counts.examined += span
+                if any(0 < t < col.zero_end for t, col in zip(outer, outer_cols)):
+                    counts.repeat += span
+                    continue
+                counts.repeat += max(0, min(span, zero_end) - 1)
+                outer_mask = outer_critical = 0
+                for t, col in zip(outer, outer_cols):
+                    outer_mask |= col.large[t]
+                    outer_critical += col.critical[t]
+                # row 0's runs within [0, span), neighbours with one
+                # undetermined set merged
+                runs = []
+                for start, stop, mask in first.runs:
+                    if start >= span:
+                        break
+                    undetermined = keep & ~(mask | outer_mask)
+                    if runs and runs[-1][2] == undetermined:
+                        runs[-1][1] = min(stop, span)
+                    else:
+                        runs.append([start, min(stop, span), undetermined])
+                for start, stop, undetermined in runs:
+                    limits = screen.limits(undetermined, cpart)
+                    # from row 0's index `cut` on, every pair of the run is empty
+                    cut = (start if any(map(ge, outer, limits[1:]))
+                           else min(stop, max(start, limits[0])))
+                    discarded = free & ~undetermined
+                    for settled in _fresh(cut, stop, zero_end):
+                        counts.screened_empty += len(settled)
+                        if records is not None:
+                            for t in settled:
+                                self.record((first_k + t) * width + pos, chosen, discarded,
+                                            cpart, first.critical[t] + outer_critical,
+                                            undetermined, True)
+                    for live in _fresh(start, cut, zero_end):
+                        for t in live:
+                            index = (t, *outer)
+                            self.pair((first_k + t) * width + pos, index, chosen, discarded,
+                                      cpart, target_part(cpart.cover_load, index))
+
+    def record(self, position: int, chosen: int, discarded: int, cpart: _ChosenPart,
+               critical_cover: int, undetermined: int, infeasible: bool) -> GuessDiagnostics:
+        """Keep the record of the pair at ``position`` in the stream."""
+        diag = GuessDiagnostics(
+            chosen_size=chosen.bit_count(),
+            discarded_size=discarded.bit_count(),
+            critical_pack_rows=len(cpart.critical_pack),
+            critical_cover_rows=critical_cover,
+            critical_large_size=(cpart.critical_large & undetermined).bit_count(),
+            filter_pass=0, filter_fail=0, infeasible_polytope=infeasible, best_value=None)
+        self.records.append((position, diag))
+        return diag
+
+    def pair(self, position: int, index: tuple, chosen: int, discarded: int,
+             cpart: _ChosenPart, tpart: _TargetPart) -> None:
+        """Solve the pair at ``position`` in the stream, with grid indices
+        ``index``, that is neither a repeat nor screened empty: ascend its
+        guess, round the point ``trials`` times and filter the candidates."""
+        counts = self.counts
+        undetermined = self.full & ~(discarded | chosen)
         diag = None
-        if diagnostics:
-            diag = GuessDiagnostics(
-                chosen_size=chosen.bit_count(),
-                discarded_size=discarded.bit_count(),
-                critical_pack_rows=len(cpart.critical_pack),
-                critical_cover_rows=len(tpart.critical_cover),
-                critical_large_size=(cpart.critical_large & undetermined).bit_count(),
-                filter_pass=0, filter_fail=0, infeasible_polytope=False,
-                best_value=None)
-            diag_records.append(diag)
-        if any(map(ge, index, _empty_limits(limits, chosen, undetermined, cpart, grid))):
-            screened += 1
-            if diag:
-                diag.infeasible_polytope = True
-            continue
-        guess = _make_guess(norm, params, chosen, discarded, cpart, tpart)
-        ascent_seed, round_seed = _pair_seeds(seed, chosen, index)
+        if self.records is not None:
+            diag = self.record(position, chosen, discarded, cpart, len(tpart.critical_cover),
+                               undetermined, False)
+        guess = _make_guess(self.inst, self.params, chosen, discarded, cpart, tpart)
+        ascent_seed, round_seed = _pair_seeds(self.seed, chosen, index)
         try:
-            x_star = continuous_greedy(
-                guess, steps=steps, samples_per_grad=samples_per_grad, seed=ascent_seed)
+            x_star = continuous_greedy(guess, steps=self.steps,
+                                       samples_per_grad=self.samples_per_grad,
+                                       seed=ascent_seed)
         except GuessInfeasibleError:
-            phase1 += 1
+            counts.phase1_empty += 1
             if diag:
                 diag.infeasible_polytope = True
-            continue
-        ascended += 1
+            return
+        counts.ascended += 1
         # trial 0 is the empty rounding outcome (always a possible draw)
         candidates = [chosen]
         if undetermined:
-            x_bar = {e: p * scale for e, p in x_star.items()}
+            x_bar = {e: p * self.scale for e, p in x_star.items()}
             rng = random.Random(round_seed)
             candidates += [round_and_filter(guess, x_bar, rng).solution
-                           for _ in range(trials)]
+                           for _ in range(self.trials)]
         else:
             # no residual element: every draw returns E1
-            candidates *= trials + 1
+            candidates *= self.trials + 1
+        verdicts = self.verdicts
         pair_pass = 0
         pair_best = None
         for cand in candidates:
             if cand not in verdicts:
-                fits = cpart.rows.fits(cand, need_cover)
-                verdicts[cand] = norm.objective.eval(cand) if fits else None
+                fits = cpart.rows.fits(cand, self.need_cover)
+                verdicts[cand] = self.inst.objective.eval(cand) if fits else None
             val = verdicts[cand]
             if val is None:
                 continue
             pair_pass += 1
             if pair_best is None or val > pair_best:
                 pair_best = val
-            if better(val, cand, best):
-                best = (cand, val)
-        passed += pair_pass
-        failed += len(candidates) - pair_pass
+            if better(val, cand, self.best):
+                self.best = (cand, val)
+        counts.filter_pass += pair_pass
+        counts.filter_fail += len(candidates) - pair_pass
         if diag:
             diag.filter_pass = pair_pass
             diag.filter_fail = len(candidates) - pair_pass
             diag.best_value = pair_best
 
-    counts = GuessCounts(examined, repeat, screened, phase1, ascended, passed, failed)
-    if best is None:
-        return MainResult(found=False, solution=0, value=0, cover_ratio=None,
-                          pack_ratio=None, trials=trials, truncated=truncated,
-                          counts=counts, diagnostics=diag_records)
-    mask, value = best
-    cover_ratio, pack_ratio = load_ratios(norm, mask)
-    return MainResult(
-        found=True, solution=mask, value=value,
-        cover_ratio=cover_ratio, pack_ratio=pack_ratio, trials=trials,
-        truncated=truncated, counts=counts, diagnostics=diag_records)
+    def result(self, truncated: bool) -> MainResult:
+        records = [diag for _, diag in sorted(self.records or (), key=itemgetter(0))]
+        if self.best is None:
+            return MainResult(found=False, solution=0, value=0, cover_ratio=None,
+                              pack_ratio=None, trials=self.trials, truncated=truncated,
+                              counts=self.counts, diagnostics=records)
+        mask, value = self.best
+        cover_ratio, pack_ratio = load_ratios(self.inst, mask)
+        return MainResult(
+            found=True, solution=mask, value=value,
+            cover_ratio=cover_ratio, pack_ratio=pack_ratio, trials=self.trials,
+            truncated=truncated, counts=self.counts, diagnostics=records)
 
 
-def _repeats(index: tuple, residual_cover: tuple) -> bool:
-    """Whether the pair with target grid indices ``index`` and residual
-    covers ``residual_cover`` (the S_j) repeats an earlier pair of its E1:
-    whether some row with S_j = 0 has t_j > 0.
-
-    If it does, lowering that t_j by one keeps S_j = 0 and row j critical,
-    so the earlier pair has the same residuals, critical rows and large
-    masks, hence the same E0 and residual problem.  If it does not, an
-    earlier pair of E1 with the same residuals would share every t_j with
-    S_j > 0 (a positive s_j fixes c'_j given Q_j) and could differ only by
-    raising some t_j = 0, which comes later in the order."""
-    return 0 in residual_cover and any(t and not s for t, s in zip(index, residual_cover))
+def _fresh(start: int, stop: int, zero_end: int) -> tuple:
+    """Row 0's grid indices t in [start, stop) that repeat no pair (t = 0
+    and t >= zero_end, see ``_Solve.walk``), as two ranges."""
+    return range(start, min(stop, 1)), range(max(start, zero_end, 1), stop)
 
 
 _MASK64 = (1 << 64) - 1

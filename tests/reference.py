@@ -2,25 +2,33 @@
 for a correct guess, the residual objective, a Monte-Carlo multilinear
 estimator, a per-program emptiness screen on Fraction rows, the closed
 form of the upper-bound construction's value, the ascent that samples
-every residual element's gain and the oracles' bit-by-bit methods from
-before the per-byte tables.  The solvers never run any of it."""
+every residual element's gain, ``solve_main``'s pair-by-pair loop from
+before the run walk and the oracles' bit-by-bit methods from before the
+per-byte tables.  The solvers never run any of it."""
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 from typing import Sequence
 
 from pcsm import continuous as cont
 from pcsm.core import (
+    BudgetExceededError,
     ConcaveOfModularOracle,
     CoverageOracle,
     Instance,
     LinearOracle,
     Params,
     SubmodularOracle,
+    better,
     iter_bits,
+    load_ratios,
     mask_of,
+    normalize,
+    to_fraction,
 )
 from pcsm.lp import UB_ALPHA, UB_BETA, closed_form_optimum
 
@@ -239,6 +247,154 @@ def sampling_ascent(guess: cont.Guess, steps: int, samples_per_grad: int, seed: 
             last_weights = weights
         x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
     return {e: x[idx] for idx, e in enumerate(elements)}
+
+
+def repeats(index: tuple, residual_cover: tuple) -> bool:
+    """Whether the pair with target grid indices ``index`` and residual
+    covers ``residual_cover`` (the S_j) repeats an earlier pair of its E1:
+    whether some row with S_j = 0 has t_j > 0.
+
+    If it does, lowering that t_j by one keeps S_j = 0 and row j critical,
+    so the earlier pair has the same residuals, critical rows and large
+    masks, hence the same E0 and residual problem.  If it does not, an
+    earlier pair of E1 with the same residuals would share every t_j with
+    S_j > 0 (a positive s_j fixes c'_j given Q_j) and could differ only by
+    raising some t_j = 0, which comes later in the order."""
+    return 0 in residual_cover and any(t and not s for t, s in zip(index, residual_cover))
+
+
+def empty_limits(memo: dict, chosen: int, undetermined: int, part, grid: list) -> tuple:
+    """The emptiness screen's limits for the pairs of E1 ``chosen``
+    (``part``) that leave ``undetermined`` undetermined, kept in ``memo``
+    per (E1, undetermined): per covering row j, the first index t into
+    ``grid`` at which s_j beats the row's ``cover_reach`` over those
+    elements by more than SCREEN_MARGIN * grid[-1], else len(grid), by a
+    bisect over the grid's Fractions."""
+    key = (chosen, undetermined)
+    limits = memo.get(key)
+    if limits is None:
+        rows = part.rows
+        pack, cover = cont._residual_rows(rows.pack, rows.cover, tuple(iter_bits(undetermined)))
+        margin = cont.SCREEN_MARGIN * grid[-1]
+        limits = []
+        for reach, k, q in zip(cont.cover_reach(pack, part.pack_room, cover), rows.cover_scale,
+                               part.cover_load):
+            g = Fraction(reach, k) + margin
+            limits.append(bisect_left(grid, True, key=lambda c: (
+                max(0, c.numerator * k - c.denominator * q) * g.denominator
+                > g.numerator * k * c.denominator)))
+        limits = memo[key] = tuple(limits)
+    return limits
+
+
+def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
+                        params=None, trials: int = 20, steps: int = 100,
+                        samples_per_grad: int = 200, diagnostics: bool = False,
+                        stream=None, screen: bool = True) -> cont.MainResult:
+    """``solve_main`` as it was before it walked the stream in runs: one
+    pair of ``_guess_parts``'s stream at a time, in stream order, each
+    checked for a repeat and screened on its own.  ``stream`` stands in for
+    ``_guess_parts`` (same arguments, same triple); ``screen=False`` leaves
+    the pairs the screen would settle to phase 1.  The pair's guess, seeds,
+    ascent and rounding go through ``cont``'s module attributes."""
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    cont._check_ascent(steps, samples_per_grad)
+    epsilon = to_fraction(epsilon)
+    norm = normalize(inst)
+    b = max(1, norm.p + norm.c)
+    if params is None:
+        params = Params.from_epsilon(epsilon, b)
+        if cont._pair_total(norm, params, budget) > budget:
+            raise BudgetExceededError(
+                f"the analysis schedule's guess stream has more than {budget} pairs "
+                f"(delta {float(params.delta):.3g}); raise the budget or pass "
+                "explicit params (--relaxed)")
+    grid = cont._target_grid(norm.n, params, budget)
+    _, truncated, records = (stream or cont._guess_parts)(norm, params, grid, budget)
+
+    need_cover = 1 - epsilon
+    best = None
+    diag_records = []
+    examined = repeat = screened = phase1 = ascended = passed = failed = 0
+    limits = {}
+    verdicts = {}
+    scale = 1 / (1 + float(params.delta))
+    full = (1 << norm.n) - 1
+    for index, chosen, discarded, cpart, tpart in records:
+        examined += 1
+        if repeats(index, tpart.residual_cover):
+            repeat += 1
+            continue
+        undetermined = full & ~(discarded | chosen)
+        diag = None
+        if diagnostics:
+            diag = cont.GuessDiagnostics(
+                chosen_size=chosen.bit_count(),
+                discarded_size=discarded.bit_count(),
+                critical_pack_rows=len(cpart.critical_pack),
+                critical_cover_rows=len(tpart.critical_cover),
+                critical_large_size=(cpart.critical_large & undetermined).bit_count(),
+                filter_pass=0, filter_fail=0, infeasible_polytope=False,
+                best_value=None)
+            diag_records.append(diag)
+        if screen and any(map(ge, index, empty_limits(limits, chosen, undetermined, cpart,
+                                                      grid))):
+            screened += 1
+            if diag:
+                diag.infeasible_polytope = True
+            continue
+        guess = cont._make_guess(norm, params, chosen, discarded, cpart, tpart)
+        ascent_seed, round_seed = cont._pair_seeds(seed, chosen, index)
+        try:
+            x_star = cont.continuous_greedy(
+                guess, steps=steps, samples_per_grad=samples_per_grad, seed=ascent_seed)
+        except cont.GuessInfeasibleError:
+            phase1 += 1
+            if diag:
+                diag.infeasible_polytope = True
+            continue
+        ascended += 1
+        candidates = [chosen]
+        if undetermined:
+            x_bar = {e: p * scale for e, p in x_star.items()}
+            rng = random.Random(round_seed)
+            candidates += [cont.round_and_filter(guess, x_bar, rng).solution
+                           for _ in range(trials)]
+        else:
+            candidates *= trials + 1
+        pair_pass = 0
+        pair_best = None
+        for cand in candidates:
+            if cand not in verdicts:
+                fits = cpart.rows.fits(cand, need_cover)
+                verdicts[cand] = norm.objective.eval(cand) if fits else None
+            val = verdicts[cand]
+            if val is None:
+                continue
+            pair_pass += 1
+            if pair_best is None or val > pair_best:
+                pair_best = val
+            if better(val, cand, best):
+                best = (cand, val)
+        passed += pair_pass
+        failed += len(candidates) - pair_pass
+        if diag:
+            diag.filter_pass = pair_pass
+            diag.filter_fail = len(candidates) - pair_pass
+            diag.best_value = pair_best
+
+    counts = cont.GuessCounts(examined, repeat, screened, phase1, ascended, passed, failed)
+    if best is None:
+        return cont.MainResult(found=False, solution=0, value=0, cover_ratio=None,
+                               pack_ratio=None, trials=trials, truncated=truncated,
+                               counts=counts, diagnostics=diag_records)
+    mask, value = best
+    cover_ratio, pack_ratio = load_ratios(norm, mask)
+    return cont.MainResult(
+        found=True, solution=mask, value=value,
+        cover_ratio=cover_ratio, pack_ratio=pack_ratio, trials=trials,
+        truncated=truncated, counts=counts, diagnostics=diag_records)
 
 
 def upper_bound_value_formula(m: int) -> Fraction:

@@ -534,6 +534,8 @@ HASH_SEED_RUNS = [
     *([*_RELAXED_RUN, "--budget", budget, "--instance", "hash.json"]
       for budget in ("600", "40", "256")),
     [*_RELAXED_RUN, "--budget", "2000", "--instance", "hash_c2.json"],
+    # a record per pair, in stream order however the pairs are walked
+    [*_RELAXED_RUN, "--diagnostics", "--budget", "2000", "--instance", "hash_c2.json"],
     [*_RELAXED_RUN, "--budget", "2000", "--instance", "hash_p3c3.json"],
     ["continuous", "--epsilon", "1/2", "--trials", "2", "--steps", "2",
      "--instance", "analysis.json"],

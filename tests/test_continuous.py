@@ -51,7 +51,9 @@ from reference import (
     greedy_marginal_order,
     is_correct,
     multilinear_estimate,
+    per_pair_solve_main,
     polytope_surely_empty,
+    repeats,
     residual_objective,
     row_reaches,
     sampling_ascent,
@@ -496,12 +498,17 @@ def _stream_of(enum):
 
 
 def _solve_guesses(monkeypatch, inst, guesses, trials):
-    """solve_main over ``guesses`` alone, failing on any rounding draw."""
+    """solve_main over ``guesses`` alone, failing on any rounding draw: the
+    cover grid is cut to the one target 1, which every guess has on every
+    row, and the chosen sets to the guesses' E1, each with its E0."""
     def no_draw(*args, **kw):
         raise AssertionError("a guess without residual elements drew a rounding")
 
-    monkeypatch.setattr(cont, "_guess_parts",
-                        _stream_of(GuessList(guesses, False, len(guesses))))
+    assert all(set(g.cover_targets) <= {1} and not g.large_cover for g in guesses)
+    monkeypatch.setattr(cont, "_target_grid", lambda *args: [Fraction(1)])
+    monkeypatch.setattr(cont, "_chosen_sets", lambda *args: (
+        guesses[0]._parts[0].rows, len(guesses),
+        [(pos, g.chosen, g._parts[0], g.discarded) for pos, g in enumerate(guesses)]))
     monkeypatch.setattr(cont, "round_and_filter", no_draw)
     return solve_main(inst, Fraction(1, 10), params=RELAXED, trials=trials,
                       steps=4, samples_per_grad=4, diagnostics=True)
@@ -785,13 +792,12 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
             return x_star
 
         with monkeypatch.context() as m:
-            # solve_main normalizes an equal instance; reuse the reference list
-            m.setattr(cont, "_guess_parts", _stream_of(want))
+            # the pair-by-pair loop over the reference list, with no screen
             m.setattr(cont, "prepare_polytope", _ref_prepare_polytope(solves))
-            m.setattr(cont, "_empty_limits", lambda *args: ())
             m.setattr(cont, "round_and_filter", recording_round)
             m.setattr(cont, "continuous_greedy", recording_greedy)
-            ref_res = solve_main(inst, Fraction(1, 10), **knobs)
+            ref_res = per_pair_solve_main(inst, Fraction(1, 10), stream=_stream_of(want),
+                                          screen=False, **knobs)
         assert _empties_merged(res) == ref_res
         assert repr(_empties_merged(res)) == repr(ref_res)
         # every guess with a point and a residual element rounds `trials`
@@ -1019,10 +1025,9 @@ def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
                                           ascents[-1])
 
         with monkeypatch.context() as m:
-            m.setattr(cont, "_guess_parts", _stream_of(enum))
-            m.setattr(cont, "_empty_limits", lambda *args: ())
             m.setattr(cont, "continuous_greedy", ref_greedy)
-            ref_res = solve_main(inst, Fraction(1, 10), **knobs)
+            ref_res = per_pair_solve_main(inst, Fraction(1, 10), stream=_stream_of(enum),
+                                          screen=False, **knobs)
         assert repr(_empties_merged(res)) == repr(ref_res)
         assert (res.guesses_enumerated, res.truncated) == (len(enum.guesses), enum.truncated)
         changing += sum(len({tuple(w) for w in directions}) > 1 for directions in ascents)
@@ -1033,7 +1038,7 @@ def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
 def _pair_outcomes(monkeypatch, inst, knobs, skip=None):
     """Per pair solve_main ascends, keyed by (E1, c'): [ascent seed, the
     point's bits, each rounded set in turn].  ``skip`` (of a pair's grid
-    indices) drops pairs from the guess stream."""
+    indices) drops pairs before they are solved."""
     outcomes = {}
 
     def greedy(guess, steps, samples_per_grad, seed):
@@ -1048,17 +1053,17 @@ def _pair_outcomes(monkeypatch, inst, knobs, skip=None):
         outcomes[guess.chosen, guess.cover_targets].append(out.solution)
         return out
 
-    guess_parts = cont._guess_parts
+    solve_pair = cont._Solve.pair
 
-    def thinned(*args):
-        pairs, cut, records = guess_parts(*args)
-        return pairs, cut, (record for record in records if not skip(record[0]))
+    def thinned(solve, position, index, *args):
+        if not skip(index):
+            solve_pair(solve, position, index, *args)
 
     with monkeypatch.context() as m:
         m.setattr(cont, "continuous_greedy", greedy)
         m.setattr(cont, "round_and_filter", rounding)
         if skip is not None:
-            m.setattr(cont, "_guess_parts", thinned)
+            m.setattr(cont._Solve, "pair", thinned)
         solve_main(inst, Fraction(1, 10), **knobs)
     return outcomes
 
@@ -1112,6 +1117,47 @@ def test_counts_add_up_to_the_pairs_examined():
             for name, value in vars(k).items():
                 setattr(totals, name, getattr(totals, name) + value)
     assert all(vars(totals).values()), totals
+
+
+@st.composite
+def _walk_cases(draw):
+    """(instance, params, budget): up to 7 elements, p and c in {1, 2, 3},
+    any objective family, covering bounds cut to as little as a quarter of
+    the planted set's loads (so that an E1 may cover a row several times
+    over: its low targets repeat); delta 1/2 or 1/3, so the grid is short enough
+    for a budget to reach past row 0's pass, with the schedule's gamma or
+    gamma 2 (which leaves elements with gains undetermined); the budget at
+    or next to the end of the k-th target pass, for k at and around the
+    ends of row 0's first passes and of its first full sweep."""
+    n, p, c = draw(st.integers(0, 7)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    inst = random_instance(rng, n, p=p, c=c, family=draw(st.sampled_from(FAMILIES)),
+                           density=draw(st.sampled_from([0.4, 0.7, 1.0])))
+    shrink = draw(st.sampled_from([1, 2, 4]))
+    inst = make_instance(inst.packing, inst.covering, inst.pack_bound,
+                         [Fraction(b, shrink) for b in inst.cover_bound], inst.objective)
+    delta = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3)]))
+    params = Params.from_delta(Fraction(1, 10), delta, b=p + c)
+    if draw(st.booleans()):
+        params = dataclasses.replace(params, gamma=Fraction(2))
+    width = sum(math.comb(n, k) for k in range(cont._size_cap(inst, params) + 1))
+    size = len(cont._target_grid(n, params, 10 ** 9))
+    edges = {k * width + d for k in (1, 2, size - 1, size, size + 1, 2 * size, size * size)
+             for d in (-1, 0, 1) if k <= size ** c}
+    return inst, params, draw(st.sampled_from(sorted(v for v in edges if 0 <= v <= 5000)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_cases(), st.integers(0, 2 ** 16))
+def test_run_walk_matches_the_pair_by_pair_loop(case, seed):
+    # the walk settles repeats and screened pairs by arithmetic, E1 by E1:
+    # its counts, its records (in stream order) and its answer must be the
+    # pair-by-pair loop's, at and around every target pass's end
+    inst, params, budget = case
+    knobs = dict(seed=seed, budget=budget, params=params, trials=2, steps=2,
+                 samples_per_grad=3, diagnostics=True)
+    got = solve_main(inst, Fraction(1, 10), **knobs)
+    assert repr(got) == repr(per_pair_solve_main(inst, Fraction(1, 10), **knobs))
 
 
 @st.composite
@@ -1262,7 +1308,7 @@ def test_solve_main_memos_stay_within_one_solve(monkeypatch):
 
 
 def test_shared_reach_memo_screens_like_a_fresh_screen():
-    # with one memo across an instance's guesses, in either order, the
+    # with one screen across an instance's guesses, in either order, the
     # screen's limits for a guess's E1 and undetermined elements are those
     # of their Fraction definition.  Each enumerated guess also comes with
     # E1 and E0 swapped: the same undetermined elements under another E1,
@@ -1279,10 +1325,9 @@ def test_shared_reach_memo_screens_like_a_fresh_screen():
             for h in (g, _guess(inst, g.discarded, g.chosen, g.cover_targets, params)):
                 guesses.append((h, _ref_limits(inst, h, grid)))
         for order in (guesses, guesses[::-1]):
-            memo = {}
+            screen = cont._Screen(grid)
             for g, limits in order:
-                assert cont._empty_limits(memo, g.chosen, g.undetermined, g._parts[0],
-                                          grid) == limits
+                assert screen.limits(g.undetermined, g._parts[0]) == limits
                 settled += any(map(ge, map(grid.index, g.cover_targets), limits))
     assert settled > 100
 
@@ -1403,7 +1448,7 @@ def _ref_limits(inst, g, grid):
 
 
 def _check_stream(norm, params, budget):
-    """Walk the guess stream with one screen memo, as ``solve_main`` does,
+    """Walk the guess stream with one screen, as ``solve_main`` does,
     and check every pair: its limits against ``_ref_limits``; a pair they
     settle against the per-program reference ``polytope_surely_empty``; a
     pair the reference calls empty but the limits keep against phase 1,
@@ -1412,19 +1457,19 @@ def _check_stream(norm, params, budget):
     of (E0, E1, S, b_j beside each S_j > 0).  Returns (settled, left to
     phase 1, repeats)."""
     grid = cont._target_grid(norm.n, params, budget)
-    memo = {}
+    screen = cont._Screen(grid)
     refs = {}
     seen = set()
-    settled = phase1 = repeats = 0
+    settled = phase1 = repeated = 0
     for index, chosen, discarded, cpart, tpart in cont._guess_parts(norm, params, grid,
                                                                     budget)[2]:
         g = cont._make_guess(norm, params, chosen, discarded, cpart, tpart)
         s = tpart.residual_cover
         key = (g.discarded, chosen, s, tuple(b if v else 0 for v, b in zip(s, tpart.targets.den)))
-        assert cont._repeats(index, s) == (key in seen)
-        repeats += key in seen
+        assert repeats(index, s) == (key in seen)
+        repeated += key in seen
         seen.add(key)
-        limits = cont._empty_limits(memo, chosen, g.undetermined, cpart, grid)
+        limits = screen.limits(g.undetermined, cpart)
         ref = refs.get((chosen, g.undetermined))
         if ref is None:
             ref = refs[chosen, g.undetermined] = _ref_limits(norm, g, grid)
@@ -1443,7 +1488,7 @@ def _check_stream(norm, params, budget):
             else:
                 assert empty_without_variables(g.residual_pack, g.residual_cover)
             phase1 += 1
-    return settled, phase1, repeats
+    return settled, phase1, repeated
 
 
 # alpha 3/4 keeps the quarter entries below every large threshold here
@@ -1465,8 +1510,9 @@ def test_screen_limits_at_the_margin_match_their_definition():
     # M = MARGIN * grid[-1] exceeds the per-program margin of E1 = {0}
     # under a target of 1 (MARGIN: r = 1, s = 1/2), so a gap of 3/4 of that
     # margin is kept by both, and a gap of M is left by the limits to
-    # phase 1.  E1 = {} has limit 0 whatever the gap: a memo keyed by the
-    # undetermined elements alone would hand it to E1 = {0}
+    # phase 1.  E1 = {} has limit 0 whatever the gap: limits kept by the
+    # undetermined elements and packing room alone (the reach's key, which
+    # both E1 share) would hand it to E1 = {0}
     grid = _QUARTERS_GRID
     margin = MARGIN * grid[-1]
     assert margin > MARGIN
@@ -1475,11 +1521,11 @@ def test_screen_limits_at_the_margin_match_their_definition():
         norm = _margin_instance(gap)
         records = {chosen: (discarded, cpart) for index, chosen, discarded, cpart, _
                    in cont._guess_parts(norm, _QUARTERS, grid, 100)[2] if index == (0,)}
-        memo = {}
+        screen = cont._Screen(grid)
         for chosen, limit in ((0, 0), (0b1, top)):
             discarded, cpart = records[chosen]
             assert discarded | chosen == 0b1
-            assert cont._empty_limits(memo, chosen, 0b110, cpart, grid) == (limit,)
+            assert screen.limits(0b110, cpart) == (limit,)
         assert polytope_surely_empty([[0, 0]], [1], [[Fraction(1, 4), Fraction(1, 4) - gap]],
                                      [Fraction(1, 2)]) == empty
         settled, phase1, _ = _check_stream(norm, _QUARTERS, 100)
