@@ -68,6 +68,7 @@ class _Rows(NamedTuple):
     pack_index: tuple
     cover_index: tuple
     columns: tuple               # per element: its packing, then covering entries
+    cover_support: tuple         # per covering row, the mask of its non-zero entries
 
     def load(self, mask: int) -> tuple:
         """The scaled loads of ``mask``: packing rows, then covering rows."""
@@ -95,7 +96,8 @@ def _scaled_rows(inst: Instance) -> _Rows:
     return _Rows(inst.n, pack, pack_scale, cover, cover_scale,
                  tuple(_row_index(row) for row in pack),
                  tuple(_row_index(row) for row in cover),
-                 tuple(tuple(row[e] for row in rows) for e in range(inst.n)))
+                 tuple(tuple(row[e] for row in rows) for e in range(inst.n)),
+                 tuple(mask_of(e for e, v in enumerate(row) if v) for row in cover))
 
 
 def _row_index(row: tuple) -> tuple:
@@ -388,7 +390,7 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
             targets = _targets(rows, tuple(grid[t] for t in index), params.alpha, params.delta)
             # one target part per E1 covering load under these targets
             tparts = {}
-            for pos, chosen, part, discarded in packing:
+            for pos, chosen, part, discarded, _ in packing:
                 if first + pos >= budget:
                     return
                 # consistent: E0 holds every large element, targets start
@@ -407,10 +409,11 @@ def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
     ``(rows, width, packing)``: the instance's ``_Rows``; the number of
     chosen sets in a target pass, at most ``budget + 1`` (the last one only
     flags truncation); and, in size order, each set below the budget that
-    packs as ``(pos, chosen, chosen part, base E0)``.  ``pos`` is its
+    packs as ``(pos, chosen, chosen part, base E0, live)``.  ``pos`` is its
     position in a target pass, and its base E0, its E0 under every target,
     holds the high-marginal leftovers (gain on E1 above f(E1) / gamma) and
-    large_pack."""
+    large_pack.  ``live`` masks the elements outside E1 with a non-zero
+    gain on E1, read from the same gains."""
     n = inst.n
     if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
         raise ValueError("guess enumeration expects a normalized instance")
@@ -424,6 +427,7 @@ def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
     # subset's plus one column.  The empty set's loads are 0, within every
     # bound
     loads = {0: rows.load(0)}
+    full = (1 << n) - 1
     packing = []
     for pos, chosen in enumerate(chosen_sets[:budget]):
         if chosen:
@@ -439,10 +443,14 @@ def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
                             params.delta)
         value = g_den * oracle.eval(chosen)
         state = oracle.begin(chosen)
-        discarded = part.large_pack | mask_of(
-            ell for ell in range(n)
-            if not (chosen >> ell) & 1 and g_num * oracle.gain(state, ell) > value)
-        packing.append((pos, chosen, part, discarded))
+        discarded = live = 0
+        for ell in iter_bits(full & ~chosen):
+            gain = oracle.gain(state, ell)
+            if gain:
+                live |= 1 << ell
+            if g_num * gain > value:
+                discarded |= 1 << ell
+        packing.append((pos, chosen, part, part.large_pack | discarded, live))
     return rows, len(chosen_sets), packing
 
 
@@ -825,13 +833,13 @@ class _Solve:
                 tpart = tparts[load, index] = _target_part(rows, load, tg, params.alpha)
             return tpart
 
-        for pos, chosen, cpart, base in packing:
+        for pos, chosen, cpart, base, live in packing:
             free = self.full & ~chosen
             keep = free & ~base
             if not c:
                 # the one target tuple (); nothing to screen
                 counts.examined += 1
-                self.pair(pos, (), chosen, base, cpart, target_part((), ()))
+                self.pair(pos, (), chosen, base, cpart, target_part((), ()), live)
                 continue
             cols = []
             for j, load in enumerate(cpart.cover_load):
@@ -884,11 +892,11 @@ class _Solve:
                                 self.record((first_k + t) * width + pos, chosen, discarded,
                                             cpart, first.critical[t] + outer_critical,
                                             undetermined, True)
-                    for live in _fresh(start, cut, zero_end):
-                        for t in live:
+                    for pending in _fresh(start, cut, zero_end):
+                        for t in pending:
                             index = (t, *outer)
                             self.pair((first_k + t) * width + pos, index, chosen, discarded,
-                                      cpart, target_part(cpart.cover_load, index))
+                                      cpart, target_part(cpart.cover_load, index), live)
 
     def record(self, position: int, chosen: int, discarded: int, cpart: _ChosenPart,
                critical_cover: int, undetermined: int, infeasible: bool) -> GuessDiagnostics:
@@ -904,37 +912,72 @@ class _Solve:
         return diag
 
     def pair(self, position: int, index: tuple, chosen: int, discarded: int,
-             cpart: _ChosenPart, tpart: _TargetPart) -> None:
+             cpart: _ChosenPart, tpart: _TargetPart, live: int) -> None:
         """Solve the pair at ``position`` in the stream, with grid indices
         ``index``, that is neither a repeat nor screened empty: ascend its
-        guess, round the point ``trials`` times and filter the candidates."""
+        guess, round the point ``trials`` times and filter the candidates.
+        ``live`` masks the elements with a non-zero gain on E1.
+
+        A pair whose targets E1 already meets (every S_j = 0), whose
+        undetermined elements are none of them live, and whose undetermined
+        elements have non-zero entries in at most one covering row is
+        settled at the origin: it ascends, and its ``trials + 1``
+        candidates are E1, with no ``Guess``, seeds, tableau or ``Random``.
+        That is what the ascent and the rounding give it:
+
+        - With no undetermined element, ``empty_without_variables`` sees
+          zero covering bounds and packing rooms >= 0 (E1 packs), so the
+          program is not empty and the point is {}.
+        - Otherwise no element is live, so every weight is +0.0 and phase
+          2 is optimal at its first basis.  Phase 1 starts with every
+          covering right-hand side 0 and every packing room >= 0.  The
+          covering rows with no entry on the undetermined elements stay
+          inert: no pivot changes them.  While the one other covering
+          row's artificial is basic, a column enters only with an entry
+          above ``lp.TOL_OPT`` in that zero-rhs row, so the least ratio
+          is 0 and each of Bland's pivots is degenerate; once that
+          artificial leaves, phase 1 is optimal, and the eviction of the
+          remaining artificials pivots on zero-rhs rows too.  So ``b``
+          keeps its values, each structural is +0.0 or -0.0, and
+          ``Polytope.maximize`` clamps it to 0.0.  Every step adds
+          0.0 / steps, so the point is 0.0 on every element.  (This
+          takes the ratio test's 1e-15 tie window to hold no row of
+          positive rhs, which would need an entry 10^15 times that rhs.)
+        - A point with no positive coordinate draws nothing: each rounding
+          returns E1.  The pair's seeds read its content alone, so no
+          other pair's draws move when these are skipped.
+        """
         counts = self.counts
         undetermined = self.full & ~(discarded | chosen)
         diag = None
         if self.records is not None:
             diag = self.record(position, chosen, discarded, cpart, len(tpart.critical_cover),
                                undetermined, False)
-        guess = _make_guess(self.inst, self.params, chosen, discarded, cpart, tpart)
-        ascent_seed, round_seed = _pair_seeds(self.seed, chosen, index)
-        try:
-            x_star = continuous_greedy(guess, steps=self.steps,
-                                       samples_per_grad=self.samples_per_grad,
-                                       seed=ascent_seed)
-        except GuessInfeasibleError:
-            counts.phase1_empty += 1
-            if diag:
-                diag.infeasible_polytope = True
-            return
+        # a pair at the origin keeps the empty point, which draws nothing
+        x_star = {}
+        if (any(tpart.residual_cover) or undetermined & live
+                or sum(1 for s in cpart.rows.cover_support if s & undetermined) > 1):
+            guess = _make_guess(self.inst, self.params, chosen, discarded, cpart, tpart)
+            ascent_seed, round_seed = _pair_seeds(self.seed, chosen, index)
+            try:
+                x_star = continuous_greedy(guess, steps=self.steps,
+                                           samples_per_grad=self.samples_per_grad,
+                                           seed=ascent_seed)
+            except GuessInfeasibleError:
+                counts.phase1_empty += 1
+                if diag:
+                    diag.infeasible_polytope = True
+                return
         counts.ascended += 1
         # trial 0 is the empty rounding outcome (always a possible draw)
         candidates = [chosen]
-        if undetermined:
+        if any(p > 0 for p in x_star.values()):
             x_bar = {e: p * self.scale for e, p in x_star.items()}
             rng = random.Random(round_seed)
             candidates += [round_and_filter(guess, x_bar, rng).solution
                            for _ in range(self.trials)]
         else:
-            # no residual element: every draw returns E1
+            # no positive coordinate: every draw returns E1
             candidates *= self.trials + 1
         verdicts = self.verdicts
         pair_pass = 0

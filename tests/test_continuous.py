@@ -500,15 +500,22 @@ def _stream_of(enum):
 def _solve_guesses(monkeypatch, inst, guesses, trials):
     """solve_main over ``guesses`` alone, failing on any rounding draw: the
     cover grid is cut to the one target 1, which every guess has on every
-    row, and the chosen sets to the guesses' E1, each with its E0."""
+    row, and the chosen sets to the guesses' E1, each with its E0 and the
+    mask of the elements outside E1 with a gain on it."""
     def no_draw(*args, **kw):
         raise AssertionError("a guess without residual elements drew a rounding")
+
+    def live(g):
+        oracle = g.instance.objective
+        state = oracle.begin(g.chosen)
+        return mask_of(e for e in range(g.instance.n)
+                       if not (g.chosen >> e) & 1 and oracle.gain(state, e))
 
     assert all(set(g.cover_targets) <= {1} and not g.large_cover for g in guesses)
     monkeypatch.setattr(cont, "_target_grid", lambda *args: [Fraction(1)])
     monkeypatch.setattr(cont, "_chosen_sets", lambda *args: (
         guesses[0]._parts[0].rows, len(guesses),
-        [(pos, g.chosen, g._parts[0], g.discarded) for pos, g in enumerate(guesses)]))
+        [(pos, g.chosen, g._parts[0], g.discarded, live(g)) for pos, g in enumerate(guesses)]))
     monkeypatch.setattr(cont, "round_and_filter", no_draw)
     return solve_main(inst, Fraction(1, 10), params=RELAXED, trials=trials,
                       steps=4, samples_per_grad=4, diagnostics=True)
@@ -1088,6 +1095,88 @@ def test_cutting_or_skipping_pairs_changes_no_other_pairs_draws(monkeypatch):
         assert len({outcome[0] for outcome in full.values()}) == len(full)
         varied += sum(len(set(outcome[2:])) > 1 for outcome in full.values())
     assert compared > 200 and varied > 20
+
+
+def _origin_pairs(monkeypatch, inst, knobs):
+    """solve_main with records on ``inst`` and, per pair that reaches
+    ``_Solve.pair``, keyed by (E1, c'): (every s_j = 0, some undetermined
+    element has a gain on E1, the covering rows with a non-zero entry on
+    the undetermined elements), read from its guess and the oracle alone;
+    with the set of pairs that went through ``continuous_greedy``."""
+    norm = normalize(inst)
+    oracle = norm.objective
+    pairs = {}
+    ascended = set()
+    solve_pair = cont._Solve.pair
+
+    def spy_pair(solve, position, index, chosen, discarded, cpart, tpart, *rest):
+        g = cont._make_guess(norm, knobs["params"], chosen, discarded, cpart, tpart)
+        state = oracle.begin(chosen)
+        elements = g.residual_elements()
+        pairs[chosen, g.cover_targets] = (
+            not any(g.residual_cover), any(oracle.gain(state, e) for e in elements),
+            sum(any(row[e] for e in elements) for row in norm.covering))
+        solve_pair(solve, position, index, chosen, discarded, cpart, tpart, *rest)
+
+    def spy_greedy(guess, **kw):
+        ascended.add((guess.chosen, guess.cover_targets))
+        return continuous_greedy(guess, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(cont._Solve, "pair", spy_pair)
+        m.setattr(cont, "continuous_greedy", spy_greedy)
+        res = solve_main(inst, Fraction(1, 10), diagnostics=True, **knobs)
+    return res, pairs, ascended
+
+
+def _at_origin(zero_cover, live, rows):
+    return zero_cover and not live and rows <= 1
+
+
+def test_pairs_at_the_origin_skip_the_ascent(monkeypatch):
+    # a pair whose targets E1 meets, with no live undetermined element and
+    # at most one covering row on them, is settled without an ascent;
+    # every pair with a live element or some s_j > 0 still ascends, and the
+    # answer, counts and records are the pair-by-pair loop's
+    settled = with_live = short = 0
+    for seed, n, p, c, family, budget, shape in _golden_cases():
+        inst = _golden_instance(seed, n, p, c, family, shape)
+        for params in (Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c),
+                       _gamma2(p, c)):
+            knobs = dict(seed=seed, budget=budget, params=params, trials=3, steps=3,
+                         samples_per_grad=4)
+            res, pairs, ascended = _origin_pairs(monkeypatch, inst, knobs)
+            assert ascended == {pair for pair, kind in pairs.items() if not _at_origin(*kind)}
+            assert repr(res) == repr(per_pair_solve_main(inst, Fraction(1, 10),
+                                                         diagnostics=True, **knobs))
+            settled += sum(_at_origin(*kind) for kind in pairs.values())
+            with_live += sum(live for _, live, _ in pairs.values())
+            short += sum(not zero for zero, _, _ in pairs.values())
+    assert settled >= 1000 and with_live >= 300 and short >= 300
+
+
+def test_two_covering_rows_on_the_undetermined_elements_keep_the_tableau(monkeypatch):
+    # E1 = {0} meets both targets and leaves elements 1 and 2 no gain, but
+    # both covering rows have entries on them: that pair ascends through
+    # phase 1, with the same output as the pair-by-pair loop
+    inst = make_instance([], [[1, 1, 1], [1, 1, 1]], [], [1, 1],
+                         CoverageOracle(3, [[0, 1], [0], [1]], [1, 1, 1]))
+    knobs = dict(seed=3, budget=1000, params=Params.from_delta(Fraction(1, 10),
+                                                               Fraction(1, 5), b=2),
+                 trials=3, steps=3, samples_per_grad=4)
+    tableaus = []
+
+    def spy(n, pack_rows, pack_bounds, cover_rows, cover_bounds):
+        tableaus.append((n, tuple(cover_bounds)))
+        return prepare_polytope(n, pack_rows, pack_bounds, cover_rows, cover_bounds)
+
+    monkeypatch.setattr(cont, "prepare_polytope", spy)
+    res, pairs, ascended = _origin_pairs(monkeypatch, inst, knobs)
+    pair = (0b001, (Fraction(1), Fraction(1)))
+    assert pairs[pair] == (True, False, 2) and pair in ascended
+    assert (2, (0, 0)) in tableaus
+    assert repr(res) == repr(per_pair_solve_main(inst, Fraction(1, 10), diagnostics=True,
+                                                 **knobs))
 
 
 def test_counts_add_up_to_the_pairs_examined():

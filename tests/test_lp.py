@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcsm import lp
 from pcsm.lp import (
@@ -186,6 +187,38 @@ def test_polytope_direction_against_vertex_enumeration():
             assert status == "optimal"
             got = sum(float(w) * v for w, v in zip(weights, x))
             assert got == pytest.approx(float(want), abs=1e-7)
+
+
+_ENTRY = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(1, 3),
+                          Fraction(5, 2), Fraction(7)])
+
+
+@st.composite
+def _origin_programs(draw):
+    """(n, packing rows, packing rhs, covering rows): n <= 8, at most three
+    rows of each kind, packing rhs >= 0 (exact 0 included), and at most one
+    covering row with a non-zero entry; every covering rhs is 0."""
+    n, p, c = draw(st.integers(0, 8)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    pack_rows = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(p)]
+    pack_bounds = [draw(st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(1), 3]))
+                   for _ in range(p)]
+    live = draw(st.integers(0, c))
+    cover_rows = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) if j == live
+                  else [Fraction(0)] * n for j in range(c)]
+    return n, pack_rows, pack_bounds, cover_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_origin_programs())
+def test_zero_weights_over_zero_covering_bounds_give_the_origin(program):
+    # every phase-1 pivot is degenerate (the one non-zero covering row has
+    # rhs 0), so phase 2 on zero weights stops at the origin: +0.0 bits
+    n, pack_rows, pack_bounds, cover_rows = program
+    polytope = prepare_polytope(n, pack_rows, pack_bounds, cover_rows, [0] * len(cover_rows))
+    assert polytope is not None
+    status, x = polytope.maximize([0.0] * n)
+    assert status == "optimal"
+    assert [v.hex() for v in x] == [(0.0).hex()] * n
 
 
 # signed zeros, decimals and thirds, dyadics on both sides of the 10**12
