@@ -74,15 +74,6 @@ class _Rows(NamedTuple):
         """The scaled loads of ``mask``: packing rows, then covering rows."""
         return tuple(sum(row[e] for e in iter_bits(mask)) for row in self.pack + self.cover)
 
-    def fits(self, mask: int, cover_share: Fraction) -> bool:
-        """Whether ``mask`` packs within every bound and covers at least
-        ``cover_share`` of every covering bound."""
-        load = self.load(mask)
-        num, den = cover_share.numerator, cover_share.denominator
-        return (all(v <= d for v, d in zip(load, self.pack_scale))
-                and all(q * den >= num * k
-                        for q, k in zip(load[len(self.pack):], self.cover_scale)))
-
 
 def _scaled_rows(inst: Instance) -> _Rows:
     def scale(rows):
@@ -127,6 +118,21 @@ class _ChosenPart(NamedTuple):
     def residual_pack(self) -> tuple:
         """r = 1 - E1's packing loads, as Fractions."""
         return tuple(Fraction(r, d) for r, d in zip(self.pack_room, self.rows.pack_scale))
+
+    def fits(self, extra: int, cover_share: Fraction) -> bool:
+        """Whether E1 plus ``extra`` (elements outside E1) packs within every
+        bound and covers at least ``cover_share`` of every covering bound.
+        Only the columns of ``extra`` are summed: each packing row's sum is
+        held against the room R_i and each covering row's is added to Q_j."""
+        rows = self.rows
+        p = len(self.pack_room)
+        # packing rows: added load - R_i, which must stay <= 0; covering rows: load
+        load = [-r for r in self.pack_room] + list(self.cover_load)
+        for e in iter_bits(extra):
+            load = [v + a for v, a in zip(load, rows.columns[e])]
+        num, den = cover_share.numerator, cover_share.denominator
+        return (all(v <= 0 for v in load[:p])
+                and all(q * den >= num * k for q, k in zip(load[p:], rows.cover_scale)))
 
 
 def _chosen_part(rows: _Rows, chosen: int, load: tuple, alpha: Fraction,
@@ -984,7 +990,7 @@ class _Solve:
         pair_best = None
         for cand in candidates:
             if cand not in verdicts:
-                fits = cpart.rows.fits(cand, self.need_cover)
+                fits = cpart.fits(cand & ~chosen, self.need_cover)
                 verdicts[cand] = self.inst.objective.eval(cand) if fits else None
             val = verdicts[cand]
             if val is None:

@@ -10,6 +10,7 @@ elements (pack value >= eps * bound) are handled by brute-force guessing.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,9 +132,11 @@ def _run_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
 
     Cells are swept in ascending pack level, then ascending cover value, so
     every predecessor is final before it is extended (zero-pack elements only
-    move to higher cover within a level).  Extensions from (c', p') skip the
-    cell itself, the forbidden prefix at level p', and the non-guessed big
-    elements, which the guessing step removed from the instance.
+    move to higher cover within a level).  Only the levels that hold a cell
+    are visited, popped from a heap.  Extensions from (c', p') skip the cell
+    itself, the forbidden prefix at level p', the non-guessed big elements,
+    which the guessing step removed from the instance, and the elements
+    whose pack value exceeds the room p - p' left at the level.
     """
     p_bound = index.pack_bound
     n = len(pack)
@@ -142,26 +145,26 @@ def _run_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
     g_pak = sum(pack[i] for i in iter_bits(guess_mask))
     table = {(g_cov, g_pak): (guess_mask, oracle.eval(guess_mask))}
     by_level: dict = {g_pak: [g_cov]}
-    for p_cur in range(p_bound + 1):
-        if p_cur not in by_level:          # most levels stay empty
-            continue
-        worklist = sorted(by_level[p_cur])
+    levels = [g_pak]
+    while levels:
+        p_cur = heapq.heappop(levels)
+        worklist = sorted(by_level.pop(p_cur))
         forb = index.forbidden_mask(p_cur) | excluded_mask
+        room = p_bound - p_cur
+        # the level's admissible elements in index order
+        steps = [(elem, 1 << elem, pack[elem], cover[elem]) for elem in range(n)
+                 if not forb >> elem & 1 and pack[elem] <= room]
         wi = 0
         while wi < len(worklist):
             c_cur = worklist[wi]
             wi += 1
             mask, value = table[(c_cur, p_cur)]
             state = oracle.begin(mask)
-            blocked = mask | forb
-            for elem in range(n):
-                bit = 1 << elem
-                if blocked & bit:
+            for elem, bit, p_elem, c_elem in steps:
+                if mask & bit:
                     continue
-                p_new = p_cur + pack[elem]
-                if p_new > p_bound:
-                    continue
-                c_new = c_cur + cover[elem]
+                p_new = p_cur + p_elem
+                c_new = c_cur + c_elem
                 new_value = value + oracle.gain(state, elem)
                 new_mask = mask | bit
                 key = (c_new, p_new)
@@ -172,8 +175,11 @@ def _run_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
                         if p_new == p_cur:
                             # zero-pack extension: lands ahead of the scan
                             bisect.insort(worklist, c_new)
+                        elif p_new in by_level:
+                            by_level[p_new].append(c_new)
                         else:
-                            by_level.setdefault(p_new, []).append(c_new)
+                            by_level[p_new] = [c_new]
+                            heapq.heappush(levels, p_new)
     return table
 
 

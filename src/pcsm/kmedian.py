@@ -2,19 +2,19 @@
 
 With client-facility distances restricted to {a, b}, the number of clients
 servable at the near distance by an open set F' is a monotone submodular
-function (a capacitated matching value, computed by max flow).  Minimizing
-cost is then maximizing that function subject to |F'| <= k and total open
-capacity >= #clients, which the cardinality DP solves; the b > 3a and a = 0
-regimes decompose into zero/near-distance clusters and are solved exactly
-by a small knapsack-style DP.
+function (a capacitated matching value, computed by augmenting paths over
+per-client facility masks).  Minimizing cost is then maximizing that
+function subject to |F'| <= k and total open capacity >= #clients, which
+the cardinality DP solves; the b > 3a and a = 0 regimes decompose into
+zero/near-distance clusters and are solved exactly by a small
+knapsack-style DP.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import SubmodularOracle, _json_int, _json_of, iter_bits, make_instance
 
@@ -27,6 +27,8 @@ class TwoDistInstance:
     a: object                # near distance, 0 <= a <= b
     b: object
     k: int
+    # per client, the mask of its near facilities
+    near_masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(not isinstance(u, int) or u < 1 for u in self.capacities):
@@ -41,6 +43,10 @@ class TwoDistInstance:
             if not (isinstance(cl, int) and isinstance(fa, int)
                     and 0 <= cl < self.num_clients and 0 <= fa < len(self.capacities)):
                 raise ValueError("near pair out of range")
+        near = [0] * self.num_clients
+        for cl, fa in self.near_pairs:
+            near[cl] |= 1 << fa
+        object.__setattr__(self, "near_masks", tuple(near))
 
     @property
     def num_facilities(self) -> int:
@@ -66,92 +72,65 @@ def load_two_dist(path) -> TwoDistInstance:
 
 
 # ---------------------------------------------------------------------------
-# max-flow matching value
+# near-distance matching
 
 
-class _Dinic:
-    def __init__(self, size):
-        self.size = size
-        self.graph = [[] for _ in range(size)]
+def _near_match(inst: TwoDistInstance, f_mask: int) -> list:
+    """A maximum near-distance b-matching into the open facilities
+    ``f_mask``: per client, its facility, or -1 if it stays unmatched.
 
-    def add_edge(self, u, v, cap):
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
+    Clients are matched in index order, each by one augmenting-path search
+    (the paths Hopcroft and Karp batch into phases, found here one at a
+    time): its open near facilities are tried in index order; one with
+    spare capacity takes the client, and a full one takes it only if the
+    search can reroute one of the facility's clients elsewhere.  A search
+    visits each facility at most once.  A client no search can match never
+    becomes matchable later, so the matching is maximum.
+    """
+    near, caps = inst.near_masks, inst.capacities
+    match = [-1] * inst.num_clients
+    held = {f: [] for f in iter_bits(f_mask)}    # open facility -> its clients
+    seen = 0
 
-    def max_flow(self, s, t):
-        flow = 0
-        while True:
-            level = [-1] * self.size
-            level[s] = 0
-            dq = deque([s])
-            while dq:
-                u = dq.popleft()
-                for e in self.graph[u]:
-                    if e[1] > 0 and level[e[0]] < 0:
-                        level[e[0]] = level[u] + 1
-                        dq.append(e[0])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.size
+    def augment(cl: int) -> bool:
+        nonlocal seen
+        options = near[cl] & f_mask
+        while options:
+            bit = options & -options
+            options ^= bit
+            if seen & bit:
+                continue
+            seen |= bit
+            f = bit.bit_length() - 1
+            clients = held[f]
+            if len(clients) < caps[f]:
+                clients.append(cl)
+                match[cl] = f
+                return True
+            for pos, other in enumerate(clients):
+                if augment(other):
+                    clients[pos] = cl
+                    match[cl] = f
+                    return True
+        return False
 
-            def dfs(u, pushed):
-                if u == t:
-                    return pushed
-                while it[u] < len(self.graph[u]):
-                    e = self.graph[u][it[u]]
-                    v = e[0]
-                    if e[1] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, e[1]))
-                        if got:
-                            e[1] -= got
-                            self.graph[v][e[2]][1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
-
-
-def _near_network(inst: TwoDistInstance, open_facs: list) -> _Dinic:
-    """Source 0 -> clients -> near open facilities (``open_facs`` order) ->
-    sink 1; unit capacities except facility -> sink."""
-    nc = inst.num_clients
-    pos = {f: j for j, f in enumerate(open_facs)}
-    net = _Dinic(2 + nc + len(open_facs))
-    for cl in range(nc):
-        net.add_edge(0, 2 + cl, 1)
-    for f in open_facs:
-        net.add_edge(2 + nc + pos[f], 1, inst.capacities[f])
-    for (cl, f) in sorted(inst.near_pairs):
-        if f in pos:
-            net.add_edge(2 + cl, 2 + nc + pos[f], 1)
-    return net
+    for cl in range(inst.num_clients):
+        if near[cl] & f_mask:
+            seen = 0
+            augment(cl)
+    return match
 
 
 def match_value(inst: TwoDistInstance, f_mask: int) -> int:
     """Maximum number of clients assignable at the near distance to the open
     facilities, respecting capacities."""
-    return _near_network(inst, list(iter_bits(f_mask))).max_flow(0, 1)
+    return inst.num_clients - _near_match(inst, f_mask).count(-1)
 
 
 def match_assignment(inst: TwoDistInstance, f_mask: int) -> dict:
-    """One maximum near-distance assignment client -> facility."""
-    open_facs = list(iter_bits(f_mask))
-    nc = inst.num_clients
-    net = _near_network(inst, open_facs)
-    net.max_flow(0, 1)
-    assign = {}
-    for cl in range(nc):
-        for e in net.graph[2 + cl]:
-            v, cap, _ = e
-            if v >= 2 + nc and cap == 0:      # saturated client->facility edge
-                assign[cl] = open_facs[v - 2 - nc]
-                break
-    return assign
+    """One maximum near-distance assignment client -> facility, in client
+    order."""
+    return {cl: f for cl, f in enumerate(_near_match(inst, f_mask)) if f >= 0}
 
 
 class MatchOracle(SubmodularOracle):

@@ -4,17 +4,22 @@ estimator, a per-program emptiness screen on Fraction rows, the closed
 form of the upper-bound construction's value, the ascent that samples
 every residual element's gain, ``solve_main``'s pair-by-pair loop from
 before the run walk and the oracles' bit-by-bit methods from before the
-per-byte tables.  The solvers never run any of it."""
+per-byte tables, and the exact kernels from before they pruned: brute
+force over every subset, the forbidden-set DP over every pack level and
+the k-median matching value by max flow.  The solvers never run any of
+it."""
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import ge
 from typing import Sequence
 
 from pcsm import continuous as cont
+from pcsm.brute import BruteResult, _gray_walk
 from pcsm.core import (
     BudgetExceededError,
     ConcaveOfModularOracle,
@@ -28,6 +33,7 @@ from pcsm.core import (
     load_ratios,
     mask_of,
     normalize,
+    packed_loads,
     to_fraction,
 )
 from pcsm.lp import UB_ALPHA, UB_BETA, closed_form_optimum
@@ -287,6 +293,15 @@ def empty_limits(memo: dict, chosen: int, undetermined: int, part, grid: list) -
     return limits
 
 
+def rows_fit(rows, mask: int, cover_share: Fraction) -> bool:
+    """The packing filter re-summing every element of ``mask``: it packs
+    within every bound and covers ``cover_share`` of every covering bound."""
+    load = rows.load(mask)
+    num, den = cover_share.numerator, cover_share.denominator
+    return (all(v <= d for v, d in zip(load, rows.pack_scale))
+            and all(q * den >= num * k for q, k in zip(load[len(rows.pack):], rows.cover_scale)))
+
+
 def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
                         params=None, trials: int = 20, steps: int = 100,
                         samples_per_grad: int = 200, diagnostics: bool = False,
@@ -367,7 +382,7 @@ def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 10
         pair_best = None
         for cand in candidates:
             if cand not in verdicts:
-                fits = cpart.rows.fits(cand, need_cover)
+                fits = rows_fit(cpart.rows, cand, need_cover)
                 verdicts[cand] = norm.objective.eval(cand) if fits else None
             val = verdicts[cand]
             if val is None:
@@ -446,3 +461,136 @@ def iter_bits_twin(oracle: SubmodularOracle) -> SubmodularOracle:
     if isinstance(oracle, ConcaveOfModularOracle):
         return IterBitsConcave(oracle.weights, oracle.cap)
     return IterBitsLinear(oracle.weights)
+
+
+# ---------------------------------------------------------------------------
+# the exact kernels before they skipped what cannot change their answer:
+# brute force over every subset, the forbidden-set DP over every pack level,
+# and the k-median matching value by max flow
+
+
+def gray_brute_optimum(inst: Instance) -> BruteResult:
+    """``brute_optimum`` by the Gray-code walk over all 2^n subsets."""
+    loads = packed_loads(inst)
+    guard, want = loads.guard, loads.want
+    best = None
+    feasible_count = 0
+    for mask, word in _gray_walk(inst.n, loads):
+        if word & guard == want:
+            feasible_count += 1
+            value = inst.objective.eval(mask)
+            if better(value, mask, best):
+                best = (mask, value)
+    best_set, best_value = best or (0, 0)
+    return BruteResult(best_value, best_set, feasible_count)
+
+
+def range_scan_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
+                         index, excluded_mask: int) -> dict:
+    """``forbidden_dp._run_single_dp`` scanning every level 0..p."""
+    p_bound = index.pack_bound
+    n = len(pack)
+    g_cov = sum(cover[i] for i in iter_bits(guess_mask))
+    g_pak = sum(pack[i] for i in iter_bits(guess_mask))
+    table = {(g_cov, g_pak): (guess_mask, oracle.eval(guess_mask))}
+    by_level: dict = {g_pak: [g_cov]}
+    for p_cur in range(p_bound + 1):
+        if p_cur not in by_level:
+            continue
+        worklist = sorted(by_level[p_cur])
+        forb = index.forbidden_mask(p_cur) | excluded_mask
+        wi = 0
+        while wi < len(worklist):
+            c_cur = worklist[wi]
+            wi += 1
+            mask, value = table[(c_cur, p_cur)]
+            state = oracle.begin(mask)
+            blocked = mask | forb
+            for elem in range(n):
+                bit = 1 << elem
+                if blocked & bit:
+                    continue
+                p_new = p_cur + pack[elem]
+                if p_new > p_bound:
+                    continue
+                c_new = c_cur + cover[elem]
+                new_value = value + oracle.gain(state, elem)
+                new_mask = mask | bit
+                key = (c_new, p_new)
+                cur = table.get(key)
+                if better(new_value, new_mask, cur):
+                    table[key] = (new_mask, new_value)
+                    if cur is None:
+                        if p_new == p_cur:
+                            insort(worklist, c_new)
+                        else:
+                            by_level.setdefault(p_new, []).append(c_new)
+    return table
+
+
+class Dinic:
+    def __init__(self, size):
+        self.size = size
+        self.graph = [[] for _ in range(size)]
+
+    def add_edge(self, u, v, cap):
+        self.graph[u].append([v, cap, len(self.graph[v])])
+        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
+
+    def max_flow(self, s, t):
+        flow = 0
+        while True:
+            level = [-1] * self.size
+            level[s] = 0
+            dq = deque([s])
+            while dq:
+                u = dq.popleft()
+                for e in self.graph[u]:
+                    if e[1] > 0 and level[e[0]] < 0:
+                        level[e[0]] = level[u] + 1
+                        dq.append(e[0])
+            if level[t] < 0:
+                return flow
+            it = [0] * self.size
+
+            def dfs(u, pushed):
+                if u == t:
+                    return pushed
+                while it[u] < len(self.graph[u]):
+                    e = self.graph[u][it[u]]
+                    v = e[0]
+                    if e[1] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, e[1]))
+                        if got:
+                            e[1] -= got
+                            self.graph[v][e[2]][1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while True:
+                pushed = dfs(s, 1 << 60)
+                if not pushed:
+                    break
+                flow += pushed
+
+
+def near_network(inst, open_facs: list) -> Dinic:
+    """Source 0 -> clients -> near open facilities (``open_facs`` order) ->
+    sink 1; unit capacities except facility -> sink."""
+    nc = inst.num_clients
+    pos = {f: j for j, f in enumerate(open_facs)}
+    net = Dinic(2 + nc + len(open_facs))
+    for cl in range(nc):
+        net.add_edge(0, 2 + cl, 1)
+    for f in open_facs:
+        net.add_edge(2 + nc + pos[f], 1, inst.capacities[f])
+    for (cl, f) in sorted(inst.near_pairs):
+        if f in pos:
+            net.add_edge(2 + cl, 2 + nc + pos[f], 1)
+    return net
+
+
+def dinic_match_value(inst, f_mask: int) -> int:
+    """The near matching value as a max flow."""
+    return near_network(inst, list(iter_bits(f_mask))).max_flow(0, 1)

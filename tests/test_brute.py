@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pcsm.brute import brute_optimum, brute_pareto
 from pcsm.core import LinearOracle, make_instance, mask_to_tuple, subset_key
@@ -11,7 +13,9 @@ from conftest import (
     naive_best,
     naive_signatures,
     random_instance,
+    random_oracle,
 )
+from reference import gray_brute_optimum
 
 
 def test_empty_ground_set():
@@ -150,3 +154,39 @@ def test_eval_asked_once_per_fitting_set_and_once_per_subset_for_pareto():
         oracle.calls = 0
         brute_pareto(inst)
         assert oracle.calls == 1 << inst.n
+
+
+ENTRIES = st.one_of(st.integers(0, 9),
+                    st.fractions(min_value=0, max_value=9, max_denominator=4))
+
+
+@st.composite
+def constrained_instances(draw, max_n=12):
+    """n <= max_n, p and c in {0, 1, 2}, any family; each bound lies between
+    0 and a little past its row's sum, so zero bounds, unreachable covering
+    rows and slack packing rows all come up."""
+    n = draw(st.integers(0, max_n))
+    p, c = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    packing = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(p)]
+    covering = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(c)]
+
+    def bound(row):
+        top = math.ceil(sum(row)) + 1
+        return draw(st.one_of(st.just(0), st.fractions(min_value=0, max_value=top,
+                                                       max_denominator=4)))
+
+    oracle = random_oracle(random.Random(draw(st.integers(0, 2 ** 32))), n,
+                           draw(st.sampled_from(FAMILIES)))
+    return make_instance(packing, covering, [bound(r) for r in packing],
+                         [bound(r) for r in covering], oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constrained_instances())
+@example(make_instance([], [], [], [], LinearOracle([])))
+@example(make_instance([[1, 2, 0]], [[0, 3, 1]], [0], [0], LinearOracle([4, 5, 6])))
+@example(make_instance([[1, 2, 0]], [[0, 3, 1]], [3], [4], LinearOracle([4, 5, 6])))
+def test_pruned_search_matches_the_gray_walk(inst):
+    # the depth-first search over packing sets, with its covering cut, finds
+    # the same best set, value and feasible count as a walk over all 2^n
+    assert brute_optimum(inst) == gray_brute_optimum(inst)

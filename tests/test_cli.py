@@ -113,6 +113,34 @@ def test_cli_bad_input_exit_code(capsys):
     capsys.readouterr()
 
 
+_KM_TEXT = ('{"facilities": [{"cap": 2}, {"cap": 2}], "clients": 3, '
+            '"dist_a_pairs": [[0, 0], [1, 0], [2, 1]], "a": 1, "b": %s, "k": 2}')
+
+
+# The exit codes CI's console-script step checks for brute force and
+# k-median, each on the file CI writes (or generates) for it.
+@pytest.mark.parametrize("command, name, source, code", [
+    ("brute", "inst.json", ["--n", "6", "--seed", "3"], EXIT_OK),
+    # a 12-item coverage universe: two blocks of the oracle's tables
+    ("brute", "hash_cov.json", ["--n", "12", "--family", "coverage", "--seed", "4"], EXIT_OK),
+    ("brute", "zero_den.json",
+     '{"n": 2, "packing": [[1, 1]], "covering": [], "pack_bound": ["1/0"], '
+     '"cover_bound": [], "objective": {"kind": "linear", "weights": [1, 2]}}',
+     EXIT_BAD_INPUT),
+    ("kmedian", "km.json", _KM_TEXT % "3", EXIT_OK),
+    # Python's json reads Infinity; a distance must be finite
+    ("kmedian", "km_inf.json", _KM_TEXT % "Infinity", EXIT_BAD_INPUT),
+], ids=["brute-inst", "brute-hash-cov", "brute-zero-den", "kmedian-km", "kmedian-km-inf"])
+def test_ci_console_exit_codes(tmp_path, capsys, command, name, source, code):
+    path = tmp_path / name
+    if isinstance(source, list):
+        assert main(["gen", *source, "--out", str(path), "--quiet"]) == EXIT_OK
+    else:
+        path.write_text(source)
+    assert main([command, "--instance", str(path)]) == code
+    capsys.readouterr()
+
+
 def _first_weight_a_list():
     obj = instance_to_json_obj(generate_instance(n=4, p=1, c=1, seed=1))
     obj["objective"]["weights"][0] = [1]

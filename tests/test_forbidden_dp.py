@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcsm.brute import brute_optimum
 from pcsm.core import (
@@ -19,6 +20,7 @@ from pcsm.core import (
 from pcsm import forbidden_dp
 from pcsm.forbidden_dp import (
     _enumerate_guesses,
+    _run_single_dp,
     big_elements,
     build_forbidden_index,
     cardinality_solve,
@@ -27,6 +29,7 @@ from pcsm.forbidden_dp import (
 )
 
 from conftest import FAMILIES, random_instance, random_oracle
+from reference import range_scan_single_dp
 
 
 def test_index_ratio_order_example():
@@ -147,6 +150,38 @@ def test_forward_matches_backward_formulation():
         forward = forbidden_dp_solve(inst, eps)
         backward = _backward_solve(inst, eps)
         assert (forward.best_value if forward.found else None) == backward
+
+
+@st.composite
+def seeded_tables(draw):
+    """One single-row instance (zero pack entries come up often), an epsilon
+    and one of its big-element guesses, as ``_run_single_dp``'s arguments."""
+    n = draw(st.integers(0, 10))
+    entry = st.one_of(st.just(0), st.integers(0, 9))
+    pack = draw(st.lists(entry, min_size=n, max_size=n))
+    cover = draw(st.lists(entry, min_size=n, max_size=n))
+    pack_bound = draw(st.integers(0, sum(pack) + 1))
+    cover_bound = draw(st.integers(0, sum(cover) + 1))
+    oracle = random_oracle(random.Random(draw(st.integers(0, 2 ** 32))), n,
+                           draw(st.sampled_from(FAMILIES)))
+    inst = make_instance([pack], [cover], [pack_bound], [cover_bound], oracle)
+    eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
+    big = big_elements(inst, eps)
+    guesses = list(_enumerate_guesses(inst, big, eps))
+    # guesses come by size, the empty one first
+    guess = guesses[draw(st.integers(0, len(guesses) - 1))]
+    index = build_forbidden_index(inst, eps, small_mask=((1 << n) - 1) & ~big)
+    return oracle, tuple(pack), tuple(cover), guess, index, big & ~guess
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_tables())
+def test_occupied_levels_match_the_range_scan(args):
+    # popping only the pack levels that hold a cell, with each level's
+    # admissible elements built once, fills the same table in the same order
+    got = _run_single_dp(*args)
+    want = range_scan_single_dp(*args)
+    assert list(got.items()) == list(want.items())
 
 
 def _backward_solve(inst, eps):

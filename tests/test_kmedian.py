@@ -3,15 +3,19 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
-from pcsm.core import mask_of
+from pcsm.core import iter_bits, mask_of
 from pcsm.kmedian import (
     MatchOracle,
     TwoDistInstance,
+    match_assignment,
     match_value,
     solve_two_distance,
     two_dist_from_json_obj,
 )
+
+from reference import dinic_match_value
 
 
 def rand_two_dist(rng, max_side=7, a=1, b=3, edge_p=0.45):
@@ -223,3 +227,78 @@ def test_json_schema():
     assert (0, 0) in inst.near_pairs
     res = solve_two_distance(inst)
     assert res.found and res.cost == 2
+
+
+@st.composite
+def open_sets(draw, max_nf=9, max_nc=12):
+    """A two-distance instance with nf <= 9 facilities and nc <= 12 clients,
+    and a set of open facilities."""
+    nf = draw(st.integers(1, max_nf))
+    nc = draw(st.integers(0, max_nc))
+    caps = tuple(draw(st.lists(st.integers(1, 4), min_size=nf, max_size=nf)))
+    pairs = frozenset(draw(st.sets(st.tuples(st.integers(0, nc - 1), st.integers(0, nf - 1)),
+                                   max_size=nc * nf))) if nc else frozenset()
+    inst = TwoDistInstance(caps, nc, pairs, 1, 3, nf)
+    return inst, draw(st.integers(0, (1 << nf) - 1))
+
+
+def _maximum_assignment_problems(inst, f_mask, assign) -> list:
+    """What keeps ``assign`` from being a maximum near assignment into the
+    open facilities ``f_mask``."""
+    problems = []
+    if len(assign) != dinic_match_value(inst, f_mask):
+        problems.append("not maximum")
+    if list(assign) != sorted(assign):
+        problems.append("not in client order")
+    if any((cl, f) not in inst.near_pairs for cl, f in assign.items()):
+        problems.append("a far pair")
+    if any(not f_mask >> f & 1 for f in assign.values()):
+        problems.append("a closed facility")
+    if any(used > inst.capacities[f] for f, used in Counter(assign.values()).items()):
+        problems.append("over capacity")
+    return problems
+
+
+def _greedy_assignment(inst, f_mask):
+    """Each client in turn to its first open near facility with room, and
+    no client is ever moved."""
+    load, assign = Counter(), {}
+    for cl in range(inst.num_clients):
+        for f in iter_bits(f_mask):
+            if (cl, f) in inst.near_pairs and load[f] < inst.capacities[f]:
+                load[f] += 1
+                assign[cl] = f
+                break
+    return assign
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_sets())
+def test_match_value_equals_the_max_flow(case):
+    inst, f_mask = case
+    assert match_value(inst, f_mask) == dinic_match_value(inst, f_mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_sets())
+def test_match_assignment_is_a_maximum_near_assignment(case):
+    inst, f_mask = case
+    assert _maximum_assignment_problems(inst, f_mask, match_assignment(inst, f_mask)) == []
+
+
+def test_greedy_matching_without_rerouting_fails_the_property():
+    # the property sees the difference between a maximal and a maximum
+    # matching: the search finds a case where greedy leaves a client out
+    inst, f_mask = find(open_sets(), lambda case: _maximum_assignment_problems(
+        *case, _greedy_assignment(*case)) != [],
+        settings=settings(max_examples=2000, phases=[Phase.generate], database=None,
+                          derandomize=True))
+    assert match_value(inst, f_mask) > len(_greedy_assignment(inst, f_mask))
+
+
+def test_near_masks_stay_out_of_equality_hash_and_repr():
+    one = TwoDistInstance((2, 1), 2, frozenset([(0, 0), (1, 1)]), 1, 3, 2)
+    two = TwoDistInstance((2, 1), 2, frozenset([(1, 1), (0, 0)]), 1, 3, 2)
+    assert one.near_masks == (0b01, 0b10)
+    assert one == two and hash(one) == hash(two)
+    assert "near_masks" not in repr(one)
