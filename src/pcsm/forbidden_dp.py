@@ -136,7 +136,11 @@ def _run_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
     are visited, popped from a heap.  Extensions from (c', p') skip the cell
     itself, the forbidden prefix at level p', the non-guessed big elements,
     which the guessing step removed from the instance, and the elements
-    whose pack value exceeds the room p - p' left at the level.
+    whose pack value exceeds the room p - p' left at the level.  A child set
+    is offered to the table once: every route to it gives the same cell and
+    the value f(child), so a repeat could never win.  That relies on exact
+    oracle values (rationals); float values would keep the first route's
+    rounding.
     """
     p_bound = index.pack_bound
     n = len(pack)
@@ -146,6 +150,7 @@ def _run_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
     table = {(g_cov, g_pak): (guess_mask, oracle.eval(guess_mask))}
     by_level: dict = {g_pak: [g_cov]}
     levels = [g_pak]
+    offered = set()    # child masks the table has already been offered
     while levels:
         p_cur = heapq.heappop(levels)
         worklist = sorted(by_level.pop(p_cur))
@@ -163,10 +168,13 @@ def _run_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
             for elem, bit, p_elem, c_elem in steps:
                 if mask & bit:
                     continue
+                new_mask = mask | bit
+                if new_mask in offered:
+                    continue
+                offered.add(new_mask)
                 p_new = p_cur + p_elem
                 c_new = c_cur + c_elem
                 new_value = value + oracle.gain(state, elem)
-                new_mask = mask | bit
                 key = (c_new, p_new)
                 cur = table.get(key)
                 if better(new_value, new_mask, cur):

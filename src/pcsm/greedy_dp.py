@@ -1,10 +1,16 @@
 """Greedy dynamic program over (cardinality, cover vector, pack vector) cells.
 
 Each cell holds the best set found so far with exactly that signature; cells
-are extended greedily by every element not already present.  The companion
-completion phase tops cells up to full feasibility with a second copy of at
-most one unit per element, and the scaling operation rounds a rational
-instance down to a polynomially sized integer one.
+are extended greedily by every element not already present.  A child set is
+offered to its layer once: every route to it gives the same load word and
+the value f(child), so a repeat could never win its cell.  That relies on a
+cell's value being exactly f of its set, which the oracle contract's exact
+rationals guarantee; a custom oracle whose ``eval`` returns floats would keep
+the first route's rounding.
+
+The companion completion phase tops cells up to full feasibility with a
+second copy of at most one unit per element, and the scaling operation
+rounds a rational instance down to a polynomially sized integer one.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
     layers = [layer]
     for q in range(inst.n):
         nxt: dict = {}
+        offered = set()    # child masks this layer has already been offered
         for word, (mask, value) in layer.items():
             state = begin(mask)
             for elem, bit, offset in elems:
@@ -83,10 +90,13 @@ def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
                 new = word + offset
                 if new & pack_guard:
                     continue
+                new_mask = mask | bit
+                if new_mask in offered:
+                    continue
+                offered.add(new_mask)
                 if saturate_cover:
                     new &= keep[new & cover_guard]
                 new_value = value + gain(state, elem)
-                new_mask = mask | bit
                 if better(new_value, new_mask, nxt.get(new)):
                     nxt[new] = (new_mask, new_value)
         if not nxt:

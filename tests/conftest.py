@@ -3,8 +3,11 @@ oracles.  Everything here deliberately avoids the package's evaluation and
 enumeration code paths: values are recomputed from raw lists and plain sets
 so the two sides can disagree."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from pcsm.core import (
     ConcaveOfModularOracle,
@@ -50,6 +53,28 @@ def random_instance(rng, n, p=1, c=1, family="linear", density=0.7,
 
 
 FAMILIES = ("linear", "coverage", "concave_of_modular")
+
+# small weights, thirds among them: equal values (ties) come up often, and
+# rational ones check that no solver rounds
+SMALL_WEIGHTS = st.one_of(st.integers(0, 3),
+                          st.fractions(min_value=0, max_value=3, max_denominator=3))
+
+
+@st.composite
+def small_oracles(draw, n):
+    """An oracle of any family on n elements with small, often rational,
+    weights."""
+    family = draw(st.sampled_from(FAMILIES))
+    weights = st.lists(SMALL_WEIGHTS, min_size=n, max_size=n)
+    if family == "linear":
+        return LinearOracle(draw(weights))
+    if family == "coverage":
+        u = draw(st.integers(1, 4))
+        sets = [draw(st.sets(st.integers(0, u - 1))) for _ in range(n)]
+        return CoverageOracle(u, sets, draw(st.lists(SMALL_WEIGHTS, min_size=u, max_size=u)))
+    w = draw(weights)
+    cap = draw(st.fractions(min_value=0, max_value=math.ceil(sum(w)) + 1, max_denominator=3))
+    return ConcaveOfModularOracle(w, cap)
 
 
 class EvalOnlyOracle(SubmodularOracle):

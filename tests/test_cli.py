@@ -117,27 +117,50 @@ _KM_TEXT = ('{"facilities": [{"cap": 2}, {"cap": 2}], "clients": 3, '
             '"dist_a_pairs": [[0, 0], [1, 0], [2, 1]], "a": 1, "b": %s, "k": 2}')
 
 
-# The exit codes CI's console-script step checks for brute force and
-# k-median, each on the file CI writes (or generates) for it.
-@pytest.mark.parametrize("command, name, source, code", [
-    ("brute", "inst.json", ["--n", "6", "--seed", "3"], EXIT_OK),
+_CARD_TEXT = ('{"n": 5, "packing": [[1, 1, 1, 1, 1]], "covering": [[2, 0, 3, 1, 2]], '
+              '"pack_bound": [2], "cover_bound": [3], '
+              '"objective": {"kind": "linear", "weights": [3, 1, 4, 1, 5]}}')
+_GUARD_TEXT = ('{"n": 10, "packing": [[1, 1, 1, 1, 1, 1, 1, 1, 1, 1]], '
+               '"covering": [[1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000], '
+               '[1, 1, 1, 1, 1, 1, 1, 1, 1, 1]], "pack_bound": [5], "cover_bound": [2000, 2], '
+               '"objective": {"kind": "linear", "weights": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]}}')
+_INST = ["--n", "6", "--seed", "3"]
+
+
+# The exit codes CI's console-script step checks for brute force, the DPs
+# and k-median, each on the file CI writes (or generates) for it.
+@pytest.mark.parametrize("command, extra, name, source, code", [
+    ("brute", [], "inst.json", _INST, EXIT_OK),
     # a 12-item coverage universe: two blocks of the oracle's tables
-    ("brute", "hash_cov.json", ["--n", "12", "--family", "coverage", "--seed", "4"], EXIT_OK),
-    ("brute", "zero_den.json",
+    ("brute", [], "hash_cov.json", ["--n", "12", "--family", "coverage", "--seed", "4"], EXIT_OK),
+    ("brute", [], "zero_den.json",
      '{"n": 2, "packing": [[1, 1]], "covering": [], "pack_bound": ["1/0"], '
      '"cover_bound": [], "objective": {"kind": "linear", "weights": [1, 2]}}',
      EXIT_BAD_INPUT),
-    ("kmedian", "km.json", _KM_TEXT % "3", EXIT_OK),
+    ("kmedian", [], "km.json", _KM_TEXT % "3", EXIT_OK),
     # Python's json reads Infinity; a distance must be finite
-    ("kmedian", "km_inf.json", _KM_TEXT % "Infinity", EXIT_BAD_INPUT),
-], ids=["brute-inst", "brute-hash-cov", "brute-zero-den", "kmedian-km", "kmedian-km-inf"])
-def test_ci_console_exit_codes(tmp_path, capsys, command, name, source, code):
+    ("kmedian", [], "km_inf.json", _KM_TEXT % "Infinity", EXIT_BAD_INPUT),
+    ("dp", [], "inst.json", _INST, EXIT_OK),
+    ("dp", ["--completion"], "inst.json", _INST, EXIT_OK),
+    ("forbidden", [], "inst.json", _INST, EXIT_OK),
+    ("forbidden", ["--poly"], "inst.json", _INST, EXIT_OK),
+    ("forbidden", ["--cardinality", "2"], "card.json", _CARD_TEXT, EXIT_OK),
+    # exact keys: each covering row's coordinate is bounded by its own sum
+    ("dp", ["--exact-keys"], "guard.json", _GUARD_TEXT, EXIT_OK),
+    # the forbidden-set DP's epsilon lies in (0, 1], as solve_polynomial's does
+    ("forbidden", ["--epsilon", "2"], "inst.json", _INST, EXIT_BAD_INPUT),
+    ("forbidden", ["--poly", "--epsilon", "2"], "inst.json", _INST, EXIT_BAD_INPUT),
+], ids=["brute-inst", "brute-hash-cov", "brute-zero-den", "kmedian-km", "kmedian-km-inf",
+        "dp-inst", "dp-completion-inst", "forbidden-inst", "forbidden-poly-inst",
+        "forbidden-cardinality-card", "dp-exact-keys-guard", "forbidden-epsilon-2",
+        "forbidden-poly-epsilon-2"])
+def test_ci_console_exit_codes(tmp_path, capsys, command, extra, name, source, code):
     path = tmp_path / name
     if isinstance(source, list):
         assert main(["gen", *source, "--out", str(path), "--quiet"]) == EXIT_OK
     else:
         path.write_text(source)
-    assert main([command, "--instance", str(path)]) == code
+    assert main([command, *extra, "--instance", str(path)]) == code
     capsys.readouterr()
 
 

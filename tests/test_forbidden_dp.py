@@ -28,7 +28,7 @@ from pcsm.forbidden_dp import (
     solve_polynomial,
 )
 
-from conftest import FAMILIES, random_instance, random_oracle
+from conftest import FAMILIES, random_instance, random_oracle, small_oracles
 from reference import range_scan_single_dp
 
 
@@ -154,16 +154,20 @@ def test_forward_matches_backward_formulation():
 
 @st.composite
 def seeded_tables(draw):
-    """One single-row instance (zero pack entries come up often), an epsilon
-    and one of its big-element guesses, as ``_run_single_dp``'s arguments."""
+    """One single-row instance (zero pack entries come up often, and half
+    the oracles have small, often rational weights), an epsilon and one of
+    its big-element guesses, as ``_run_single_dp``'s arguments."""
     n = draw(st.integers(0, 10))
     entry = st.one_of(st.just(0), st.integers(0, 9))
     pack = draw(st.lists(entry, min_size=n, max_size=n))
     cover = draw(st.lists(entry, min_size=n, max_size=n))
     pack_bound = draw(st.integers(0, sum(pack) + 1))
     cover_bound = draw(st.integers(0, sum(cover) + 1))
-    oracle = random_oracle(random.Random(draw(st.integers(0, 2 ** 32))), n,
-                           draw(st.sampled_from(FAMILIES)))
+    if draw(st.booleans()):
+        oracle = draw(small_oracles(n))
+    else:
+        oracle = random_oracle(random.Random(draw(st.integers(0, 2 ** 32))), n,
+                               draw(st.sampled_from(FAMILIES)))
     inst = make_instance([pack], [cover], [pack_bound], [cover_bound], oracle)
     eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
     big = big_elements(inst, eps)
@@ -182,6 +186,16 @@ def test_occupied_levels_match_the_range_scan(args):
     got = _run_single_dp(*args)
     want = range_scan_single_dp(*args)
     assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_tables())
+def test_table_values_are_exact(args):
+    # a cell's value is f of its set whatever route reached it: what lets a
+    # table skip a child set it has already been offered
+    oracle = args[0]
+    for mask, value in _run_single_dp(*args).values():
+        assert value == oracle.eval(mask)
 
 
 def _backward_solve(inst, eps):

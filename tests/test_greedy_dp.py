@@ -3,6 +3,7 @@ from fractions import Fraction
 from operator import add, ge, gt, le, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcsm.brute import brute_optimum, brute_pareto
 from pcsm.core import (
@@ -18,7 +19,7 @@ from pcsm.core import (
 )
 from pcsm.greedy_dp import dp_with_completion, scale_instance, vanilla_dp
 
-from conftest import FAMILIES, random_instance, random_oracle
+from conftest import FAMILIES, random_instance, random_oracle, small_oracles
 
 
 def test_single_element_instance():
@@ -365,6 +366,42 @@ def test_golden_equivalence_table_and_completion():
     assert {(s[1], s[2]) for s in seen} == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert {s[3] for s in seen} == set(FAMILIES)
     assert {s[4] for s in seen} == {True, False}
+
+
+@st.composite
+def dp_instances(draw):
+    """n <= 9, p and c in {0, 1, 2} with small entries (zero rows come up),
+    bounds from 0 to a little past the row sum, and small, often rational,
+    weights, so many sets share a cell and tie on value."""
+    n = draw(st.integers(0, 9))
+    entries = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    packing = [draw(entries) for _ in range(draw(st.integers(0, 2)))]
+    covering = [draw(entries) for _ in range(draw(st.integers(0, 2)))]
+
+    def bounds(rows):
+        return [draw(st.integers(0, sum(row) + 1)) for row in rows]
+
+    return make_instance(packing, covering, bounds(packing), bounds(covering),
+                         draw(small_oracles(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dp_instances(), st.booleans())
+def test_table_matches_the_reference_in_order(inst, saturate):
+    # each child set is offered to a layer once; the first route's candidate
+    # is every route's, so the table and its insertion order do not change
+    ref_table, _ = _ref_vanilla_table(inst, saturate)
+    assert list(vanilla_dp(inst, saturate_cover=saturate).table.items()) == \
+        list(ref_table.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dp_instances(), st.booleans())
+def test_cell_values_are_exact(inst, saturate):
+    # a cell's value is f of its set whatever route reached it: what lets a
+    # layer skip a child set it has already been offered
+    for mask, value in vanilla_dp(inst, saturate_cover=saturate).table.values():
+        assert value == inst.objective.eval(mask)
 
 
 # ---------------------------------------------------------------------------
