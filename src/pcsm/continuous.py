@@ -37,7 +37,7 @@ from .core import (
 # linear_max_over_polytope is unused here but stays a module attribute:
 # perfbench's tracer wraps it by that name
 from .lp import linear_max_over_polytope  # noqa: F401
-from .lp import empty_without_variables, prepare_polytope
+from .lp import prepare_polytope
 
 
 class GuessInfeasibleError(InfeasibleError):
@@ -155,28 +155,52 @@ def _chosen_part(rows: _Rows, chosen: int, load: tuple, alpha: Fraction,
                        large_crit & free)
 
 
-class _Targets(NamedTuple):
-    """Cover targets c' with what every chosen set meets them with.  With
-    c'_j = a_j / b_j in lowest terms, s_j = S_j / (K_j b_j) for the int
-    S_j = max(0, a_j K_j - b_j Q_j)."""
+class _Column(NamedTuple):
+    """Covering row j against one scaled covering load Q_j of E1, per
+    target c'_j = a_j / b_j of a list (the cover grid, or one target):
+    the row's share of the target part of every pair of E1, indexed by the
+    target's position t.  With S_j = max(0, a_j K_j - b_j Q_j), s_j = S_j
+    / (K_j b_j); row j is critical when s_j <= delta c'_j, and otherwise
+    its large mask holds the elements >= alpha s_j, E1's included."""
 
-    values: tuple                # c'_j as a Fraction
-    at_least_one: bool           # every c'_j >= 1
-    top: tuple                   # a_j K_j
-    den: tuple                   # b_j
-    critical: tuple              # floor(delta a_j K_j): row j is critical iff S_j is at most this
-    large_den: tuple             # b_j times alpha's denominator
-    units: tuple                 # K_j b_j
+    zero_end: int                # S_j = 0 exactly for t < zero_end, as s_j grows with t
+    residual: tuple              # per t: S_j
+    critical: tuple              # per t: whether row j is critical
+    large: tuple                 # per t: row j's large mask (0 where critical)
+    runs: tuple                  # (start, stop, mask) per stretch of t with one large mask
 
 
-def _targets(rows: _Rows, targets: tuple, alpha: Fraction, delta: Fraction) -> _Targets:
-    values = tuple(Fraction(t) for t in targets)
-    top = tuple(t.numerator * k for t, k in zip(values, rows.cover_scale))
-    den = tuple(t.denominator for t in values)
-    return _Targets(values, all(t >= 1 for t in values), top, den,
-                    tuple(delta.numerator * a // delta.denominator for a in top),
-                    tuple(b * alpha.denominator for b in den),
-                    tuple(k * b for k, b in zip(rows.cover_scale, den)))
+def _column(rows: _Rows, j: int, load: int, points: list, alpha: Fraction,
+            delta: Fraction) -> _Column:
+    """Row j's column for the load ``load`` over the targets ``points``."""
+    k = rows.cover_scale[j]
+    entries, suffix = rows.cover_index[j]
+    residual, critical, large = [], [], []
+    for point in points:
+        a, b = point.numerator * k, point.denominator
+        v = max(0, a - b * load)
+        crit = v * delta.denominator <= delta.numerator * a
+        residual.append(v)
+        critical.append(crit)
+        # an entry reaches alpha s_j when its scaled entry reaches alpha S_j / b_j
+        large.append(0 if crit else
+                     suffix[bisect_left(entries, _ceil(alpha.numerator * v,
+                                                       alpha.denominator * b))])
+    starts = [t for t, mask in enumerate(large) if t == 0 or mask != large[t - 1]]
+    return _Column(residual.count(0), tuple(residual), tuple(critical), tuple(large),
+                   tuple(zip(starts, starts[1:] + [len(large)], (large[t] for t in starts))))
+
+
+def _columns(cache: dict, rows: _Rows, load: tuple, grid: list, params: Params) -> list:
+    """Each covering row's column over ``grid`` for E1's scaled covering
+    loads ``load``, kept in ``cache`` per (row, load)."""
+    cols = []
+    for j, q in enumerate(load):
+        col = cache.get((j, q))
+        if col is None:
+            col = cache[j, q] = _column(rows, j, q, grid, params.alpha, params.delta)
+        cols.append(col)
+    return cols
 
 
 class _TargetPart(NamedTuple):
@@ -184,59 +208,22 @@ class _TargetPart(NamedTuple):
     only through its covering loads Q, so one part serves every E1 with
     those loads."""
 
-    targets: _Targets
-    residual_cover: tuple        # S_j: s_j = max(0, c'_j - Q_j / K_j) = S_j / units_j
+    values: tuple                # c'_j as a Fraction
+    residual_cover: tuple        # S_j: s_j = max(0, c'_j - Q_j / K_j) = S_j / (K_j b_j)
     critical_cover: frozenset    # z: rows with s_j <= delta c'_j
     large_cover: int             # elements >= alpha s_j in a row outside z, E1's included
 
 
-def _target_part(rows: _Rows, cover_load: tuple, targets: _Targets,
-                 alpha: Fraction) -> _TargetPart:
-    cells = [_cover_cell(*row, alpha.numerator) for row in zip(
-        rows.cover_index, targets.top, targets.den, cover_load, targets.critical,
-        targets.large_den)]
+def _target_part(cols: list, index: tuple, values: tuple) -> _TargetPart:
+    """The target part of the targets ``values``, read off each row's
+    column ``cols[j]`` at the targets' positions ``index``."""
+    cells = list(zip(cols, index))
     large_c = 0
-    for _, _, mask in cells:
-        large_c |= mask
-    return _TargetPart(targets, tuple(v for v, _, _ in cells),
-                       frozenset(j for j, (_, crit, _) in enumerate(cells) if crit), large_c)
-
-
-def _cover_cell(index: tuple, top: int, den: int, load: int, critical: int,
-                large_den: int, alpha_num: int) -> tuple:
-    """Covering row j (``index``, its ``_Rows.cover_index`` entry) under
-    the target a_j / b_j, read from ``_Targets`` (``top``, ``den``,
-    ``critical``, ``large_den``), against E1's scaled covering load Q_j:
-    (S_j, whether row j is critical, its large mask, 0 when critical)."""
-    v = max(0, top - den * load)
-    if v <= critical:
-        return v, True, 0
-    entries, suffix = index
-    # an entry reaches alpha s_j when its scaled entry reaches alpha S_j / b_j
-    return v, False, suffix[bisect_left(entries, _ceil(alpha_num * v, large_den))]
-
-
-class _Column(NamedTuple):
-    """Covering row j against one scaled covering load Q_j of E1, over the
-    whole cover grid: the row's share of the target parts of every pair of
-    E1, indexed by the row's grid index t."""
-
-    zero_end: int                # S_j = 0 exactly for t < zero_end, as s_j grows with t
-    critical: tuple              # per t: whether row j is critical
-    large: tuple                 # per t: row j's large mask (0 where critical)
-    runs: tuple                  # (start, stop, mask) per stretch of t with one large mask
-
-
-def _column(rows: _Rows, j: int, load: int, points: list, alpha_num: int) -> _Column:
-    """Row j's column for the load ``load``; ``points`` holds, per grid
-    index, the ``_Targets`` that put that grid point on every row."""
-    cells = [_cover_cell(rows.cover_index[j], t.top[j], t.den[j], load, t.critical[j],
-                         t.large_den[j], alpha_num) for t in points]
-    large = tuple(mask for _, _, mask in cells)
-    starts = [t for t, mask in enumerate(large) if t == 0 or mask != large[t - 1]]
-    return _Column(sum(not v for v, _, _ in cells), tuple(crit for _, crit, _ in cells),
-                   large, tuple(zip(starts, starts[1:] + [len(large)],
-                                    (large[t] for t in starts))))
+    for col, t in cells:
+        large_c |= col.large[t]
+    return _TargetPart(values, tuple(col.residual[t] for col, t in cells),
+                       frozenset(j for j, (col, t) in enumerate(cells) if col.critical[t]),
+                       large_c)
 
 
 @dataclass(frozen=True)
@@ -276,10 +263,11 @@ class Guess:
             rows = _scaled_rows(inst)
             cpart = _chosen_part(rows, self.chosen, rows.load(self.chosen),
                                  self.alpha, self.beta, self.delta)
-            parts = (cpart, _target_part(rows, cpart.cover_load,
-                                         _targets(rows, self.cover_targets,
-                                                  self.alpha, self.delta),
-                                         self.alpha))
+            values = tuple(map(Fraction, self.cover_targets))
+            # one-point columns: each row's own target
+            cols = [_column(rows, j, q, [t], self.alpha, self.delta)
+                    for j, (q, t) in enumerate(zip(cpart.cover_load, values))]
+            parts = (cpart, _target_part(cols, (0,) * inst.c, values))
         cpart, tpart = parts
         undet = ((1 << inst.n) - 1) & ~(self.discarded | self.chosen)
         object.__setattr__(self, "_parts", parts)
@@ -298,13 +286,14 @@ class Guess:
     @property
     def residual_cover(self) -> tuple:
         """s = max(0, c' - E1's covering loads)."""
-        tpart = self._parts[1]
-        return tuple(Fraction(v, u) for v, u in zip(tpart.residual_cover, tpart.targets.units))
+        cpart, tpart = self._parts
+        return tuple(Fraction(v, k * t.denominator) for v, k, t in
+                     zip(tpart.residual_cover, cpart.rows.cover_scale, tpart.values))
 
     def is_consistent(self) -> bool:
         cpart, tpart = self._parts
         return (self.discarded & self.chosen == 0
-                and tpart.targets.at_least_one
+                and all(t >= 1 for t in tpart.values)
                 and all(r >= 0 for r in cpart.pack_room)
                 and (cpart.large_pack | tpart.large_cover) & self.undetermined == 0)
 
@@ -319,7 +308,7 @@ def _make_guess(inst: Instance, params: Params, chosen: int, discarded: int,
     thresholds do not depend on E0, so the guess carries H's parts; its own
     large masks come out empty."""
     return Guess(instance=inst, discarded=discarded, chosen=chosen,
-                 cover_targets=tpart.targets.values, alpha=params.alpha, beta=params.beta,
+                 cover_targets=tpart.values, alpha=params.alpha, beta=params.beta,
                  delta=params.delta, gamma=params.gamma, parts=(cpart, tpart))
 
 
@@ -387,24 +376,21 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
     built."""
     rows, width, packing = _chosen_sets(inst, params, budget)
     total = len(grid) ** inst.c * width
+    columns = {}
 
     def records():
         # the first row's target varies fastest
         indices = (t[::-1] for t in product(range(len(grid)), repeat=inst.c))
         for k, index in enumerate(indices):
             first = k * width
-            targets = _targets(rows, tuple(grid[t] for t in index), params.alpha, params.delta)
-            # one target part per E1 covering load under these targets
-            tparts = {}
+            values = tuple(grid[t] for t in index)
             for pos, chosen, part, discarded, _ in packing:
                 if first + pos >= budget:
                     return
                 # consistent: E0 holds every large element, targets start
                 # at 1 and E1 packs within the bounds
-                q = part.cover_load
-                tpart = tparts.get(q)
-                if tpart is None:
-                    tpart = tparts[q] = _target_part(rows, q, targets, params.alpha)
+                tpart = _target_part(_columns(columns, rows, part.cover_load, grid, params),
+                                     index, values)
                 yield index, chosen, discarded | (tpart.large_cover & ~chosen), part, tpart
 
     return min(total, budget), total > budget, records()
@@ -590,17 +576,14 @@ def continuous_greedy(guess: Guess, steps: int = 100,
     _check_ascent(steps, samples_per_grad)
     inst = guess.instance
     elements = guess.residual_elements()
-    if not elements:
-        # phase 1's verdict on the program without variables, no tableau
-        if empty_without_variables(guess.residual_pack, guess.residual_cover):
-            raise GuessInfeasibleError("empty residual polytope")
-        return {}
     # phase 1 once: every step below maximizes over the same polytope
     pack_rows, cover_rows = _residual_rows(inst.packing, inst.covering, elements)
     polytope = prepare_polytope(len(elements), pack_rows, guess.residual_pack,
                                 cover_rows, guess.residual_cover)
     if polytope is None:
         raise GuessInfeasibleError("empty residual polytope")
+    if not elements:
+        return {}
 
     oracle = inst.objective
     # the oracle is monotone and submodular, so an element with no gain on
@@ -815,44 +798,21 @@ class _Solve:
         undetermined set and so one tuple of screen limits: a run's pairs
         from row 0's limit on, or all of them if an outer row is past its
         own, are empty.  Only the other pairs reach ``pair``."""
-        params = self.params
-        alpha_num = params.alpha.numerator
         size = len(grid)
         c = len(rows.cover)
         counts = self.counts
         records = self.records
         screen = _Screen(grid)
-        # per grid point, the targets putting it on every row; a column
-        # reads its own row's share
-        points = [_targets(rows, (point,) * c, params.alpha, params.delta) for point in grid]
         columns = {}
-        targets = {}
-        tparts = {}
-
-        def target_part(load, index):
-            tpart = tparts.get((load, index))
-            if tpart is None:
-                tg = targets.get(index)
-                if tg is None:
-                    tg = targets[index] = _targets(rows, tuple(grid[t] for t in index),
-                                                   params.alpha, params.delta)
-                tpart = tparts[load, index] = _target_part(rows, load, tg, params.alpha)
-            return tpart
-
         for pos, chosen, cpart, base, live in packing:
             free = self.full & ~chosen
             keep = free & ~base
+            cols = _columns(columns, rows, cpart.cover_load, grid, self.params)
             if not c:
                 # the one target tuple (); nothing to screen
                 counts.examined += 1
-                self.pair(pos, (), chosen, base, cpart, target_part((), ()), live)
+                self.pair(pos, (), chosen, base, cpart, _target_part(cols, (), ()), live)
                 continue
-            cols = []
-            for j, load in enumerate(cpart.cover_load):
-                col = columns.get((j, load))
-                if col is None:
-                    col = columns[j, load] = _column(rows, j, load, points, alpha_num)
-                cols.append(col)
             first, outer_cols = cols[0], cols[1:]
             zero_end = first.zero_end
             # the targets' indices k within the budget: k < passes
@@ -901,8 +861,9 @@ class _Solve:
                     for pending in _fresh(start, cut, zero_end):
                         for t in pending:
                             index = (t, *outer)
+                            tpart = _target_part(cols, index, tuple(grid[i] for i in index))
                             self.pair((first_k + t) * width + pos, index, chosen, discarded,
-                                      cpart, target_part(cpart.cover_load, index), live)
+                                      cpart, tpart, live)
 
     def record(self, position: int, chosen: int, discarded: int, cpart: _ChosenPart,
                critical_cover: int, undetermined: int, infeasible: bool) -> GuessDiagnostics:
@@ -931,9 +892,9 @@ class _Solve:
         candidates are E1, with no ``Guess``, seeds, tableau or ``Random``.
         That is what the ascent and the rounding give it:
 
-        - With no undetermined element, ``empty_without_variables`` sees
-          zero covering bounds and packing rooms >= 0 (E1 packs), so the
-          program is not empty and the point is {}.
+        - With no undetermined element, phase 1 sees zero covering
+          bounds and packing rooms >= 0 (E1 packs): every artificial sits
+          at 0, so the program is not empty and the point is {}.
         - Otherwise no element is live, so every weight is +0.0 and phase
           2 is optimal at its first basis.  Phase 1 starts with every
           covering right-hand side 0 and every packing room >= 0.  The

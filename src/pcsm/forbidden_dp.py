@@ -72,11 +72,8 @@ def big_elements(inst: Instance, epsilon: Rational) -> int:
     return mask_of(i for i, v in enumerate(inst.packing[0]) if v >= threshold)
 
 
-def build_forbidden_index(inst: Instance, epsilon: Rational,
-                          small_mask: int | None = None) -> ForbiddenIndex:
+def build_forbidden_index(inst: Instance, small_mask: int) -> ForbiddenIndex:
     _require_single_row(inst)
-    if small_mask is None:
-        small_mask = ((1 << inst.n) - 1) & ~big_elements(inst, epsilon)
     pack = inst.packing[0]
     cover = inst.covering[0]
 
@@ -211,7 +208,7 @@ def forbidden_dp_solve(inst: Instance, epsilon: Rational,
         big_mask = big_elements(inst, epsilon)
         guesses = list(_enumerate_guesses(inst, big_mask, epsilon))
     small_mask = ((1 << inst.n) - 1) & ~big_mask
-    index = build_forbidden_index(inst, epsilon, small_mask=small_mask)
+    index = build_forbidden_index(inst, small_mask)
 
     best = None
     for guess_mask in guesses:

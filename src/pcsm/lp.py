@@ -135,10 +135,12 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     return LpSolution("optimal", value, assignment, tuple(residuals))
 
 
-class _Tableau(NamedTuple):
+class Polytope(NamedTuple):
     """A dense tableau after phase 1: its basis is feasible and the
     artificial columns are frozen at zero, so phase 2 may start from it
-    under any cost vector."""
+    under any cost vector.  ``prepare_polytope`` builds one for {x in
+    [0,1]^n : pack @ x <= bounds, cover @ x >= bounds}; each ``maximize``
+    runs phase 2 alone, on a copy of the same tableau."""
 
     A: np.ndarray
     b_vec: np.ndarray
@@ -162,12 +164,22 @@ class _Tableau(NamedTuple):
             return "unbounded", None
         return "optimal", _basic_values(A, b_vec, basis, total)[:self.nv]
 
+    def maximize(self, weights: Sequence[float]):
+        """argmax w.x over the polytope: (status, x), x None unless optimal."""
+        if len(weights) != self.nv:
+            raise ValueError("one weight per variable required")
+        cost = np.array([_float_weight(w) for w in weights])
+        status, x = self.optimize(cost, maximize=True)
+        if status != "optimal":
+            return status, None
+        return "optimal", [min(1.0, max(0.0, float(v))) for v in x]
+
 
 def _phase1(rows, rels, rhs, nv: int):
     """Phase 1 over dense rows: ``rows[i] . x  rels[i]  rhs[i]`` (each rel
     "<=" or ">="), x >= 0, with ``nv`` structural columns.
 
-    Returns the feasible ``_Tableau``, or None when the rows are infeasible.
+    Returns the feasible ``Polytope``, or None when the rows are infeasible.
     """
     norm = []
     for dense, rel, b in zip(rows, rels, rhs):
@@ -210,7 +222,7 @@ def _phase1(rows, rels, rhs, nv: int):
         _evict_artificials(A, b_vec, basis, n_real)
         # freeze artificial columns out of phase 2
         A[:, n_real:] = 0.0
-    return _Tableau(A, b_vec, basis, nv, n_real)
+    return Polytope(A, b_vec, basis, nv, n_real)
 
 
 def _basic_values(A, b_vec, basis, total):
@@ -474,27 +486,6 @@ def verify_upper_bound_construction(m: int) -> ExactCheck:
 # linear maximization over a packing/covering polytope
 
 
-class Polytope:
-    """{x in [0,1]^n : pack @ x <= bounds, cover @ x >= bounds} after phase 1.
-
-    Built by ``prepare_polytope``.  Each ``maximize`` runs phase 2 alone,
-    on a copy of the same feasible tableau.
-    """
-
-    def __init__(self, tableau: _Tableau):
-        self._tableau = tableau
-
-    def maximize(self, weights: Sequence[float]):
-        """argmax w.x over the polytope: (status, x), x None unless optimal."""
-        if len(weights) != self._tableau.nv:
-            raise ValueError("one weight per variable required")
-        cost = np.array([_float_weight(w) for w in weights])
-        status, x = self._tableau.optimize(cost, maximize=True)
-        if status != "optimal":
-            return status, None
-        return "optimal", [min(1.0, max(0.0, float(v))) for v in x]
-
-
 def prepare_polytope(n: int,
                      pack_rows: Sequence[Sequence[Rational]],
                      pack_bounds: Sequence[Rational],
@@ -514,40 +505,7 @@ def prepare_polytope(n: int,
         rows[n + k] = [float(v if isinstance(v, Fraction) else _rat(v)) for v in row]
     rels = ["<="] * (n + len(pack_rows)) + [">="] * len(cover_rows)
     rhs = [1.0] * n + [float(b) for b in pack_bounds] + [float(b) for b in cover_bounds]
-    tableau = _phase1(rows, rels, rhs, n)
-    return None if tableau is None else Polytope(tableau)
-
-
-def empty_without_variables(pack_bounds: Sequence[Rational],
-                            cover_bounds: Sequence[Rational]) -> bool:
-    """Whether ``prepare_polytope(0, ...)`` finds the program with these
-    bounds and no variable empty, decided without its tableau.
-
-    With no structural column, phase 1 is optimal at its first basis:
-    every row whose relation is ">=" after the flip to a non-negative rhs
-    keeps its artificial at that rhs, and the program is empty when their
-    float sum exceeds TOL_FEAS * max(1, max |rhs|).  One artificial is its
-    own sum.  numpy may add k of them in any order, and every order lands
-    within a factor (k - 1) u / (1 - (k - 1) u), u = 2^-53, of the exact
-    sum of these non-negative terms; only a sum that close to the
-    threshold builds the tableau.
-    """
-    pack = [float(b) for b in pack_bounds]
-    cover = [float(b) for b in cover_bounds]
-    art = [-b for b in pack if b < 0] + [b for b in cover if b >= 0]
-    if not art:
-        return False
-    limit = TOL_FEAS * max(1.0, max(map(abs, pack + cover)))
-    if len(art) == 1:
-        return art[0] > limit
-    total = sum(map(Fraction, art))
-    err = total * Fraction(len(art) - 1, 2 ** 53 - (len(art) - 1))
-    if total - err > limit:
-        return True
-    if total + err <= limit:
-        return False
-    return prepare_polytope(0, [[]] * len(pack), pack_bounds,
-                            [[]] * len(cover), cover_bounds) is None
+    return _phase1(rows, rels, rhs, n)
 
 
 def linear_max_over_polytope(weights: Sequence[float],

@@ -214,10 +214,6 @@ def sampling_ascent(guess: cont.Guess, steps: int, samples_per_grad: int, seed: 
     cont._check_ascent(steps, samples_per_grad)
     inst = guess.instance
     elements = guess.residual_elements()
-    if not elements:
-        if cont.empty_without_variables(guess.residual_pack, guess.residual_cover):
-            raise cont.GuessInfeasibleError("empty residual polytope")
-        return {}
     pack_rows, cover_rows = cont._residual_rows(inst.packing, inst.covering, elements)
     polytope = cont.prepare_polytope(len(elements), pack_rows, guess.residual_pack,
                                      cover_rows, guess.residual_cover)

@@ -177,7 +177,7 @@ def test_criterion_5_forbidden_disjointness():
     checked_cells = 0
     for inst, _br, _v, _f, tables in runs:
         small = ((1 << inst.n) - 1) & ~big_elements(inst, _WARMUP_EPS)
-        index = build_forbidden_index(inst, _WARMUP_EPS, small_mask=small)
+        index = build_forbidden_index(inst, small_mask=small)
         forb = {}
         for table in tables:
             for (c_cur, p_cur), (mask, _value) in table.items():

@@ -127,8 +127,9 @@ _GUARD_TEXT = ('{"n": 10, "packing": [[1, 1, 1, 1, 1, 1, 1, 1, 1, 1]], '
 _INST = ["--n", "6", "--seed", "3"]
 
 
-# The exit codes CI's console-script step checks for brute force, the DPs
-# and k-median, each on the file CI writes (or generates) for it.
+# The exit codes CI's console-script step checks for brute force, the DPs,
+# k-median and the continuous pipeline, each on the file CI writes (or
+# generates) for it.
 @pytest.mark.parametrize("command, extra, name, source, code", [
     ("brute", [], "inst.json", _INST, EXIT_OK),
     # a 12-item coverage universe: two blocks of the oracle's tables
@@ -150,10 +151,21 @@ _INST = ["--n", "6", "--seed", "3"]
     # the forbidden-set DP's epsilon lies in (0, 1], as solve_polynomial's does
     ("forbidden", ["--epsilon", "2"], "inst.json", _INST, EXIT_BAD_INPUT),
     ("forbidden", ["--poly", "--epsilon", "2"], "inst.json", _INST, EXIT_BAD_INPUT),
+    ("continuous", ["--relaxed", "--trials", "3", "--steps", "4", "--budget", "600",
+                    "--samples", "5"], "inst.json", _INST, EXIT_OK),
+    ("continuous", ["--samples", "0"], "inst.json", _INST, EXIT_BAD_INPUT),
+    ("continuous", ["--epsilon", "0"], "inst.json", _INST, EXIT_BAD_INPUT),
+    # the analysis schedule is refused before any pair when its guess
+    # stream exceeds the budget: the defaults (eps 1/10), and eps 1/2 on
+    # n = 7 (945 grid points times 128 chosen sets)
+    ("continuous", [], "inst.json", _INST, EXIT_BUDGET),
+    ("continuous", ["--epsilon", "1/2", "--trials", "2", "--steps", "2"], "hash.json",
+     ["--n", "7", "--seed", "2"], EXIT_BUDGET),
 ], ids=["brute-inst", "brute-hash-cov", "brute-zero-den", "kmedian-km", "kmedian-km-inf",
         "dp-inst", "dp-completion-inst", "forbidden-inst", "forbidden-poly-inst",
         "forbidden-cardinality-card", "dp-exact-keys-guard", "forbidden-epsilon-2",
-        "forbidden-poly-epsilon-2"])
+        "forbidden-poly-epsilon-2", "continuous-relaxed-inst", "continuous-samples-0",
+        "continuous-epsilon-0", "continuous-analysis-inst", "continuous-analysis-hash"])
 def test_ci_console_exit_codes(tmp_path, capsys, command, extra, name, source, code):
     path = tmp_path / name
     if isinstance(source, list):
@@ -161,6 +173,32 @@ def test_ci_console_exit_codes(tmp_path, capsys, command, extra, name, source, c
     else:
         path.write_text(source)
     assert main([command, *extra, "--instance", str(path)]) == code
+    capsys.readouterr()
+
+
+# The exit codes of CI's console-script lines without --instance.  Each
+# line's last argument is a file: ``gen`` writes it, ``bench`` reads the
+# text given here.
+@pytest.mark.parametrize("argv, name, text, code", [
+    (["gen", "--n", "6", "--seed", "3", "--out"], "inst.json", None, EXIT_OK),
+    (["gen", "--n", "12", "--family", "coverage", "--seed", "4", "--out"], "hash_cov.json",
+     None, EXIT_OK),
+    (["gen", "--n", "7", "--seed", "2", "--out"], "hash.json", None, EXIT_OK),
+    (["lp", "--m", "2", "4", "--verify-analytic", "--verify-upper-bound"], None, None, EXIT_OK),
+    (["bench", "--solvers", "brute,dp,dp_completion,forbidden,poly,continuous", "--suite"],
+     "suite.json", '[{"gen": {"n": 6, "seed": 2}}, {"lp": {"variant": "lpf", "m": 3}}]',
+     EXIT_OK),
+    (["bench", "--suite"], "bad_suite.json", '[{"n": "x"}]', EXIT_BAD_INPUT),
+], ids=["gen-inst", "gen-hash-cov", "gen-hash", "lp-verify", "bench-suite", "bench-bad-suite"])
+def test_ci_console_exit_codes_without_an_instance(tmp_path, capsys, argv, name, text, code):
+    if name is not None:
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        argv = [*argv, str(path)]
+    assert main(argv) == code
+    if text is None and name is not None:
+        assert path.is_file()
     capsys.readouterr()
 
 

@@ -38,7 +38,6 @@ from pcsm.lp import (
     TOL_FEAS,
     _Builder,
     _float_rat,
-    empty_without_variables,
     linear_max_over_polytope,
     prepare_polytope,
     simplex_solve,
@@ -1554,7 +1553,8 @@ def _check_stream(norm, params, budget):
                                                                     budget)[2]:
         g = cont._make_guess(norm, params, chosen, discarded, cpart, tpart)
         s = tpart.residual_cover
-        key = (g.discarded, chosen, s, tuple(b if v else 0 for v, b in zip(s, tpart.targets.den)))
+        key = (g.discarded, chosen, s,
+               tuple(t.denominator if v else 0 for v, t in zip(s, tpart.values)))
         assert repeats(index, s) == (key in seen)
         repeated += key in seen
         seen.add(key)
@@ -1571,11 +1571,8 @@ def _check_stream(norm, params, budget):
             assert empty
             settled += 1
         elif empty:
-            if elements:
-                assert prepare_polytope(len(elements), pack, g.residual_pack, cover,
-                                        g.residual_cover) is None
-            else:
-                assert empty_without_variables(g.residual_pack, g.residual_cover)
+            assert prepare_polytope(len(elements), pack, g.residual_pack, cover,
+                                    g.residual_cover) is None
             phase1 += 1
     return settled, phase1, repeated
 

@@ -34,7 +34,7 @@ from reference import range_scan_single_dp
 
 def test_index_ratio_order_example():
     inst = make_instance([[1, 1, 1]], [[3, 2, 1]], [3], [0], LinearOracle([1] * 3))
-    idx = build_forbidden_index(inst, Fraction(1, 100), small_mask=0b111)
+    idx = build_forbidden_index(inst, small_mask=0b111)
     assert idx.order == (0, 1, 2)
     assert idx.forbidden_mask(2) == mask_of([0])   # smallest prefix with pack >= 1
     assert idx.forbidden_mask(3) == 0              # pack >= 0 is the empty prefix
@@ -42,7 +42,7 @@ def test_index_ratio_order_example():
 
 def test_index_zero_pack_elements_first():
     inst = make_instance([[2, 0, 1]], [[1, 5, 9]], [2], [0], LinearOracle([1] * 3))
-    idx = build_forbidden_index(inst, Fraction(1, 100), small_mask=0b111)
+    idx = build_forbidden_index(inst, small_mask=0b111)
     assert idx.order[0] == 1
 
 
@@ -53,7 +53,7 @@ def test_index_invariants_full_sweep():
         inst = random_instance(rng, n, p=1, c=1)
         eps = Fraction(1, 4)
         small = ((1 << n) - 1) & ~big_elements(inst, eps)
-        idx = build_forbidden_index(inst, eps, small_mask=small)
+        idx = build_forbidden_index(inst, small_mask=small)
         bound = int(inst.pack_bound[0])
         total = idx.prefix_pack[-1]
         max_small = max((int(inst.packing[0][i]) for i in iter_bits(small)),
@@ -90,7 +90,7 @@ def test_disjointness_of_cells_from_forbidden_sets(monkeypatch):
         res = forbidden_dp_solve(inst, eps)
         big = big_elements(inst, eps)
         small = ((1 << inst.n) - 1) & ~big
-        idx = build_forbidden_index(inst, eps, small_mask=small)
+        idx = build_forbidden_index(inst, small_mask=small)
         assert len(tables) == res.guesses_tried
         for table in tables:
             for (c_cur, p_cur), (mask, _value) in table.items():
@@ -174,7 +174,7 @@ def seeded_tables(draw):
     guesses = list(_enumerate_guesses(inst, big, eps))
     # guesses come by size, the empty one first
     guess = guesses[draw(st.integers(0, len(guesses) - 1))]
-    index = build_forbidden_index(inst, eps, small_mask=((1 << n) - 1) & ~big)
+    index = build_forbidden_index(inst, small_mask=((1 << n) - 1) & ~big)
     return oracle, tuple(pack), tuple(cover), guess, index, big & ~guess
 
 
@@ -207,7 +207,7 @@ def _backward_solve(inst, eps):
     n = inst.n
     big = big_elements(inst, eps)
     small = ((1 << n) - 1) & ~big
-    idx = build_forbidden_index(inst, eps, small_mask=small)
+    idx = build_forbidden_index(inst, small_mask=small)
     c_key_max = n * max(cover, default=0)
     best = None
     for guess in _enumerate_guesses(inst, big, Fraction(eps)):

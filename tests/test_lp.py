@@ -1,4 +1,3 @@
-import math
 import random
 import re
 from fractions import Fraction
@@ -6,9 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcsm import lp
 from pcsm.lp import (
-    TOL_FEAS,
     UB_ALPHA,
     UB_BETA,
     UB_GAMMA,
@@ -22,7 +19,6 @@ from pcsm.lp import (
     build_lp_f,
     check_exact,
     closed_form_optimum,
-    empty_without_variables,
     linear_max_over_polytope,
     prepare_polytope,
     simplex_solve,
@@ -239,50 +235,3 @@ def test_float_weight_raises_as_the_fraction_rounding_does(w):
         float(_float_rat(w))
     with pytest.raises(want.type, match=re.escape(str(want.value))):
         _float_weight(w)
-
-
-def _zero_variable_cases():
-    """(pack bounds, cover bounds) with 1 to 4 covering rows around phase
-    1's threshold T = TOL_FEAS * max(1, max |rhs|): covers at T and 1 ulp
-    either side, k covers summing to T give or take an ulp (and a term
-    below half an ulp of T, which only the exact sum sees), covers inside
-    the continuous screen's margin, zero covers, and packing rooms above 1
-    (which raise T) or below 0 (whose rows gain an artificial)."""
-    for pack in ([], [1], [5, Fraction(1, 2)], [Fraction(-1, 10 ** 10)],
-                 [Fraction(-3, 10 ** 9), 1]):
-        limit = TOL_FEAS * max([1.0] + [abs(float(b)) for b in pack])
-        for c in range(1, 5):
-            covers = [[0.0] * c, [1e-7] * c, [5e-7] * c, [1e-6] * c,
-                      [limit, 1e-300] + [0.0] * (c - 2) if c > 1 else [limit]]
-            for at in (math.nextafter(limit, 0), limit, math.nextafter(limit, 1)):
-                covers.append([at] + [0.0] * (c - 1))
-                base = at / c
-                last = at - (c - 1) * base
-                for nudge in (0, 1, -1):
-                    tail = last
-                    for _ in range(abs(nudge)):
-                        tail = math.nextafter(tail, nudge)
-                    covers.append([base] * (c - 1) + [tail])
-                covers.append([at] + [math.ulp(at) / 4] * (c - 1))
-            for cover in covers:
-                yield [Fraction(b) for b in pack], [Fraction(v) for v in cover]
-
-
-def test_zero_variable_phase1_verdict_matches_the_tableau(monkeypatch):
-    tableaus = []
-
-    def counting(n, pack_rows, pack, cover_rows, cover):
-        tableaus.append(sum(b < 0 for b in pack) + sum(b >= 0 for b in cover))
-        return prepare_polytope(n, pack_rows, pack, cover_rows, cover)
-
-    empty = kept = 0
-    for pack, cover in _zero_variable_cases():
-        want = prepare_polytope(0, [[]] * len(pack), pack, [[]] * len(cover), cover) is None
-        with monkeypatch.context() as m:
-            m.setattr(lp, "prepare_polytope", counting)
-            assert empty_without_variables(pack, cover) == want, (pack, cover)
-        empty += want
-        kept += not want
-    assert empty > 50 and kept > 50
-    # a lone artificial is decided without a tableau; some sums near T use one
-    assert tableaus and min(tableaus) >= 2
