@@ -127,17 +127,19 @@ def _run_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
                    index: ForbiddenIndex, excluded_mask: int):
     """Populate the (cover, pack) table seeded with the guess; forward form.
 
-    Cells are swept in ascending pack level, then ascending cover value, so
-    every predecessor is final before it is extended (zero-pack elements only
-    move to higher cover within a level).  Only the levels that hold a cell
-    are visited, popped from a heap.  Extensions from (c', p') skip the cell
-    itself, the forbidden prefix at level p', the non-guessed big elements,
-    which the guessing step removed from the instance, and the elements
-    whose pack value exceeds the room p - p' left at the level.  A child set
-    is offered to the table once: every route to it gives the same cell and
-    the value f(child), so a repeat could never win.  That relies on exact
-    oracle values (rationals); float values would keep the first route's
-    rounding.
+    Cells are extended in ascending pack level, then ascending cover value,
+    so every predecessor is final before it is extended.  One heap holds
+    each cell's (pack, cover) key, pushed when the cell is created: pack
+    entries are non-negative, and a same-level child has larger cover (a
+    zero-pack, zero-cover child lands on its parent's own cell).  A level's
+    admissible elements are rebuilt when the popped level changes.
+    Extensions from (c', p') skip the cell itself, the forbidden prefix at
+    level p', the non-guessed big elements, which the guessing step removed
+    from the instance, and the elements whose pack value exceeds the room
+    p - p' left at the level.  A child set is offered to the table once:
+    every route to it gives the same cell and the value f(child), so a
+    repeat could never win.  That relies on exact oracle values (rationals);
+    float values would keep the first route's rounding.
     """
     p_bound = index.pack_bound
     n = len(pack)
@@ -145,46 +147,36 @@ def _run_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
     g_cov = sum(cover[i] for i in iter_bits(guess_mask))
     g_pak = sum(pack[i] for i in iter_bits(guess_mask))
     table = {(g_cov, g_pak): (guess_mask, oracle.eval(guess_mask))}
-    by_level: dict = {g_pak: [g_cov]}
-    levels = [g_pak]
+    heap = [(g_pak, g_cov)]
+    level = None
     offered = set()    # child masks the table has already been offered
-    while levels:
-        p_cur = heapq.heappop(levels)
-        worklist = sorted(by_level.pop(p_cur))
-        forb = index.forbidden_mask(p_cur) | excluded_mask
-        room = p_bound - p_cur
-        # the level's admissible elements in index order
-        steps = [(elem, 1 << elem, pack[elem], cover[elem]) for elem in range(n)
-                 if not forb >> elem & 1 and pack[elem] <= room]
-        wi = 0
-        while wi < len(worklist):
-            c_cur = worklist[wi]
-            wi += 1
-            mask, value = table[(c_cur, p_cur)]
-            state = oracle.begin(mask)
-            for elem, bit, p_elem, c_elem in steps:
-                if mask & bit:
-                    continue
-                new_mask = mask | bit
-                if new_mask in offered:
-                    continue
-                offered.add(new_mask)
-                p_new = p_cur + p_elem
-                c_new = c_cur + c_elem
-                new_value = value + oracle.gain(state, elem)
-                key = (c_new, p_new)
-                cur = table.get(key)
-                if better(new_value, new_mask, cur):
-                    table[key] = (new_mask, new_value)
-                    if cur is None:
-                        if p_new == p_cur:
-                            # zero-pack extension: lands ahead of the scan
-                            bisect.insort(worklist, c_new)
-                        elif p_new in by_level:
-                            by_level[p_new].append(c_new)
-                        else:
-                            by_level[p_new] = [c_new]
-                            heapq.heappush(levels, p_new)
+    while heap:
+        p_cur, c_cur = heapq.heappop(heap)
+        if p_cur != level:
+            level = p_cur
+            forb = index.forbidden_mask(p_cur) | excluded_mask
+            room = p_bound - p_cur
+            # the level's admissible elements in index order
+            steps = [(elem, 1 << elem, pack[elem], cover[elem]) for elem in range(n)
+                     if not forb >> elem & 1 and pack[elem] <= room]
+        mask, value = table[(c_cur, p_cur)]
+        state = oracle.begin(mask)
+        for elem, bit, p_elem, c_elem in steps:
+            if mask & bit:
+                continue
+            new_mask = mask | bit
+            if new_mask in offered:
+                continue
+            offered.add(new_mask)
+            p_new = p_cur + p_elem
+            c_new = c_cur + c_elem
+            new_value = value + oracle.gain(state, elem)
+            key = (c_new, p_new)
+            cur = table.get(key)
+            if better(new_value, new_mask, cur):
+                table[key] = (new_mask, new_value)
+                if cur is None:
+                    heapq.heappush(heap, (p_new, c_new))
     return table
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import SubmodularOracle, _json_int, _json_of, iter_bits, make_instance
@@ -194,16 +195,14 @@ def _near_components(inst: TwoDistInstance):
         comps.setdefault(find(fa), [[], []])[0].append(fa)
     for cl in range(nc):
         comps.setdefault(find(nf + cl), [[], []])[1].append(cl)
-    out = list(comps.values())
-    for facs, clients in out:
-        expected = {(cl, fa) for fa in facs for cl in clients}
-        present = {(cl, fa) for (cl, fa) in inst.near_pairs
-                   if fa in set(facs) and cl in set(clients)}
-        if facs and clients and present != expected:
+    # a near pair joins its facility and client, so it lies in one component
+    pairs = Counter(find(fa) for _cl, fa in inst.near_pairs)
+    for root, (facs, clients) in comps.items():
+        if pairs[root] != len(facs) * len(clients):
             raise ValueError(
                 "near-distance graph is not a union of complete bipartite "
                 "clusters; the input is not a two-distance metric")
-    return out
+    return list(comps.values())
 
 
 def _solve_clustered(inst: TwoDistInstance) -> KMedianResult:

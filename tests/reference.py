@@ -1,17 +1,15 @@
 """Reference code that only the tests call: the paper's existence argument
 for a correct guess, the residual objective, a Monte-Carlo multilinear
 estimator, a per-program emptiness screen on Fraction rows, the closed
-form of the upper-bound construction's value, the ascent that samples
-every residual element's gain, ``solve_main``'s pair-by-pair loop from
-before the run walk and the oracles' bit-by-bit methods from before the
-per-byte tables, and the exact kernels from before they pruned: brute
-force over every subset, the forbidden-set DP over every pack level and
-the k-median matching value by max flow.  The solvers never run any of
-it."""
+form of the upper-bound construction's value, ``solve_main``'s
+pair-by-pair loop from before the run walk, the oracles' bit-by-bit
+methods from before the per-byte tables, and two exact kernels by the
+route they took before they pruned: brute force over every subset and the
+k-median matching value by max flow.  The solvers never run any of it."""
 
 import math
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,49 +204,6 @@ def polytope_surely_empty(pack_rows, pack_bounds, cover_rows, cover_bounds) -> b
     margin = MARGIN * max([Fraction(1)] + [abs(b) for b in bounds])
     return any(Fraction(b) - r > margin
                for r, b in zip(row_reaches(pack_rows, pack_bounds, cover_rows), cover_bounds))
-
-
-def sampling_ascent(guess: cont.Guess, steps: int, samples_per_grad: int, seed: int) -> dict:
-    """``continuous_greedy`` as it was before it skipped the elements with
-    no gain on E1: every step samples every residual element's gain."""
-    cont._check_ascent(steps, samples_per_grad)
-    inst = guess.instance
-    elements = guess.residual_elements()
-    pack_rows, cover_rows = cont._residual_rows(inst.packing, inst.covering, elements)
-    polytope = cont.prepare_polytope(len(elements), pack_rows, guess.residual_pack,
-                                     cover_rows, guess.residual_cover)
-    if polytope is None:
-        raise cont.GuessInfeasibleError("empty residual polytope")
-
-    oracle = inst.objective
-    rng = random.Random(seed)
-    x = [0.0] * len(elements)
-    gains_of = {}
-    last_weights = None
-    for _step in range(steps):
-        weights = [0.0] * len(elements)
-        drawn = [(1 << e, p) for e, p in zip(elements, x) if p > 0]
-        for _ in range(samples_per_grad):
-            mask = guess.chosen
-            for bit, p in drawn:
-                if rng.random() < p:
-                    mask |= bit
-            gains = gains_of.get(mask)
-            if gains is None:
-                state = oracle.begin(mask)
-                gains = [0.0 if (mask >> e) & 1 else float(oracle.gain(state, e))
-                         for e in elements]
-                gains = gains_of[mask] = gains if any(gains) else ()
-            if gains:
-                weights = [w + g for w, g in zip(weights, gains)]
-        weights = [w / samples_per_grad for w in weights]
-        if weights != last_weights:
-            status, v = polytope.maximize(weights)
-            if status != "optimal":
-                raise cont.GuessInfeasibleError("residual polytope became unsolvable")
-            last_weights = weights
-        x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
-    return {e: x[idx] for idx, e in enumerate(elements)}
 
 
 def repeats(index: tuple, residual_cover: tuple) -> bool:
@@ -460,9 +415,8 @@ def iter_bits_twin(oracle: SubmodularOracle) -> SubmodularOracle:
 
 
 # ---------------------------------------------------------------------------
-# the exact kernels before they skipped what cannot change their answer:
-# brute force over every subset, the forbidden-set DP over every pack level,
-# and the k-median matching value by max flow
+# two exact kernels by the route they took before they pruned: brute force
+# over every subset, and the k-median matching value by max flow
 
 
 def gray_brute_optimum(inst: Instance) -> BruteResult:
@@ -479,49 +433,6 @@ def gray_brute_optimum(inst: Instance) -> BruteResult:
                 best = (mask, value)
     best_set, best_value = best or (0, 0)
     return BruteResult(best_value, best_set, feasible_count)
-
-
-def range_scan_single_dp(oracle, pack: tuple, cover: tuple, guess_mask: int,
-                         index, excluded_mask: int) -> dict:
-    """``forbidden_dp._run_single_dp`` scanning every level 0..p."""
-    p_bound = index.pack_bound
-    n = len(pack)
-    g_cov = sum(cover[i] for i in iter_bits(guess_mask))
-    g_pak = sum(pack[i] for i in iter_bits(guess_mask))
-    table = {(g_cov, g_pak): (guess_mask, oracle.eval(guess_mask))}
-    by_level: dict = {g_pak: [g_cov]}
-    for p_cur in range(p_bound + 1):
-        if p_cur not in by_level:
-            continue
-        worklist = sorted(by_level[p_cur])
-        forb = index.forbidden_mask(p_cur) | excluded_mask
-        wi = 0
-        while wi < len(worklist):
-            c_cur = worklist[wi]
-            wi += 1
-            mask, value = table[(c_cur, p_cur)]
-            state = oracle.begin(mask)
-            blocked = mask | forb
-            for elem in range(n):
-                bit = 1 << elem
-                if blocked & bit:
-                    continue
-                p_new = p_cur + pack[elem]
-                if p_new > p_bound:
-                    continue
-                c_new = c_cur + cover[elem]
-                new_value = value + oracle.gain(state, elem)
-                new_mask = mask | bit
-                key = (c_new, p_new)
-                cur = table.get(key)
-                if better(new_value, new_mask, cur):
-                    table[key] = (new_mask, new_value)
-                    if cur is None:
-                        if p_new == p_cur:
-                            insort(worklist, c_new)
-                        else:
-                            by_level.setdefault(p_new, []).append(c_new)
-    return table
 
 
 class Dinic:

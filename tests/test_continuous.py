@@ -55,7 +55,6 @@ from reference import (
     repeats,
     residual_objective,
     row_reaches,
-    sampling_ascent,
 )
 
 RELAXED = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=2)
@@ -1300,7 +1299,7 @@ def test_ascent_skipping_zero_gain_elements_matches_sampling_them(guess, steps, 
         if guess.instance.objective is inst.objective:
             assert _live(guess) == live
     try:
-        want = sampling_ascent(guess, steps, samples, seed)
+        want = _ref_continuous_greedy(guess, steps, samples, seed, [])
     except GuessInfeasibleError:
         with pytest.raises(GuessInfeasibleError):
             continuous_greedy(guess, steps=steps, samples_per_grad=samples, seed=seed)

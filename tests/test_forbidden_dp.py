@@ -2,9 +2,10 @@ import bisect
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcsm.brute import brute_optimum
 from pcsm.core import (
@@ -29,7 +30,6 @@ from pcsm.forbidden_dp import (
 )
 
 from conftest import FAMILIES, random_instance, random_oracle, small_oracles
-from reference import range_scan_single_dp
 
 
 def test_index_ratio_order_example():
@@ -178,13 +178,24 @@ def seeded_tables(draw):
     return oracle, tuple(pack), tuple(cover), guess, index, big & ~guess
 
 
+# element 0 packs 0 and covers 1: at the full level 2, where no prefix is
+# forbidden, it extends the cell of cover 3 to cover 4 while the cells of
+# cover 5 and 6 still wait on that level
+_ZERO_PACK_ROWS = ((0, 1, 1, 1, 1), (1, 4, 4, 2, 1))
+_ZERO_PACK = make_instance([_ZERO_PACK_ROWS[0]], [_ZERO_PACK_ROWS[1]], [2], [0],
+                           LinearOracle([1, 2, 2, 1, 1]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(seeded_tables())
+@example((_ZERO_PACK.objective, *_ZERO_PACK_ROWS, 0,
+          build_forbidden_index(_ZERO_PACK, small_mask=0b11111), 0))
 def test_occupied_levels_match_the_range_scan(args):
-    # popping only the pack levels that hold a cell, with each level's
+    # popping the cells from one (pack, cover) heap, with each level's
     # admissible elements built once, fills the same table in the same order
+    # as the reference's scan over every pack level
     got = _run_single_dp(*args)
-    want = range_scan_single_dp(*args)
+    want = _ref_single_dp(*args)
     assert list(got.items()) == list(want.items())
 
 
@@ -343,9 +354,9 @@ def test_rejects_multi_row_instances():
 
 
 # ---------------------------------------------------------------------------
-# golden equivalence: the forbidden-set family against a copy of the code it
-# replaced, which built each level's forbidden mask from the prefix order and
-# kept it in a cache shared by every guess
+# golden equivalence: the forbidden-set family against a plain reference that
+# scans every pack level, takes each forbidden mask from its own prefix order,
+# and breaks ties by subset tuples
 
 
 def _ref_index(inst, small_mask):
@@ -366,14 +377,13 @@ def _ref_index(inst, small_mask):
     def prefix_len(p_prime):
         return bisect.bisect_left(prefix_pack, bound - p_prime, 0, len(order))
 
-    return order, prefix_cover, prefix_len
+    return SimpleNamespace(order=order, prefix_cover=prefix_cover, prefix_len=prefix_len,
+                           pack_bound=bound)
 
 
-def _ref_single_dp(inst, guess_mask, order, prefix_len, excluded_mask, forb_cache):
-    pack = tuple(int(v) for v in inst.packing[0])
-    cover = tuple(int(v) for v in inst.covering[0])
-    p_bound = int(inst.pack_bound[0])
-    oracle, n = inst.objective, inst.n
+def _ref_single_dp(oracle, pack, cover, guess_mask, index, excluded_mask):
+    """``_run_single_dp`` (same arguments) over every pack level 0..p."""
+    p_bound, n = index.pack_bound, len(pack)
     g_cov = sum(cover[i] for i in iter_bits(guess_mask))
     g_pak = sum(pack[i] for i in iter_bits(guess_mask))
     table = {(g_cov, g_pak): (guess_mask, oracle.eval(guess_mask))}
@@ -382,9 +392,7 @@ def _ref_single_dp(inst, guess_mask, order, prefix_len, excluded_mask, forb_cach
         if p_cur not in by_level:
             continue
         worklist = sorted(by_level[p_cur])
-        if p_cur not in forb_cache:
-            forb_cache[p_cur] = mask_of(order[:prefix_len(p_cur)])
-        forb = forb_cache[p_cur] | excluded_mask
+        forb = mask_of(index.order[:index.prefix_len(p_cur)]) | excluded_mask
         wi = 0
         while wi < len(worklist):
             c_cur = worklist[wi]
@@ -422,15 +430,17 @@ def _ref_forbidden_solve(inst, epsilon, skip_guessing=False):
     else:
         big = big_elements(inst, epsilon)
         guesses = list(_enumerate_guesses(inst, big, epsilon))
-    order, prefix_cover, prefix_len = _ref_index(inst, ((1 << inst.n) - 1) & ~big)
+    index = _ref_index(inst, ((1 << inst.n) - 1) & ~big)
+    pack = tuple(int(v) for v in inst.packing[0])
+    cover = tuple(int(v) for v in inst.covering[0])
     best = None
-    forb_cache = {}
     for guess in guesses:
-        table = _ref_single_dp(inst, guess, order, prefix_len, big & ~guess, forb_cache)
+        table = _ref_single_dp(oracle, pack, cover, guess, index, big & ~guess)
         for (c_cur, p_cur), (mask, _value) in table.items():
-            if c_cur + prefix_cover[prefix_len(p_cur)] < c_bound:
+            k = index.prefix_len(p_cur)
+            if c_cur + index.prefix_cover[k] < c_bound:
                 continue
-            candidate = mask | forb_cache[p_cur]
+            candidate = mask | mask_of(index.order[:k])
             val = oracle.eval(candidate)
             if (best is None or val > best[1]
                     or (val == best[1] and subset_key(candidate) < subset_key(best[0]))):
@@ -487,7 +497,7 @@ def _golden_forbidden_instance(rng, shape):
     cover_bound = sum(cover[i] for i in planted)
     if shape == "zero_pack":
         # a zero-pack small element with cover: its extensions stay on the
-        # level being swept and go through the insort
+        # level being swept, so the heap pops them after their parent
         pack[0], cover[0], pack_bound = 0, rng.randint(1, 4), max(pack_bound, 1)
     elif shape == "no_big":
         pack_bound = 4 * n          # every entry stays below bound / 4

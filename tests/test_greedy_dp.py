@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from operator import add, ge, gt, le, sub
+from operator import ge, le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,6 @@ from pcsm.core import (
     marginal,
     mask_of,
     mask_to_tuple,
-    subset_key,
 )
 from pcsm.greedy_dp import dp_with_completion, scale_instance, vanilla_dp
 
@@ -405,8 +404,9 @@ def test_cell_values_are_exact(inst, saturate):
 
 
 # ---------------------------------------------------------------------------
-# degenerate shapes: the packed-load solvers against copies of the per-row
-# tuple code they replaced (same values, same table order)
+# degenerate shapes: the packed-load solvers against per-row tuple code
+# (same values, same table order): a Gray-code walk for brute force, and the
+# golden references above for the DP table and the completion phase
 
 
 def _tuple_walk(inst):
@@ -437,83 +437,6 @@ def _tuple_brute(inst):
             table[(cov, pak)] = (mask, value)
     optimum = (0, 0, 0) if best is None else (best[1], best[0], count)
     return optimum, {key: (value, mask) for key, (mask, value) in table.items()}
-
-
-def _columns(rows, n):
-    return tuple(tuple(int(row[e]) for row in rows) for e in range(n))
-
-
-def _tuple_vanilla(inst, saturate_cover):
-    p_bound = tuple(int(b) for b in inst.pack_bound)
-    c_bound = tuple(int(b) for b in inst.cover_bound)
-    n, oracle = inst.n, inst.objective
-    pack_cols, cover_cols = _columns(inst.packing, n), _columns(inst.covering, n)
-    zero = ((0,) * inst.c, (0,) * inst.p)
-    layer = {zero: (0, oracle.eval(0))}
-    table = {(0,) + zero: layer[zero]}
-    for q in range(n):
-        nxt = {}
-        for (cov, pak), (mask, value) in layer.items():
-            state = oracle.begin(mask)
-            for elem in range(n):
-                bit = 1 << elem
-                if mask & bit:
-                    continue
-                new_pak = tuple(map(add, pak, pack_cols[elem]))
-                if any(map(gt, new_pak, p_bound)):
-                    continue
-                new_cov = tuple(map(add, cov, cover_cols[elem]))
-                if saturate_cover:
-                    new_cov = tuple(map(min, new_cov, c_bound))
-                new_value = value + oracle.gain(state, elem)
-                if better(new_value, mask | bit, nxt.get((new_cov, new_pak))):
-                    nxt[(new_cov, new_pak)] = (mask | bit, new_value)
-        for key, entry in nxt.items():
-            table[(q + 1,) + key] = entry
-        layer = nxt
-        if not layer:
-            break
-    best = None
-    for (q, cov, pak), (mask, value) in table.items():
-        if (all(2 * v >= b for v, b in zip(cov, c_bound))
-                and all(map(le, pak, p_bound)) and better(value, mask, best)):
-            best = (mask, value)
-    return table, best
-
-
-def _tuple_completion(inst, saturate_cover):
-    table, _ = _tuple_vanilla(inst, saturate_cover)
-    p_bound = tuple(int(b) for b in inst.pack_bound)
-    c_bound = tuple(int(b) for b in inst.cover_bound)
-    pack_cols = _columns(inst.packing, inst.n)
-    cover_cols = _columns(inst.covering, inst.n)
-    states = {((0,) * inst.p, (0,) * inst.c): 0}
-    for elem in range(inst.n):
-        updates = {}
-        for (pak, cov), mask in states.items():
-            new_pak = tuple(map(add, pak, pack_cols[elem]))
-            if any(map(gt, new_pak, p_bound)):
-                continue
-            new_cov = tuple(map(min, map(add, cov, cover_cols[elem]), c_bound))
-            key = (new_pak, new_cov)
-            if key not in states and key not in updates:
-                updates[key] = mask | (1 << elem)
-        states.update(updates)
-    completions = sorted(states.items(), key=lambda item: subset_key(item[1]))
-    best, valid = None, 0
-    for (q, cov, pak), (mask, value) in table.items():
-        room = tuple(map(sub, p_bound, pak))
-        need = tuple(map(sub, c_bound, cov))
-        witness = next((cmask for (cpak, ccov), cmask in completions
-                        if all(map(le, cpak, room)) and all(map(ge, ccov, need))), None)
-        if witness is None:
-            continue
-        valid += 1
-        support = mask | witness
-        val = inst.objective.eval(support)
-        if better(val, support, best):
-            best = (support, val, mask, witness)
-    return best, valid
 
 
 DEGENERATE_SHAPES = ("n0", "p0", "c0", "pack_bound_0", "cover_bound_0",
@@ -564,13 +487,13 @@ def test_degenerate_shapes_match_tuple_code(shape):
         if shape == "rational_rows":
             continue                # the DPs take integer data only
         for saturate in (True, False):
-            table, best = _tuple_vanilla(inst, saturate)
+            table, best = _ref_vanilla_table(inst, saturate)
             out = vanilla_dp(inst, saturate_cover=saturate)
             assert list(out.table.items()) == list(table.items())
             assert (out.found, out.best_set, out.best_value) == (
                 (False, 0, 0) if best is None else (True, *best))
-            best, valid = _tuple_completion(inst, saturate)
+            best, valid, _cells = _ref_completion(inst, saturate)
             out = dp_with_completion(inst, saturate_cover=saturate)
             assert out.valid_cells == valid and out.cells_populated == len(table)
             assert (out.support, out.value, out.base_set, out.completion_set) == (
-                (0, 0, 0, 0) if best is None else best)
+                (0, 0, 0, 0) if best is None else (best[3], *best[:3]))
