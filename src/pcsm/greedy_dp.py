@@ -1,16 +1,21 @@
 """Greedy dynamic program over (cardinality, cover vector, pack vector) cells.
 
 Each cell holds the best set found so far with exactly that signature; cells
-are extended greedily by every element not already present.  A child set is
-offered to its layer once: every route to it gives the same load word and
-the value f(child), so a repeat could never win its cell.  That relies on a
-cell's value being exactly f of its set, which the oracle contract's exact
-rationals guarantee; a custom oracle whose ``eval`` returns floats would keep
-the first route's rounding.
+are extended greedily by every element not already present that fits its
+packing rows.  Which elements fit depends only on the cell's packing fields,
+so each distinct packing part gets its list of fitting elements once, and a
+cell walks only that list.  A child set is offered to its layer once: every
+route to it gives the same load word and the value f(child), so a repeat
+could never win its cell.  That relies on a cell's value being exactly f of
+its set, which the oracle contract's exact rationals guarantee; a custom
+oracle whose ``eval`` returns floats would keep the first route's rounding.
 
 The companion completion phase tops cells up to full feasibility with a
-second copy of at most one unit per element, and the scaling operation
-rounds a rational instance down to a polynomially sized integer one.
+second copy of at most one unit per element.  It builds the same table (once:
+``vanilla_dp``'s best-cell pass is not run), gives each distinct cell word the
+first witness on the dominance staircase that fits it, and asks f once per
+distinct support.  The scaling operation rounds a rational instance down to
+a polynomially sized integer one.
 """
 
 from __future__ import annotations
@@ -61,18 +66,22 @@ def _guard_table(inst: Instance, saturate: bool) -> None:
             f"dense table bound {cells} exceeds cell budget {CELL_BUDGET}")
 
 
-def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
-    """Populate the table and return the best cell with cover >= c/2, pack <= p.
+def _build_layers(inst: Instance, saturate_cover: bool) -> tuple:
+    """The table's layers (per q: load word -> (mask, value)) and the packed
+    layout their words use.
 
-    With ``saturate_cover`` (the default) cover coordinates are clamped at the
-    bound, which shrinks the key space without changing the output rule; pass
-    False for exact table semantics.
+    A cell's packing fields alone decide which elements fit it: each holds
+    a load of at most ``b``, so it is below ``2^w`` and adding an offset
+    carries into no other field.  The elements that fit are listed once per
+    distinct packing part, in index order, and a cell walks only that list.
     """
     _require_integer(inst)
     _guard_table(inst, saturate_cover)
     loads = packed_loads(inst)
     pack_guard, cover_guard, keep = loads.pack_guard, loads.want, loads.keep
+    pack_bits = (1 << pack_guard.bit_length()) - 1    # the packing fields
     elems = [(elem, 1 << elem, offset) for elem, offset in enumerate(loads.offsets)]
+    fit_lists: dict = {}    # a cell's packing fields -> the elements that fit
     oracle = inst.objective
     begin, gain = oracle.begin, oracle.gain
 
@@ -83,17 +92,20 @@ def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
         nxt: dict = {}
         offered = set()    # child masks this layer has already been offered
         for word, (mask, value) in layer.items():
+            key = word & pack_bits
+            fits = fit_lists.get(key)
+            if fits is None:
+                fits = fit_lists[key] = [
+                    item for item in elems if not (word + item[2]) & pack_guard]
             state = begin(mask)
-            for elem, bit, offset in elems:
+            for elem, bit, offset in fits:
                 if mask & bit:
-                    continue
-                new = word + offset
-                if new & pack_guard:
                     continue
                 new_mask = mask | bit
                 if new_mask in offered:
                     continue
                 offered.add(new_mask)
+                new = word + offset
                 if saturate_cover:
                     new &= keep[new & cover_guard]
                 new_value = value + gain(state, elem)
@@ -103,7 +115,17 @@ def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
             break
         layers.append(nxt)
         layer = nxt
+    return layers, loads
 
+
+def vanilla_dp(inst: Instance, saturate_cover: bool = True) -> DpOutcome:
+    """Populate the table and return the best cell with cover >= c/2, pack <= p.
+
+    With ``saturate_cover`` (the default) cover coordinates are clamped at the
+    bound, which shrinks the key space without changing the output rule; pass
+    False for exact table semantics.
+    """
+    layers, loads = _build_layers(inst, saturate_cover)
     c_bound = inst.cover_bound
     cells = sum(map(len, layers))
     best = None
@@ -146,7 +168,9 @@ def _reachable_completions(loads: PackedLoads) -> dict:
     elements are added in index order; it is not the lexicographically
     smallest subset with that signature.  ``dp_with_completion`` picks the
     lexicographically smallest fitting witness among these, so changing
-    which witness is kept here changes its output.
+    which witness is kept here changes its output.  It searches only the
+    witnesses on the dominance staircase of this set (``_witness_staircase``),
+    which has the same first fitting witness for every cell.
     """
     pack_guard = loads.pack_guard
     states = {loads.start: 0}
@@ -163,6 +187,32 @@ def _reachable_completions(loads: PackedLoads) -> dict:
     return states
 
 
+def _witness_staircase(loads: PackedLoads) -> list:
+    """The reachable witnesses as ``(offset, mask)`` in tie-break order,
+    minus every one that an earlier kept witness dominates.
+
+    ``k`` dominates ``d`` when it puts no more load on any packing row and no
+    less saturated cover on any covering row.  Then every cell that ``d``
+    fits, ``k`` fits too, and ``k`` comes first, so no cell's first fitting
+    witness is ever ``d``.  An offset's fields are loads in ``[0, b]`` and
+    ``b < 2^w``, so ``guard + d - k`` holds ``2^w + d_i - k_i`` in
+    ``(0, 2^(w+1))`` in each field: no field borrows, and its guard bit says
+    ``d_i >= k_i``.  ``guard + k - d`` does the same the other way round.
+    """
+    start, guard, pack_guard, want = loads.start, loads.guard, loads.pack_guard, loads.want
+    kept: list = []
+    for word, mask in sorted(_reachable_completions(loads).items(),
+                             key=lambda item: subset_key(item[1])):
+        offset = word - start
+        more, less = guard + offset, guard - offset
+        for k, _ in kept:
+            if (more - k) & pack_guard == pack_guard and (less + k) & want == want:
+                break
+        else:
+            kept.append((offset, mask))
+    return kept
+
+
 def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> CompletionOutcome:
     """Run the DP, then complete each cell to a feasible multiset if possible.
 
@@ -170,51 +220,55 @@ def dp_with_completion(inst: Instance, saturate_cover: bool = True) -> Completio
     total); the objective is still evaluated on the support, as f is a set
     function.
     """
-    outcome = vanilla_dp(inst, saturate_cover=saturate_cover)
-    loads = outcome._loads
-    start, guard, want = loads.start, loads.guard, loads.want
+    layers, loads = _build_layers(inst, saturate_cover)
+    guard, want = loads.guard, loads.want
     # witnesses as load offsets, in tie-break order: the first that fits a
-    # cell is the lexicographically smallest fitting one.  A cell plus a
-    # witness is a two-copy multiset, and its loads still fit the fields:
-    # each pack load is at most b, so the sum is at most 2b; the witness's
-    # cover is saturated at b and the cell's is at most b (or the row sum
-    # with exact keys).  Either way a field stays below 2^(w+1), so
+    # cell is the lexicographically smallest fitting one (the staircase drops
+    # only witnesses that are never first).  A cell plus a witness is a
+    # two-copy multiset, and its loads still fit the fields: each pack load
+    # is at most b, so the sum is at most 2b; the witness's cover is
+    # saturated at b and the cell's is at most b (or the row sum with exact
+    # keys).  Either way a field stays below 2^(w+1), so
     # ``(cell + offset) & guard == want`` is the exact fit test.
-    completions = sorted(((word - start, mask) for word, mask
-                          in _reachable_completions(loads).items()),
-                         key=lambda item: subset_key(item[1]))
+    witnesses = _witness_staircase(loads)
     oracle = inst.objective
 
     best = None
     valid = 0
     witness_of: dict = {}    # cell load word -> witness or None
-    value_of: dict = {}      # support -> f(support); cells share supports
-    for layer in outcome._layers:
-        for cell, (mask, value) in layer.items():
+    seen = set()             # supports already offered to ``best``
+    for layer in layers:
+        for cell, (mask, _value) in layer.items():
             if cell in witness_of:
                 witness = witness_of[cell]
             else:
-                witness = witness_of[cell] = next(
-                    (cmask for offset, cmask in completions
-                     if (cell + offset) & guard == want), None)
+                for offset, witness in witnesses:
+                    if (cell + offset) & guard == want:
+                        break
+                else:
+                    witness = None
+                witness_of[cell] = witness
             if witness is None:
                 continue
             valid += 1
+            # cells share supports, and an equal (value, set) never wins
             support = mask | witness
-            val = value_of.get(support)
-            if val is None:
-                val = value_of[support] = oracle.eval(support)
+            if support in seen:
+                continue
+            seen.add(support)
+            val = oracle.eval(support)
             if better(val, support, best):
                 best = (support, val, mask, witness)
+    cells = sum(map(len, layers))
     if best is None:
-        return CompletionOutcome(False, 0, 0, 0, 0, (), (), 0, outcome.cells_populated)
+        return CompletionOutcome(False, 0, 0, 0, 0, (), (), 0, cells)
     support, val, mask, witness = best
     cov_mult = tuple(a + b for a, b in zip(inst.cover_value(mask), inst.cover_value(witness)))
     pak_mult = tuple(a + b for a, b in zip(inst.pack_value(mask), inst.pack_value(witness)))
     return CompletionOutcome(
         found=True, base_set=mask, completion_set=witness, support=support,
         value=val, cover_with_multiplicity=cov_mult, pack_with_multiplicity=pak_mult,
-        valid_cells=valid, cells_populated=outcome.cells_populated,
+        valid_cells=valid, cells_populated=cells,
     )
 
 

@@ -614,6 +614,8 @@ HASH_SEED_GEN = {
     "analysis.json": ["--n", "6", "--seed", "2"],
     # a 12-item universe: two blocks of the coverage oracle's tables
     "hash_cov.json": ["--n", "12", "--family", "coverage", "--seed", "4"],
+    # two integer rows of each kind, for the completion's witness staircase
+    "hash_p2c2.json": ["--n", "8", "--p", "2", "--c", "2", "--seed", "6"],
 }
 _RELAXED_RUN = ["continuous", "--relaxed", "--trials", "3", "--steps", "4", "--samples", "5"]
 HASH_SEED_RUNS = [
@@ -629,6 +631,7 @@ HASH_SEED_RUNS = [
     ["continuous", "--epsilon", "1/2", "--trials", "2", "--steps", "2",
      "--instance", "analysis.json"],
     ["dp", "--completion", "--instance", "hash.json"],
+    ["dp", "--completion", "--instance", "hash_p2c2.json"],
     ["forbidden", "--instance", "hash.json"],
     ["forbidden", "--poly", "--instance", "hash.json"],
     ["forbidden", "--cardinality", "2", "--instance", "card.json"],

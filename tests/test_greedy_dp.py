@@ -3,7 +3,7 @@ from fractions import Fraction
 from operator import ge, le
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcsm.brute import brute_optimum, brute_pareto
 from pcsm.core import (
@@ -16,7 +16,8 @@ from pcsm.core import (
     mask_of,
     mask_to_tuple,
 )
-from pcsm.greedy_dp import dp_with_completion, scale_instance, vanilla_dp
+from pcsm.greedy_dp import (CompletionOutcome, dp_with_completion, scale_instance,
+                            vanilla_dp)
 
 from conftest import FAMILIES, random_instance, random_oracle, small_oracles
 
@@ -386,12 +387,38 @@ def dp_instances(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(dp_instances(), st.booleans())
+# no packing row: one fit list, holding every element
+@example(make_instance([], [[1, 2, 0, 1, 3]], [], [3],
+                       LinearOracle([1, 1, 2, 0, 1])), True)
+# a zero packing bound: its row's positive entries never fit
+@example(make_instance([[1, 0, 2, 1, 0], [0, 1, 1, 0, 2]], [[1, 1, 1, 0, 2]],
+                       [2, 0], [2], LinearOracle([1, 2, 1, 1, 1])), False)
 def test_table_matches_the_reference_in_order(inst, saturate):
     # each child set is offered to a layer once; the first route's candidate
-    # is every route's, so the table and its insertion order do not change
+    # is every route's, so the table and its insertion order do not change;
+    # a cell walks only the elements that fit its packing fields
     ref_table, _ = _ref_vanilla_table(inst, saturate)
     assert list(vanilla_dp(inst, saturate_cover=saturate).table.items()) == \
         list(ref_table.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dp_instances(), st.booleans())
+def test_completion_matches_the_reference(inst, saturate):
+    # witnesses dominated by an earlier one are never a cell's first fit,
+    # and a support is asked of f once, so every field stays the quadratic
+    # scan's
+    ref, valid, cells = _ref_completion(inst, saturate)
+    if ref is None:
+        want = CompletionOutcome(False, 0, 0, 0, 0, (), (), 0, cells)
+    else:
+        val, mask, witness, support = ref
+        want = CompletionOutcome(
+            True, mask, witness, support, val,
+            tuple(a + b for a, b in zip(inst.cover_value(mask), inst.cover_value(witness))),
+            tuple(a + b for a, b in zip(inst.pack_value(mask), inst.pack_value(witness))),
+            valid, cells)
+    assert dp_with_completion(inst, saturate_cover=saturate) == want
 
 
 @settings(max_examples=200, deadline=None)
