@@ -261,7 +261,7 @@ def solve_polynomial(inst: Instance, epsilon: Rational) -> PolynomialOutcome:
     return PolynomialOutcome(
         found=True,
         best_set=mask,
-        best_value=inst.objective.eval(mask),
+        best_value=outcome.best_value,
         cover_ratio=cover_ratio,
         pack_ratio=pack_ratio,
     )

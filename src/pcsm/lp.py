@@ -52,7 +52,6 @@ class LpSolution:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     objective: float
     assignment: dict                 # name -> float (empty unless optimal)
-    residuals: tuple                 # per constraint: lhs - rhs (optimal only)
 
 
 class _Builder:
@@ -74,9 +73,10 @@ class _Builder:
     def add(self, coeffs: Mapping[str, Rational], rel: str, rhs: Rational):
         row = {}
         for name, v in coeffs.items():
-            v = _rat(v) if not isinstance(v, Fraction) else v
+            v = _rat(v)
             if v != 0:
-                row[self.var(name)] = row.get(self.var(name), 0) + v
+                k = self.var(name)
+                row[k] = row.get(k, 0) + v
         self.rows.append((row, rel, rhs))
 
     def set_objective(self, coeffs: Mapping[str, Rational]):
@@ -122,17 +122,13 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         cost[k] = float(v)
     tableau = _phase1(rows, rels, rhs, nv)
     if tableau is None:
-        return LpSolution("infeasible", float("nan"), {}, ())
+        return LpSolution("infeasible", float("nan"), {})
     status, x = tableau.optimize(cost, lp.sense == "max")
     if status != "optimal":
-        return LpSolution(status, float("nan"), {}, ())
+        return LpSolution(status, float("nan"), {})
     value = float(sum(float(v) * x[k] for k, v in lp.objective.items()))
     assignment = {name: float(x[k]) for k, name in enumerate(lp.variables)}
-    residuals = []
-    for coeffs, rel, b in lp.constraints:
-        lhs = sum(float(v) * x[k] for k, v in coeffs.items())
-        residuals.append(lhs - float(b))
-    return LpSolution("optimal", value, assignment, tuple(residuals))
+    return LpSolution("optimal", value, assignment)
 
 
 class Polytope(NamedTuple):
@@ -502,7 +498,7 @@ def prepare_polytope(n: int,
     rows = np.zeros((n + len(pack_rows) + len(cover_rows), n))
     rows[:n, :n] = np.eye(n)
     for k, row in enumerate(list(pack_rows) + list(cover_rows)):
-        rows[n + k] = [float(v if isinstance(v, Fraction) else _rat(v)) for v in row]
+        rows[n + k] = [float(_rat(v)) for v in row]
     rels = ["<="] * (n + len(pack_rows)) + [">="] * len(cover_rows)
     rhs = [1.0] * n + [float(b) for b in pack_bounds] + [float(b) for b in cover_bounds]
     return _phase1(rows, rels, rhs, n)

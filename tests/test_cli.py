@@ -127,9 +127,9 @@ _GUARD_TEXT = ('{"n": 10, "packing": [[1, 1, 1, 1, 1, 1, 1, 1, 1, 1]], '
 _INST = ["--n", "6", "--seed", "3"]
 
 
-# The exit codes CI's console-script step checks for brute force, the DPs,
-# k-median and the continuous pipeline, each on the file CI writes (or
-# generates) for it.
+# The exit codes of the subcommands that take --instance (brute force, the
+# DPs, k-median and the continuous pipeline), each on a file written (or
+# generated) for it.
 @pytest.mark.parametrize("command, extra, name, source, code", [
     ("brute", [], "inst.json", _INST, EXIT_OK),
     # a 12-item coverage universe: two blocks of the oracle's tables
@@ -176,8 +176,8 @@ def test_ci_console_exit_codes(tmp_path, capsys, command, extra, name, source, c
     capsys.readouterr()
 
 
-# The exit codes of CI's console-script lines without --instance.  Each
-# line's last argument is a file: ``gen`` writes it, ``bench`` reads the
+# The exit codes of the subcommands that take no --instance.  Each
+# command's last argument is a file: ``gen`` writes it, ``bench`` reads the
 # text given here.
 @pytest.mark.parametrize("argv, name, text, code", [
     (["gen", "--n", "6", "--seed", "3", "--out"], "inst.json", None, EXIT_OK),
@@ -603,8 +603,8 @@ def test_cli_golden_outputs(capsys, monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CI's hash-seed runs: each hash seed gets one interpreter that runs every
-# command in turn
+# The same bytes under PYTHONHASHSEED 0 and 1: each hash seed gets one
+# interpreter that runs every command in turn
 
 HASH_SEED_GEN = {
     "hash.json": ["--n", "7", "--seed", "2"],
@@ -654,13 +654,8 @@ def test_same_output_under_both_hash_seeds(capsys, monkeypatch, tmp_path):
     for name, spec in HASH_SEED_GEN.items():
         assert main(["gen", *spec, "--out", name]) == EXIT_OK
     capsys.readouterr()
-    (tmp_path / "card.json").write_text(json.dumps({
-        "n": 5, "packing": [[1, 1, 1, 1, 1]], "covering": [[2, 0, 3, 1, 2]],
-        "pack_bound": [2], "cover_bound": [3],
-        "objective": {"kind": "linear", "weights": [3, 1, 4, 1, 5]}}))
-    (tmp_path / "km.json").write_text(json.dumps({
-        "facilities": [{"cap": 2}, {"cap": 2}], "clients": 3,
-        "dist_a_pairs": [[0, 0], [1, 0], [2, 1]], "a": 1, "b": 3, "k": 2}))
+    (tmp_path / "card.json").write_text(_CARD_TEXT)
+    (tmp_path / "km.json").write_text(_KM_TEXT % "3")
     runs = json.dumps([[*run, "--json"] for run in HASH_SEED_RUNS])
     src = os.path.dirname(os.path.dirname(cli.__file__))
     outputs = [subprocess.run(
@@ -669,5 +664,9 @@ def test_same_output_under_both_hash_seeds(capsys, monkeypatch, tmp_path):
         for seed in ("0", "1")]
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"] 0\n") == len(HASH_SEED_RUNS)
+    # each run prints one JSON line, then its argv and exit code
+    printed = outputs[0].splitlines()[::2]
+    assert b'"truncated": true' in printed[HASH_SEED_RUNS.index(
+        [*_RELAXED_RUN, "--budget", "40", "--instance", "hash.json"])]
     # the analysis schedule's run is the one continuous run its budget fits
     assert outputs[0].count(b'"truncated": false') == 1
