@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, islice, product
-from operator import add, ge, itemgetter
+from operator import add, attrgetter, ge, itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -379,12 +379,19 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
     columns = {}
 
     def records():
+        # each E1's chosen part and base E0, built once the stream is read
+        chosen_sets = []
+        for entry in packing:
+            part = _chosen_part(rows, entry.chosen, entry.load, params.alpha, params.beta,
+                                params.delta)
+            chosen_sets.append((entry.pos, entry.chosen, part,
+                                entry.high_gain | part.large_pack))
         # the first row's target varies fastest
         indices = (t[::-1] for t in product(range(len(grid)), repeat=inst.c))
         for k, index in enumerate(indices):
             first = k * width
             values = tuple(grid[t] for t in index)
-            for pos, chosen, part, discarded, _ in packing:
+            for pos, chosen, part, discarded in chosen_sets:
                 if first + pos >= budget:
                     return
                 # consistent: E0 holds every large element, targets start
@@ -396,16 +403,26 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
     return min(total, budget), total > budget, records()
 
 
+class _Chosen(NamedTuple):
+    """A chosen set E1 of the product that packs, as ``_chosen_sets``
+    gives it."""
+
+    pos: int                     # its position in a target pass
+    chosen: int                  # E1
+    load: tuple                  # its scaled loads, ``rows.load(chosen)``
+    high_gain: int               # the leftovers with a gain on E1 above f(E1) / gamma
+    live: int                    # the elements outside E1 with a non-zero gain on E1
+    bound: object                # f(E1) + the gains on E1 of the other leftovers
+
+
 def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
     """The chosen sets of the (cover grid) x (chosen sets) product, as
     ``(rows, width, packing)``: the instance's ``_Rows``; the number of
     chosen sets in a target pass, at most ``budget + 1`` (the last one only
-    flags truncation); and, in size order, each set below the budget that
-    packs as ``(pos, chosen, chosen part, base E0, live)``.  ``pos`` is its
-    position in a target pass, and its base E0, its E0 under every target,
-    holds the high-marginal leftovers (gain on E1 above f(E1) / gamma) and
-    large_pack.  ``live`` masks the elements outside E1 with a non-zero
-    gain on E1, read from the same gains."""
+    flags truncation); and, in size order, a ``_Chosen`` for each set below
+    the budget that packs.  E1's base E0, its E0 under every target, is
+    ``high_gain`` plus its chosen part's large_pack; ``high_gain``,
+    ``live`` and ``bound`` are read from one pass of exact gains on E1."""
     n = inst.n
     if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
         raise ValueError("guess enumeration expects a normalized instance")
@@ -431,18 +448,19 @@ def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
             if any(v > d for v, d in zip(load, rows.pack_scale)):
                 continue
             loads[chosen] = load
-        part = _chosen_part(rows, chosen, loads[chosen], params.alpha, params.beta,
-                            params.delta)
-        value = g_den * oracle.eval(chosen)
+        bound = oracle.eval(chosen)
+        value = g_den * bound
         state = oracle.begin(chosen)
-        discarded = live = 0
+        high_gain = live = 0
         for ell in iter_bits(full & ~chosen):
             gain = oracle.gain(state, ell)
             if gain:
                 live |= 1 << ell
             if g_num * gain > value:
-                discarded |= 1 << ell
-        packing.append((pos, chosen, part, part.large_pack | discarded, live))
+                high_gain |= 1 << ell
+            else:
+                bound += gain
+        packing.append(_Chosen(pos, chosen, loads[chosen], high_gain, live, bound))
     return rows, len(chosen_sets), packing
 
 
@@ -682,9 +700,10 @@ class GuessDiagnostics:
 class GuessCounts:
     """What ``solve_main`` did with the consistent pairs of the guess
     stream.  Each pair it ``examined`` is a ``repeat``, ``screened_empty``,
-    ``phase1_empty`` (the ascent found its polytope empty) or
-    ``ascended``, so those four add up to ``examined``; each ascended pair
-    filters ``trials + 1`` candidates, each a ``filter_pass`` or a
+    ``phase1_empty`` (the ascent found its polytope empty), ``ascended``
+    or ``pruned`` (its E1's bound is below the best value found, see
+    ``_Solve.walk``), so those five add up to ``examined``; each ascended
+    pair filters ``trials + 1`` candidates, each a ``filter_pass`` or a
     ``filter_fail``."""
 
     examined: int = 0
@@ -692,6 +711,7 @@ class GuessCounts:
     screened_empty: int = 0
     phase1_empty: int = 0
     ascended: int = 0
+    pruned: int = 0
     filter_pass: int = 0
     filter_fail: int = 0
 
@@ -761,7 +781,8 @@ class _Solve:
     else None) and, when asked, the records with their stream positions.
     Processing the pairs in any order gives the same result: a pair's
     draws depend on its content alone, ``better`` is a total order, and
-    the records are put in stream order at the end."""
+    the records are put in stream order at the end.  So ``walk`` may take
+    the chosen sets best bound first and leave out those that cannot win."""
 
     def __init__(self, inst: Instance, params: Params, epsilon: Fraction, seed: int,
                  trials: int, steps: int, samples_per_grad: int, diagnostics: bool):
@@ -787,6 +808,20 @@ class _Solve:
         with k = t_0 + t_1 len(grid) + ..., and is in the budget when that
         is below ``budget``.
 
+        The E1s go best ``bound`` first, equal bounds in stream order, and
+        the walk stops at the first E1 whose bound is below the best value
+        found.  Every candidate of a pair of E1 is E1 plus some of the
+        pair's undetermined elements, which lie outside E1 and outside its
+        ``high_gain`` set.  f is monotone and submodular, so f(E1 + S) <=
+        f(E1) + the sum of f(e | E1) over e in S <= ``bound`` (Nemhauser,
+        Wolsey and Fisher 1978): every candidate of this E1, and of each
+        later one, whose bound is no higher, has a lower value than the
+        best set and loses ``better`` to it.  An E1 whose bound equals the
+        best value is walked, as a candidate of that value can still win
+        the tie-break.  The in-budget pairs of the E1s left,
+        min(len(grid)^c, ceil((budget - pos) / width)) each, count as
+        ``examined`` and ``pruned``, with no record.
+
         A pair repeats an earlier one exactly when some row j with S_j = 0
         has t_j > 0 (see ``_Column``): lowering that t_j keeps its
         residuals, critical rows, large masks and E0, and with E1 fixed a
@@ -800,14 +835,24 @@ class _Solve:
         own, are empty.  Only the other pairs reach ``pair``."""
         size = len(grid)
         c = len(rows.cover)
+        params = self.params
         counts = self.counts
         records = self.records
         screen = _Screen(grid)
         columns = {}
-        for pos, chosen, cpart, base, live in packing:
+        order = sorted(packing, key=attrgetter("bound"), reverse=True)
+        for k, (pos, chosen, load, high_gain, live, bound) in enumerate(order):
+            if self.best is not None and bound < self.best[1]:
+                pruned = sum(min(size ** c, _ceil(budget - entry.pos, width))
+                             for entry in order[k:])
+                counts.examined += pruned
+                counts.pruned += pruned
+                return
+            cpart = _chosen_part(rows, chosen, load, params.alpha, params.beta, params.delta)
+            base = high_gain | cpart.large_pack
             free = self.full & ~chosen
             keep = free & ~base
-            cols = _columns(columns, rows, cpart.cover_load, grid, self.params)
+            cols = _columns(columns, rows, cpart.cover_load, grid, params)
             if not c:
                 # the one target tuple (); nothing to screen
                 counts.examined += 1
@@ -936,16 +981,17 @@ class _Solve:
                     diag.infeasible_polytope = True
                 return
         counts.ascended += 1
-        # trial 0 is the empty rounding outcome (always a possible draw)
+        # trial 0 is the empty rounding outcome (always a possible draw).
+        # With no positive coordinate every draw returns E1, so E1 is
+        # settled once and stands for all trials + 1 candidates
         candidates = [chosen]
+        weight = self.trials + 1
         if any(p > 0 for p in x_star.values()):
             x_bar = {e: p * self.scale for e, p in x_star.items()}
             rng = random.Random(round_seed)
             candidates += [round_and_filter(guess, x_bar, rng).solution
                            for _ in range(self.trials)]
-        else:
-            # no positive coordinate: every draw returns E1
-            candidates *= self.trials + 1
+            weight = 1
         verdicts = self.verdicts
         pair_pass = 0
         pair_best = None
@@ -956,16 +1002,16 @@ class _Solve:
             val = verdicts[cand]
             if val is None:
                 continue
-            pair_pass += 1
+            pair_pass += weight
             if pair_best is None or val > pair_best:
                 pair_best = val
             if better(val, cand, self.best):
                 self.best = (cand, val)
         counts.filter_pass += pair_pass
-        counts.filter_fail += len(candidates) - pair_pass
+        counts.filter_fail += self.trials + 1 - pair_pass
         if diag:
             diag.filter_pass = pair_pass
-            diag.filter_fail = len(candidates) - pair_pass
+            diag.filter_fail = self.trials + 1 - pair_pass
             diag.best_value = pair_best
 
     def result(self, truncated: bool) -> MainResult:

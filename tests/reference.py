@@ -350,7 +350,9 @@ def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 10
             diag.filter_fail = len(candidates) - pair_pass
             diag.best_value = pair_best
 
-    counts = cont.GuessCounts(examined, repeat, screened, phase1, ascended, passed, failed)
+    counts = cont.GuessCounts(examined=examined, repeat=repeat, screened_empty=screened,
+                              phase1_empty=phase1, ascended=ascended, filter_pass=passed,
+                              filter_fail=failed)
     if best is None:
         return cont.MainResult(found=False, solution=0, value=0, cover_ratio=None,
                                pack_ratio=None, trials=trials, truncated=truncated,

@@ -314,7 +314,7 @@ def test_cli_continuous_prints_records_only_with_diagnostics(tmp_path, capsys):
     assert detailed == plain
     counts = plain["guess_counts"]
     assert counts["examined"] == plain["guesses_enumerated"]
-    assert len(records) == counts["examined"] - counts["repeat"] > 0
+    assert len(records) == counts["examined"] - counts["repeat"] - counts["pruned"] > 0
 
 
 def test_cli_continuous_refuses_the_analysis_schedule_before_any_pair(tmp_path, capsys,
@@ -509,7 +509,7 @@ GOLDEN_DIGESTS = {
     "brute": "6507ee1ff65a531d",
     "dp": "f1d99e1ec0a1a99c",
     "forbidden": "81abd68cec2bb3a1",
-    "continuous": "507d6b149d3a0569",
+    "continuous": "83ff458ed9a6ed07",
     "lp": "409916addc0affb5",
     "kmedian": "798deaea2c691fcc",
     "bench": "dfa6da6c3ca3700e",

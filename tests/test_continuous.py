@@ -495,11 +495,23 @@ def _stream_of(enum):
     return guess_parts
 
 
+_CHOSEN_SETS = cont._chosen_sets
+
+
+def _unbounded(*args):
+    """``_chosen_sets`` with every bound at infinity: ``solve_main`` then
+    walks the chosen sets in stream order and prunes none, as the
+    pair-by-pair reference does.  Set in place of ``cont._chosen_sets``."""
+    rows, width, packing = _CHOSEN_SETS(*args)
+    return rows, width, [entry._replace(bound=math.inf) for entry in packing]
+
+
 def _solve_guesses(monkeypatch, inst, guesses, trials):
     """solve_main over ``guesses`` alone, failing on any rounding draw: the
     cover grid is cut to the one target 1, which every guess has on every
-    row, and the chosen sets to the guesses' E1, each with its E0 and the
-    mask of the elements outside E1 with a gain on it."""
+    row, and the chosen sets to the guesses' E1, each with its loads, its
+    E0, the mask of the elements outside E1 with a gain on it and no
+    bound."""
     def no_draw(*args, **kw):
         raise AssertionError("a guess without residual elements drew a rounding")
 
@@ -511,9 +523,10 @@ def _solve_guesses(monkeypatch, inst, guesses, trials):
 
     assert all(set(g.cover_targets) <= {1} and not g.large_cover for g in guesses)
     monkeypatch.setattr(cont, "_target_grid", lambda *args: [Fraction(1)])
-    monkeypatch.setattr(cont, "_chosen_sets", lambda *args: (
-        guesses[0]._parts[0].rows, len(guesses),
-        [(pos, g.chosen, g._parts[0], g.discarded, live(g)) for pos, g in enumerate(guesses)]))
+    rows = guesses[0]._parts[0].rows
+    monkeypatch.setattr(cont, "_chosen_sets", lambda *args: (rows, len(guesses), [
+        cont._Chosen(pos, g.chosen, rows.load(g.chosen), g.discarded, live(g), math.inf)
+        for pos, g in enumerate(guesses)]))
     monkeypatch.setattr(cont, "round_and_filter", no_draw)
     return solve_main(inst, Fraction(1, 10), params=RELAXED, trials=trials,
                       steps=4, samples_per_grad=4, diagnostics=True)
@@ -761,6 +774,7 @@ def _empties_merged(res):
 
 
 def test_golden_equivalence_guesses_and_main(monkeypatch):
+    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
     truncated = multi_row = residual_free = 0
     solves = []
     for seed, n, p, c, family, budget, shape in _golden_cases():
@@ -1010,6 +1024,7 @@ def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
     # with no screen, through the ascent without memo, repeated-direction
     # reuse or zero-gain skip.  Each ascent's seed comes from its pair's
     # E1 and target indices
+    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
     changing = repeats = 0
     for seed, n, p, c, family, budget, shape in _golden_cases():
         inst = _golden_instance(seed, n, p, c, family, shape)
@@ -1077,6 +1092,7 @@ def test_cutting_or_skipping_pairs_changes_no_other_pairs_draws(monkeypatch):
     # a pair's draws come from its content: a smaller budget, which cuts
     # the stream, or pairs taken out of the stream before it, leave every
     # pair that is still ascended with the same seed, point and rounded sets
+    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
     compared = varied = 0
     for seed, n, p, c, family, budget, shape in _golden_cases()[::4]:
         inst = _golden_instance(seed, n, p, c, family, shape)
@@ -1136,6 +1152,7 @@ def test_pairs_at_the_origin_skip_the_ascent(monkeypatch):
     # at most one covering row on them, is settled without an ascent;
     # every pair with a live element or some s_j > 0 still ascends, and the
     # answer, counts and records are the pair-by-pair loop's
+    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
     settled = with_live = short = 0
     for seed, n, p, c, family, budget, shape in _golden_cases():
         inst = _golden_instance(seed, n, p, c, family, shape)
@@ -1157,6 +1174,7 @@ def test_two_covering_rows_on_the_undetermined_elements_keep_the_tableau(monkeyp
     # E1 = {0} meets both targets and leaves elements 1 and 2 no gain, but
     # both covering rows have entries on them: that pair ascends through
     # phase 1, with the same output as the pair-by-pair loop
+    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
     inst = make_instance([], [[1, 1, 1], [1, 1, 1]], [], [1, 1],
                          CoverageOracle(3, [[0, 1], [0], [1]], [1, 1, 1]))
     knobs = dict(seed=3, budget=1000, params=Params.from_delta(Fraction(1, 10),
@@ -1177,7 +1195,20 @@ def test_two_covering_rows_on_the_undetermined_elements_keep_the_tableau(monkeyp
                                                  **knobs))
 
 
-def test_counts_add_up_to_the_pairs_examined():
+def test_counts_add_up_to_the_pairs_examined(monkeypatch):
+    # with the bound, and with it at infinity (nothing pruned)
+    for bounded in (True, False):
+        with monkeypatch.context() as m:
+            if not bounded:
+                m.setattr(cont, "_chosen_sets", _unbounded)
+            totals = _count_totals()
+        assert bool(totals.pruned) == bounded
+        assert all(v for name, v in vars(totals).items() if name != "pruned"), totals
+
+
+def _count_totals():
+    """solve_main's counts summed over a third of the golden cases, each
+    checked against its records and the guess list on the way."""
     totals = cont.GuessCounts()
     trials = 3
     for seed, n, p, c, family, budget, shape in _golden_cases()[::3]:
@@ -1193,17 +1224,18 @@ def test_counts_add_up_to_the_pairs_examined():
             k = res.counts
             enum = enumerate_guesses(normalize(inst), params, budget=budget)
             assert k.examined == res.guesses_enumerated == len(enum.guesses)
-            assert k.examined == k.repeat + k.screened_empty + k.phase1_empty + k.ascended
+            assert k.examined == (k.repeat + k.screened_empty + k.phase1_empty + k.ascended
+                                  + k.pruned)
             assert k.filter_pass + k.filter_fail == k.ascended * (trials + 1)
             records = detailed.diagnostics
-            assert len(records) == k.examined - k.repeat
+            assert len(records) == k.examined - k.repeat - k.pruned
             assert sum(d.infeasible_polytope for d in records) == (k.screened_empty
                                                                  + k.phase1_empty)
             assert sum(d.filter_pass for d in records) == k.filter_pass
             assert sum(d.filter_fail for d in records) == k.filter_fail
             for name, value in vars(k).items():
                 setattr(totals, name, getattr(totals, name) + value)
-    assert all(vars(totals).values()), totals
+    return totals
 
 
 @st.composite
@@ -1243,8 +1275,65 @@ def test_run_walk_matches_the_pair_by_pair_loop(case, seed):
     inst, params, budget = case
     knobs = dict(seed=seed, budget=budget, params=params, trials=2, steps=2,
                  samples_per_grad=3, diagnostics=True)
-    got = solve_main(inst, Fraction(1, 10), **knobs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cont, "_chosen_sets", _unbounded)
+        got = solve_main(inst, Fraction(1, 10), **knobs)
     assert repr(got) == repr(per_pair_solve_main(inst, Fraction(1, 10), **knobs))
+
+
+@st.composite
+def _bound_cases(draw):
+    """(instance, params, budget): up to 7 elements, p and c in {1, 2}, any
+    objective family; delta 1/5 with the schedule's gamma, or with gamma 2,
+    which leaves elements with gains undetermined, so a bound is more than
+    f(E1); or the small-cap schedule, under which E1 holds at most 4 to 7
+    elements and the best set may come from a rounding.  The budget may
+    cut the stream."""
+    n, p, c = draw(st.integers(0, 7)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    inst = random_instance(rng, n, p=p, c=c, family=draw(st.sampled_from(FAMILIES)))
+    params = draw(st.sampled_from([
+        Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=p + c), _gamma2(p, c),
+        dataclasses.replace(_SMALL_CAP, beta=_SMALL_CAP_DELTA ** 2 / (3 * (p + c)))]))
+    return inst, params, draw(st.sampled_from([50, 400, 3000]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bound_cases(), st.integers(0, 2 ** 16))
+def test_pruned_walk_finds_the_pair_by_pair_answer(case, seed):
+    # the walk leaves out the chosen sets whose bound is below the best
+    # value found; the answer and the pairs examined are the unpruned
+    # pair-by-pair loop's, and the pruned pairs are counted, with no record
+    inst, params, budget = case
+    knobs = dict(seed=seed, budget=budget, params=params, trials=4, steps=3,
+                 samples_per_grad=3, diagnostics=True)
+    got = solve_main(inst, Fraction(1, 10), **knobs)
+    want = per_pair_solve_main(inst, Fraction(1, 10), **knobs)
+    fields = ("found", "solution", "value", "cover_ratio", "pack_ratio", "truncated")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    k = got.counts
+    assert k.examined == want.counts.examined
+    assert k.examined == k.repeat + k.screened_empty + k.phase1_empty + k.ascended + k.pruned
+    assert len(got.diagnostics) == k.examined - k.repeat - k.pruned
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bound_prunes_chosen_sets_in_the_benchmark_shape(monkeypatch, family):
+    # the benchmark's criterion-7 shape: n = 8, p = c = 1, delta 1/5 (gamma
+    # 125) and its knobs.  The bound leaves pairs out and ascends fewer,
+    # with the same answer and the same pairs examined
+    inst = random_instance(random.Random(8), 8, p=1, c=1, family=family)
+    knobs = dict(seed=5, budget=6000, params=Params.from_delta(Fraction(1, 10),
+                                                               Fraction(1, 5), b=2),
+                 trials=8, steps=10, samples_per_grad=16)
+    res = solve_main(inst, Fraction(1, 10), **knobs)
+    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
+    full = solve_main(inst, Fraction(1, 10), **knobs)
+    assert res.counts.pruned > 0 and full.counts.pruned == 0
+    assert res.counts.ascended < full.counts.ascended
+    assert res.counts.examined == full.counts.examined
+    assert res.found
+    assert dataclasses.replace(res, counts=None) == dataclasses.replace(full, counts=None)
 
 
 @st.composite
