@@ -527,14 +527,21 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return EXIT_OK
     except BudgetExceededError as exc:
-        print(f"budget refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _refuse(args, "budget", "budget refused", exc, EXIT_BUDGET)
     except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _refuse(args, "infeasible", "infeasible", exc, EXIT_INFEASIBLE)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _refuse(args, "bad_input", "bad input", exc, EXIT_BAD_INPUT)
+
+
+def _refuse(args, kind: str, label: str, exc: Exception, code: int) -> int:
+    """Report a refusal as ``label: reason`` on stderr and, under
+    ``--json``, as ``{"error": kind, "reason": reason, "exit": code}`` on
+    stdout; return the exit code."""
+    print(f"{label}: {exc}", file=sys.stderr)
+    if getattr(args, "json", False):
+        _emit({"error": kind, "reason": str(exc), "exit": code}, args)
+    return code
 
 
 if __name__ == "__main__":

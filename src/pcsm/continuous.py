@@ -18,8 +18,9 @@ from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, islice, product
-from operator import add, attrgetter, ge, itemgetter
+from heapq import heappop, heappush
+from itertools import product
+from operator import ge, itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -32,6 +33,7 @@ from .core import (
     load_ratios,
     mask_of,
     normalize,
+    subset_less,
     to_fraction,
 )
 # linear_max_over_polytope is unused here but stays a module attribute:
@@ -381,11 +383,12 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
     def records():
         # each E1's chosen part and base E0, built once the stream is read
         chosen_sets = []
-        for entry in packing:
-            part = _chosen_part(rows, entry.chosen, entry.load, params.alpha, params.beta,
+        full = (1 << inst.n) - 1
+        for pos, chosen, value in packing:
+            part = _chosen_part(rows, chosen, rows.load(chosen), params.alpha, params.beta,
                                 params.delta)
-            chosen_sets.append((entry.pos, entry.chosen, part,
-                                entry.high_gain | part.large_pack))
+            high_gain = _gains(inst.objective, chosen, value, full, params.gamma)[0]
+            chosen_sets.append((pos, chosen, part, high_gain | part.large_pack))
         # the first row's target varies fastest
         indices = (t[::-1] for t in product(range(len(grid)), repeat=inst.c))
         for k, index in enumerate(indices):
@@ -403,71 +406,120 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
     return min(total, budget), total > budget, records()
 
 
-class _Chosen(NamedTuple):
-    """A chosen set E1 of the product that packs, as ``_chosen_sets``
-    gives it."""
-
-    pos: int                     # its position in a target pass
-    chosen: int                  # E1
-    load: tuple                  # its scaled loads, ``rows.load(chosen)``
-    high_gain: int               # the leftovers with a gain on E1 above f(E1) / gamma
-    live: int                    # the elements outside E1 with a non-zero gain on E1
-    bound: object                # f(E1) + the gains on E1 of the other leftovers
-
-
 def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
     """The chosen sets of the (cover grid) x (chosen sets) product, as
     ``(rows, width, packing)``: the instance's ``_Rows``; the number of
     chosen sets in a target pass, at most ``budget + 1`` (the last one only
-    flags truncation); and, in size order, a ``_Chosen`` for each set below
-    the budget that packs.  E1's base E0, its E0 under every target, is
-    ``high_gain`` plus its chosen part's large_pack; ``high_gain``,
-    ``live`` and ``bound`` are read from one pass of exact gains on E1."""
+    flags truncation); and, in stream order, ``(pos, chosen, f(E1))`` for
+    each set E1 below the budget that packs, ``pos`` its position in a
+    target pass.
+
+    A pass lists the sets of each size up to ``_size_cap`` in the lex order
+    of ``itertools.combinations``, smaller sizes first.  Entries are >= 0,
+    so packing is closed under subsets: each packing set of size k + 1 is
+    a packing set of size k plus an element above that set's top one.
+    Extending the size-k sets in lex order, each by ascending elements,
+    lists size k + 1 in lex order, and only the sets that pack are
+    extended.  Positions are arithmetic: {c_0 < .. < c_{k-1}} is the k-set
+    of lex rank C(n, k) - 1 - sum_i C(n - 1 - c_i, k - i) (the
+    combinatorial number system, over the complements n - 1 - c_i), so
+    E1 plus e sits at ``base + e`` with ``base`` = sum_{j <= k + 1} C(n,
+    j) - n - sum_i C(n - 1 - c_i, k + 1 - i).  A child packs when its
+    ``_pack_words`` word has no guard bit set."""
     n = inst.n
     if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
         raise ValueError("guess enumeration expects a normalized instance")
-    chosen_sets = list(islice(_subsets_by_size(n, _size_cap(inst, params)), budget + 1))
     rows = _scaled_rows(inst)
+    cap = _size_cap(inst, params)
+    binom = [[math.comb(m, k) for k in range(cap + 2)] for m in range(n + 1)]
+    width = min(sum(binom[n][:cap + 1]), budget + 1)
+    start, words, guard = _pack_words(rows)
     oracle = inst.objective
-    # gain > f(E1) / gamma, compared in the objective's exact values (gamma > 0)
-    g_num, g_den = params.gamma.numerator, params.gamma.denominator
-    # entries are >= 0, so a set packs only if it does without its highest
-    # element, which the size order reaches first; a set's loads are that
-    # subset's plus one column.  The empty set's loads are 0, within every
-    # bound
-    loads = {0: rows.load(0)}
-    full = (1 << n) - 1
-    packing = []
-    for pos, chosen in enumerate(chosen_sets[:budget]):
-        if chosen:
-            top = chosen.bit_length() - 1
-            base = loads.get(chosen ^ (1 << top))
-            if base is None:
-                continue
-            load = tuple(map(add, base, rows.columns[top]))
-            if any(v > d for v, d in zip(load, rows.pack_scale)):
-                continue
-            loads[chosen] = load
-        bound = oracle.eval(chosen)
-        value = g_den * bound
-        state = oracle.begin(chosen)
-        high_gain = live = 0
-        for ell in iter_bits(full & ~chosen):
-            gain = oracle.gain(state, ell)
-            if gain:
-                live |= 1 << ell
-            if g_num * gain > value:
-                high_gain |= 1 << ell
-            else:
-                bound += gain
-        packing.append(_Chosen(pos, chosen, loads[chosen], high_gain, live, bound))
-    return rows, len(chosen_sets), packing
+    packing = [(0, 0, oracle.eval(0))] if budget else []
+    level = [(0, start)]         # the packing sets of size k in lex order, with their words
+    end = 1                      # the number of sets of size <= k
+    for k in range(cap):
+        end += binom[n][k + 1]   # now of size <= k + 1, the children's size
+        grown = []
+        for chosen, word in level:
+            base = None
+            for e in range(chosen.bit_length(), n):
+                child_word = word + words[e]
+                if child_word & guard:
+                    continue
+                if base is None:
+                    # E1 + e sits at base + e; taken once E1 has a child that packs
+                    base = end - n - sum(binom[n - 1 - c][k + 1 - i]
+                                         for i, c in enumerate(iter_bits(chosen)))
+                if base + e >= budget:
+                    # positions grow in this order: every later set is past it too
+                    return rows, width, packing
+                child = chosen | 1 << e
+                grown.append((child, child_word))
+                packing.append((base + e, child, oracle.eval(child)))
+        level = grown
+    return rows, width, packing
 
 
-def _subsets_by_size(n, cap):
-    for size in range(min(n, cap) + 1):
-        for combo in combinations(range(n), size):
-            yield mask_of(combo)
+def _pack_words(rows: _Rows) -> tuple:
+    """The scaled packing loads as one int word, ``(the empty set's word,
+    each element's word, the guard mask)``; a set's word is the empty
+    set's plus its elements'.  Row i gets a field of w_i + 1 bits, where
+    2^w_i is above its bound D_i and each of its entries, and the empty set
+    holds 2^w_i - 1 - D_i there.  A set's field then holds 2^w_i - 1 - D_i
+    plus its load, which reaches the guard bit 2^w_i exactly when the load
+    is above D_i.  A set that packs plus one element stays below 2^(w_i +
+    1), so no field carries into the next."""
+    start = guard = shift = 0
+    words = [0] * rows.n
+    for row, d in zip(rows.pack, rows.pack_scale):
+        w = max([d, *row]).bit_length()
+        start |= ((1 << w) - 1 - d) << shift
+        guard |= 1 << (shift + w)
+        for e, a in enumerate(row):
+            words[e] |= a << shift
+        shift += w + 1
+    return start, words, guard
+
+
+def _gains(oracle, chosen: int, value, full: int, gamma: Fraction) -> tuple:
+    """``(high_gain, live, bound)`` of E1 = ``chosen`` with f(E1) =
+    ``value``, from one pass of exact gains on E1 over the elements of
+    ``full`` outside it: the elements with a gain above f(E1) / gamma (E1's
+    base E0 under every target is these plus its chosen part's
+    large_pack), those with a non-zero gain, and f(E1) plus the gains of
+    the others.  The high-gain test is compared in the objective's exact
+    values (gamma > 0)."""
+    g_num = gamma.numerator
+    threshold = gamma.denominator * value
+    state = oracle.begin(chosen)
+    high_gain = live = 0
+    bound = value
+    for ell in iter_bits(full & ~chosen):
+        gain = oracle.gain(state, ell)
+        if gain:
+            live |= 1 << ell
+        if g_num * gain > threshold:
+            high_gain |= 1 << ell
+        else:
+            bound += gain
+    return high_gain, live, bound
+
+
+def _least_candidate(chosen: int, keep: int, cpart: _ChosenPart) -> int:
+    """The least set in ``better``'s subset order of the form E1 =
+    ``chosen`` plus elements of ``keep`` that packs: E1 plus, in ascending
+    order, each element of ``keep`` below E1's top element that still fits
+    E1's packing room (see ``_Solve.walk``)."""
+    room = cpart.pack_room
+    least = chosen
+    for e in iter_bits(keep & ((1 << max(chosen.bit_length() - 1, 0)) - 1)):
+        column = cpart.rows.columns[e]
+        # zip stops at the packing rows: the columns list them first
+        if all(a <= r for a, r in zip(column, room)):
+            room = tuple(r - a for a, r in zip(column, room))
+            least |= 1 << e
+    return least
 
 
 # ---------------------------------------------------------------------------
@@ -557,16 +609,24 @@ class _Screen:
         self.reaches = {}
         self.found = {}
 
+    def reach(self, elements: int, part: _ChosenPart) -> tuple:
+        """Each covering row's ``cover_reach`` over ``elements`` within
+        E1's packing room, on the scaled rows (K_j times the normalized
+        reach)."""
+        key = (elements, part.pack_room)
+        reach = self.reaches.get(key)
+        if reach is None:
+            rows = part.rows
+            pack, cover = _residual_rows(rows.pack, rows.cover, tuple(iter_bits(elements)))
+            reach = self.reaches[key] = cover_reach(pack, part.pack_room, cover)
+        return reach
+
     def limits(self, undetermined: int, part: _ChosenPart) -> tuple:
         key = (undetermined, part.pack_room, part.cover_load)
         limits = self.found.get(key)
         if limits is None:
             rows = part.rows
-            reach = self.reaches.get(key[:2])
-            if reach is None:
-                pack, cover = _residual_rows(rows.pack, rows.cover,
-                                             tuple(iter_bits(undetermined)))
-                reach = self.reaches[key[:2]] = cover_reach(pack, part.pack_room, cover)
+            reach = self.reach(undetermined, part)
             mn, md = self.margin
             limits = []
             # over the scaled rows, covering row j's reach comes out K_j
@@ -701,10 +761,11 @@ class GuessCounts:
     """What ``solve_main`` did with the consistent pairs of the guess
     stream.  Each pair it ``examined`` is a ``repeat``, ``screened_empty``,
     ``phase1_empty`` (the ascent found its polytope empty), ``ascended``
-    or ``pruned`` (its E1's bound is below the best value found, see
-    ``_Solve.walk``), so those five add up to ``examined``; each ascended
-    pair filters ``trials + 1`` candidates, each a ``filter_pass`` or a
-    ``filter_fail``."""
+    or ``pruned`` (its E1's bound is below the best value found, or ties
+    it with no candidate that can win the tie-break, or E1 cannot reach
+    1 - eps of some covering bound; see ``_Solve.walk``), so those five
+    add up to ``examined``; each ascended pair filters ``trials + 1``
+    candidates, each a ``filter_pass`` or a ``filter_fail``."""
 
     examined: int = 0
     repeat: int = 0
@@ -808,19 +869,46 @@ class _Solve:
         with k = t_0 + t_1 len(grid) + ..., and is in the budget when that
         is below ``budget``.
 
-        The E1s go best ``bound`` first, equal bounds in stream order, and
-        the walk stops at the first E1 whose bound is below the best value
-        found.  Every candidate of a pair of E1 is E1 plus some of the
-        pair's undetermined elements, which lie outside E1 and outside its
-        ``high_gain`` set.  f is monotone and submodular, so f(E1 + S) <=
-        f(E1) + the sum of f(e | E1) over e in S <= ``bound`` (Nemhauser,
-        Wolsey and Fisher 1978): every candidate of this E1, and of each
-        later one, whose bound is no higher, has a lower value than the
-        best set and loses ``better`` to it.  An E1 whose bound equals the
-        best value is walked, as a candidate of that value can still win
-        the tie-break.  The in-budget pairs of the E1s left,
+        The E1s go best bound first, equal bounds in stream order (see
+        ``by_bound``), and the walk stops at the first E1 whose bound is
+        below the best value found.  E1's bound is f(E1) plus the gains
+        f(e | E1) of the elements e outside E1 and outside its
+        ``high_gain`` set (``_gains``).  Every candidate of a pair of E1 is
+        E1 plus a set S of the pair's undetermined elements, and those lie
+        in ``keep``: outside E1, its ``high_gain`` set and its large_pack.
+        f is monotone and submodular, so f(E1 + S) <= f(E1) + the sum of
+        f(e | E1) over e in S <= the bound (Nemhauser, Wolsey and Fisher
+        1978): every candidate of this E1, and of each later one, whose
+        bound is no higher, has a lower value than the best set and loses
+        ``better`` to it.  The in-budget pairs of the E1s left,
         min(len(grid)^c, ceil((budget - pos) / width)) each, count as
         ``examined`` and ``pruned``, with no record.
+
+        A walked E1 is pruned the same way, with all its pairs, when no
+        candidate of it can win (``cannot_win``):
+
+        - Tie rule.  When its bound equals the best value, a candidate
+          wins only by equal value and ``subset_less`` than the best set.
+          Let G be ``_least_candidate``: E1 plus, in ascending order, each
+          element of ``keep`` below E1's top element that still fits E1's
+          packing room.  No candidate T = E1 + S that packs (one that
+          does not fails the filter) is ``subset_less`` than G.  Take the
+          lowest element d where T and G differ.  If d is in T alone, it
+          lies in ``keep`` and above E1's top: below it, E1, G's elements
+          below d and d all lie in T, so they pack (packing is closed
+          under subsets) and G's ascending pass would have taken d.  G
+          has no element above E1's top, so T comes after G.  If d is in
+          G alone, d is below E1's top, which T holds: T continues past d
+          and comes after G.  So when G is not ``subset_less`` than the
+          best set, no candidate is.
+        - Reach rule.  A candidate E1 + S that packs has S within E1's
+          packing room, so in each covering row S adds at most its
+          ``cover_reach`` over ``keep`` (a relaxation to the box and one
+          packing row at a time).  When Q_j plus that reach is below (1 -
+          eps) K_j in some covering row j, no candidate passes ``fits``.
+
+        A pruned pair would not have moved the best set, and the best set
+        only improves, so the order-free argument of ``_Solve`` holds.
 
         A pair repeats an earlier one exactly when some row j with S_j = 0
         has t_j > 0 (see ``_Column``): lowering that t_j keeps its
@@ -840,18 +928,16 @@ class _Solve:
         records = self.records
         screen = _Screen(grid)
         columns = {}
-        order = sorted(packing, key=attrgetter("bound"), reverse=True)
-        for k, (pos, chosen, load, high_gain, live, bound) in enumerate(order):
-            if self.best is not None and bound < self.best[1]:
-                pruned = sum(min(size ** c, _ceil(budget - entry.pos, width))
-                             for entry in order[k:])
-                counts.examined += pruned
-                counts.pruned += pruned
-                return
-            cpart = _chosen_part(rows, chosen, load, params.alpha, params.beta, params.delta)
+        left = []
+        for pos, chosen, high_gain, live, bound in self.by_bound(packing, left):
+            cpart = _chosen_part(rows, chosen, rows.load(chosen), params.alpha, params.beta,
+                                 params.delta)
             base = high_gain | cpart.large_pack
             free = self.full & ~chosen
             keep = free & ~base
+            if self.cannot_win(chosen, keep, cpart, bound, screen):
+                left.append(pos)
+                continue
             cols = _columns(columns, rows, cpart.cover_load, grid, params)
             if not c:
                 # the one target tuple (); nothing to screen
@@ -909,6 +995,62 @@ class _Solve:
                             tpart = _target_part(cols, index, tuple(grid[i] for i in index))
                             self.pair((first_k + t) * width + pos, index, chosen, discarded,
                                       cpart, tpart, live)
+        pruned = sum(min(size ** c, _ceil(budget - pos, width)) for pos in left)
+        counts.examined += pruned
+        counts.pruned += pruned
+
+    def by_bound(self, packing: list, left: list):
+        """The E1s of ``packing`` (``_chosen_sets``) as ``(pos, chosen,
+        high_gain, live, bound)`` (``_gains``), best bound first, equal
+        bounds in stream order, up to the first bound below the best value
+        found; the positions of the E1s not given are then put in ``left``.
+
+        Each gain outside ``high_gain`` is at most f(E1) / gamma, so with
+        m = n - |E1| elements outside E1 an E1's bound is at most its cap
+        f(E1) (1 + m / gamma), kept times gamma's numerator as an exact
+        value (f >= 0; a negative f(E1) makes every element high-gain).
+        Gains are taken only for the E1s refined: the unrefined E1 with the
+        highest cap is refined while that cap is at least the top bound of
+        the refined ones (unrefined first on equality).  So the refined E1
+        given next has the highest bound, and the least position among
+        equal bounds, of all the E1s left, and when the higher of the two
+        tops is below the best value, so is every bound left."""
+        oracle = self.inst.objective
+        gamma = self.params.gamma
+        g_num, g_den = gamma.numerator, gamma.denominator
+        n = self.inst.n
+        # unrefined: lowest cap first, taken from the end; refined: a heap
+        # on (-g_num bound, pos)
+        unrefined = sorted(((g_num * value + g_den * (n - chosen.bit_count()) * max(value, 0),
+                             pos, chosen, value) for pos, chosen, value in packing),
+                           key=itemgetter(0))
+        refined = []
+        while unrefined or refined:
+            if unrefined and (not refined or unrefined[-1][0] >= -refined[0][0]):
+                cap, pos, chosen, value = unrefined[-1]
+                if self.best is not None and cap < g_num * self.best[1]:
+                    break
+                unrefined.pop()
+                high_gain, live, bound = _gains(oracle, chosen, value, self.full, gamma)
+                heappush(refined, (-g_num * bound, pos, chosen, high_gain, live, bound))
+                continue
+            _, pos, chosen, high_gain, live, bound = refined[0]
+            if self.best is not None and bound < self.best[1]:
+                break
+            heappop(refined)
+            yield pos, chosen, high_gain, live, bound
+        left += [entry[1] for entry in unrefined + refined]
+
+    def cannot_win(self, chosen: int, keep: int, cpart: _ChosenPart, bound,
+                   screen: _Screen) -> bool:
+        """Whether no candidate of E1 = ``chosen`` can change the answer,
+        by the tie rule or the reach rule of ``walk``."""
+        if (self.best is not None and bound == self.best[1]
+                and not subset_less(_least_candidate(chosen, keep, cpart), self.best[0])):
+            return True
+        num, den = self.need_cover.numerator, self.need_cover.denominator
+        return any((q + r) * den < num * k for q, r, k in
+                   zip(cpart.cover_load, screen.reach(keep, cpart), cpart.rows.cover_scale))
 
     def record(self, position: int, chosen: int, discarded: int, cpart: _ChosenPart,
                critical_cover: int, undetermined: int, infeasible: bool) -> GuessDiagnostics:

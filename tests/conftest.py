@@ -4,10 +4,11 @@ enumeration code paths: values are recomputed from raw lists and plain sets
 so the two sides can disagree."""
 
 import math
+import os
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from pcsm.core import (
     ConcaveOfModularOracle,
@@ -16,6 +17,13 @@ from pcsm.core import (
     SubmodularOracle,
     make_instance,
 )
+
+
+# under CI (set by GitHub Actions) the draws are derandomized, so a failure
+# there replays, and its blob is printed; local runs keep random draws
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def build_instance(packing, covering, pack_bound, cover_bound, oracle):

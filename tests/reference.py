@@ -2,7 +2,8 @@
 for a correct guess, the residual objective, a Monte-Carlo multilinear
 estimator, a per-program emptiness screen on Fraction rows, the closed
 form of the upper-bound construction's value, ``solve_main``'s
-pair-by-pair loop from before the run walk, the oracles' bit-by-bit
+pair-by-pair loop from before the run walk, the chosen sets by the
+subset filter from before they were extended, the oracles' bit-by-bit
 methods from before the per-byte tables, and two exact kernels by the
 route they took before they pruned: brute force over every subset and the
 k-median matching value by max flow.  The solvers never run any of it."""
@@ -13,6 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, islice
 from operator import ge
 from typing import Sequence
 
@@ -363,6 +365,27 @@ def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 10
         found=True, solution=mask, value=value,
         cover_ratio=cover_ratio, pack_ratio=pack_ratio, trials=trials,
         truncated=truncated, counts=counts, diagnostics=diag_records)
+
+
+def filtered_chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
+    """``cont._chosen_sets``'s width and ``(pos, chosen)`` entries as it
+    found them before it extended packing sets: the first ``budget + 1``
+    sets of ``subsets_by_size``, and of those below the budget the ones
+    whose summed loads pack."""
+    rows = cont._scaled_rows(inst)
+    chosen_sets = list(islice(subsets_by_size(inst.n, cont._size_cap(inst, params)),
+                              budget + 1))
+    return len(chosen_sets), [
+        (pos, chosen) for pos, chosen in enumerate(chosen_sets[:budget])
+        if all(v <= d for v, d in zip(rows.load(chosen), rows.pack_scale))]
+
+
+def subsets_by_size(n: int, cap: int):
+    """Every subset of at most ``cap`` of n elements, by size, each size
+    in ``combinations`` order."""
+    for size in range(min(n, cap) + 1):
+        for combo in combinations(range(n), size):
+            yield mask_of(combo)
 
 
 def upper_bound_value_formula(m: int) -> Fraction:

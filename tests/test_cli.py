@@ -25,7 +25,7 @@ from pcsm.cli import (
     main,
     write_reports_csv,
 )
-from pcsm.core import instance_to_json_obj, load_instance
+from pcsm.core import BudgetExceededError, InfeasibleError, instance_to_json_obj, load_instance
 
 # covering bound no subset reaches
 INFEASIBLE = {
@@ -341,6 +341,31 @@ def test_cli_continuous_refuses_the_analysis_schedule_before_any_pair(tmp_path, 
     assert json.loads(capsys.readouterr().out)["truncated"] is True
 
 
+@pytest.mark.parametrize("error, kind, label, code", [
+    (BudgetExceededError, "budget", "budget refused", EXIT_BUDGET),
+    (InfeasibleError, "infeasible", "infeasible", EXIT_INFEASIBLE),
+    (ValueError, "bad_input", "bad input", EXIT_BAD_INPUT),
+])
+def test_cli_refusals_keep_their_reason_in_json(tmp_path, capsys, monkeypatch, error, kind,
+                                                label, code):
+    # under --json a refusal prints one JSON object on stdout; stderr, and
+    # stdout without --json or under --quiet, stay as they were
+    path = tmp_path / "inst.json"
+    main(["gen", "--n", "5", "--seed", "4", "--out", str(path), "--quiet"])
+
+    def refuse(*args):
+        raise error("no such set")
+
+    monkeypatch.setattr(cli, "_brute", refuse)
+    argv = ["brute", "--instance", str(path)]
+    for flags, out in ((["--json"], {"error": kind, "reason": "no such set", "exit": code}),
+                       ([], None), (["--json", "--quiet"], None)):
+        assert main([*argv, *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{label}: no such set\n"
+        assert (json.loads(captured.out) if captured.out else None) == out
+
+
 @pytest.mark.parametrize("flags, refused", [
     (["--samples", "0"], "samples"),
     (["--steps", "-1"], "steps"),
@@ -506,10 +531,10 @@ GOLDEN_SUITE = [
 
 GOLDEN_DIGESTS = {
     "gen": "8f77ce6237f1c834",
-    "brute": "6507ee1ff65a531d",
-    "dp": "f1d99e1ec0a1a99c",
-    "forbidden": "81abd68cec2bb3a1",
-    "continuous": "83ff458ed9a6ed07",
+    "brute": "f497d6d080396b1a",
+    "dp": "093264516b5e4967",
+    "forbidden": "e1bb00998fc49e54",
+    "continuous": "3e6cd47fbd23cffd",
     "lp": "409916addc0affb5",
     "kmedian": "798deaea2c691fcc",
     "bench": "dfa6da6c3ca3700e",

@@ -28,6 +28,7 @@ from pcsm.core import (
     CoverageOracle,
     LinearOracle,
     Params,
+    better,
     iter_bits,
     make_instance,
     marginal,
@@ -47,6 +48,7 @@ from conftest import FAMILIES, exact_multilinear, random_instance, random_oracle
 from reference import (
     MARGIN,
     correct_guess_for,
+    filtered_chosen_sets,
     greedy_marginal_order,
     is_correct,
     multilinear_estimate,
@@ -495,23 +497,25 @@ def _stream_of(enum):
     return guess_parts
 
 
-_CHOSEN_SETS = cont._chosen_sets
+def _unbounded(monkeypatch):
+    """``solve_main`` walks the chosen sets in stream order, with every
+    bound at infinity and neither prune of a walked E1, and so prunes none,
+    as the pair-by-pair reference does."""
+    def in_stream_order(solve, packing, left):
+        for pos, chosen, value in packing:
+            high_gain, live, _ = cont._gains(solve.inst.objective, chosen, value, solve.full,
+                                             solve.params.gamma)
+            yield pos, chosen, high_gain, live, math.inf
 
-
-def _unbounded(*args):
-    """``_chosen_sets`` with every bound at infinity: ``solve_main`` then
-    walks the chosen sets in stream order and prunes none, as the
-    pair-by-pair reference does.  Set in place of ``cont._chosen_sets``."""
-    rows, width, packing = _CHOSEN_SETS(*args)
-    return rows, width, [entry._replace(bound=math.inf) for entry in packing]
+    monkeypatch.setattr(cont._Solve, "by_bound", in_stream_order)
+    monkeypatch.setattr(cont._Solve, "cannot_win", lambda *args: False)
 
 
 def _solve_guesses(monkeypatch, inst, guesses, trials):
     """solve_main over ``guesses`` alone, failing on any rounding draw: the
     cover grid is cut to the one target 1, which every guess has on every
-    row, and the chosen sets to the guesses' E1, each with its loads, its
-    E0, the mask of the elements outside E1 with a gain on it and no
-    bound."""
+    row, and the chosen sets to the guesses' E1, each with its E0, the
+    mask of the elements outside E1 with a gain on it and no bound."""
     def no_draw(*args, **kw):
         raise AssertionError("a guess without residual elements drew a rounding")
 
@@ -525,8 +529,10 @@ def _solve_guesses(monkeypatch, inst, guesses, trials):
     monkeypatch.setattr(cont, "_target_grid", lambda *args: [Fraction(1)])
     rows = guesses[0]._parts[0].rows
     monkeypatch.setattr(cont, "_chosen_sets", lambda *args: (rows, len(guesses), [
-        cont._Chosen(pos, g.chosen, rows.load(g.chosen), g.discarded, live(g), math.inf)
-        for pos, g in enumerate(guesses)]))
+        (pos, g.chosen, g.instance.objective.eval(g.chosen)) for pos, g in enumerate(guesses)]))
+    monkeypatch.setattr(cont._Solve, "by_bound", lambda *args: (
+        (pos, g.chosen, g.discarded, live(g), math.inf) for pos, g in enumerate(guesses)))
+    monkeypatch.setattr(cont._Solve, "cannot_win", lambda *args: False)
     monkeypatch.setattr(cont, "round_and_filter", no_draw)
     return solve_main(inst, Fraction(1, 10), params=RELAXED, trials=trials,
                       steps=4, samples_per_grad=4, diagnostics=True)
@@ -774,7 +780,7 @@ def _empties_merged(res):
 
 
 def test_golden_equivalence_guesses_and_main(monkeypatch):
-    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
+    _unbounded(monkeypatch)
     truncated = multi_row = residual_free = 0
     solves = []
     for seed, n, p, c, family, budget, shape in _golden_cases():
@@ -1024,7 +1030,7 @@ def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
     # with no screen, through the ascent without memo, repeated-direction
     # reuse or zero-gain skip.  Each ascent's seed comes from its pair's
     # E1 and target indices
-    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
+    _unbounded(monkeypatch)
     changing = repeats = 0
     for seed, n, p, c, family, budget, shape in _golden_cases():
         inst = _golden_instance(seed, n, p, c, family, shape)
@@ -1092,7 +1098,7 @@ def test_cutting_or_skipping_pairs_changes_no_other_pairs_draws(monkeypatch):
     # a pair's draws come from its content: a smaller budget, which cuts
     # the stream, or pairs taken out of the stream before it, leave every
     # pair that is still ascended with the same seed, point and rounded sets
-    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
+    _unbounded(monkeypatch)
     compared = varied = 0
     for seed, n, p, c, family, budget, shape in _golden_cases()[::4]:
         inst = _golden_instance(seed, n, p, c, family, shape)
@@ -1152,7 +1158,7 @@ def test_pairs_at_the_origin_skip_the_ascent(monkeypatch):
     # at most one covering row on them, is settled without an ascent;
     # every pair with a live element or some s_j > 0 still ascends, and the
     # answer, counts and records are the pair-by-pair loop's
-    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
+    _unbounded(monkeypatch)
     settled = with_live = short = 0
     for seed, n, p, c, family, budget, shape in _golden_cases():
         inst = _golden_instance(seed, n, p, c, family, shape)
@@ -1174,7 +1180,7 @@ def test_two_covering_rows_on_the_undetermined_elements_keep_the_tableau(monkeyp
     # E1 = {0} meets both targets and leaves elements 1 and 2 no gain, but
     # both covering rows have entries on them: that pair ascends through
     # phase 1, with the same output as the pair-by-pair loop
-    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
+    _unbounded(monkeypatch)
     inst = make_instance([], [[1, 1, 1], [1, 1, 1]], [], [1, 1],
                          CoverageOracle(3, [[0, 1], [0], [1]], [1, 1, 1]))
     knobs = dict(seed=3, budget=1000, params=Params.from_delta(Fraction(1, 10),
@@ -1200,7 +1206,7 @@ def test_counts_add_up_to_the_pairs_examined(monkeypatch):
     for bounded in (True, False):
         with monkeypatch.context() as m:
             if not bounded:
-                m.setattr(cont, "_chosen_sets", _unbounded)
+                _unbounded(m)
             totals = _count_totals()
         assert bool(totals.pruned) == bounded
         assert all(v for name, v in vars(totals).items() if name != "pruned"), totals
@@ -1276,7 +1282,7 @@ def test_run_walk_matches_the_pair_by_pair_loop(case, seed):
     knobs = dict(seed=seed, budget=budget, params=params, trials=2, steps=2,
                  samples_per_grad=3, diagnostics=True)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cont, "_chosen_sets", _unbounded)
+        _unbounded(m)
         got = solve_main(inst, Fraction(1, 10), **knobs)
     assert repr(got) == repr(per_pair_solve_main(inst, Fraction(1, 10), **knobs))
 
@@ -1298,13 +1304,9 @@ def _bound_cases(draw):
     return inst, params, draw(st.sampled_from([50, 400, 3000]))
 
 
-@settings(max_examples=80, deadline=None)
-@given(_bound_cases(), st.integers(0, 2 ** 16))
-def test_pruned_walk_finds_the_pair_by_pair_answer(case, seed):
-    # the walk leaves out the chosen sets whose bound is below the best
-    # value found; the answer and the pairs examined are the unpruned
-    # pair-by-pair loop's, and the pruned pairs are counted, with no record
-    inst, params, budget = case
+def _pruned_matches_unpruned(inst, params, budget, seed):
+    """solve_main on ``inst``, with the unpruned pair-by-pair loop's answer
+    and pairs examined, its pruned pairs counted with no record."""
     knobs = dict(seed=seed, budget=budget, params=params, trials=4, steps=3,
                  samples_per_grad=3, diagnostics=True)
     got = solve_main(inst, Fraction(1, 10), **knobs)
@@ -1315,6 +1317,131 @@ def test_pruned_walk_finds_the_pair_by_pair_answer(case, seed):
     assert k.examined == want.counts.examined
     assert k.examined == k.repeat + k.screened_empty + k.phase1_empty + k.ascended + k.pruned
     assert len(got.diagnostics) == k.examined - k.repeat - k.pruned
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bound_cases(), st.integers(0, 2 ** 16))
+def test_pruned_walk_finds_the_pair_by_pair_answer(case, seed):
+    # the walk leaves out the chosen sets whose bound is below the best
+    # value found, and those that cannot win a tie or reach the cover
+    _pruned_matches_unpruned(*case, seed)
+
+
+_ZERO_WEIGHTS = (make_instance([], [], [], [], LinearOracle([0, 0, 0])),
+                 Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=1), 3000)
+# all three elements cover 9/10 of the one covering row, and no target
+# (each at least 1) is within reach
+_NINE_TENTHS = (make_instance([], [[3, 3, 3]], [], [10], LinearOracle([0, 0, 0])),
+                *_ZERO_WEIGHTS[1:])
+
+
+@st.composite
+def _tie_cases(draw):
+    """(instance, params, budget) whose values tie often: up to 7
+    elements, p and c in {0, 1, 2} with small int entries and bounds;
+    linear weights that are mostly 0 or 1, or a coverage oracle whose
+    elements share a few sets; the delta-1/5 schedule, it with gamma 2,
+    or the small-cap schedule, under which the best set may come from a
+    rounding.  The budget may cut the stream."""
+    n, p, c = draw(st.integers(0, 7)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    entry = st.sampled_from([0, 0, 1, 2, 3])
+    packing = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(p)]
+    covering = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(c)]
+    if draw(st.booleans()):
+        oracle = LinearOracle(draw(st.lists(st.sampled_from([0, 0, 1, 1, 2]), min_size=n,
+                                            max_size=n)))
+    else:
+        pool = draw(st.lists(st.sets(st.integers(0, 3), max_size=2), min_size=1, max_size=3))
+        oracle = CoverageOracle(4, [draw(st.sampled_from(pool)) for _ in range(n)],
+                                [1, 1, 2, 3])
+    # a covering bound of 10 lets a set cover 9/10 of it and no more
+    bound = st.sampled_from([1, 2, 3, 5, 10])
+    inst = make_instance(packing, covering, [draw(bound) for _ in packing],
+                         [draw(bound) for _ in covering], oracle)
+    b = max(1, p + c)
+    schedule = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=b)
+    params = draw(st.sampled_from([
+        schedule, dataclasses.replace(schedule, gamma=Fraction(2)),
+        dataclasses.replace(_SMALL_CAP, beta=_SMALL_CAP_DELTA ** 2 / (3 * b))]))
+    return inst, params, draw(st.sampled_from([50, 400, 3000]))
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tie_cases(), st.integers(0, 2 ** 16))
+@example(_ZERO_WEIGHTS, 0)
+@example(_NINE_TENTHS, 0)
+def test_tie_and_reach_prunes_find_the_pair_by_pair_answer(case, seed):
+    # ties everywhere: the answer is the unpruned loop's, and each E1 that
+    # the tie or the reach rule prunes is checked by brute force when it
+    # is pruned: no E1 + S with S in its keep set packs, covers 1 - eps and
+    # beats the best set found so far.  (A reach rule that asked for full
+    # cover would prune no E1 with an ascending pair, since each target is
+    # at least 1, so only this check can see it)
+    cannot_win = cont._Solve.cannot_win
+
+    def checked(solve, chosen, keep, cpart, bound, screen):
+        verdict = cannot_win(solve, chosen, keep, cpart, bound, screen)
+        if verdict:
+            norm = solve.inst
+            for extra in _submasks(keep):
+                cand = chosen | extra
+                if (all(v <= 1 for v in norm.pack_value(cand))
+                        and all(v >= solve.need_cover for v in norm.cover_value(cand))):
+                    assert not better(norm.objective.eval(cand), cand, solve.best)
+        return verdict
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cont._Solve, "cannot_win", checked)
+        _pruned_matches_unpruned(*case, seed)
+
+
+def test_tie_rule_prunes_the_ties_that_cannot_win(monkeypatch):
+    # no rows, every weight 0: the empty set (walked first, as equal
+    # bounds go in stream order) wins, and each of the 7 other E1s ties it
+    # with a least candidate that comes after it
+    got = _pruned_matches_unpruned(*_ZERO_WEIGHTS, seed=0)
+    assert (got.solution, got.value) == (0, 0)
+    assert (got.counts.ascended, got.counts.pruned) == (1, 7)
+    _unbounded(monkeypatch)
+    assert _pruned_matches_unpruned(*_ZERO_WEIGHTS, seed=0).counts.ascended == 8
+
+
+def test_reach_rule_prunes_chosen_sets_that_cannot_cover(monkeypatch):
+    # covering row 1 1 0 with bound 2 needs elements 0 and 1 (9/10 of 2 is
+    # 1.8), and packing row 0 1 1 with bound 1 keeps 1 and 2 apart.  E1 =
+    # {0, 2} and {2} have the highest bounds (6 and 5), and element 1, the
+    # one that could add cover, is high-gain on both: their cover reach
+    # falls short, and their pairs, which the screen would settle as
+    # empty, are pruned before any column is built
+    inst = make_instance([[0, 1, 1]], [[1, 1, 0]], [1], [2], LinearOracle([1, 1, 5]))
+    params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=2)
+    verdicts = {}
+    cannot_win = cont._Solve.cannot_win
+
+    def spy(solve, chosen, *rest):
+        verdicts[chosen] = cannot_win(solve, chosen, *rest)
+        return verdicts[chosen]
+
+    monkeypatch.setattr(cont._Solve, "cannot_win", spy)
+    got = _pruned_matches_unpruned(inst, params, 3000, seed=1)
+    assert (got.solution, got.value) == (0b011, 2)
+    assert verdicts == {0b101: True, 0b100: True, 0b011: False}
+    monkeypatch.setattr(cont._Solve, "cannot_win", lambda *args: False)
+    plain = solve_main(inst, Fraction(1, 10), params=params, budget=3000, trials=4, steps=3,
+                       samples_per_grad=3)
+    moved = got.counts.pruned - plain.counts.pruned
+    grid = len(cont._target_grid(3, params, 3000))
+    assert moved == 2 * grid == plain.counts.screened_empty - got.counts.screened_empty
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -1327,12 +1454,76 @@ def test_bound_prunes_chosen_sets_in_the_benchmark_shape(monkeypatch, family):
                                                                Fraction(1, 5), b=2),
                  trials=8, steps=10, samples_per_grad=16)
     res = solve_main(inst, Fraction(1, 10), **knobs)
-    monkeypatch.setattr(cont, "_chosen_sets", _unbounded)
+    _unbounded(monkeypatch)
     full = solve_main(inst, Fraction(1, 10), **knobs)
     assert res.counts.pruned > 0 and full.counts.pruned == 0
     assert res.counts.ascended < full.counts.ascended
     assert res.counts.examined == full.counts.examined
     assert res.found
+    assert dataclasses.replace(res, counts=None) == dataclasses.replace(full, counts=None)
+
+
+# the small-cap schedule: E1 holds few elements (see the rounding tests below)
+_SMALL_CAP_DELTA = Fraction(17, 20)
+_SMALL_CAP = Params(epsilon=Fraction(1, 10), delta=_SMALL_CAP_DELTA, alpha=_SMALL_CAP_DELTA,
+                    beta=_SMALL_CAP_DELTA ** 2 / 6, gamma=Fraction(1))
+_DELTA_5 = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=2)
+
+
+@pytest.mark.parametrize("n, p, c, params, budget", [
+    (0, 1, 1, _DELTA_5, 0), (0, 1, 1, _DELTA_5, 1), (0, 0, 0, _DELTA_5, 5),
+    (6, 1, 1, _DELTA_5, 0), (6, 1, 1, _DELTA_5, 1), (6, 1, 1, _DELTA_5, 2),
+    # cut inside size 2 (positions 7 to 21) and inside size 3
+    (6, 1, 1, _DELTA_5, 10), (6, 2, 1, _DELTA_5, 30), (6, 1, 1, _DELTA_5, 10_000),
+    # the small-cap schedule: sets of at most 4 of 9
+    (9, 1, 1, _SMALL_CAP, 10_000), (9, 1, 1, _SMALL_CAP, 200),
+    (7, 0, 1, _DELTA_5, 10_000), (7, 2, 0, _DELTA_5, 10_000), (7, 0, 0, _DELTA_5, 100),
+    (9, 3, 2, _DELTA_5, 6000),
+])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_extended_chosen_sets_are_the_filtered_ones(n, p, c, params, budget, family):
+    # extending packing sets finds, at the same positions, the sets the
+    # subset filter keeps, with the same width, and f(E1) with each
+    inst = normalize(random_instance(random.Random(n + 10 * p + 100 * c), n, p=p, c=c,
+                                     family=family))
+    assert (cont._size_cap(inst, params) < n) == (params is _SMALL_CAP)
+    rows, width, packing = cont._chosen_sets(inst, params, budget)
+    assert (width, [entry[:2] for entry in packing]) == filtered_chosen_sets(inst, params,
+                                                                             budget)
+    assert all(value == inst.objective.eval(chosen) for _, chosen, value in packing)
+    assert rows == cont._scaled_rows(inst)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gains_are_taken_only_for_the_chosen_sets_refined(monkeypatch, family):
+    # the benchmark's n = 9 shape (its stream cut by the budget): exact
+    # gains are taken for fewer leftovers than a pass over every packing
+    # E1 took, sum (n - |E1|), with the answer of the unpruned walk
+    inst = random_instance(random.Random(9), 9, p=1, c=1, family=family)
+    knobs = dict(seed=5, budget=6000, params=_DELTA_5, trials=8, steps=10,
+                 samples_per_grad=16)
+    _, every = filtered_chosen_sets(normalize(inst), _DELTA_5, 6000)
+    calls = []
+    gains = cont._gains
+
+    class Counting:
+        def __init__(self, oracle):
+            self.oracle = oracle
+
+        def begin(self, mask):
+            return self.oracle.begin(mask)
+
+        def gain(self, state, elem):
+            calls.append(elem)
+            return self.oracle.gain(state, elem)
+
+    with monkeypatch.context() as m:
+        m.setattr(cont, "_gains", lambda oracle, *args: gains(Counting(oracle), *args))
+        res = solve_main(inst, Fraction(1, 10), **knobs)
+    assert res.truncated and res.found
+    assert 0 < len(calls) < sum(9 - chosen.bit_count() for _, chosen in every)
+    _unbounded(monkeypatch)
+    full = solve_main(inst, Fraction(1, 10), **knobs)
     assert dataclasses.replace(res, counts=None) == dataclasses.replace(full, counts=None)
 
 
@@ -1398,13 +1589,9 @@ def test_ascent_skipping_zero_gain_elements_matches_sampling_them(guess, steps, 
 
 
 # ---------------------------------------------------------------------------
-# a shape where rounding decides answers: with these params and p = c = 1
+# a shape where rounding decides answers: with ``_SMALL_CAP`` and p = c = 1
 # E1 holds at most ceil(1 + 2 / (17/20)^2) = 4 elements, so an optimum of
 # more elements is reached only through the ascent and its rounding
-
-_SMALL_CAP_DELTA = Fraction(17, 20)
-_SMALL_CAP = Params(epsilon=Fraction(1, 10), delta=_SMALL_CAP_DELTA, alpha=_SMALL_CAP_DELTA,
-                    beta=_SMALL_CAP_DELTA ** 2 / 6, gamma=Fraction(1))
 
 
 @pytest.mark.parametrize("seed, family", [(2, "concave_of_modular"), (7, "coverage")])
