@@ -43,10 +43,9 @@ def _cover_rest(loads: PackedLoads, n: int) -> list:
     """``rest[i]``: the covering fields of elements ``i..n-1``, summed.  The
     packing fields are masked out, so adding ``rest[i]`` to a word carries
     into no other field."""
-    pack_fields = (1 << loads.fields[loads.p][0]) - 1 if len(loads.fields) > loads.p else -1
     rest = [0] * (n + 1)
     for e in range(n - 1, -1, -1):
-        rest[e] = rest[e + 1] + (loads.offsets[e] & ~pack_fields)
+        rest[e] = rest[e + 1] + (loads.offsets[e] & ~loads.pack_fields)
     return rest
 
 

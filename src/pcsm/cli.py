@@ -180,13 +180,12 @@ def _poly(inst, opts):
 
 def _continuous(inst, opts):
     eps = to_fraction(opts.epsilon)
-    params = None
-    if opts.relaxed:
-        params = Params.from_delta(eps, to_fraction(opts.delta),
-                                   max(1, inst.p + inst.c))
+    # --delta is checked on every run and used only under --relaxed
+    relaxed = Params.from_delta(eps, to_fraction(opts.delta), max(1, inst.p + inst.c))
     res = solve_main(inst, eps, seed=opts.seed, budget=opts.budget,
-                     params=params, trials=opts.trials, steps=opts.steps,
-                     samples_per_grad=opts.samples, diagnostics=opts.diagnostics)
+                     params=relaxed if opts.relaxed else None, trials=opts.trials,
+                     steps=opts.steps, samples_per_grad=opts.samples,
+                     diagnostics=opts.diagnostics)
     # the counts say why a run found nothing, so they print either way
     fields = {
         "guesses_enumerated": res.guesses_enumerated,

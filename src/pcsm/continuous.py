@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import ge, itemgetter
 from typing import NamedTuple, Optional
@@ -27,12 +27,14 @@ from .core import (
     BudgetExceededError,
     InfeasibleError,
     Instance,
+    PackedLoads,
     Params,
     better,
     iter_bits,
     load_ratios,
     mask_of,
     normalize,
+    packed_loads,
     subset_less,
     to_fraction,
 )
@@ -52,10 +54,10 @@ class GuessInfeasibleError(InfeasibleError):
 
 class _Rows(NamedTuple):
     """The normalized instance's rows scaled to integers, built once per
-    instance.  Packing row i times D_i, the lcm of its entries'
-    denominators, has int entries and the int bound D_i (the normalized
-    bound 1); covering row j times K_j likewise.  Every exact comparison of
-    the guess loop is then an int compare.
+    instance from its ``core.packed_loads`` layout.  Packing row i times
+    D_i, the lcm of its entries' denominators, has int entries and the int
+    bound D_i (the normalized bound 1); covering row j times K_j likewise.
+    Every exact comparison of the guess loop is then an int compare.
 
     Each ``*_index`` entry holds a row's int entries in ascending order and,
     for each position k, the mask of the elements at positions k and later,
@@ -63,6 +65,7 @@ class _Rows(NamedTuple):
     """
 
     n: int
+    loads: PackedLoads           # the packed layout the rows come from
     pack: tuple                  # scaled packing rows, int entries
     pack_scale: tuple            # D_i, also row i's scaled bound
     cover: tuple                 # scaled covering rows, int entries
@@ -74,22 +77,18 @@ class _Rows(NamedTuple):
 
     def load(self, mask: int) -> tuple:
         """The scaled loads of ``mask``: packing rows, then covering rows."""
-        return tuple(sum(row[e] for e in iter_bits(mask)) for row in self.pack + self.cover)
+        return tuple(sum(row[e] for e in iter_bits(mask)) for row in self.loads.rows)
 
 
 def _scaled_rows(inst: Instance) -> _Rows:
-    def scale(rows):
-        scales = tuple(math.lcm(*(v.denominator for v in row)) for row in rows)
-        return (tuple(tuple(v.numerator * (d // v.denominator) for v in row)
-                      for row, d in zip(rows, scales)), scales)
-
-    pack, pack_scale = scale(inst.packing)
-    cover, cover_scale = scale(inst.covering)
-    rows = pack + cover
-    return _Rows(inst.n, pack, pack_scale, cover, cover_scale,
+    loads = packed_loads(inst)
+    p = inst.p
+    pack, cover = loads.rows[:p], loads.rows[p:]
+    scales = tuple(scale for _, _, _, scale in loads.fields)
+    return _Rows(inst.n, loads, pack, scales[:p], cover, scales[p:],
                  tuple(_row_index(row) for row in pack),
                  tuple(_row_index(row) for row in cover),
-                 tuple(tuple(row[e] for row in rows) for e in range(inst.n)),
+                 tuple(zip(*loads.rows)) or ((),) * inst.n,
                  tuple(mask_of(e for e, v in enumerate(row) if v) for row in cover))
 
 
@@ -353,18 +352,28 @@ def _grid_length(n: int, params: Params, budget: int) -> int:
 
 
 def _size_cap(inst: Instance, params: Params) -> int:
-    """The largest chosen set E1 a guess may hold."""
-    return min(inst.n, math.ceil(params.gamma + (inst.p + inst.c)
-                                 / (params.alpha * params.delta)))
+    """The largest chosen set E1 a guess may hold: gamma + (p + c) / (alpha
+    delta), rounded up, in ints: each solve asks for it twice."""
+    g_num, g_den = params.gamma.numerator, params.gamma.denominator
+    ad_num = params.alpha.numerator * params.delta.numerator
+    ad_den = params.alpha.denominator * params.delta.denominator
+    return min(inst.n, _ceil(g_num * ad_num + (inst.p + inst.c) * ad_den * g_den,
+                             g_den * ad_num))
+
+
+def _width(n: int, cap: int, budget: int) -> int:
+    """The number of chosen sets in a target pass, the sets of at most
+    ``cap`` of ``n`` elements, cut at ``budget + 1`` (the last one only
+    flags truncation)."""
+    return min(sum(math.comb(n, k) for k in range(cap + 1)), budget + 1)
 
 
 def _pair_total(inst: Instance, params: Params, budget: int) -> int:
     """The size of ``_guess_parts``'s product, by arithmetic alone: more
     than ``budget`` exactly when the stream is truncated.  As there, the
     grid and the chosen sets are cut just past the budget."""
-    width = min(sum(math.comb(inst.n, k) for k in range(_size_cap(inst, params) + 1)),
-                budget + 1)
-    return _grid_length(inst.n, params, budget) ** inst.c * width
+    return (_grid_length(inst.n, params, budget) ** inst.c
+            * _width(inst.n, _size_cap(inst, params), budget))
 
 
 def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tuple:
@@ -377,7 +386,7 @@ def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tup
     with ``index`` the targets' indices in ``grid``, and no ``Guess``
     built."""
     rows, width, packing = _chosen_sets(inst, params, budget)
-    total = len(grid) ** inst.c * width
+    total = _pair_total(inst, params, budget)
     columns = {}
 
     def records():
@@ -424,19 +433,24 @@ def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
     of lex rank C(n, k) - 1 - sum_i C(n - 1 - c_i, k - i) (the
     combinatorial number system, over the complements n - 1 - c_i), so
     E1 plus e sits at ``base + e`` with ``base`` = sum_{j <= k + 1} C(n,
-    j) - n - sum_i C(n - 1 - c_i, k + 1 - i).  A child packs when its
-    ``_pack_words`` word has no guard bit set."""
+    j) - n - sum_i C(n - 1 - c_i, k + 1 - i).  A child packs when the
+    packing fields of its ``core.packed_loads`` word (``rows.loads``)
+    have no guard bit set."""
     n = inst.n
     if any(b != 1 for b in inst.pack_bound) or any(b != 1 for b in inst.cover_bound):
         raise ValueError("guess enumeration expects a normalized instance")
     rows = _scaled_rows(inst)
     cap = _size_cap(inst, params)
     binom = [[math.comb(m, k) for k in range(cap + 2)] for m in range(n + 1)]
-    width = min(sum(binom[n][:cap + 1]), budget + 1)
-    start, words, guard = _pack_words(rows)
+    width = _width(n, cap, budget)
+    loads = rows.loads
+    pack_fields, pack_guard = loads.pack_fields, loads.pack_guard
+    # the packing fields alone decide whether a set packs; the words stay small
+    offsets = [offset & pack_fields for offset in loads.offsets]
     oracle = inst.objective
     packing = [(0, 0, oracle.eval(0))] if budget else []
-    level = [(0, start)]         # the packing sets of size k in lex order, with their words
+    # the packing sets of size k in lex order, with their words
+    level = [(0, loads.start & pack_fields)]
     end = 1                      # the number of sets of size <= k
     for k in range(cap):
         end += binom[n][k + 1]   # now of size <= k + 1, the children's size
@@ -444,8 +458,8 @@ def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
         for chosen, word in level:
             base = None
             for e in range(chosen.bit_length(), n):
-                child_word = word + words[e]
-                if child_word & guard:
+                child_word = word + offsets[e]
+                if child_word & pack_guard:
                     continue
                 if base is None:
                     # E1 + e sits at base + e; taken once E1 has a child that packs
@@ -459,27 +473,6 @@ def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
                 packing.append((base + e, child, oracle.eval(child)))
         level = grown
     return rows, width, packing
-
-
-def _pack_words(rows: _Rows) -> tuple:
-    """The scaled packing loads as one int word, ``(the empty set's word,
-    each element's word, the guard mask)``; a set's word is the empty
-    set's plus its elements'.  Row i gets a field of w_i + 1 bits, where
-    2^w_i is above its bound D_i and each of its entries, and the empty set
-    holds 2^w_i - 1 - D_i there.  A set's field then holds 2^w_i - 1 - D_i
-    plus its load, which reaches the guard bit 2^w_i exactly when the load
-    is above D_i.  A set that packs plus one element stays below 2^(w_i +
-    1), so no field carries into the next."""
-    start = guard = shift = 0
-    words = [0] * rows.n
-    for row, d in zip(rows.pack, rows.pack_scale):
-        w = max([d, *row]).bit_length()
-        start |= ((1 << w) - 1 - d) << shift
-        guard |= 1 << (shift + w)
-        for e, a in enumerate(row):
-            words[e] |= a << shift
-        shift += w + 1
-    return start, words, guard
 
 
 def _gains(oracle, chosen: int, value, full: int, gamma: Fraction) -> tuple:
@@ -819,21 +812,22 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     _check_ascent(steps, samples_per_grad)
     epsilon = to_fraction(epsilon)
     norm = normalize(inst)
-    b = max(1, norm.p + norm.c)
-    if params is None:
-        params = Params.from_epsilon(epsilon, b)
-        # decided before the grid's exact powers are built: at eps 1/100
-        # building them alone takes seconds
-        if _pair_total(norm, params, budget) > budget:
-            raise BudgetExceededError(
-                f"the analysis schedule's guess stream has more than {budget} pairs "
-                f"(delta {float(params.delta):.3g}); raise the budget or pass "
-                "explicit params (--relaxed)")
+    schedule = params is None
+    if schedule:
+        params = Params.from_epsilon(epsilon, max(1, norm.p + norm.c))
+    # decided before the grid's exact powers are built: at eps 1/100
+    # building them alone takes seconds
+    total = _pair_total(norm, params, budget)
+    if schedule and total > budget:
+        raise BudgetExceededError(
+            f"the analysis schedule's guess stream has more than {budget} pairs "
+            f"(delta {float(params.delta):.3g}); raise the budget or pass "
+            "explicit params (--relaxed)")
     grid = _target_grid(norm.n, params, budget)
     rows, width, packing = _chosen_sets(norm, params, budget)
     solve = _Solve(norm, params, epsilon, seed, trials, steps, samples_per_grad, diagnostics)
     solve.walk(rows, grid, budget, width, packing)
-    return solve.result(len(grid) ** norm.c * width > budget)
+    return solve.result(total > budget)
 
 
 class _Solve:
@@ -1009,37 +1003,30 @@ class _Solve:
         m = n - |E1| elements outside E1 an E1's bound is at most its cap
         f(E1) (1 + m / gamma), kept times gamma's numerator as an exact
         value (f >= 0; a negative f(E1) makes every element high-gain).
-        Gains are taken only for the E1s refined: the unrefined E1 with the
-        highest cap is refined while that cap is at least the top bound of
-        the refined ones (unrefined first on equality).  So the refined E1
-        given next has the highest bound, and the least position among
-        equal bounds, of all the E1s left, and when the higher of the two
-        tops is below the best value, so is every bound left."""
+        Gains are taken only for the E1s refined.  One heap holds every E1
+        left, keyed ``(-key, refined, pos)``: ``key`` is the cap of an
+        unrefined E1 and gamma's numerator times the bound of a refined one,
+        so on equal keys an unrefined E1 comes first.  An unrefined top is
+        refined and pushed back with its bound, which is at most its cap; a
+        refined top is given.  So the E1 given next has the highest bound,
+        and the least position among equal bounds, of all the E1s left, and
+        when the top key is below the best value, so is every bound left."""
         oracle = self.inst.objective
         gamma = self.params.gamma
         g_num, g_den = gamma.numerator, gamma.denominator
         n = self.inst.n
-        # unrefined: lowest cap first, taken from the end; refined: a heap
-        # on (-g_num bound, pos)
-        unrefined = sorted(((g_num * value + g_den * (n - chosen.bit_count()) * max(value, 0),
-                             pos, chosen, value) for pos, chosen, value in packing),
-                           key=itemgetter(0))
-        refined = []
-        while unrefined or refined:
-            if unrefined and (not refined or unrefined[-1][0] >= -refined[0][0]):
-                cap, pos, chosen, value = unrefined[-1]
-                if self.best is not None and cap < g_num * self.best[1]:
-                    break
-                unrefined.pop()
-                high_gain, live, bound = _gains(oracle, chosen, value, self.full, gamma)
-                heappush(refined, (-g_num * bound, pos, chosen, high_gain, live, bound))
+        heap = [(-(g_num * value + g_den * (n - chosen.bit_count()) * max(value, 0)), False,
+                 pos, chosen, value) for pos, chosen, value in packing]
+        heapify(heap)
+        while heap and (self.best is None or -heap[0][0] >= g_num * self.best[1]):
+            entry = heappop(heap)
+            if entry[1]:
+                yield entry[2:]
                 continue
-            _, pos, chosen, high_gain, live, bound = refined[0]
-            if self.best is not None and bound < self.best[1]:
-                break
-            heappop(refined)
-            yield pos, chosen, high_gain, live, bound
-        left += [entry[1] for entry in unrefined + refined]
+            _, _, pos, chosen, value = entry
+            high_gain, live, bound = _gains(oracle, chosen, value, self.full, gamma)
+            heappush(heap, (-g_num * bound, True, pos, chosen, high_gain, live, bound))
+        left += [entry[2] for entry in heap]
 
     def cannot_win(self, chosen: int, keep: int, cpart: _ChosenPart, bound,
                    screen: _Screen) -> bool:

@@ -381,7 +381,8 @@ class PackedLoads:
     is met.  A subset's word is ``start`` plus its elements' ``offsets``;
     each field stays in ``[0, 2^(w+1))``, so fields never carry into each
     other and removing an element is one subtraction.  A set is feasible
-    exactly when ``word & guard == want``.
+    exactly when ``word & guard == want``.  The scaling is int arithmetic,
+    with no ``Fraction`` made; ``rows`` keeps the scaled rows.
     """
 
     start: int               # the empty set's word: the biases
@@ -389,7 +390,9 @@ class PackedLoads:
     guard: int               # every field's guard bit
     want: int                # guard pattern of a feasible set: the covering guards
     pack_guard: int          # the packing guards: set bits mean an overflow
+    pack_fields: int         # every bit of the packing fields, which sit lowest
     fields: tuple            # (shift, field mask, bias, scale): packing rows, then covering
+    rows: tuple              # the scaled rows, int entries: packing rows, then covering
     p: int
     keep: _KeepMasks = field(compare=False, repr=False)
 
@@ -412,30 +415,30 @@ def packed_loads(inst: Instance) -> PackedLoads:
     """The packed load layout of ``inst``: packing rows in the low fields,
     covering rows above them."""
     offsets = [0] * inst.n
-    start = guard = pack_guard = shift = 0
-    fields = []
+    start = guard = pack_guard = pack_fields = shift = 0
+    fields, scaled = [], []
     rows = [(row, b, True) for row, b in zip(inst.packing, inst.pack_bound)]
     rows += [(row, b, False) for row, b in zip(inst.covering, inst.cover_bound)]
     for row, b, packing in rows:
-        scale = math.lcm(Fraction(b).denominator,
-                         *(Fraction(v).denominator for v in row))
-        entries = [int(v * scale) for v in row]
-        bound = int(b * scale)
+        scale = math.lcm(b.denominator, *[v.denominator for v in row])
+        entries = tuple([v.numerator * (scale // v.denominator) for v in row])
+        bound = b.numerator * (scale // b.denominator)
         w = max(sum(entries), bound, 1).bit_length()
         bias = (1 << w) - bound - (1 if packing else 0)
         fmask = (2 << w) - 1
-        for e, v in enumerate(entries):
-            offsets[e] += v << shift
+        offsets = [o + (v << shift) for o, v in zip(offsets, entries)]
         start += bias << shift
         guard |= 1 << (shift + w)
         if packing:
             pack_guard |= 1 << (shift + w)
+            pack_fields |= fmask << shift
         fields.append((shift, fmask, bias, scale))
+        scaled.append(entries)
         shift += w + 1
     return PackedLoads(start=start, offsets=tuple(offsets), guard=guard,
                        want=guard & ~pack_guard, pack_guard=pack_guard,
-                       fields=tuple(fields), p=inst.p,
-                       keep=_KeepMasks(tuple(fields[inst.p:])))
+                       pack_fields=pack_fields, fields=tuple(fields), rows=tuple(scaled),
+                       p=inst.p, keep=_KeepMasks(tuple(fields[inst.p:])))
 
 
 def load_ratios(inst: Instance, mask: int) -> tuple:

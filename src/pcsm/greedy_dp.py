@@ -78,8 +78,8 @@ def _build_layers(inst: Instance, saturate_cover: bool) -> tuple:
     _require_integer(inst)
     _guard_table(inst, saturate_cover)
     loads = packed_loads(inst)
-    pack_guard, cover_guard, keep = loads.pack_guard, loads.want, loads.keep
-    pack_bits = (1 << pack_guard.bit_length()) - 1    # the packing fields
+    pack_guard, pack_fields = loads.pack_guard, loads.pack_fields
+    cover_guard, keep = loads.want, loads.keep
     elems = [(elem, 1 << elem, offset) for elem, offset in enumerate(loads.offsets)]
     fit_lists: dict = {}    # a cell's packing fields -> the elements that fit
     oracle = inst.objective
@@ -92,7 +92,7 @@ def _build_layers(inst: Instance, saturate_cover: bool) -> tuple:
         nxt: dict = {}
         offered = set()    # child masks this layer has already been offered
         for word, (mask, value) in layer.items():
-            key = word & pack_bits
+            key = word & pack_fields
             fits = fit_lists.get(key)
             if fits is None:
                 fits = fit_lists[key] = [

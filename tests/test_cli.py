@@ -403,6 +403,10 @@ def test_cli_continuous_option_ranges(tmp_path, capsys, flags, refused):
     # the forbidden-set DP's epsilon lies in (0, 1], as solve_polynomial's does
     (["forbidden", "--epsilon", "2"], "epsilon must lie in (0, 1]"),
     (["forbidden", "--poly", "--epsilon", "2"], "epsilon must lie in (0, 1]"),
+    # --delta is checked on every run, not only under --relaxed
+    (["continuous", "--delta", "0"], "delta must lie in (0, 1)"),
+    (["continuous", "--delta", "1/0"], "zero denominator"),
+    (["continuous", "--delta", "1"], "delta must lie in (0, 1)"),
 ])
 def test_cli_zero_parameters_are_bad_input(tmp_path, capsys, argv, refused):
     path = tmp_path / "inst.json"

@@ -1527,6 +1527,34 @@ def test_gains_are_taken_only_for_the_chosen_sets_refined(monkeypatch, family):
     assert dataclasses.replace(res, counts=None) == dataclasses.replace(full, counts=None)
 
 
+def test_by_bound_refines_equal_caps_before_an_equal_bound(monkeypatch):
+    # gamma 1 and n = 4: E1's cap is f(E1) (1 + n - |E1|).  Caps 6, 6, 4,
+    # 4, 0 at positions 2, 3, 0, 1, 4, and bounds 4, 5, 4, 3 for the first
+    # four.  Position 3 (bound 5) goes first; the caps of 4 are refined
+    # before the bound of 4 at position 2 is given, so position 0 goes
+    # before it.  A best value of 4 then leaves out position 1 (bound 3,
+    # refined) and position 4 (cap 0, never refined)
+    inst = make_instance([], [], [], [], LinearOracle([0] * 4))
+    params = dataclasses.replace(_DELTA_5, gamma=Fraction(1))
+    packing = [(0, 0b0001, 1), (1, 0b0010, 1), (2, 0b0011, 2), (3, 0b0111, 3), (4, 0b0100, 0)]
+    bounds = {0b0001: 4, 0b0010: 3, 0b0011: 4, 0b0111: 5}
+    refined = []
+
+    def gains(oracle, chosen, value, full, gamma):
+        refined.append(chosen)
+        return 0, 0, bounds[chosen]
+
+    monkeypatch.setattr(cont, "_gains", gains)
+    solve = cont._Solve(inst, params, Fraction(1, 10), 0, 1, 1, 1, False)
+    left, given = [], []
+    for pos, chosen, _, _, bound in solve.by_bound(packing, left):
+        given.append((pos, bound))
+        solve.best = (chosen, 4)
+    assert given == [(3, 5), (0, 4), (2, 4)]
+    assert sorted(left) == [1, 4]
+    assert sorted(refined) == sorted(bounds)
+
+
 @st.composite
 def _ascent_guesses(draw):
     """A guess on up to 6 elements whose objective gives some or none of
@@ -1586,6 +1614,21 @@ def test_ascent_skipping_zero_gain_elements_matches_sampling_them(guess, steps, 
         return
     got = continuous_greedy(guess, steps=steps, samples_per_grad=samples, seed=seed)
     assert {e: v.hex() for e, v in got.items()} == {e: v.hex() for e, v in want.items()}
+
+
+_OPEN_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=50).filter(
+    lambda v: 0 < v < 1)
+
+
+@given(st.integers(0, 12), st.integers(0, 2), st.integers(0, 2), _OPEN_UNIT, _OPEN_UNIT,
+       st.fractions(min_value=1, max_value=20, max_denominator=7))
+@example(9, 1, 1, _SMALL_CAP.delta, _SMALL_CAP.alpha, _SMALL_CAP.gamma)
+@example(12, 1, 1, Fraction(1, 2), Fraction(1, 2), Fraction(1))   # 1 + 2 * 4 = 9 exactly
+def test_size_cap_rounds_the_exact_bound_up(n, p, c, delta, alpha, gamma):
+    inst = make_instance([[0] * n] * p, [[0] * n] * c, [1] * p, [1] * c, LinearOracle([1] * n))
+    params = Params(epsilon=Fraction(1, 10), delta=delta, alpha=alpha, beta=Fraction(1, 2),
+                    gamma=gamma)
+    assert cont._size_cap(inst, params) == min(n, math.ceil(gamma + (p + c) / (alpha * delta)))
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,13 @@ def packed_instances(draw):
                        [Fraction(7, 2)], [Fraction(5, 3), 3], LinearOracle([1, 1])))
 def test_packed_loads_match_exact_loads(inst):
     loads = packed_loads(inst)
+    # each scaled row over its field's scale is the instance's row, and the
+    # packing-field mask holds the packing fields' bits and no other
+    for (_, _, _, scale), scaled, row in zip(loads.fields, loads.rows,
+                                             inst.packing + inst.covering, strict=True):
+        assert [Fraction(v, scale) for v in scaled] == list(row)
+    assert loads.pack_fields == sum(fmask << shift
+                                    for shift, fmask, _, _ in loads.fields[:inst.p])
     for mask in range(1 << inst.n):
         word = loads.start + sum(loads.offsets[i] for i in iter_bits(mask))
         cover, pack = inst.cover_value(mask), inst.pack_value(mask)
