@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import islice, product
 from operator import ge, itemgetter
 from typing import NamedTuple, Optional
 
@@ -136,9 +136,10 @@ class _ChosenPart(NamedTuple):
                 and all(q * den >= num * k for q, k in zip(load[p:], rows.cover_scale)))
 
 
-def _chosen_part(rows: _Rows, chosen: int, load: tuple, alpha: Fraction,
-                 beta: Fraction, delta: Fraction) -> _ChosenPart:
-    """E1's part, given its scaled loads ``load`` (``rows.load(chosen)``)."""
+def _chosen_part(rows: _Rows, chosen: int, params: Params) -> _ChosenPart:
+    """E1's part, from its scaled loads ``rows.load(chosen)``."""
+    alpha, beta, delta = params.alpha, params.beta, params.delta
+    load = rows.load(chosen)
     room = tuple(d - v for d, v in zip(rows.pack_scale, load))
     y = frozenset(i for i, (r, d) in enumerate(zip(room, rows.pack_scale))
                   if r * delta.denominator <= delta.numerator * d)
@@ -171,9 +172,9 @@ class _Column(NamedTuple):
     runs: tuple                  # (start, stop, mask) per stretch of t with one large mask
 
 
-def _column(rows: _Rows, j: int, load: int, points: list, alpha: Fraction,
-            delta: Fraction) -> _Column:
+def _column(rows: _Rows, j: int, load: int, points: list, params: Params) -> _Column:
     """Row j's column for the load ``load`` over the targets ``points``."""
+    alpha, delta = params.alpha, params.delta
     k = rows.cover_scale[j]
     entries, suffix = rows.cover_index[j]
     residual, critical, large = [], [], []
@@ -199,7 +200,7 @@ def _columns(cache: dict, rows: _Rows, load: tuple, grid: list, params: Params) 
     for j, q in enumerate(load):
         col = cache.get((j, q))
         if col is None:
-            col = cache[j, q] = _column(rows, j, q, grid, params.alpha, params.delta)
+            col = cache[j, q] = _column(rows, j, q, grid, params)
         cols.append(col)
     return cols
 
@@ -229,7 +230,8 @@ def _target_part(cols: list, index: tuple, values: tuple) -> _TargetPart:
 
 @dataclass(frozen=True)
 class Guess:
-    """A triplet (discarded, chosen, cover targets) with its derived data.
+    """A triplet (discarded, chosen, cover targets) with its derived data
+    under the knobs ``params``.
 
     All derived fields are exact, computed against the normalized instance
     through its int-scaled rows: critical row sets, and the large-element
@@ -243,10 +245,7 @@ class Guess:
     discarded: int               # E0 bitmask
     chosen: int                  # E1 bitmask
     cover_targets: tuple         # c', one positive rational per covering row
-    alpha: Fraction
-    beta: Fraction
-    delta: Fraction
-    gamma: Fraction
+    params: Params
     critical_pack: frozenset = field(init=False, compare=False)
     critical_cover: frozenset = field(init=False, compare=False)
     large_pack: int = field(init=False, compare=False)
@@ -262,11 +261,10 @@ class Guess:
             raise ValueError("cover target per covering row required")
         if parts is None:
             rows = _scaled_rows(inst)
-            cpart = _chosen_part(rows, self.chosen, rows.load(self.chosen),
-                                 self.alpha, self.beta, self.delta)
+            cpart = _chosen_part(rows, self.chosen, self.params)
             values = tuple(map(Fraction, self.cover_targets))
             # one-point columns: each row's own target
-            cols = [_column(rows, j, q, [t], self.alpha, self.delta)
+            cols = [_column(rows, j, q, [t], self.params)
                     for j, (q, t) in enumerate(zip(cpart.cover_load, values))]
             parts = (cpart, _target_part(cols, (0,) * inst.c, values))
         cpart, tpart = parts
@@ -302,17 +300,6 @@ class Guess:
         return tuple(iter_bits(self.undetermined))
 
 
-def _make_guess(inst: Instance, params: Params, chosen: int, discarded: int,
-                cpart: _ChosenPart, tpart: _TargetPart) -> Guess:
-    """The guess of a record of ``_guess_parts``.  Its E0 holds every large
-    element of the intermediate guess H = (empty, E1, c'), whose rows and
-    thresholds do not depend on E0, so the guess carries H's parts; its own
-    large masks come out empty."""
-    return Guess(instance=inst, discarded=discarded, chosen=chosen,
-                 cover_targets=tpart.values, alpha=params.alpha, beta=params.beta,
-                 delta=params.delta, gamma=params.gamma, parts=(cpart, tpart))
-
-
 @dataclass
 class GuessList:
     guesses: list
@@ -322,11 +309,38 @@ class GuessList:
 
 def enumerate_guesses(inst: Instance, params: Params, budget: int = 100_000) -> GuessList:
     """All consistent guesses from the (cover grid) x (chosen subsets)
-    product, stopping with a truncation flag once the budget is spent."""
+    product, in the product's order, stopping with a truncation flag once
+    the budget is spent.  The budget counts every pair of the product; the
+    guesses are the pairs within it whose E1 packs within the bounds.  Each
+    is consistent: its targets start at 1, and its E0 holds every large
+    element of the intermediate guess H = (empty, E1, c'), whose rows and
+    thresholds do not depend on E0, so the guess carries H's parts and its
+    own large masks come out empty."""
     grid = _target_grid(inst.n, params, budget)
-    pairs, truncated, records = _guess_parts(inst, params, grid, budget)
-    return GuessList([_make_guess(inst, params, *record[1:]) for record in records],
-                     truncated, pairs)
+    rows, width, packing = _chosen_sets(inst, params, budget)
+    total = _pair_total(inst, params, budget)
+    full = (1 << inst.n) - 1
+    # each E1's chosen part and base E0
+    chosen_sets = []
+    for pos, chosen, value in packing:
+        part = _chosen_part(rows, chosen, params)
+        high_gain = _gains(inst.objective, chosen, value, full, params.gamma)[0]
+        chosen_sets.append((pos, chosen, part, high_gain | part.large_pack))
+    columns = {}
+    guesses = []
+    # the first row's target varies fastest; the k-th targets' pairs start
+    # at k * width, so only those with k < ceil(budget / width) are in the budget
+    indices = (t[::-1] for t in product(range(len(grid)), repeat=inst.c))
+    for k, index in enumerate(islice(indices, _ceil(budget, width))):
+        values = tuple(grid[t] for t in index)
+        for pos, chosen, part, discarded in chosen_sets:
+            if k * width + pos >= budget:
+                break
+            tpart = _target_part(_columns(columns, rows, part.cover_load, grid, params),
+                                 index, values)
+            guesses.append(Guess(inst, discarded | (tpart.large_cover & ~chosen), chosen,
+                                 values, params, parts=(part, tpart)))
+    return GuessList(guesses, total > budget, min(total, budget))
 
 
 def _target_grid(n: int, params: Params, budget: int) -> list:
@@ -369,50 +383,11 @@ def _width(n: int, cap: int, budget: int) -> int:
 
 
 def _pair_total(inst: Instance, params: Params, budget: int) -> int:
-    """The size of ``_guess_parts``'s product, by arithmetic alone: more
+    """The size of ``enumerate_guesses``'s product, by arithmetic alone: more
     than ``budget`` exactly when the stream is truncated.  As there, the
     grid and the chosen sets are cut just past the budget."""
     return (_grid_length(inst.n, params, budget) ** inst.c
             * _width(inst.n, _size_cap(inst, params), budget))
-
-
-def _guess_parts(inst: Instance, params: Params, grid: list, budget: int) -> tuple:
-    """``enumerate_guesses``'s product of the targets over ``grid``
-    (``_target_grid(n, params, budget)``) and the chosen sets, as
-    ``(pairs examined, truncated, records)``.  The budget counts every
-    pair of the product; ``records`` streams, in the product's order, the
-    pairs within it whose E1 packs within the bounds, all of them
-    consistent, each as ``(index, chosen, E0, chosen part, target part)``
-    with ``index`` the targets' indices in ``grid``, and no ``Guess``
-    built."""
-    rows, width, packing = _chosen_sets(inst, params, budget)
-    total = _pair_total(inst, params, budget)
-    columns = {}
-
-    def records():
-        # each E1's chosen part and base E0, built once the stream is read
-        chosen_sets = []
-        full = (1 << inst.n) - 1
-        for pos, chosen, value in packing:
-            part = _chosen_part(rows, chosen, rows.load(chosen), params.alpha, params.beta,
-                                params.delta)
-            high_gain = _gains(inst.objective, chosen, value, full, params.gamma)[0]
-            chosen_sets.append((pos, chosen, part, high_gain | part.large_pack))
-        # the first row's target varies fastest
-        indices = (t[::-1] for t in product(range(len(grid)), repeat=inst.c))
-        for k, index in enumerate(indices):
-            first = k * width
-            values = tuple(grid[t] for t in index)
-            for pos, chosen, part, discarded in chosen_sets:
-                if first + pos >= budget:
-                    return
-                # consistent: E0 holds every large element, targets start
-                # at 1 and E1 packs within the bounds
-                tpart = _target_part(_columns(columns, rows, part.cover_load, grid, params),
-                                     index, values)
-                yield index, chosen, discarded | (tpart.large_cover & ~chosen), part, tpart
-
-    return min(total, budget), total > budget, records()
 
 
 def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
@@ -924,8 +899,7 @@ class _Solve:
         columns = {}
         left = []
         for pos, chosen, high_gain, live, bound in self.by_bound(packing, left):
-            cpart = _chosen_part(rows, chosen, rows.load(chosen), params.alpha, params.beta,
-                                 params.delta)
+            cpart = _chosen_part(rows, chosen, params)
             base = high_gain | cpart.large_pack
             free = self.full & ~chosen
             keep = free & ~base
@@ -1098,7 +1072,8 @@ class _Solve:
         x_star = {}
         if (any(tpart.residual_cover) or undetermined & live
                 or sum(1 for s in cpart.rows.cover_support if s & undetermined) > 1):
-            guess = _make_guess(self.inst, self.params, chosen, discarded, cpart, tpart)
+            guess = Guess(self.inst, discarded, chosen, tpart.values, self.params,
+                          parts=(cpart, tpart))
             ascent_seed, round_seed = _pair_seeds(self.seed, chosen, index)
             try:
                 x_star = continuous_greedy(guess, steps=self.steps,

@@ -510,11 +510,13 @@ class Params:
     @classmethod
     def from_delta(cls, epsilon, delta, b: int) -> "Params":
         epsilon, delta = to_fraction(epsilon), to_fraction(delta)
-        # checked before the schedule divides by delta
+        # checked before the schedule divides by delta and b
         if not 0 < epsilon:
             raise ValueError("epsilon must be positive")
         if not 0 < delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        if b < 1:
+            raise ValueError("b must be at least 1")
         return cls(
             epsilon=epsilon,
             delta=delta,
@@ -526,6 +528,8 @@ class Params:
     @classmethod
     def from_epsilon(cls, epsilon, b: int) -> "Params":
         """Schedule of the analysis: delta just below min{1/15b, eps/(30b^3+2)}."""
+        if b < 1:
+            raise ValueError("b must be at least 1")
         epsilon = to_fraction(epsilon)
         cap = min(Fraction(1, 15 * b), epsilon / (30 * b ** 3 + 2))
         return cls.from_delta(epsilon, cap * Fraction(999, 1000), b)

@@ -106,6 +106,9 @@ class ForbiddenOutcome:
     best_set: int
     best_value: object
     guesses_tried: int
+    # set by solve_polynomial against the original bounds when found
+    cover_ratio: object = None
+    pack_ratio: object = None
 
 
 def _enumerate_guesses(inst: Instance, big_mask: int, epsilon: Fraction):
@@ -225,27 +228,19 @@ def cardinality_solve(inst: Instance, k: int) -> ForbiddenOutcome:
     _require_single_row(inst)
     if any(v != 1 for v in inst.packing[0]):
         raise ValueError("cardinality variant requires an all-ones packing row")
-    if inst.pack_bound[0] != k:
-        raise ValueError("pack bound must equal k")
     if k < 0:
         raise ValueError("k must be non-negative")
+    if inst.pack_bound[0] != k:
+        raise ValueError("pack bound must equal k")
     return forbidden_dp_solve(inst, Fraction(1, max(2 * k, 2)), skip_guessing=True)
 
 
-@dataclass
-class PolynomialOutcome:
-    found: bool
-    best_set: int
-    best_value: object
-    cover_ratio: object
-    pack_ratio: object
-
-
-def solve_polynomial(inst: Instance, epsilon: Rational) -> PolynomialOutcome:
+def solve_polynomial(inst: Instance, epsilon: Rational) -> ForbiddenOutcome:
     """Scale to integers with parameter eps/2, solve, and map back.
 
     The output covers at least (1 - eps) and packs at most (1 + eps) of the
-    original bounds while keeping the DP's value guarantee.
+    original bounds while keeping the DP's value guarantee.  It is the
+    scaled solve's outcome, with its ratios against the original bounds.
     """
     if inst.p != 1 or inst.c != 1:
         raise ValueError("solve_polynomial requires exactly one packing and one covering row")
@@ -254,14 +249,6 @@ def solve_polynomial(inst: Instance, epsilon: Rational) -> PolynomialOutcome:
         raise ValueError("epsilon must lie in (0, 1]")
     scaled = scale_instance(inst, epsilon / 2)
     outcome = forbidden_dp_solve(scaled, epsilon / 2)
-    if not outcome.found:
-        return PolynomialOutcome(False, 0, 0, None, None)
-    mask = outcome.best_set
-    cover_ratio, pack_ratio = load_ratios(inst, mask)
-    return PolynomialOutcome(
-        found=True,
-        best_set=mask,
-        best_value=outcome.best_value,
-        cover_ratio=cover_ratio,
-        pack_ratio=pack_ratio,
-    )
+    if outcome.found:
+        outcome.cover_ratio, outcome.pack_ratio = load_ratios(inst, outcome.best_set)
+    return outcome

@@ -2,11 +2,12 @@
 for a correct guess, the residual objective, a Monte-Carlo multilinear
 estimator, a per-program emptiness screen on Fraction rows, the closed
 form of the upper-bound construction's value, ``solve_main``'s
-pair-by-pair loop from before the run walk, the chosen sets by the
-subset filter from before they were extended, the oracles' bit-by-bit
-methods from before the per-byte tables, and two exact kernels by the
-route they took before they pruned: brute force over every subset and the
-k-median matching value by max flow.  The solvers never run any of it."""
+pair-by-pair loop from before the run walk (over ``enumerate_guesses``'s
+list, one ``Guess`` at a time), the chosen sets by the subset filter from
+before they were extended, the oracles' bit-by-bit methods from before
+the per-byte tables, and two exact kernels by the route they took before
+they pruned: brute force over every subset and the k-median matching
+value by max flow.  The solvers never run any of it."""
 
 import math
 import random
@@ -84,14 +85,8 @@ def correct_guess_for(inst: Instance, params: Params, optimum: int) -> cont.Gues
         ell for ell in range(inst.n)
         if not (chosen >> ell) & 1
         and oracle.gain(state, ell) > oracle.eval(chosen) / params.gamma)
-    h = _guess_of(inst, params, 0, chosen, targets)
-    return _guess_of(inst, params, high | h.large_pack | h.large_cover, chosen, targets)
-
-
-def _guess_of(inst, params, discarded, chosen, targets):
-    return cont.Guess(instance=inst, discarded=discarded, chosen=chosen,
-                      cover_targets=targets, alpha=params.alpha, beta=params.beta,
-                      delta=params.delta, gamma=params.gamma)
+    h = cont.Guess(inst, 0, chosen, targets, params)
+    return cont.Guess(inst, high | h.large_pack | h.large_cover, chosen, targets, params)
 
 
 def is_correct(guess: cont.Guess, optimum: int) -> bool:
@@ -103,12 +98,12 @@ def is_correct(guess: cont.Guess, optimum: int) -> bool:
         return False
     order = greedy_marginal_order(inst.objective, optimum)
     # gamma may exceed |O|; then all of O must be chosen
-    gamma_count = min(len(order), int(math.ceil(guess.gamma)))
+    gamma_count = min(len(order), int(math.ceil(guess.params.gamma)))
     if mask_of(order[:gamma_count]) & ~guess.chosen:
         return False
     cov = inst.cover_value(optimum)
     for t, v in zip(guess.cover_targets, cov):
-        if not (1 <= t <= v < (1 + guess.delta) * t):
+        if not (1 <= t <= v < (1 + guess.params.delta) * t):
             return False
     return True
 
@@ -258,13 +253,14 @@ def rows_fit(rows, mask: int, cover_share: Fraction) -> bool:
 def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
                         params=None, trials: int = 20, steps: int = 100,
                         samples_per_grad: int = 200, diagnostics: bool = False,
-                        stream=None, screen: bool = True) -> cont.MainResult:
+                        guesses=None, screen: bool = True) -> cont.MainResult:
     """``solve_main`` as it was before it walked the stream in runs: one
-    pair of ``_guess_parts``'s stream at a time, in stream order, each
-    checked for a repeat and screened on its own.  ``stream`` stands in for
-    ``_guess_parts`` (same arguments, same triple); ``screen=False`` leaves
-    the pairs the screen would settle to phase 1.  The pair's guess, seeds,
-    ascent and rounding go through ``cont``'s module attributes."""
+    guess of ``enumerate_guesses``'s list at a time, in stream order, each
+    checked for a repeat and screened on its own.  ``guesses`` (a
+    ``GuessList``) stands in for that list; ``screen=False`` leaves the
+    pairs the screen would settle to phase 1.  The guesses, and each
+    pair's seeds, ascent and rounding, go through ``cont``'s module
+    attributes."""
     if trials < 0:
         raise ValueError("trials must be non-negative")
     cont._check_ascent(steps, samples_per_grad)
@@ -279,7 +275,9 @@ def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 10
                 f"(delta {float(params.delta):.3g}); raise the budget or pass "
                 "explicit params (--relaxed)")
     grid = cont._target_grid(norm.n, params, budget)
-    _, truncated, records = (stream or cont._guess_parts)(norm, params, grid, budget)
+    position = {point: t for t, point in enumerate(grid)}
+    if guesses is None:
+        guesses = cont.enumerate_guesses(norm, params, budget)
 
     need_cover = 1 - epsilon
     best = None
@@ -289,8 +287,11 @@ def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 10
     verdicts = {}
     scale = 1 / (1 + float(params.delta))
     full = (1 << norm.n) - 1
-    for index, chosen, discarded, cpart, tpart in records:
+    for guess in guesses.guesses:
         examined += 1
+        chosen, discarded = guess.chosen, guess.discarded
+        cpart, tpart = guess._parts
+        index = tuple(position[t] for t in guess.cover_targets)
         if repeats(index, tpart.residual_cover):
             repeat += 1
             continue
@@ -312,7 +313,6 @@ def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 10
             if diag:
                 diag.infeasible_polytope = True
             continue
-        guess = cont._make_guess(norm, params, chosen, discarded, cpart, tpart)
         ascent_seed, round_seed = cont._pair_seeds(seed, chosen, index)
         try:
             x_star = cont.continuous_greedy(
@@ -357,14 +357,15 @@ def per_pair_solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 10
                               filter_fail=failed)
     if best is None:
         return cont.MainResult(found=False, solution=0, value=0, cover_ratio=None,
-                               pack_ratio=None, trials=trials, truncated=truncated,
-                               counts=counts, diagnostics=diag_records)
+                               pack_ratio=None, trials=trials,
+                               truncated=guesses.truncated, counts=counts,
+                               diagnostics=diag_records)
     mask, value = best
     cover_ratio, pack_ratio = load_ratios(norm, mask)
     return cont.MainResult(
         found=True, solution=mask, value=value,
         cover_ratio=cover_ratio, pack_ratio=pack_ratio, trials=trials,
-        truncated=truncated, counts=counts, diagnostics=diag_records)
+        truncated=guesses.truncated, counts=counts, diagnostics=diag_records)
 
 
 def filtered_chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:

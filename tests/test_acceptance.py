@@ -198,9 +198,7 @@ def _fixed_guess(seed, n):
         random_oracle(rng, n, FAMILIES[seed % 3])))
     params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=2)
     guess = Guess(instance=inst, discarded=0, chosen=0,
-                  cover_targets=(Fraction(1),) * inst.c,
-                  alpha=params.alpha, beta=params.beta, delta=params.delta,
-                  gamma=params.gamma)
+                  cover_targets=(Fraction(1),) * inst.c, params=params)
     x_bar = {e: rng.random() * 0.9 for e in guess.residual_elements()}
     return inst, guess, x_bar
 
@@ -353,9 +351,7 @@ def test_criterion_9_oracle_equivalence():
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=2)
         chosen = rng.randrange(1 << n)
         guess = Guess(instance=inst, discarded=0, chosen=chosen,
-                      cover_targets=(Fraction(1),) * inst.c,
-                      alpha=params.alpha, beta=params.beta,
-                      delta=params.delta, gamma=params.gamma)
+                      cover_targets=(Fraction(1),) * inst.c, params=params)
         rest = [i for i in range(n) if not (chosen >> i) & 1]
         if len(rest) < 2:
             continue

@@ -69,8 +69,7 @@ def _norm_instance(seed, n=7, family="coverage"):
 
 def _guess(inst, chosen, discarded, targets, params=RELAXED):
     return Guess(instance=inst, chosen=chosen, discarded=discarded,
-                 cover_targets=targets, alpha=params.alpha, beta=params.beta,
-                 delta=params.delta, gamma=params.gamma)
+                 cover_targets=targets, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +318,12 @@ def test_critical_set_soundness():
     enum = enumerate_guesses(inst, RELAXED, budget=600)
     for g in enum.guesses:
         for ell in iter_bits(g.critical_large):
-            assert any(inst.packing[i][ell] >= g.beta * g.residual_pack[i]
+            assert any(inst.packing[i][ell] >= g.params.beta * g.residual_pack[i]
                        for i in g.critical_pack)
         for i in g.critical_pack:
-            assert g.residual_pack[i] <= g.delta
+            assert g.residual_pack[i] <= g.params.delta
         for j in g.critical_cover:
-            assert g.residual_cover[j] <= g.delta * g.cover_targets[j]
+            assert g.residual_cover[j] <= g.params.delta * g.cover_targets[j]
 
 
 def test_greedy_marginal_order_is_non_increasing():
@@ -486,17 +485,6 @@ def _residual_free_guess(cover_load):
     return inst, _guess(inst, chosen=0b01, discarded=0b10, targets=(Fraction(1),))
 
 
-def _stream_of(enum):
-    """A stand-in for ``_guess_parts`` that streams ``enum``'s guesses as
-    records, whatever instance and settings it is called with: each with
-    its targets' grid index, E1, E0 and parts."""
-    def guess_parts(inst, params, grid, budget):
-        return enum.pairs_examined, enum.truncated, iter([
-            (tuple(map(grid.index, g.cover_targets)), g.chosen, g.discarded, *g._parts)
-            for g in enum.guesses])
-    return guess_parts
-
-
 def _unbounded(monkeypatch):
     """``solve_main`` walks the chosen sets in stream order, with every
     bound at infinity and neither prune of a walked E1, and so prunes none,
@@ -623,10 +611,9 @@ def _ref_fields(inst, discarded, chosen, targets, params):
 
 
 def _all_fields(g):
-    return (g.discarded, g.chosen, g.cover_targets, g.alpha, g.beta, g.delta,
-            g.gamma, g.residual_pack, g.residual_cover, g.critical_pack,
-            g.critical_cover, g.large_pack, g.large_cover, g.critical_large,
-            g.undetermined)
+    return (g.discarded, g.chosen, g.cover_targets, g.params, g.residual_pack,
+            g.residual_cover, g.critical_pack, g.critical_cover, g.large_pack,
+            g.large_cover, g.critical_large, g.undetermined)
 
 
 def _ref_build_discarded(inst, chosen, targets, params):
@@ -821,7 +808,7 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
             m.setattr(cont, "prepare_polytope", _ref_prepare_polytope(solves))
             m.setattr(cont, "round_and_filter", recording_round)
             m.setattr(cont, "continuous_greedy", recording_greedy)
-            ref_res = per_pair_solve_main(inst, Fraction(1, 10), stream=_stream_of(want),
+            ref_res = per_pair_solve_main(inst, Fraction(1, 10), guesses=want,
                                           screen=False, **knobs)
         assert _empties_merged(res) == ref_res
         assert repr(_empties_merged(res)) == repr(ref_res)
@@ -851,8 +838,8 @@ def test_golden_equivalence_guesses_and_main(monkeypatch):
 
 
 def test_guess_stream_builds_the_enumerated_guesses():
-    # the pair stream solve_main reads against the guess list, with each
-    # record's parts also against those a Guess derives on its own
+    # each enumerated guess, built from the stream's shared parts, against
+    # a standalone Guess that derives its parts on its own
     cases = [(normalize(_golden_instance(seed, n, p, c, family, shape)), p, c, budget)
              for seed, n, p, c, family, budget, shape in _golden_cases()]
     cases += [(make_instance(packing, [], [1] * len(packing), [], LinearOracle([])),
@@ -861,20 +848,15 @@ def test_guess_stream_builds_the_enumerated_guesses():
     for norm, p, c, budget in cases:
         params = Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=max(1, p + c))
         grid = cont._target_grid(norm.n, params, budget)
-        pairs, cut, records = cont._guess_parts(norm, params, grid, budget)
-        records = list(records)
         enum = enumerate_guesses(norm, params, budget=budget)
-        built = [cont._make_guess(norm, params, *record[1:]) for record in records]
-        assert built == enum.guesses
-        assert [_all_fields(g) for g in built] == [_all_fields(g) for g in enum.guesses]
-        assert (pairs, cut) == (enum.pairs_examined, enum.truncated)
-        for (index, chosen, _, cpart, tpart), g in zip(records, built):
-            assert tuple(grid[t] for t in index) == g.cover_targets
-            fresh = _guess(norm, chosen, g.discarded, g.cover_targets, params)
-            assert fresh._parts == (cpart, tpart) and fresh.is_consistent()
+        for g in enum.guesses:
+            assert all(t in grid for t in g.cover_targets)
+            fresh = _guess(norm, g.chosen, g.discarded, g.cover_targets, params)
+            assert fresh == g and _all_fields(fresh) == _all_fields(g)
+            assert fresh._parts == g._parts and fresh.is_consistent()
         truncated += enum.truncated
         multi_row += max(p, c) > 1
-        empty += norm.n == 0 and len(records) == 1
+        empty += norm.n == 0 and len(enum.guesses) == 1
     assert truncated >= 1 and multi_row >= 5 and empty == 2
 
 
@@ -910,13 +892,12 @@ def test_stream_accounting_matches_the_reference_at_every_budget_edge():
         budgets |= {k * width + d for k in (1, 2, passes - 1) for d in (-1, 1)}
         for budget in sorted(v for v in budgets if v >= 0):
             want = _ref_enumerate_guesses(norm, params, budget=budget)
-            grid = cont._target_grid(norm.n, params, budget)
-            pairs, cut, records = cont._guess_parts(norm, params, grid, budget)
+            got = enumerate_guesses(norm, params, budget=budget)
+            pairs, cut = got.pairs_examined, got.truncated
             assert (pairs, cut) == (want.pairs_examined, want.truncated)
             assert (pairs, cut) == (min(budget, total), budget < total)
             assert (cont._pair_total(norm, params, budget) > budget) == cut
-            built = [cont._make_guess(norm, params, *record[1:]) for record in records]
-            assert [_all_fields(g) for g in built] == [_all_fields(g) for g in want.guesses]
+            assert [_all_fields(g) for g in got.guesses] == [_all_fields(g) for g in want.guesses]
         overpacking += 2 * len({g.chosen for g in full.guesses}) < width
     assert overpacking == 1
 
@@ -1052,7 +1033,7 @@ def test_solve_main_with_real_gradients_matches_the_reference(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(cont, "continuous_greedy", ref_greedy)
-            ref_res = per_pair_solve_main(inst, Fraction(1, 10), stream=_stream_of(enum),
+            ref_res = per_pair_solve_main(inst, Fraction(1, 10), guesses=enum,
                                           screen=False, **knobs)
         assert repr(_empties_merged(res)) == repr(ref_res)
         assert (res.guesses_enumerated, res.truncated) == (len(enum.guesses), enum.truncated)
@@ -1130,7 +1111,7 @@ def _origin_pairs(monkeypatch, inst, knobs):
     solve_pair = cont._Solve.pair
 
     def spy_pair(solve, position, index, chosen, discarded, cpart, tpart, *rest):
-        g = cont._make_guess(norm, knobs["params"], chosen, discarded, cpart, tpart)
+        g = Guess(norm, discarded, chosen, tpart.values, knobs["params"], parts=(cpart, tpart))
         state = oracle.begin(chosen)
         elements = g.residual_elements()
         pairs[chosen, g.cover_targets] = (
@@ -1867,9 +1848,10 @@ def _check_stream(norm, params, budget):
     refs = {}
     seen = set()
     settled = phase1 = repeated = 0
-    for index, chosen, discarded, cpart, tpart in cont._guess_parts(norm, params, grid,
-                                                                    budget)[2]:
-        g = cont._make_guess(norm, params, chosen, discarded, cpart, tpart)
+    for g in enumerate_guesses(norm, params, budget).guesses:
+        chosen = g.chosen
+        cpart, tpart = g._parts
+        index = tuple(map(grid.index, g.cover_targets))
         s = tpart.residual_cover
         key = (g.discarded, chosen, s,
                tuple(t.denominator if v else 0 for v, t in zip(s, tpart.values)))
@@ -1923,8 +1905,9 @@ def test_screen_limits_at_the_margin_match_their_definition():
     for gap, top, empty in ((3 * MARGIN / 4, 1, False), (margin, 1, True),
                             (margin + Fraction(1, 10 ** 12), 0, True), (0, 1, False)):
         norm = _margin_instance(gap)
-        records = {chosen: (discarded, cpart) for index, chosen, discarded, cpart, _
-                   in cont._guess_parts(norm, _QUARTERS, grid, 100)[2] if index == (0,)}
+        records = {g.chosen: (g.discarded, g._parts[0])
+                   for g in enumerate_guesses(norm, _QUARTERS, 100).guesses
+                   if g.cover_targets == (grid[0],)}
         screen = cont._Screen(grid)
         for chosen, limit in ((0, 0), (0b1, top)):
             discarded, cpart = records[chosen]

@@ -237,6 +237,15 @@ def test_params_validation_and_schedule():
                beta=Fraction(1, 2), gamma=Fraction(1, 2))
 
 
+@pytest.mark.parametrize("b", [0, -1])
+def test_params_schedules_refuse_fewer_than_one_row(b):
+    # b counts rows; below 1 it is refused as such, with no division by it
+    with pytest.raises(ValueError, match="b must be at least 1"):
+        Params.from_delta(Fraction(1, 10), Fraction(1, 5), b)
+    with pytest.raises(ValueError, match="b must be at least 1"):
+        Params.from_epsilon(Fraction(1, 10), b)
+
+
 # masks with few elements make shared prefixes and equal masks likely
 masks = st.one_of(st.integers(0, 63), st.integers(0, (1 << 70) - 1))
 

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from pcsm.forbidden_dp import (
     forbidden_dp_solve,
     solve_polynomial,
 )
+from pcsm.greedy_dp import scale_instance
 
 from conftest import FAMILIES, random_instance, random_oracle, small_oracles
 
@@ -272,6 +274,13 @@ def test_cardinality_zero_budget():
     assert not res2.found
 
 
+def test_cardinality_refuses_a_negative_k():
+    # a negative k is refused as such, before it is held against the bound
+    inst = make_instance([[1, 1]], [[1, 1]], [0], [0], LinearOracle([1, 1]))
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        cardinality_solve(inst, -1)
+
+
 def test_cardinality_never_violates_bound():
     rng = random.Random(67)
     for _ in range(20):
@@ -304,6 +313,20 @@ def test_polynomial_degenerate_epsilon_one():
     assert res.found
     assert res.pack_ratio <= 2
     assert res.cover_ratio >= 0
+
+
+def test_polynomial_returns_the_scaled_solves_outcome():
+    # the scaled forbidden-set solve's outcome, with its ratios against the
+    # original bounds when found and None otherwise
+    eps = Fraction(1, 2)
+    for cover_bound, found in ((2, True), (5, False)):
+        inst = make_instance([[2, 3]], [[1, 1]], [5], [cover_bound], LinearOracle([1, 2]))
+        res = solve_polynomial(inst, eps)
+        ratios = load_ratios(inst, res.best_set) if found else (None, None)
+        assert res.found == found
+        assert res == dataclasses.replace(
+            forbidden_dp_solve(scale_instance(inst, eps / 2), eps / 2),
+            cover_ratio=ratios[0], pack_ratio=ratios[1])
 
 
 def test_polynomial_floor_and_ratios():
