@@ -89,8 +89,7 @@ def generate_instance(n: int, p: int, c: int, family: str = "linear",
     Bounds are the planted subset's loads, so the instance is feasible by
     construction.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _check_gen(n, p, c, density)
     rng = random.Random(seed)
 
     def entry():
@@ -120,6 +119,15 @@ def generate_instance(n: int, p: int, c: int, family: str = "linear",
     else:
         raise ValueError(f"unknown objective family {family!r}")
     return make_instance(packing, covering, pack_bound, cover_bound, oracle)
+
+
+def _check_gen(n: int, p: int, c: int, density: float) -> None:
+    """Refuse a negative count and a density outside [0, 1], NaN included."""
+    for name, count in (("n", n), ("p", p), ("c", c)):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative")
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must lie in [0, 1], not {density!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +274,8 @@ def _bench_run(solver: str, inst: Instance, seed: int):
 def _suite_of(obj) -> list:
     """``obj`` when it is a bench suite read from JSON: a list of objects,
     each an ``lp`` entry or a generator spec (alone or under ``gen``) with
-    integer counts and seed; any other shape is bad input."""
+    integer counts and seed that ``generate_instance`` accepts, and a
+    boolean ``integer``; any other shape is bad input."""
     for item in _json_of(obj, list, "a list of suite items"):
         if "lp" in _json_of(item, dict, "a suite item object"):
             lp = _json_of(item["lp"], dict, "an lp object")
@@ -274,10 +283,12 @@ def _suite_of(obj) -> list:
             _json_int(lp["m"])
             continue
         spec = _json_of(item.get("gen", item), dict, "a gen object")
-        _json_int(spec["n"])
         for key in ("p", "c", "seed"):
             _json_int(spec.get(key, 0))
-        _json_of(spec.get("density", 0), (int, float), "a number")
+        _check_gen(_json_int(spec["n"]), spec.get("p", 0), spec.get("c", 0),
+                   _json_of(spec.get("density", 0), (int, float), "a number"))
+        if not isinstance(spec.get("integer", True), bool):
+            raise ValueError(f"expected a boolean, not {spec['integer']!r}")
     return obj
 
 

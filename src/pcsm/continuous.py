@@ -115,11 +115,6 @@ class _ChosenPart(NamedTuple):
     large_pack: int              # non-chosen elements >= alpha r_i in a row outside y
     critical_large: int          # non-chosen elements >= beta r_i in a row of y
 
-    @property
-    def residual_pack(self) -> tuple:
-        """r = 1 - E1's packing loads, as Fractions."""
-        return tuple(Fraction(r, d) for r, d in zip(self.pack_room, self.rows.pack_scale))
-
     def fits(self, extra: int, cover_share: Fraction) -> bool:
         """Whether E1 plus ``extra`` (elements outside E1) packs within every
         bound and covers at least ``cover_share`` of every covering bound.
@@ -280,7 +275,8 @@ class Guess:
     @property
     def residual_pack(self) -> tuple:
         """r = 1 - E1's packing loads."""
-        return self._parts[0].residual_pack
+        cpart = self._parts[0]
+        return tuple(Fraction(r, d) for r, d in zip(cpart.pack_room, cpart.rows.pack_scale))
 
     @property
     def residual_cover(self) -> tuple:
@@ -733,7 +729,8 @@ class GuessCounts:
     it with no candidate that can win the tie-break, or E1 cannot reach
     1 - eps of some covering bound; see ``_Solve.walk``), so those five
     add up to ``examined``; each ascended pair filters ``trials + 1``
-    candidates, each a ``filter_pass`` or a ``filter_fail``."""
+    candidates, each a ``filter_pass`` or a ``filter_fail``.  ``examined``,
+    ``pruned`` and ``filter_fail`` are derived (see ``_Solve.walk``)."""
 
     examined: int = 0
     repeat: int = 0
@@ -849,9 +846,8 @@ class _Solve:
         f(e | E1) over e in S <= the bound (Nemhauser, Wolsey and Fisher
         1978): every candidate of this E1, and of each later one, whose
         bound is no higher, has a lower value than the best set and loses
-        ``better`` to it.  The in-budget pairs of the E1s left,
-        min(len(grid)^c, ceil((budget - pos) / width)) each, count as
-        ``examined`` and ``pruned``, with no record.
+        ``better`` to it.  The pairs of the E1s left are ``pruned``, with
+        no record.
 
         A walked E1 is pruned the same way, with all its pairs, when no
         candidate of it can win (``cannot_win``):
@@ -889,7 +885,12 @@ class _Solve:
         walked in runs of one large-cover mask, which leave one
         undetermined set and so one tuple of screen limits: a run's pairs
         from row 0's limit on, or all of them if an outer row is past its
-        own, are empty.  Only the other pairs reach ``pair``."""
+        own, are empty.  Only the other pairs reach ``pair``.
+
+        The counts not tallied pair by pair are derived at the end: each
+        packing E1 adds its min(len(grid)^c, ceil((budget - pos) / width))
+        pairs in the budget to ``examined``, and ``pruned`` and
+        ``filter_fail`` follow from the identities of ``GuessCounts``."""
         size = len(grid)
         c = len(rows.cover)
         params = self.params
@@ -897,19 +898,16 @@ class _Solve:
         records = self.records
         screen = _Screen(grid)
         columns = {}
-        left = []
-        for pos, chosen, high_gain, live, bound in self.by_bound(packing, left):
+        for pos, chosen, high_gain, live, bound in self.by_bound(packing):
             cpart = _chosen_part(rows, chosen, params)
             base = high_gain | cpart.large_pack
             free = self.full & ~chosen
             keep = free & ~base
             if self.cannot_win(chosen, keep, cpart, bound, screen):
-                left.append(pos)
                 continue
             cols = _columns(columns, rows, cpart.cover_load, grid, params)
             if not c:
                 # the one target tuple (); nothing to screen
-                counts.examined += 1
                 self.pair(pos, (), chosen, base, cpart, _target_part(cols, (), ()), live)
                 continue
             first, outer_cols = cols[0], cols[1:]
@@ -924,7 +922,6 @@ class _Solve:
                 span = min(size, passes - first_k)
                 if span <= 0:
                     break
-                counts.examined += span
                 if any(0 < t < col.zero_end for t, col in zip(outer, outer_cols)):
                     counts.repeat += span
                     continue
@@ -963,15 +960,17 @@ class _Solve:
                             tpart = _target_part(cols, index, tuple(grid[i] for i in index))
                             self.pair((first_k + t) * width + pos, index, chosen, discarded,
                                       cpart, tpart, live)
-        pruned = sum(min(size ** c, _ceil(budget - pos, width)) for pos in left)
-        counts.examined += pruned
-        counts.pruned += pruned
+        counts.examined = sum(min(size ** c, _ceil(budget - pos, width))
+                              for pos, _, _ in packing)
+        counts.pruned = counts.examined - (counts.repeat + counts.screened_empty
+                                           + counts.phase1_empty + counts.ascended)
+        counts.filter_fail = counts.ascended * (self.trials + 1) - counts.filter_pass
 
-    def by_bound(self, packing: list, left: list):
+    def by_bound(self, packing: list):
         """The E1s of ``packing`` (``_chosen_sets``) as ``(pos, chosen,
         high_gain, live, bound)`` (``_gains``), best bound first, equal
         bounds in stream order, up to the first bound below the best value
-        found; the positions of the E1s not given are then put in ``left``.
+        found; ``walk`` counts the pairs of the E1s not given as pruned.
 
         Each gain outside ``high_gain`` is at most f(E1) / gamma, so with
         m = n - |E1| elements outside E1 an E1's bound is at most its cap
@@ -1000,7 +999,6 @@ class _Solve:
             _, _, pos, chosen, value = entry
             high_gain, live, bound = _gains(oracle, chosen, value, self.full, gamma)
             heappush(heap, (-g_num * bound, True, pos, chosen, high_gain, live, bound))
-        left += [entry[2] for entry in heap]
 
     def cannot_win(self, chosen: int, keep: int, cpart: _ChosenPart, bound,
                    screen: _Screen) -> bool:
@@ -1112,7 +1110,6 @@ class _Solve:
             if better(val, cand, self.best):
                 self.best = (cand, val)
         counts.filter_pass += pair_pass
-        counts.filter_fail += self.trials + 1 - pair_pass
         if diag:
             diag.filter_pass = pair_pass
             diag.filter_fail = self.trials + 1 - pair_pass
@@ -1120,16 +1117,12 @@ class _Solve:
 
     def result(self, truncated: bool) -> MainResult:
         records = [diag for _, diag in sorted(self.records or (), key=itemgetter(0))]
-        if self.best is None:
-            return MainResult(found=False, solution=0, value=0, cover_ratio=None,
-                              pack_ratio=None, trials=self.trials, truncated=truncated,
-                              counts=self.counts, diagnostics=records)
-        mask, value = self.best
-        cover_ratio, pack_ratio = load_ratios(self.inst, mask)
-        return MainResult(
-            found=True, solution=mask, value=value,
-            cover_ratio=cover_ratio, pack_ratio=pack_ratio, trials=self.trials,
-            truncated=truncated, counts=self.counts, diagnostics=records)
+        found = self.best is not None
+        mask, value = self.best if found else (0, 0)
+        cover_ratio, pack_ratio = load_ratios(self.inst, mask) if found else (None, None)
+        return MainResult(found=found, solution=mask, value=value, cover_ratio=cover_ratio,
+                          pack_ratio=pack_ratio, trials=self.trials, truncated=truncated,
+                          counts=self.counts, diagnostics=records)
 
 
 def _fresh(start: int, stop: int, zero_end: int) -> tuple:

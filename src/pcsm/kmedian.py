@@ -208,7 +208,9 @@ def _near_components(inst: TwoDistInstance):
 def _solve_clustered(inst: TwoDistInstance) -> KMedianResult:
     """Exact DP for the decomposable regimes (a = 0 or b > 3a): distribute k
     facilities over clusters, maximizing clients served at the near distance
-    subject to total opened capacity >= number of clients."""
+    subject to total opened capacity >= number of clients.  Equal served
+    counts keep the first state found, not ``core.better``'s subset order;
+    the cost is the same either way, as equal served counts give equal cost."""
     comps = _near_components(inst)
     n = inst.num_clients
     cap_goal = n

@@ -132,9 +132,9 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
 
 
 class Polytope(NamedTuple):
-    """A dense tableau after phase 1: its basis is feasible and the
-    artificial columns are frozen at zero, so phase 2 may start from it
-    under any cost vector.  ``prepare_polytope`` builds one for {x in
+    """A dense tableau after phase 1: its basis is feasible and its
+    artificial columns are zero (see ``_phase1``), so phase 2 may start from
+    it under any cost vector.  ``prepare_polytope`` builds one for {x in
     [0,1]^n : pack @ x <= bounds, cover @ x >= bounds}; each ``maximize``
     runs phase 2 alone, on a copy of the same tableau."""
 
@@ -142,7 +142,6 @@ class Polytope(NamedTuple):
     b_vec: np.ndarray
     basis: np.ndarray
     nv: int                  # structural columns
-    n_real: int              # structural plus slack columns
 
     def optimize(self, cost, maximize: bool):
         """Phase 2 for ``cost . x`` on a copy of the tableau.
@@ -155,7 +154,7 @@ class Polytope(NamedTuple):
         obj[:self.nv] = cost
         if maximize:
             obj = -obj
-        status = _simplex_core(A, b_vec, basis, obj, forbidden_from=self.n_real)
+        status = _simplex_core(A, b_vec, basis, obj)
         if status == "unbounded":
             return "unbounded", None
         return "optimal", _basic_values(A, b_vec, basis, total)[:self.nv]
@@ -176,6 +175,8 @@ def _phase1(rows, rels, rhs, nv: int):
     "<=" or ">="), x >= 0, with ``nv`` structural columns.
 
     Returns the feasible ``Polytope``, or None when the rows are infeasible.
+    Zeroing the artificial columns alone keeps them out of phase 2: they
+    cost 0 there, so their reduced cost is exactly 0 and none enters.
     """
     norm = []
     for dense, rel, b in zip(rows, rels, rhs):
@@ -186,26 +187,21 @@ def _phase1(rows, rels, rhs, nv: int):
         norm.append((dense, rel, b))
 
     m = len(norm)
-    n_slack = m
     art_rows = [i for i, (_, rel, _) in enumerate(norm) if rel == ">="]
     n_art = len(art_rows)
-    n_real = nv + n_slack
+    n_real = nv + m              # structural plus slack columns
     total = n_real + n_art
     A = np.zeros((m, total))
     b_vec = np.zeros(m)
     basis = np.zeros(m, dtype=np.int64)
-    art_pos = {}
-    for j, i in enumerate(art_rows):
-        art_pos[i] = n_real + j
+    art_pos = {i: n_real + j for j, i in enumerate(art_rows)}
     for i, (dense, rel, b) in enumerate(norm):
         A[i, :nv] = dense
         b_vec[i] = b
         A[i, nv + i] = 1.0 if rel == "<=" else -1.0
-        if rel == ">=":
-            A[i, art_pos[i]] = 1.0
-            basis[i] = art_pos[i]
-        else:
-            basis[i] = nv + i
+        # the row's basic column: its artificial on a ">=" row, else its slack
+        basis[i] = art_pos.get(i, nv + i)
+        A[i, basis[i]] = 1.0
 
     if n_art:
         phase1 = np.zeros(total)
@@ -216,9 +212,8 @@ def _phase1(rows, rels, rhs, nv: int):
         if float(phase1[n_real:] @ _basic_values(A, b_vec, basis, total)[n_real:]) > TOL_FEAS * max(1.0, abs(b_vec).max()):
             return None
         _evict_artificials(A, b_vec, basis, n_real)
-        # freeze artificial columns out of phase 2
         A[:, n_real:] = 0.0
-    return Polytope(A, b_vec, basis, nv, n_real)
+    return Polytope(A, b_vec, basis, nv)
 
 
 def _basic_values(A, b_vec, basis, total):
@@ -249,17 +244,15 @@ def _pivot(A, b_vec, basis, r, c):
     basis[r] = c
 
 
-def _simplex_core(A, b_vec, basis, obj, forbidden_from=None):
+def _simplex_core(A, b_vec, basis, obj):
     """Minimize obj over the current tableau in place; Bland's rule."""
     m, total = A.shape
-    limit = total if forbidden_from is None else forbidden_from
     max_iter = 50 * (m + total) + 10000
     for _ in range(max_iter):
         # reduced costs: c_j - c_B . B^{-1} A_j  (tableau form: y = obj - cb@A)
         cb = obj[basis]
-        reduced = obj[:limit] - cb @ A[:, :limit]
-        reduced[basis[basis < limit]] = 0.0
-        entering = -1
+        reduced = obj - cb @ A
+        reduced[basis] = 0.0
         neg = np.flatnonzero(reduced < -TOL_OPT)
         if neg.size == 0:
             return "optimal"

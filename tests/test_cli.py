@@ -416,6 +416,21 @@ def test_cli_zero_parameters_are_bad_input(tmp_path, capsys, argv, refused):
     assert err.startswith("bad input:") and refused in err
 
 
+@pytest.mark.parametrize("flags, refused", [
+    (["--p", "-2", "--c", "-1"], "p must be non-negative"),
+    (["--c", "-1"], "c must be non-negative"),
+    (["--density", "7"], "density must lie in [0, 1]"),
+    (["--density", "nan"], "density must lie in [0, 1]"),
+    (["--density", "-0.1"], "density must lie in [0, 1]"),
+], ids=["negative-p-c", "negative-c", "density-7", "density-nan", "negative-density"])
+def test_cli_gen_refuses_bad_counts_and_density(tmp_path, capsys, flags, refused):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--n", "3", *flags, "--out", str(path), "--quiet"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("bad input:") and refused in err
+    assert not path.exists()
+
+
 def test_bench_empty_suite():
     stream = io.StringIO()
     write_reports_csv(bench([], ["dp"]), stream)
@@ -473,7 +488,17 @@ def test_cli_bench_end_to_end(tmp_path, capsys):
     [{"lp": {"variant": "lp", "m": "3"}}],
     [{"gen": {"n": 4, "seed": True}}],
     [{"gen": [4]}],
-], ids=["object", "int-item", "string-n", "string-m", "boolean-seed", "list-gen"])
+    [{"gen": {"n": 4, "p": -2}}],
+    [{"gen": {"n": 4, "c": -1}}],
+    [{"gen": {"n": 4, "density": 7}}],
+    [{"gen": {"n": 4, "density": float("nan")}}],
+    [{"gen": {"n": 4, "density": -0.5}}],
+    [{"gen": {"n": 4, "integer": "no"}}],
+    # a later bad item is refused before the first one is solved
+    [{"gen": {"n": 4, "seed": 1}}, {"gen": {"n": 4, "p": -1}}],
+], ids=["object", "int-item", "string-n", "string-m", "boolean-seed", "list-gen",
+        "negative-p", "negative-c", "density-7", "density-nan", "negative-density",
+        "string-integer", "bad-second-item"])
 def test_cli_malformed_bench_suite_is_bad_input(tmp_path, capsys, suite):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))

@@ -489,7 +489,7 @@ def _unbounded(monkeypatch):
     """``solve_main`` walks the chosen sets in stream order, with every
     bound at infinity and neither prune of a walked E1, and so prunes none,
     as the pair-by-pair reference does."""
-    def in_stream_order(solve, packing, left):
+    def in_stream_order(solve, packing):
         for pos, chosen, value in packing:
             high_gain, live, _ = cont._gains(solve.inst.objective, chosen, value, solve.full,
                                              solve.params.gamma)
@@ -1309,7 +1309,36 @@ def test_pruned_walk_finds_the_pair_by_pair_answer(case, seed):
     _pruned_matches_unpruned(*case, seed)
 
 
-_ZERO_WEIGHTS = (make_instance([], [], [], [], LinearOracle([0, 0, 0])),
+@settings(max_examples=60, deadline=None)
+@given(_bound_cases(), st.integers(0, 2 ** 16))
+def test_pruned_counts_the_pairs_of_the_chosen_sets_left_out(case, seed):
+    # pruned is examined less the pair tallies, so the five counts add up
+    # by construction; this pins it apart from them: the in-budget pairs
+    # of every packing E1 the walk does not settle (left out by the bound,
+    # or by the tie or the reach rule), from the subset filter's chosen
+    # sets and the grid's length
+    inst, params, budget = case
+    cannot_win = cont._Solve.cannot_win
+    settled = set()
+
+    def spy(solve, chosen, *rest):
+        verdict = cannot_win(solve, chosen, *rest)
+        if not verdict:
+            settled.add(chosen)
+        return verdict
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cont._Solve, "cannot_win", spy)
+        res = solve_main(inst, Fraction(1, 10), seed=seed, budget=budget, params=params,
+                         trials=2, steps=2, samples_per_grad=3)
+    norm = normalize(inst)
+    width, every = filtered_chosen_sets(norm, params, budget)
+    pairs = len(cont._target_grid(norm.n, params, budget)) ** norm.c
+    assert res.counts.pruned == sum(min(pairs, -(-(budget - pos) // width))
+                                    for pos, chosen in every if chosen not in settled)
+
+
+_ZERO_WEIGHTS =(make_instance([], [], [], [], LinearOracle([0, 0, 0])),
                  Params.from_delta(Fraction(1, 10), Fraction(1, 5), b=1), 3000)
 # all three elements cover 9/10 of the one covering row, and no target
 # (each at least 1) is within reach
@@ -1527,12 +1556,11 @@ def test_by_bound_refines_equal_caps_before_an_equal_bound(monkeypatch):
 
     monkeypatch.setattr(cont, "_gains", gains)
     solve = cont._Solve(inst, params, Fraction(1, 10), 0, 1, 1, 1, False)
-    left, given = [], []
-    for pos, chosen, _, _, bound in solve.by_bound(packing, left):
+    given = []
+    for pos, chosen, _, _, bound in solve.by_bound(packing):
         given.append((pos, bound))
         solve.best = (chosen, 4)
     assert given == [(3, 5), (0, 4), (2, 4)]
-    assert sorted(left) == [1, 4]
     assert sorted(refined) == sorted(bounds)
 
 
