@@ -43,6 +43,7 @@ from .forbidden_dp import cardinality_solve, forbidden_dp_solve, solve_polynomia
 from .greedy_dp import dp_with_completion, vanilla_dp
 from .kmedian import load_two_dist, solve_two_distance
 from .lp import (
+    MAX_PHASES,
     analytic_dual_witness,
     analytic_primal_witness,
     build_dual,
@@ -89,7 +90,7 @@ def generate_instance(n: int, p: int, c: int, family: str = "linear",
     Bounds are the planted subset's loads, so the instance is feasible by
     construction.
     """
-    _check_gen(n, p, c, density)
+    _check_gen(n, p, c, density, family)
     rng = random.Random(seed)
 
     def entry():
@@ -113,21 +114,25 @@ def generate_instance(n: int, p: int, c: int, family: str = "linear",
         universe = max(n, 1)
         sets = [[u for u in range(universe) if rng.random() < 0.4] for _ in range(n)]
         oracle = CoverageOracle(universe, sets, [rng.randint(1, 5) for _ in range(universe)])
-    elif family == "concave_of_modular":
+    else:
         weights = [rng.randint(0, 9) for _ in range(n)]
         oracle = ConcaveOfModularOracle(weights, max(1, sum(weights) // 2))
-    else:
-        raise ValueError(f"unknown objective family {family!r}")
     return make_instance(packing, covering, pack_bound, cover_bound, oracle)
 
 
-def _check_gen(n: int, p: int, c: int, density: float) -> None:
-    """Refuse a negative count and a density outside [0, 1], NaN included."""
+FAMILIES = ("linear", "coverage", "concave_of_modular")
+
+
+def _check_gen(n: int, p: int, c: int, density: float, family: str) -> None:
+    """Refuse a negative count, a density outside [0, 1] (NaN included)
+    and an unknown objective family."""
     for name, count in (("n", n), ("p", p), ("c", c)):
         if count < 0:
             raise ValueError(f"{name} must be non-negative")
     if not 0 <= density <= 1:
         raise ValueError(f"density must lie in [0, 1], not {density!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown objective family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +278,26 @@ def _bench_run(solver: str, inst: Instance, seed: int):
 
 def _suite_of(obj) -> list:
     """``obj`` when it is a bench suite read from JSON: a list of objects,
-    each an ``lp`` entry or a generator spec (alone or under ``gen``) with
+    each an ``lp`` entry (a variant of ``LP_BUILDERS`` and an integer m in
+    [1, MAX_PHASES]) or a generator spec (alone or under ``gen``) with
     integer counts and seed that ``generate_instance`` accepts, and a
     boolean ``integer``; any other shape is bad input."""
     for item in _json_of(obj, list, "a list of suite items"):
         if "lp" in _json_of(item, dict, "a suite item object"):
             lp = _json_of(item["lp"], dict, "an lp object")
-            _json_of(lp["variant"], str, "an lp variant name")
-            _json_int(lp["m"])
+            variant = _json_of(lp["variant"], str, "an lp variant name")
+            if variant not in LP_BUILDERS:
+                raise ValueError(f"unknown lp variant {variant!r}")
+            m = _json_int(lp["m"])
+            if not 1 <= m <= MAX_PHASES:
+                raise ValueError(f"lp m must lie in [1, {MAX_PHASES}], not {m}")
             continue
         spec = _json_of(item.get("gen", item), dict, "a gen object")
         for key in ("p", "c", "seed"):
             _json_int(spec.get(key, 0))
         _check_gen(_json_int(spec["n"]), spec.get("p", 0), spec.get("c", 0),
-                   _json_of(spec.get("density", 0), (int, float), "a number"))
+                   _json_of(spec.get("density", 0), (int, float), "a number"),
+                   spec.get("family", "linear"))
         if not isinstance(spec.get("integer", True), bool):
             raise ValueError(f"expected a boolean, not {spec['integer']!r}")
     return obj
@@ -475,8 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--c", type=int, default=1)
-    sp.add_argument("--family", default="linear",
-                    choices=["linear", "coverage", "concave_of_modular"])
+    sp.add_argument("--family", default="linear", choices=FAMILIES)
     sp.add_argument("--density", type=float, default=0.7)
     sp.add_argument("--rational", action="store_true")
     sp.add_argument("--out")

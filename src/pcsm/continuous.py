@@ -31,7 +31,6 @@ from .core import (
     Params,
     better,
     iter_bits,
-    load_ratios,
     mask_of,
     normalize,
     packed_loads,
@@ -78,6 +77,11 @@ class _Rows(NamedTuple):
     def load(self, mask: int) -> tuple:
         """The scaled loads of ``mask``: packing rows, then covering rows."""
         return tuple(sum(row[e] for e in iter_bits(mask)) for row in self.loads.rows)
+
+    def room(self, mask: int) -> tuple:
+        """The packing room of ``mask``: each D_i less its scaled packing load."""
+        bits = tuple(iter_bits(mask))
+        return tuple(d - sum(row[e] for e in bits) for row, d in zip(self.pack, self.pack_scale))
 
 
 def _scaled_rows(inst: Instance) -> _Rows:
@@ -343,13 +347,11 @@ def _target_grid(n: int, params: Params, budget: int) -> list:
     """The cover grid (1 + delta)^t, t = 0 .. ceil(log n / log(1 + delta)).
     Every target tuple costs at least one unit of budget, so a longer grid
     could never be reached anyway (matters under the strict schedule, whose
-    tiny delta would otherwise materialize thousands of exact powers)."""
-    grid = []
-    point = Fraction(1)
-    for _ in range(_grid_length(n, params, budget)):
-        grid.append(point)
-        point *= 1 + params.delta
-    return grid
+    tiny delta would otherwise materialize thousands of exact powers).
+    With 1 + delta = a / b in lowest terms, point t is a^t / b^t."""
+    ratio = 1 + params.delta
+    a, b = ratio.numerator, ratio.denominator
+    return [Fraction(a ** t, b ** t) for t in range(_grid_length(n, params, budget))]
 
 
 def _grid_length(n: int, params: Params, budget: int) -> int:
@@ -434,8 +436,13 @@ def _chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
                     continue
                 if base is None:
                     # E1 + e sits at base + e; taken once E1 has a child that packs
-                    base = end - n - sum(binom[n - 1 - c][k + 1 - i]
-                                         for i, c in enumerate(iter_bits(chosen)))
+                    base = end - n
+                    rest, i = chosen, k + 1
+                    while rest:
+                        low = rest & -rest
+                        base -= binom[n - low.bit_length()][i]
+                        rest ^= low
+                        i -= 1
                 if base + e >= budget:
                     # positions grow in this order: every later set is past it too
                     return rows, width, packing
@@ -470,15 +477,14 @@ def _gains(oracle, chosen: int, value, full: int, gamma: Fraction) -> tuple:
     return high_gain, live, bound
 
 
-def _least_candidate(chosen: int, keep: int, cpart: _ChosenPart) -> int:
+def _least_candidate(chosen: int, keep: int, rows: _Rows, room: tuple) -> int:
     """The least set in ``better``'s subset order of the form E1 =
     ``chosen`` plus elements of ``keep`` that packs: E1 plus, in ascending
     order, each element of ``keep`` below E1's top element that still fits
-    E1's packing room (see ``_Solve.walk``)."""
-    room = cpart.pack_room
+    E1's packing room ``room`` (see ``_Solve.walk``)."""
     least = chosen
     for e in iter_bits(keep & ((1 << max(chosen.bit_length() - 1, 0)) - 1)):
-        column = cpart.rows.columns[e]
+        column = rows.columns[e]
         # zip stops at the packing rows: the columns list them first
         if all(a <= r for a, r in zip(column, room)):
             room = tuple(r - a for a, r in zip(column, room))
@@ -633,11 +639,16 @@ def continuous_greedy(guess: Guess, steps: int = 100,
     # +0.0 and only the live elements' gains are sampled
     state = oracle.begin(guess.chosen)
     live = [(idx, e) for idx, e in enumerate(elements) if oracle.gain(state, e)]
-    # with no live element every weight stays +0.0: no set is sampled, and
-    # phase 2 runs once on the zero weights
-    samples = samples_per_grad if live else 0
-    rng = random.Random(seed) if live else None
     x = [0.0] * len(elements)
+    if not live:
+        # every weight stays +0.0: no set is sampled, and phase 2 runs once
+        # on the zero weights; each step adds the same vertex
+        if steps:
+            v = _vertex(polytope, x)
+            for _step in range(steps):
+                x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
+        return dict(zip(elements, x))
+    rng = random.Random(seed)
     # each sampled set's gains, one float per live element, for this ascent
     # only (at most steps * samples_per_grad sets, and 2^|elements|).  An
     # element of the set gets 0.0: a weight starts at +0.0, never becomes
@@ -649,7 +660,7 @@ def continuous_greedy(guess: Guess, steps: int = 100,
         sums = [0.0] * len(live)
         # the same draws as one rng.random() per element with x > 0, in order
         drawn = [(1 << e, p) for e, p in zip(elements, x) if p > 0]
-        for _ in range(samples):
+        for _ in range(samples_per_grad):
             mask = guess.chosen
             for bit, p in drawn:
                 if rng.random() < p:
@@ -668,12 +679,18 @@ def continuous_greedy(guess: Guess, steps: int = 100,
         # phase 2 is deterministic, and equal weights (0.0 and -0.0 alike)
         # give equal costs: a repeated direction keeps the last vertex
         if weights != last_weights:
-            status, v = polytope.maximize(weights)
-            if status != "optimal":
-                raise GuessInfeasibleError("residual polytope became unsolvable")
+            v = _vertex(polytope, weights)
             last_weights = weights
         x = [min(1.0, xi + vi / steps) for xi, vi in zip(x, v)]
-    return {e: x[idx] for idx, e in enumerate(elements)}
+    return dict(zip(elements, x))
+
+
+def _vertex(polytope, weights: list) -> list:
+    """The polytope's vertex maximizing ``weights`` (phase 2)."""
+    status, v = polytope.maximize(weights)
+    if status != "optimal":
+        raise GuessInfeasibleError("residual polytope became unsolvable")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +816,7 @@ def solve_main(inst: Instance, epsilon, seed: int = 0, budget: int = 100_000,
     rows, width, packing = _chosen_sets(norm, params, budget)
     solve = _Solve(norm, params, epsilon, seed, trials, steps, samples_per_grad, diagnostics)
     solve.walk(rows, grid, budget, width, packing)
-    return solve.result(total > budget)
+    return solve.result(rows, total > budget)
 
 
 class _Solve:
@@ -866,6 +883,16 @@ class _Solve:
           G alone, d is below E1's top, which T holds: T continues past d
           and comes after G.  So when G is not ``subset_less`` than the
           best set, no candidate is.
+        - Early tie check.  Before E1's chosen part is built, a tied E1
+          gets G', built as G is but over keep' = free & ~high_gain
+          within the room ``rows.room(chosen)``; E1 is pruned when G' is
+          not ``subset_less`` than the best set (``loses_tie``).  keep is
+          keep' less large_pack, so G' <= G in that order: below the
+          lowest element d where they differ both took the same elements
+          from the same room, so if G holds d, d fits and lies in keep',
+          and G' takes it too.  So d is in G' alone, and G goes on past
+          d to E1's top.  Hence when G' does not come before the best
+          set, G does not either, and the tie rule would prune E1.
         - Reach rule.  A candidate E1 + S that packs has S within E1's
           packing room, so in each covering row S adds at most its
           ``cover_reach`` over ``keep`` (a relaxation to the box and one
@@ -899,9 +926,12 @@ class _Solve:
         screen = _Screen(grid)
         columns = {}
         for pos, chosen, high_gain, live, bound in self.by_bound(packing):
+            free = self.full & ~chosen
+            # the tie rule over a wider keep set, before E1's chosen part
+            if self.loses_tie(chosen, free & ~high_gain, bound, rows):
+                continue
             cpart = _chosen_part(rows, chosen, params)
             base = high_gain | cpart.large_pack
-            free = self.full & ~chosen
             keep = free & ~base
             if self.cannot_win(chosen, keep, cpart, bound, screen):
                 continue
@@ -1004,12 +1034,22 @@ class _Solve:
                    screen: _Screen) -> bool:
         """Whether no candidate of E1 = ``chosen`` can change the answer,
         by the tie rule or the reach rule of ``walk``."""
-        if (self.best is not None and bound == self.best[1]
-                and not subset_less(_least_candidate(chosen, keep, cpart), self.best[0])):
+        if self.loses_tie(chosen, keep, bound, cpart.rows, cpart.pack_room):
             return True
         num, den = self.need_cover.numerator, self.need_cover.denominator
         return any((q + r) * den < num * k for q, r, k in
                    zip(cpart.cover_load, screen.reach(keep, cpart), cpart.rows.cover_scale))
+
+    def loses_tie(self, chosen: int, keep: int, bound, rows: _Rows,
+                  room: Optional[tuple] = None) -> bool:
+        """The tie rule of ``walk``: E1 = ``chosen`` of bound ``bound``
+        ties the best value, and its least candidate over ``keep`` within
+        its packing room (``room``, else ``rows.room(chosen)``) does not
+        come before the best set."""
+        if self.best is None or bound != self.best[1]:
+            return False
+        least = _least_candidate(chosen, keep, rows, rows.room(chosen) if room is None else room)
+        return not subset_less(least, self.best[0])
 
     def record(self, position: int, chosen: int, discarded: int, cpart: _ChosenPart,
                critical_cover: int, undetermined: int, infeasible: bool) -> GuessDiagnostics:
@@ -1115,11 +1155,19 @@ class _Solve:
             diag.filter_fail = self.trials + 1 - pair_pass
             diag.best_value = pair_best
 
-    def result(self, truncated: bool) -> MainResult:
+    def result(self, rows: _Rows, truncated: bool) -> MainResult:
+        """The answer, its ratios ``core.load_ratios`` of the normalized
+        instance (every bound 1) read off the scaled rows ``rows``."""
         records = [diag for _, diag in sorted(self.records or (), key=itemgetter(0))]
         found = self.best is not None
         mask, value = self.best if found else (0, 0)
-        cover_ratio, pack_ratio = load_ratios(self.inst, mask) if found else (None, None)
+        cover_ratio = pack_ratio = None
+        if found:
+            ratios = [Fraction(v, d) for v, d in
+                      zip(rows.load(mask), rows.pack_scale + rows.cover_scale)]
+            p = len(rows.pack)
+            pack_ratio = max(ratios[:p], default=Fraction(0))
+            cover_ratio = min(ratios[p:], default=None)
         return MainResult(found=found, solution=mask, value=value, cover_ratio=cover_ratio,
                           pack_ratio=pack_ratio, trials=self.trials, truncated=truncated,
                           counts=self.counts, diagnostics=records)

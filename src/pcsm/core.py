@@ -468,11 +468,11 @@ def normalize(inst: Instance) -> Instance:
         if b == 0:
             packing.append(tuple(Fraction(2) if v > 0 else Fraction(0) for v in row))
         else:
-            packing.append(tuple(Fraction(v) / b for v in row))
+            packing.append(tuple(Fraction(v, b) for v in row))
     for row, b in zip(inst.covering, inst.cover_bound):
         if b == 0:
             continue
-        covering.append(tuple(min(Fraction(v), Fraction(b)) / b for v in row))
+        covering.append(tuple(Fraction(min(v, b), b) for v in row))
     return Instance(
         n=inst.n,
         packing=tuple(packing),

@@ -4,10 +4,12 @@ estimator, a per-program emptiness screen on Fraction rows, the closed
 form of the upper-bound construction's value, ``solve_main``'s
 pair-by-pair loop from before the run walk (over ``enumerate_guesses``'s
 list, one ``Guess`` at a time), the chosen sets by the subset filter from
-before they were extended, the oracles' bit-by-bit methods from before
-the per-byte tables, and two exact kernels by the route they took before
-they pruned: brute force over every subset and the k-median matching
-value by max flow.  The solvers never run any of it."""
+before they were extended, ``normalize`` and the cover grid by the
+Fraction divisions and products they took before, the oracles'
+bit-by-bit methods from before the per-byte tables, and two exact
+kernels by the route they took before they pruned: brute force over
+every subset and the k-median matching value by max flow.  The solvers
+never run any of it."""
 
 import math
 import random
@@ -379,6 +381,32 @@ def filtered_chosen_sets(inst: Instance, params: Params, budget: int) -> tuple:
     return len(chosen_sets), [
         (pos, chosen) for pos, chosen in enumerate(chosen_sets[:budget])
         if all(v <= d for v, d in zip(rows.load(chosen), rows.pack_scale))]
+
+
+def divided_normalize(inst: Instance) -> Instance:
+    """``normalize`` as it built its entries before each became one
+    ``Fraction(v, b)``: ``Fraction(v) / b``, a covering entry clamped as
+    ``min(Fraction(v), Fraction(b)) / b``."""
+    packing = [tuple(Fraction(2) if v > 0 else Fraction(0) for v in row) if b == 0
+               else tuple(Fraction(v) / b for v in row)
+               for row, b in zip(inst.packing, inst.pack_bound)]
+    covering = [tuple(min(Fraction(v), Fraction(b)) / b for v in row)
+                for row, b in zip(inst.covering, inst.cover_bound) if b != 0]
+    return Instance(n=inst.n, packing=tuple(packing), covering=tuple(covering),
+                    pack_bound=tuple(Fraction(1) for _ in packing),
+                    cover_bound=tuple(Fraction(1) for _ in covering),
+                    objective=inst.objective)
+
+
+def multiplied_target_grid(n: int, params: Params, budget: int) -> list:
+    """``cont._target_grid`` as it built its points before each became one
+    Fraction of two powers: each point the last one times 1 + delta."""
+    grid = []
+    point = Fraction(1)
+    for _ in range(cont._grid_length(n, params, budget)):
+        grid.append(point)
+        point *= 1 + params.delta
+    return grid
 
 
 def subsets_by_size(n: int, cap: int):

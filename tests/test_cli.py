@@ -26,6 +26,7 @@ from pcsm.cli import (
     write_reports_csv,
 )
 from pcsm.core import BudgetExceededError, InfeasibleError, instance_to_json_obj, load_instance
+from pcsm.lp import MAX_PHASES
 
 # covering bound no subset reaches
 INFEASIBLE = {
@@ -505,6 +506,33 @@ def test_cli_malformed_bench_suite_is_bad_input(tmp_path, capsys, suite):
     assert main(["bench", "--suite", str(path), "--quiet"]) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.err.startswith("bad input:") and captured.out == ""
+
+
+@pytest.mark.parametrize("second, named", [
+    ({"gen": {"n": 4, "family": "nope"}}, "unknown objective family 'nope'"),
+    ({"lp": {"variant": "nope", "m": 0}}, "unknown lp variant 'nope'"),
+    ({"lp": {"variant": "lpf", "m": 0}}, "not 0"),
+    ({"lp": {"variant": "dual", "m": MAX_PHASES + 1}}, f"not {MAX_PHASES + 1}"),
+], ids=["unknown-family", "unknown-variant", "m-0", "m-above-max"])
+def test_cli_bad_suite_item_is_refused_before_any_solver_runs(tmp_path, capsys, monkeypatch,
+                                                             second, named):
+    # the first item is good and slow to solve; the bad second one is
+    # refused, naming its value, before any solver or LP runs
+    calls = []
+    monkeypatch.setattr(cli, "_bench_run", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "_lp_optimum", lambda *args: calls.append(args))
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"gen": {"n": 12, "seed": 1}}, second]))
+    assert main(["bench", "--suite", str(path), "--solvers", "brute,dp,continuous",
+                 "--quiet"]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert calls == [] and captured.out == ""
+    assert captured.err.startswith("bad input:") and named in captured.err
+
+
+def test_generate_instance_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown objective family 'nope'"):
+        generate_instance(n=3, p=1, c=1, family="nope")
 
 
 def test_csv_float_formatting():

@@ -34,6 +34,7 @@ from pcsm.core import (
     marginal,
     mask_of,
     normalize,
+    subset_less,
 )
 from pcsm.lp import (
     TOL_FEAS,
@@ -52,6 +53,7 @@ from reference import (
     greedy_marginal_order,
     is_correct,
     multilinear_estimate,
+    multiplied_target_grid,
     per_pair_solve_main,
     polytope_surely_empty,
     repeats,
@@ -1396,23 +1398,61 @@ def test_tie_and_reach_prunes_find_the_pair_by_pair_answer(case, seed):
     # is pruned: no E1 + S with S in its keep set packs, covers 1 - eps and
     # beats the best set found so far.  (A reach rule that asked for full
     # cover would prune no E1 with an ascending pair, since each target is
-    # at least 1, so only this check can see it)
-    cannot_win = cont._Solve.cannot_win
+    # at least 1, so only this check can see it.)  The tie rule runs first
+    # on the wider keep set of the walk's early check, before E1's chosen
+    # part is built: each E1 it settles there is checked over that set
+    cannot_win, loses_tie = cont._Solve.cannot_win, cont._Solve.loses_tie
 
-    def checked(solve, chosen, keep, cpart, bound, screen):
-        verdict = cannot_win(solve, chosen, keep, cpart, bound, screen)
+    def none_beats(solve, chosen, keep):
+        norm = solve.inst
+        for extra in _submasks(keep):
+            cand = chosen | extra
+            if (all(v <= 1 for v in norm.pack_value(cand))
+                    and all(v >= solve.need_cover for v in norm.cover_value(cand))):
+                assert not better(norm.objective.eval(cand), cand, solve.best)
+
+    def checked(solve, chosen, keep, *rest):
+        verdict = cannot_win(solve, chosen, keep, *rest)
         if verdict:
-            norm = solve.inst
-            for extra in _submasks(keep):
-                cand = chosen | extra
-                if (all(v <= 1 for v in norm.pack_value(cand))
-                        and all(v >= solve.need_cover for v in norm.cover_value(cand))):
-                    assert not better(norm.objective.eval(cand), cand, solve.best)
+            none_beats(solve, chosen, keep)
+        return verdict
+
+    def checked_tie(solve, chosen, keep, *rest):
+        verdict = loses_tie(solve, chosen, keep, *rest)
+        if verdict:
+            none_beats(solve, chosen, keep)
         return verdict
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cont._Solve, "cannot_win", checked)
+        m.setattr(cont._Solve, "loses_tie", checked_tie)
         _pruned_matches_unpruned(*case, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_least_candidate_over_more_elements_comes_no_later(data):
+    # the walk's early tie check builds the least candidate over E1's free
+    # elements less its high-gain set, a superset of the keep set that
+    # ``cannot_win`` uses: that candidate never comes after the other one
+    # in ``better``'s subset order, so when it loses the tie so does the other
+    n = data.draw(st.integers(0, 8))
+    p, c = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1))
+    entry = st.sampled_from([0, 0, 1, 2, 3])
+    rows = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(p + c)]
+    bounds = [data.draw(st.integers(1, 6)) for _ in range(p + c)]
+    inst = normalize(make_instance(rows[:p], rows[p:], bounds[:p], bounds[p:],
+                                   LinearOracle([1] * n)))
+    scaled = cont._scaled_rows(inst)
+    full = (1 << n) - 1
+    chosen = data.draw(st.integers(0, full))
+    wide = data.draw(st.integers(0, full)) & ~chosen
+    keep = data.draw(st.integers(0, full)) & wide
+    room = scaled.room(chosen)
+    assert room == cont._chosen_part(scaled, chosen, RELAXED).pack_room
+    least = cont._least_candidate(chosen, keep, scaled, room)
+    wider = cont._least_candidate(chosen, wide, scaled, room)
+    assert wider == least or subset_less(wider, least)
 
 
 def test_tie_rule_prunes_the_ties_that_cannot_win(monkeypatch):
@@ -1602,6 +1642,11 @@ _ALL_COVERED = make_instance([[1, 1, 1]], [[1, 1, 1]], [2], [1],
                              CoverageOracle(3, [[0, 1], [0], [1]], [1, 1, 1]))
 _ONE_LIVE = make_instance([[1, 1, 1]], [[1, 1, 1]], [2], [1],
                           CoverageOracle(3, [[0, 1], [0], [2]], [1, 1, 1]))
+# E1 = {0} covers every set but none of the covering row, which the
+# residual elements {1, 2} must fill: no element is live, and the zero
+# weights' vertex is not the origin
+_COVER_REST = make_instance([[1, 1, 1]], [[0, 1, 1]], [3], [2],
+                            CoverageOracle(3, [[0, 1], [0], [1]], [1, 1, 1]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1609,10 +1654,11 @@ _ONE_LIVE = make_instance([[1, 1, 1]], [[1, 1, 1]], [2], [1],
 @example(_guess(normalize(_ALL_COVERED), 0b1, 0, (Fraction(1),)), 4, 5, 7)
 @example(_guess(normalize(_ONE_LIVE), 0b1, 0, (Fraction(1),)), 4, 5, 7)
 @example(_guess(normalize(_ALL_COVERED), 0b1, 0, (Fraction(1),)), 0, 5, 7)
+@example(_guess(normalize(_COVER_REST), 0b1, 0, (Fraction(1),)), 3, 5, 7)
 def test_ascent_skipping_zero_gain_elements_matches_sampling_them(guess, steps, samples,
                                                                   seed):
     # bit for bit, whether some residual element has a gain on E1 or none
-    for inst, live in ((_ALL_COVERED, False), (_ONE_LIVE, True)):
+    for inst, live in ((_ALL_COVERED, False), (_ONE_LIVE, True), (_COVER_REST, False)):
         if guess.instance.objective is inst.objective:
             assert _live(guess) == live
     try:
@@ -1638,6 +1684,23 @@ def test_size_cap_rounds_the_exact_bound_up(n, p, c, delta, alpha, gamma):
     params = Params(epsilon=Fraction(1, 10), delta=delta, alpha=alpha, beta=Fraction(1, 2),
                     gamma=gamma)
     assert cont._size_cap(inst, params) == min(n, math.ceil(gamma + (p + c) / (alpha * delta)))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 40), _OPEN_UNIT, st.integers(0, 80))
+@example(9, Fraction(1, 5), 80)
+def test_target_grid_is_the_repeated_products(n, delta, budget):
+    # the grid's points, each built as a^t / b^t from 1 + delta = a / b,
+    # are the products of repeated multiplication: under a delta
+    # schedule, and under the analysis schedule, whose grid is cut at its
+    # budget cap of budget + 1 points (its tiny delta would give n = 2
+    # thousands of points)
+    analysis = Params.from_epsilon(Fraction(1, 10), 2)
+    for params in (Params.from_delta(Fraction(1, 10), delta, b=2), analysis):
+        grid = cont._target_grid(n, params, budget)
+        assert grid == multiplied_target_grid(n, params, budget)
+        assert all(type(point) is Fraction for point in grid)
+    assert len(grid) == (budget + 1 if n > 1 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from conftest import (
     random_instance,
     random_oracle,
 )
+from reference import divided_normalize
 
 
 def test_marginal_linear():
@@ -220,6 +221,30 @@ def test_normalize_preserves_feasibility():
         assert all(v <= 1 for row in norm.covering for v in row)
         for mask in range(1 << inst.n):
             assert is_feasible(inst, mask).feasible == is_feasible(norm, mask).feasible
+
+
+_RATIONAL = st.one_of(st.integers(0, 12),
+                      st.fractions(min_value=0, max_value=12, max_denominator=9))
+
+
+@st.composite
+def _rational_instances(draw):
+    """Int and Fraction entries; bounds that may be 0 and that covering
+    entries may exceed."""
+    n, p, c = draw(st.integers(0, 5)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rows = [draw(st.lists(_RATIONAL, min_size=n, max_size=n)) for _ in range(p + c)]
+    bounds = [draw(st.one_of(st.just(0), _RATIONAL)) for _ in range(p + c)]
+    return make_instance(rows[:p], rows[p:], bounds[:p], bounds[p:], LinearOracle([1] * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_instances())
+@example(make_instance([[3, Fraction(7, 2)]], [[5, Fraction(1, 3)], [2, 1]], [2], [3, 0],
+                       LinearOracle([1, 1])))
+def test_normalize_builds_the_divided_entries(inst):
+    # one Fraction(v, b) per entry is Fraction(v) / b: the same Fractions,
+    # zero bounds and clamped covering entries included
+    assert repr(normalize(inst)) == repr(divided_normalize(inst))
 
 
 def test_params_validation_and_schedule():
